@@ -13,11 +13,13 @@ Three pieces:
 
 Every op output is checked for NaN/Inf and raises ``NonFiniteError`` rather
 than propagating silently. Supported rank is <= 2; broadcasting follows
-numpy within that limit.
+numpy within that limit. :func:`custom_op` records a fused computation with
+a hand-written VJP as a single tape node.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -46,7 +48,9 @@ def _as_array(x) -> Array:
 
 
 def _check_finite(a: Array, op: str) -> None:
-    if not np.all(np.isfinite(a)):
+    # one reduction on the common path; the sum of finite entries can still
+    # overflow, so the elementwise test decides whenever the sum is not finite
+    if not math.isfinite(a.sum()) and not np.isfinite(a).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -290,6 +294,25 @@ def _emit(data: Array, parents: tuple[Tensor, ...], vjp_builder, op: str) -> Ten
         vjp = vjp_builder(grad_parents)
         _ACTIVE[-1]._record(out, grad_parents, vjp, op)
     return out
+
+
+def custom_op(data, parents: Sequence, vjp: Callable, op: str) -> Tensor:
+    """Record ``data`` as one op over ``parents`` with a hand-written VJP.
+
+    ``vjp(g)`` maps the output cotangent ``g`` to one cotangent per parent,
+    in order; it is called only when some parent requires grad, and the
+    entries of parents that do not are ignored (they may be None). The output
+    gets the same finite check as every built-in op. Reverse mode only.
+    """
+    parents = tuple(_coerce(p) for p in parents)
+
+    def build(grad_parents):
+        def node_vjp(g):
+            return [(p, gp) for p, gp in zip(parents, vjp(g)) if p.requires_grad]
+
+        return node_vjp
+
+    return _emit(_as_array(data), parents, build, op)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:

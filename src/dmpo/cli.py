@@ -120,6 +120,10 @@ def cmd_bench(args) -> int:
     ks = [int(k) for k in args.K.split(",")]
     if any(k < 1 for k in ks):
         raise ValueError("all K must be >= 1")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.warmup < 0:
+        raise ValueError(f"--warmup must be >= 0, got {args.warmup}")
     env = make_env(args.env)
     obs = env.reset(args.seed)
     rng = np.random.default_rng(args.seed)

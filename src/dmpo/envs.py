@@ -82,6 +82,7 @@ class PointReach:
         self.terminated = False
         self.truncated = False
         self.homotopy_class = 0  # +1 above, -1 below, 0 if never crossed x=0
+        self.episode_return = 0.0  # running return, accumulated by the caller
 
     @property
     def success(self) -> bool:
@@ -96,6 +97,7 @@ class PointReach:
         self.terminated = False
         self.truncated = False
         self.homotopy_class = 0
+        self.episode_return = 0.0
         return self._obs()
 
     def _obs(self) -> np.ndarray:
@@ -146,6 +148,7 @@ class ModalBandit:
         self.truncated = False
         self.success = False
         self.mode_used = 0  # +1 / -1: the mixture component nearest the action
+        self.episode_return = 0.0  # running return, accumulated by the caller
 
     def mixture_means(self, obs):
         base = 0.5 * np.asarray(obs, dtype=np.float64)
@@ -159,6 +162,7 @@ class ModalBandit:
         self.truncated = False
         self.success = False
         self.mode_used = 0
+        self.episode_return = 0.0
         return self._obs_arr.copy()
 
     def _log_mixture(self, a):

@@ -8,6 +8,13 @@ environment step credits every denoising transition that produced the
 executed action. With fixed sigma the entropy term is a constant reported
 for the breakdown; an optional learnable per-dimension log-sigma head makes
 it (and the ratio) sigma-differentiable.
+
+Per minibatch the policy encoder runs once, traced, and its embedding feeds
+both the chain log-prob and the BC term; the frozen BC reference runs on
+the plain-array forward and adds nothing to the tape. Each transition's
+Gaussian log-density and the clipped surrogate are single tape nodes with
+hand-written VJPs (``autodiff.custom_op``). Rollouts are collected as
+stacked arrays, one ``[:, t]`` row per step across environments.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .autodiff import Graph, Tensor, exp, log, no_record, relu, square
+from .autodiff import Graph, Tensor, custom_op, exp, log, square
 from .io import write_metrics_csv
 from .nets import Adam, clip_grad_norm, init_value_net
 from .sampler import LOG_2PI, make_schedule, sample_chain_batch, step_entropy
@@ -121,24 +128,28 @@ def ppo_ratio(new_logprob, old_logprob):
     return exp(new_t - Tensor(old_arr))
 
 
-def _clip(rho, lo: float, hi: float):
-    # clip(x, lo, hi) == lo + relu(x - lo) - relu(x - hi); exact gradients a.e.
-    return relu(rho - lo) - relu(rho - hi) + lo
-
-
 def clipped_pg_loss(rho, adv, clip_eps: float):
     """mean over the batch of max(-A * rho, -A * clip(rho, 1-eps, 1+eps)).
 
-    At the tie (rho inside the clip band the two arguments coincide) the
-    gradient follows the unclipped branch, so at theta == theta_old the
-    gradient is the plain policy gradient.
+    One tape node. The gradient of a row follows the unclipped branch unless
+    the clipped branch is strictly larger, so at the tie (rho inside the clip
+    band, where the two coincide) and at theta == theta_old the gradient is
+    the plain policy gradient.
     """
     rho_t = rho if isinstance(rho, Tensor) else Tensor(np.asarray(rho, dtype=np.float64))
-    adv_c = Tensor(adv.data if isinstance(adv, Tensor) else np.asarray(adv, dtype=np.float64))
-    unclipped = -adv_c * rho_t
-    clipped = -adv_c * _clip(rho_t, 1.0 - clip_eps, 1.0 + clip_eps)
-    # max(a, b) = a + relu(b - a)
-    return (unclipped + relu(clipped - unclipped)).mean()
+    a = adv.data if isinstance(adv, Tensor) else np.asarray(adv, dtype=np.float64)
+    r = rho_t.data
+    lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
+    unclipped = -a * r
+    clipped = -a * np.clip(r, lo, hi)
+    on_clipped = clipped > unclipped
+
+    def vjp(g):
+        # the clipped branch passes gradient only where the clip is inactive
+        slope = np.where(on_clipped & ((r <= lo) | (r > hi)), 0.0, -a)
+        return (g * slope / r.size,)
+
+    return custom_op(np.maximum(unclipped, clipped).mean(), (rho_t,), vjp, "clipped_pg")
 
 
 def value_loss(v_pred, returns):
@@ -148,9 +159,14 @@ def value_loss(v_pred, returns):
     return 0.5 * square(v_t - r_c).mean()
 
 
-def bc_loss(frozen_net, current_net, obs_batch, shared_noise):
+def bc_loss(frozen_net, current_net, obs_batch, shared_noise, h=None):
     """Squared distance between one-step actions of the two nets from the
-    same z1 draws; gradient flows into ``current_net`` only."""
+    same z1 draws; gradient flows into ``current_net`` only.
+
+    ``h`` is the current net's embedding of ``obs_batch`` when the caller
+    has already traced it. The frozen reference runs on the plain-array
+    forward and records nothing.
+    """
     obs = np.asarray(obs_batch, dtype=np.float64)
     z1 = np.asarray(shared_noise, dtype=np.float64)
     if frozen_net.d_a != current_net.d_a or frozen_net.d_obs != current_net.d_obs:
@@ -158,12 +174,10 @@ def bc_loss(frozen_net, current_net, obs_batch, shared_noise):
     if z1.shape != (obs.shape[0], current_net.d_a):
         raise ValueError(f"shared noise must be (B, {current_net.d_a})")
     B = obs.shape[0]
-    zeros = np.zeros((B, 1))
-    ones = np.ones((B, 1))
-    with no_record():
-        u_frozen = frozen_net.velocity(Tensor(z1), Tensor(zeros), Tensor(ones), obs=Tensor(obs))
-        a_frozen = z1 - u_frozen.data
-    u_cur = current_net.velocity(Tensor(z1), Tensor(zeros), Tensor(ones), obs=Tensor(obs))
+    a_frozen = z1 - frozen_net.velocity_arrays(z1, 0.0, 1.0, frozen_net.encode_arrays(obs))
+    if h is None:
+        h = current_net.encode(Tensor(obs))
+    u_cur = current_net.velocity(Tensor(z1), Tensor(np.zeros((B, 1))), Tensor(np.ones((B, 1))), h=h)
     a_cur = Tensor(z1) - u_cur
     return square(a_cur - Tensor(a_frozen)).sum(axis=1).mean()
 
@@ -193,25 +207,40 @@ def _sigma_tensor(nets, config):
     return Tensor(np.full(nets.policy.d_a, config.sigma))
 
 
-def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K: int):
+def _transition_logpdf(u, a_k: np.ndarray, a_next: np.ndarray, sigma_t, dt: float):
+    """ln N(a_next | a_k - dt * u, diag(sigma^2)) per row, as one tape node
+    over ``u`` (M, d_a) and ``sigma_t`` (d_a,)."""
+    sig = sigma_t.data
+    mu = a_k - dt * u.data
+    diff = (a_next - mu) / sig
+    quad = np.square(diff).sum(axis=1)
+    data = -0.5 * quad - 0.5 * sig.size * LOG_2PI - np.log(sig).sum()
+
+    def vjp(g):
+        g_col = g[:, None]
+        g_u = -g_col * diff * (dt / sig)
+        g_sig = (g_col * (diff * diff - 1.0)).sum(axis=0) / sig if sigma_t.requires_grad else None
+        return g_u, g_sig
+
+    return custom_op(data, (u, sigma_t), vjp, "gauss_logpdf")
+
+
+def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K: int, h=None):
     """Sum of the K transition log-densities, differentiable in theta (and
     sigma when traced). ``states`` is (M, K+1, d_a); recorded states are
-    constants, only the means depend on parameters."""
+    constants, only the means depend on parameters. ``h`` is the policy's
+    embedding of ``obs`` when the caller has already traced it."""
     sched = make_schedule(K)
-    M, _, d_a = states.shape
-    h = policy.encode(Tensor(obs))
-    log_sig_sum = log(sigma_t).sum()  # traced when sigma is a parameter
+    M = states.shape[0]
+    if h is None:
+        h = policy.encode(Tensor(obs))
     total = None
     for k in range(K):
-        a_k = Tensor(np.ascontiguousarray(states[:, k, :]))
-        a_k1 = Tensor(np.ascontiguousarray(states[:, k + 1, :]))
+        a_k = np.ascontiguousarray(states[:, k, :])
         r_col = Tensor(np.full((M, 1), sched.taus[k + 1]))
         tau_col = Tensor(np.full((M, 1), sched.taus[k]))
-        u = policy.velocity(a_k, r_col, tau_col, h=h)
-        mu = a_k - sched.dt * u
-        diff = (a_k1 - mu) / sigma_t.reshape((1, d_a))
-        quad = square(diff).sum(axis=1)
-        term = -0.5 * quad - 0.5 * d_a * LOG_2PI - log_sig_sum
+        u = policy.velocity(Tensor(a_k), r_col, tau_col, h=h)
+        term = _transition_logpdf(u, a_k, states[:, k + 1, :], sigma_t, sched.dt)
         total = term if total is None else total + term
     return total
 
@@ -243,7 +272,9 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     d_a = nets.policy.d_a
     sigma_t = _sigma_tensor(nets, config)
 
-    new_lp = chain_logprob_traced(nets.policy, batch.states, batch.obs, sigma_t, K)
+    # one traced encoder pass serves the chain log-prob and the BC term
+    h = nets.policy.encode(Tensor(batch.obs))
+    new_lp = chain_logprob_traced(nets.policy, batch.states, batch.obs, sigma_t, K, h=h)
     rho = ppo_ratio(new_lp, batch.old_logprobs)
     pg = clipped_pg_loss(rho, batch.advantages, config.clip_eps)
 
@@ -257,7 +288,7 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     else:
         ent = Tensor(-float(K) * step_entropy(d_a, config.sigma))
 
-    bc = bc_loss(nets.frozen, nets.policy, batch.obs, batch.bc_noise)
+    bc = bc_loss(nets.frozen, nets.policy, batch.obs, batch.bc_noise, h=h)
     lam_bc = bc_schedule(n, config)
 
     total = pg + config.lam_value * v + config.lam_entropy * ent + lam_bc * bc
@@ -296,9 +327,10 @@ class RolloutBatch:
 def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Stage2Config):
     """Lockstep collection: each env contributes rollout_steps / n_envs steps.
 
-    Environments persist across calls (episodes may span iterations); all
-    randomness comes from the per-env generator streams, so results do not
-    depend on how rows are batched.
+    Environments persist across calls (episodes may span iterations, and
+    each env's ``episode_return`` carries the running return across them);
+    all randomness comes from the per-env generator streams, so results do
+    not depend on how rows are batched.
     """
     E = len(envs_list)
     T = config.rollout_steps // E
@@ -319,27 +351,27 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
     lp_buf = np.empty((E, T))
     finished = []  # (return, success) per completed episode
 
+    low = np.stack([env.action_low for env in envs_list])
+    high = np.stack([env.action_high for env in envs_list])
     for t in range(T):
         obs_mat = np.ascontiguousarray(np.stack(obs_cur))
-        chains = sample_chain_batch(nets.policy, obs_mat, config.K, sigma, env_rngs)
-        values = nets.value.value_arrays(obs_mat)
+        states, _, _, logprobs = sample_chain_batch(nets.policy, obs_mat, config.K, sigma, env_rngs)
+        actions = states[:, -1]
+        obs_buf[:, t] = obs_mat
+        states_buf[:, t] = states
+        act_buf[:, t] = np.clip(actions, low, high)
+        val_buf[:, t] = nets.value.value_arrays(obs_mat)
+        lp_buf[:, t] = logprobs
         for e, env in enumerate(envs_list):
-            chain = chains[e]
-            nxt, r, done = env.step(chain.action)
-            obs_buf[e, t] = obs_mat[e]
+            nxt, r, done = env.step(actions[e])
             next_buf[e, t] = nxt
-            states_buf[e, t] = chain.states
-            act_buf[e, t] = np.clip(chain.action, env.action_low, env.action_high)
             rew_buf[e, t] = r
             term_buf[e, t] = 1.0 if env.terminated else 0.0
             done_buf[e, t] = 1.0 if done else 0.0
-            val_buf[e, t] = values[e]
-            lp_buf[e, t] = chain.total_logprob
-            # running episode return lives on the env: episodes span windows
-            env._episode_return = getattr(env, "_episode_return", 0.0) + r
+            # episodes span collection windows, so the running return lives on the env
+            env.episode_return += r
             if done:
-                finished.append((env._episode_return, bool(env.success)))
-                env._episode_return = 0.0
+                finished.append((env.episode_return, bool(env.success)))
                 nxt = env.reset(int(env_rngs[e].integers(2**63)))
             obs_cur[e] = nxt
 

@@ -5,8 +5,11 @@ Euler steps of size exactly 1/K; K = 1 collapses to a single forward pass
 a = z1 - u(z1, 0, 1, obs). Stochastic sampling wraps each step in a
 Gaussian of scale sigma and records everything needed to recompute the
 chain's log-probability bit-for-bit later (the PPO old-log-prob contract).
-The prior term ln p0(a^0) is stored but kept out of the transition sum: it
-has no parameter dependence and cancels in probability ratios.
+``sample_chain_batch`` samples one chain per environment and returns them as
+stacked arrays (``ChainBatch``); ``sample_stochastic`` wraps a single chain in
+a ``DenoiseChain``, which alone also stores the prior term ln p0(a^0). That
+term is kept out of the transition sum: it has no parameter dependence and
+cancels in probability ratios.
 
 Exactly K velocity-network evaluations happen per generated action.
 """
@@ -14,6 +17,7 @@ Exactly K velocity-network evaluations happen per generated action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,17 +114,37 @@ def sample_deterministic(net, obs: np.ndarray, K: int, rng: np.random.Generator)
     return z[0], K
 
 
+class ChainBatch(NamedTuple):
+    """Stochastic chains for E observations, as stacked arrays."""
+
+    states: np.ndarray  # (E, K+1, d_a): a^0 (prior draw) .. a^K (executed action)
+    means: np.ndarray  # (E, K, d_a): mu_k, the deterministic update from a^k
+    logprob_terms: np.ndarray  # (E, K) per-transition Gaussian log-densities
+    total_logprobs: np.ndarray  # (E,) sum of transition terms, prior excluded
+
+
 def sample_stochastic(net, obs: np.ndarray, K: int, sigma, rng: np.random.Generator) -> DenoiseChain:
     """Gaussian-perturbed chain a^{k+1} = mu_k + sigma * xi_k; records all terms."""
-    chains = sample_chain_batch(net, np.asarray(obs, dtype=np.float64).reshape(1, -1), K, sigma, [rng])
-    return chains[0]
+    sig = _sigma_vector(sigma, net.d_a)
+    chains = sample_chain_batch(net, np.asarray(obs, dtype=np.float64).reshape(1, -1), K, sig, [rng])
+    states = chains.states[0]
+    return DenoiseChain(
+        states=states,
+        means=chains.means[0],
+        sigma=sig,
+        logprob_terms=chains.logprob_terms[0],
+        total_logprob=float(chains.total_logprobs[0]),
+        prior_logprob=gaussian_logpdf(states[0], np.zeros(net.d_a), 1.0),
+        nfe_used=K,
+    )
 
 
-def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> list[DenoiseChain]:
+def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
     """Vectorized chain sampling across environments with per-env rng streams.
 
     Each environment's noise comes only from its own generator (draw order:
     a^0 first, then one xi per step), so results are independent of batching.
+    Exactly K velocity evaluations cover the whole batch.
     """
     sched = make_schedule(K)
     E = obs.shape[0]
@@ -130,36 +154,21 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> list[Denois
     sig = _sigma_vector(sigma, d_a)
     h = net.encode_arrays(obs)
 
-    states = np.empty((K + 1, E, d_a))
-    means = np.empty((K, E, d_a))
-    terms = np.empty((K, E))
+    states = np.empty((E, K + 1, d_a))
+    means = np.empty((E, K, d_a))
+    terms = np.empty((E, K))
     a = np.stack([rng.standard_normal(d_a) for rng in rngs])
-    states[0] = a
+    states[:, 0] = a
     for k in range(K):
         u = net.velocity_arrays(a, float(sched.taus[k + 1]), float(sched.taus[k]), h)
         mu = a - sched.dt * u
         xi = np.stack([rng.standard_normal(d_a) for rng in rngs])
         a = mu + sig * xi
-        means[k] = mu
-        states[k + 1] = a
+        means[:, k] = mu
+        states[:, k + 1] = a
         diff = (a - mu) / sig
-        terms[k] = -0.5 * np.sum(LOG_2PI + 2.0 * np.log(sig) + diff * diff, axis=1)
-
-    out = []
-    for e in range(E):
-        prior = gaussian_logpdf(states[0, e], np.zeros(d_a), 1.0)
-        out.append(
-            DenoiseChain(
-                states=states[:, e].copy(),
-                means=means[:, e].copy(),
-                sigma=sig.copy(),
-                logprob_terms=terms[:, e].copy(),
-                total_logprob=float(np.sum(terms[:, e])),
-                prior_logprob=prior,
-                nfe_used=K,
-            )
-        )
-    return out
+        terms[:, k] = -0.5 * np.sum(LOG_2PI + 2.0 * np.log(sig) + diff * diff, axis=1)
+    return ChainBatch(states, means, terms, terms.sum(axis=1))
 
 
 def chain_logprob(net, chain: DenoiseChain, obs: np.ndarray, sigma) -> float:

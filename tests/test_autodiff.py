@@ -357,6 +357,36 @@ def test_nonfinite_raises():
             ad.exp(Tensor([1000.0]))
 
 
+def test_finite_output_with_overflowing_sum_passes():
+    # the one-reduction check must fall back to the exact test, not raise
+    with np.errstate(over="ignore"):
+        out = Tensor([1e308, 1e308]) + 0.0
+    np.testing.assert_array_equal(out.data, [1e308, 1e308])
+
+
+def test_nan_only_and_mixed_inf_outputs_raise():
+    with np.errstate(invalid="ignore"):  # inf + -inf inside the check's sum
+        with pytest.raises(NonFiniteError):
+            Tensor([np.nan, np.nan]) + 0.0
+        with pytest.raises(NonFiniteError):
+            Tensor([np.inf, -np.inf, 1.0]) + 0.0
+
+
+def test_custom_op_single_node_and_vjp():
+    x = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+    c = Tensor(np.array([1.0, 2.0, 3.0]))
+    with Graph() as g:
+        y = ad.custom_op(np.sum(c.data * x.data**2), (x, c), lambda gy: (2.0 * gy * c.data * x.data, None),
+                         "weighted_sq")
+    assert [n.op for n in g.nodes] == ["weighted_sq"]
+    grads = g.backward(y)
+    assert set(grads) == {x}
+    np.testing.assert_allclose(grads[x], 2.0 * c.data * x.data, atol=1e-15)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            ad.custom_op(np.array([np.nan]), (x,), lambda gy: (gy,), "bad")
+
+
 def test_backward_seed_shape_mismatch():
     x = Tensor(np.ones(3), requires_grad=True)
     with Graph() as g:

@@ -183,6 +183,19 @@ def test_cli_bench_csv(pipeline, tmp_path):
     assert [r["nfe"] for r in rows] == ["1", "2"]
 
 
+@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-2"), ("--warmup", "-1")])
+def test_cli_bench_rejects_bad_sample_counts(pipeline, tmp_path, capsys, flag, value):
+    root, data, ck = pipeline
+    out = tmp_path / "bench.csv"
+    args = ["bench", "--checkpoint", str(ck), "-K", "1", "--samples", "5", "--warmup", "1",
+            "--csv", str(out)]
+    args[args.index(flag) + 1] = value
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and flag in err
+    assert not out.exists()
+
+
 def test_cli_runtime_failure_exit_code(capsys):
     assert main(["eval", "--checkpoint", "/nonexistent.json", "--env", "point-reach"]) == 1
     err = capsys.readouterr().err

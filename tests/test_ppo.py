@@ -22,7 +22,7 @@ from dmpo.ppo import (
 )
 from dmpo.sampler import sample_stochastic
 
-from helpers import rel_err
+from helpers import fd_grad, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,21 @@ def test_clipped_at_least_unclipped_pointwise():
         assert np.all(clipped >= -a_ * r_ - 1e-15)
     got = clipped_pg_loss(rho, adv, 0.2).item()
     assert got >= float(np.mean(-adv * rho)) - 1e-12
+
+
+def test_clipped_pg_loss_gradcheck_away_from_kinks():
+    # both advantage signs; ratios below, inside and above the 0.8-1.2 band
+    rho0 = np.array([0.5, 0.9, 1.05, 1.5, 0.6, 0.95, 1.1, 1.7])
+    adv = np.array([1.3, 0.7, 2.0, 0.4, -1.1, -0.5, -0.9, -2.2])
+    rho = Tensor(rho0.copy(), requires_grad=True)
+    with Graph() as g:
+        loss = clipped_pg_loss(rho, adv, 0.2)
+    assert [n.op for n in g.nodes] == ["clipped_pg"]
+    grads = g.backward(loss)
+    want = fd_grad(lambda r: clipped_pg_loss(r, adv, 0.2).item(), rho0.copy())
+    assert rel_err(grads[rho], want, floor=1e-6) < 1e-8
+    # the clipped branch wins (zero gradient) exactly for A > 0, rho > 1.2 and A < 0, rho < 0.8
+    np.testing.assert_array_equal(grads[rho] == 0.0, [False, False, False, True, True, False, False, False])
 
 
 def test_value_loss_cases():
@@ -347,6 +362,21 @@ def test_old_logprob_freeze_before_update():
     assert np.max(np.abs(rho.data - 1.0)) < 1e-10
 
 
+def test_collect_rollouts_accumulates_declared_episode_return():
+    net = init_velocity_net(23, 4, 2)
+    nets = Stage2Nets(policy=net, value=init_value_net(23, 4), frozen=net.clone())
+    cfg = Stage2Config(rollout_steps=60, n_envs=1)
+    env = make_env("point-reach")
+    assert env.episode_return == 0.0
+    obs_cur = [env.reset(1)]
+    batch, finished = collect_rollouts(nets, [env], [np.random.default_rng(0)], obs_cur, cfg)
+    ends = np.flatnonzero(batch.dones)
+    assert len(finished) == ends.size >= 1
+    # the running sum restarts at each reset and carries the open episode forward
+    assert finished[0][0] == sum(batch.rewards[: ends[0] + 1].tolist())
+    assert env.episode_return == sum(batch.rewards[ends[-1] + 1 :].tolist())
+
+
 def test_finetune_metrics_columns():
     from dmpo.ppo import METRIC_COLUMNS
 
@@ -384,6 +414,55 @@ def test_learnable_sigma_mode():
     from dmpo.sampler import step_entropy
 
     assert parts["ent"] == pytest.approx(-1 * step_entropy(2, 0.05), abs=1e-12)
+
+
+def test_learnable_sigma_gradient_matches_finite_differences():
+    net = init_velocity_net(21, 3, 2, d_h=4, enc_width=4, trunk_width=4)
+    vnet = init_value_net(21, 3, width=4)
+    log_sigma = Tensor(np.log(np.array([0.05, 0.04])), requires_grad=True)
+    nets = Stage2Nets(policy=net, value=vnet, frozen=net.clone(), log_sigma=log_sigma)
+    cfg = Stage2Config(K=2, sigma=0.05, sigma_learnable=True)
+    mb = _make_minibatch(net, K=2, sigma=0.05)
+    with Graph() as g:
+        total, _ = stage2_loss(mb, nets, cfg, n=0)
+    grads = g.backward(total)
+    orig = log_sigma.data.copy()
+
+    def f(arr):
+        log_sigma.data[...] = arr
+        val, _ = stage2_loss(mb, nets, cfg, n=0)
+        log_sigma.data[...] = orig
+        return val.item()
+
+    assert rel_err(grads[log_sigma], fd_grad(f, orig.copy()), floor=1e-6) < 1e-6
+
+
+def test_stage2_loss_encodes_once_and_frozen_net_stays_off_the_tape(monkeypatch):
+    net = init_velocity_net(22, 3, 2)
+    frozen = net.clone()
+    nets = Stage2Nets(policy=net, value=init_value_net(22, 3), frozen=frozen)
+    cfg = Stage2Config(K=2, sigma=0.01)
+    mb = _make_minibatch(net, K=2)
+    from dmpo.nets import VelocityNet
+
+    callers = []
+    encode = VelocityNet.encode
+
+    def counting_encode(self, obs):
+        callers.append(self)
+        return encode(self, obs)
+
+    monkeypatch.setattr(VelocityNet, "encode", counting_encode)
+    with Graph() as g:
+        total, parts = stage2_loss(mb, nets, cfg, n=0)
+    assert callers == [net]
+    frozen_ids = {id(p) for p in frozen.parameters()}
+    assert not any(id(p) in frozen_ids for node in g.nodes for p in node.parents)
+    grads = g.backward(total)
+    assert not frozen_ids & {id(p) for p in grads}
+    # a sampled chain at unchanged parameters: rho == 1 and the BC term is 0
+    assert parts["bc"] == 0.0
+    np.testing.assert_allclose(parts["rho"], 1.0, atol=1e-10)
 
 
 def test_finetune_learnable_sigma_runs():

@@ -125,7 +125,7 @@ def test_noise_scale_monte_carlo():
     draws = []
     for _ in range(500):
         chains = sample_chain_batch(net, np.zeros((100, 2)), 1, 0.01, rngs)
-        draws.extend((c.states[1] - c.means[0]) for c in chains)
+        draws.extend(chains.states[:, 1] - chains.means[:, 0])
     flat = np.concatenate(draws)
     assert flat.size == 100_000
     assert abs(flat.std() - 0.01) < 0.0005
@@ -199,5 +199,5 @@ def test_batched_chains_match_single():
     chains = sample_chain_batch(net, obs, 4, 0.05, rngs)
     for e in range(3):
         solo = sample_stochastic(net, obs[e], 4, 0.05, np.random.default_rng(100 + e))
-        assert np.max(np.abs(chains[e].states - solo.states)) < 1e-12
-        assert chains[e].total_logprob == pytest.approx(solo.total_logprob, abs=1e-10)
+        assert np.max(np.abs(chains.states[e] - solo.states)) < 1e-12
+        assert chains.total_logprobs[e] == pytest.approx(solo.total_logprob, abs=1e-10)
