@@ -9,7 +9,13 @@ Three pieces:
   pass, walked in reverse by :meth:`Graph.backward`.
 * ``DualTensor`` — (primal, tangent) pairs for one-pass directional
   derivatives; :func:`jvp` evaluates a function built from the ops below on
-  duals and returns value plus directional derivative.
+  duals and returns value plus directional derivative. A dual may hold a
+  ``Tensor`` as its primal: each dual op then computes the primal with the
+  ordinary Tensor op, so it is recorded on the active graph like any
+  forward, and computes the tangent from the primal data as a constant that
+  no node touches. One pass yields a taped prediction and its (untaped)
+  directional derivative. Non-dual operands (parameters, constants) have a
+  zero tangent, so their tangent products are skipped.
 
 Every op output is checked for NaN/Inf and raises ``NonFiniteError`` rather
 than propagating silently. Supported rank is <= 2; broadcasting follows
@@ -133,12 +139,16 @@ class Tensor:
 
 
 class DualTensor:
-    """Forward-mode pair: primal value and tangent of identical shape."""
+    """Forward-mode pair: primal value and tangent of identical shape.
+
+    The primal is an array, or a ``Tensor`` whose ops are recorded when a
+    graph is active; the tangent is always an array.
+    """
 
     __slots__ = ("primal", "tangent")
 
     def __init__(self, primal, tangent):
-        self.primal = _as_array(primal)
+        self.primal = primal if isinstance(primal, Tensor) else _as_array(primal)
         self.tangent = _as_array(tangent)
         if self.primal.shape != self.tangent.shape:
             raise ShapeError(
@@ -273,15 +283,64 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _coerce_dual(x) -> DualTensor:
+def value_of(x) -> Array:
+    """The array behind a Tensor, a DualTensor's primal, or an array-like."""
     if isinstance(x, DualTensor):
-        return x
-    data = x.data if isinstance(x, Tensor) else _as_array(x)
-    return DualTensor(data, np.zeros_like(data))
+        x = x.primal
+    return x.data if isinstance(x, Tensor) else _as_array(x)
 
 
 def _any_dual(args) -> bool:
     return any(isinstance(a, DualTensor) for a in args)
+
+
+def _dual_op(fn, args, tangent) -> DualTensor:
+    """Apply a dual op: the primal is ``fn`` (the Tensor op) on the primal
+    operands, the tangent ``tangent(y, xs, ts)`` of the output data, the
+    operand data and the operand tangents (None for non-duals, whose tangent
+    is zero). When some dual holds a Tensor primal, the operands go in as
+    Tensors so the op is recorded; otherwise only the value is kept."""
+    taped = any(isinstance(a, DualTensor) and isinstance(a.primal, Tensor) for a in args)
+    operands, xs, ts = [], [], []
+    for a in args:
+        p, t = (a.primal, a.tangent) if isinstance(a, DualTensor) else (a, None)
+        x = p.data if isinstance(p, Tensor) else _as_array(p)
+        operands.append(p if taped else x)
+        xs.append(x)
+        ts.append(t)
+    out = fn(*operands)
+    return DualTensor(out if taped else out.data, tangent(out.data, xs, ts))
+
+
+def _tsum(p, q):
+    # sum of tangent terms; None is an exact zero and is skipped
+    if p is None:
+        return q
+    return p if q is None else p + q
+
+
+def _fit(t: Array, shape) -> Array:
+    return t if t.shape == shape else np.broadcast_to(t, shape).copy()
+
+
+def _add_tangent(y, xs, ts):
+    return _fit(_tsum(*ts), y.shape)
+
+
+def _mul_tangent(y, xs, ts):
+    (xa, xb), (ta, tb) = xs, ts
+    return _fit(_tsum(None if ta is None else ta * xb, None if tb is None else xa * tb), y.shape)
+
+
+def _div_tangent(y, xs, ts):
+    (xa, xb), (ta, tb) = xs, ts
+    num = _tsum(None if ta is None else ta * xb, None if tb is None else -(xa * tb))
+    return _fit(num / (xb * xb), y.shape)
+
+
+def _matmul_tangent(y, xs, ts):
+    (xa, xb), (ta, tb) = xs, ts
+    return _tsum(None if ta is None else ta @ xb, None if tb is None else xa @ tb)
 
 
 def _emit(data: Array, parents: tuple[Tensor, ...], vjp_builder, op: str) -> Tensor:
@@ -332,10 +391,7 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a, b):
     if _any_dual((a, b)):
-        da, db = _coerce_dual(a), _coerce_dual(b)
-        out = da.primal + db.primal
-        _check_finite(out, "add")
-        return DualTensor(out, da.tangent + db.tangent)
+        return _dual_op(add, (a, b), _add_tangent)
     a, b = _coerce(a), _coerce(b)
     try:
         data = a.data + b.data
@@ -362,10 +418,7 @@ def sub(a, b):
 
 def mul(a, b):
     if _any_dual((a, b)):
-        da, db = _coerce_dual(a), _coerce_dual(b)
-        out = da.primal * db.primal
-        _check_finite(out, "mul")
-        return DualTensor(out, da.tangent * db.primal + da.primal * db.tangent)
+        return _dual_op(mul, (a, b), _mul_tangent)
     a, b = _coerce(a), _coerce(b)
     try:
         data = a.data * b.data
@@ -389,11 +442,7 @@ def mul(a, b):
 
 def div(a, b):
     if _any_dual((a, b)):
-        da, db = _coerce_dual(a), _coerce_dual(b)
-        out = da.primal / db.primal
-        _check_finite(out, "div")
-        tan = (da.tangent * db.primal - da.primal * db.tangent) / (db.primal * db.primal)
-        return DualTensor(out, tan)
+        return _dual_op(div, (a, b), _div_tangent)
     a, b = _coerce(a), _coerce(b)
     try:
         data = a.data / b.data
@@ -417,7 +466,7 @@ def div(a, b):
 
 def neg(a):
     if isinstance(a, DualTensor):
-        return DualTensor(-a.primal, -a.tangent)
+        return _dual_op(neg, (a,), lambda y, xs, ts: -ts[0])
     a = _coerce(a)
 
     def build(parents):
@@ -428,10 +477,7 @@ def neg(a):
 
 def matmul(a, b):
     if _any_dual((a, b)):
-        da, db = _coerce_dual(a), _coerce_dual(b)
-        out = da.primal @ db.primal
-        _check_finite(out, "matmul")
-        return DualTensor(out, da.tangent @ db.primal + da.primal @ db.tangent)
+        return _dual_op(matmul, (a, b), _matmul_tangent)
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim == 0 or b.data.ndim == 0:
         raise ShapeError("matmul requires rank >= 1 operands")
@@ -473,9 +519,9 @@ def matmul(a, b):
 def _unary(a, fwd: Callable[[Array], Array], dydx: Callable[[Array, Array], Array], op: str):
     """dydx receives (x, y) and returns the local derivative array."""
     if isinstance(a, DualTensor):
-        y = fwd(a.primal)
-        _check_finite(y, op)
-        return DualTensor(y, dydx(a.primal, y) * a.tangent)
+        return _dual_op(
+            lambda x: _unary(x, fwd, dydx, op), (a,), lambda y, xs, ts: dydx(xs[0], y) * ts[0]
+        )
     a = _coerce(a)
     y = fwd(a.data)
     x = a.data
@@ -541,7 +587,7 @@ def square(a):
 
 def reshape(a, shape):
     if isinstance(a, DualTensor):
-        return DualTensor(a.primal.reshape(shape), a.tangent.reshape(shape))
+        return _dual_op(lambda x: reshape(x, shape), (a,), lambda y, xs, ts: ts[0].reshape(shape))
     a = _coerce(a)
     old = a.data.shape
 
@@ -553,7 +599,7 @@ def reshape(a, shape):
 
 def transpose(a):
     if isinstance(a, DualTensor):
-        return DualTensor(a.primal.T, a.tangent.T)
+        return _dual_op(transpose, (a,), lambda y, xs, ts: ts[0].T)
     a = _coerce(a)
 
     def build(parents):
@@ -565,7 +611,7 @@ def transpose(a):
 def take(a, key):
     """Basic slicing/indexing along any axes (numpy semantics)."""
     if isinstance(a, DualTensor):
-        return DualTensor(a.primal[key], a.tangent[key])
+        return _dual_op(lambda x: take(x, key), (a,), lambda y, xs, ts: ts[0][key])
     a = _coerce(a)
     shape = a.data.shape
 
@@ -583,10 +629,13 @@ def take(a, key):
 def concat(parts: Sequence, axis: int = 1):
     parts = list(parts)
     if _any_dual(parts):
-        duals = [_coerce_dual(p) for p in parts]
-        out = np.concatenate([d.primal for d in duals], axis=axis)
-        _check_finite(out, "concat")
-        return DualTensor(out, np.concatenate([d.tangent for d in duals], axis=axis))
+
+        def tangent(y, xs, ts):
+            return np.concatenate(
+                [np.zeros_like(x) if t is None else t for x, t in zip(xs, ts)], axis=axis
+            )
+
+        return _dual_op(lambda *ps: concat(ps, axis), parts, tangent)
     ts = [_coerce(p) for p in parts]
     try:
         data = np.concatenate([t.data for t in ts], axis=axis)
@@ -612,7 +661,9 @@ def concat(parts: Sequence, axis: int = 1):
 
 def _reduce(a, np_fn, scale_fn, axis, op):
     if isinstance(a, DualTensor):
-        return DualTensor(np_fn(a.primal, axis=axis), np_fn(a.tangent, axis=axis))
+        return _dual_op(
+            lambda x: _reduce(x, np_fn, scale_fn, axis, op), (a,), lambda y, xs, ts: np_fn(ts[0], axis=axis)
+        )
     a = _coerce(a)
     data = np_fn(a.data, axis=axis)
     shape = a.data.shape
@@ -646,7 +697,8 @@ def mean_(a, axis=None):
 def stop_gradient(a):
     """Pass the value through; block both cotangent and tangent flow."""
     if isinstance(a, DualTensor):
-        return DualTensor(a.primal.copy(), np.zeros_like(a.primal))
+        p = stop_gradient(a.primal)
+        return DualTensor(p if isinstance(a.primal, Tensor) else p.data, np.zeros(a.shape))
     a = _coerce(a)
     return Tensor(a.data.copy(), requires_grad=False)
 

@@ -1,15 +1,17 @@
 """Batch-repulsion losses on conditional embeddings and the collapse diagnostic.
 
-All four losses operate on an embedding matrix H (B x d_h) and are written
-against the autodiff ops so gradients flow back into the encoder during
-pre-training. ``effective_rank`` is a pure diagnostic (numpy SVD, no graph).
+All four losses operate on an embedding matrix H (B x d_h) and gradients
+flow back into the encoder during pre-training. The hinge (the default) is
+one ``custom_op`` tape node with an analytic VJP; the others are written
+against the autodiff ops. ``effective_rank`` is a pure diagnostic (numpy
+SVD, no graph).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, exp, log, relu, sqrt, square
+from .autodiff import Tensor, custom_op, exp, log, sqrt, square
 
 DISP_KINDS = ("nce-l2", "nce-cos", "hinge", "cov", "none")
 
@@ -79,16 +81,40 @@ def nce_cos(H, temperature: float) -> Tensor:
 
 
 def hinge(H, margin: float) -> Tensor:
-    """Mean over ordered pairs of max(0, margin - ||h_i - h_j||_2)."""
+    """Mean over ordered pairs of max(0, margin - ||h_i - h_j||_2).
+
+    One tape node. Squared distances come from the Gram matrix, whose
+    diagonal supplies the squared norms, so a row's distance to itself or to
+    an identical row is exactly 0. The gradient is 0 at the kinks: for pairs
+    at distance 0 (sqrt) and pairs exactly at the margin (relu).
+    """
     H = _as_tensor(H)
     B = _require_batch(H)
     if margin <= 0:
         raise ValueError("margin must be positive")
-    sq = square(H).sum(axis=1)
-    dist = sqrt(relu(_pairwise_sq_dists(H, sq)))  # relu guards tiny negative fp dust
-    offdiag = Tensor(1.0 - np.eye(B))
-    contrib = relu(-dist + margin) * offdiag
-    return contrib.sum() * (1.0 / (B * (B - 1)))
+    X = H.data
+    G = X @ X.T
+    sq = G.diagonal()
+    d2 = G * -2.0
+    d2 += sq[:, None]
+    d2 += sq
+    np.maximum(d2, 0.0, out=d2)  # relu guards tiny negative fp dust
+    dist = np.sqrt(d2, out=d2)
+    gap = margin - dist
+    np.fill_diagonal(gap, 0.0)
+    np.maximum(gap, 0.0, out=gap)
+    scale = 1.0 / (B * (B - 1))
+
+    def vjp(g):
+        # w = 2 d loss / d d2_ij = -scale / dist_ij on pairs inside the margin
+        # at nonzero distance; d2_ij = |h_i|^2 + |h_j|^2 - 2 h_i.h_j, so
+        # d loss / dH = rowsum(w + w^T) H - (w + w^T) H
+        w = np.zeros_like(dist)
+        np.divide(-scale * float(g), dist, out=w, where=(gap > 0.0) & (dist > 0.0))
+        w += w.T
+        return [w.sum(axis=1)[:, None] * X - w @ X]
+
+    return custom_op(gap.sum() * scale, (H,), vjp, "hinge")
 
 
 def cov_loss(H) -> Tensor:

@@ -5,6 +5,9 @@ training loop combining it with dispersive regularization.
 The target for the regression is self-consistent: it contains the network's
 own directional derivative along (v, 0, 1) but is treated as a constant
 (stop-gradient), so optimization only flows through the prediction branch.
+A training step runs one forward: the encoder once, then one dual-number
+velocity pass over recorded Tensors that yields the taped prediction and,
+as a constant, its derivative in tau (MeanFlow's ``u, dudt = jvp(...)``).
 """
 
 from __future__ import annotations
@@ -133,45 +136,52 @@ def sample_time_pairs(rng: np.random.Generator, n: int, rho_inst: float, full_fr
     return r, tau
 
 
-def target_velocity(net, z, r, tau, obs, v) -> np.ndarray:
-    """Self-consistent regression target, returned as a constant.
+def target_velocity(net, z, r, tau, obs, v, h=None):
+    """Self-consistent regression target, as a constant array.
 
     u_tgt = v - (tau - r) * d/dtau u(z_tau, r, tau, obs), where the total
     derivative is a single dual-number pass along the tangent (v, 0, 1).
     When r == tau the correction term vanishes exactly and u_tgt == v.
+
+    Without ``h`` the pass encodes ``obs`` itself, records nothing and only
+    the target is returned. Given the step's embedding ``h`` (traced or
+    not), the pass runs over Tensors: it returns ``(u, u_tgt)``, where ``u``
+    is the prediction u(z, r, tau, h) recorded on the active graph and
+    ``u_tgt`` is the same target, bit for bit.
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
     r_col = np.asarray(r, dtype=np.float64).reshape(-1, 1)
     tau_col = np.asarray(tau, dtype=np.float64).reshape(-1, 1)
-    with no_record():
-        h = net.encode(Tensor(obs))
-        h_dual = DualTensor(h.data, np.zeros_like(h.data))
-        u = net.velocity(
-            DualTensor(z, v),
-            DualTensor(r_col, np.zeros_like(r_col)),
-            DualTensor(tau_col, np.ones_like(tau_col)),
-            h=h_dual,
-        )
-    return v - (tau_col - r_col) * u.tangent
+    ones = np.ones_like(tau_col)
+    if h is None:
+        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+        with no_record():
+            u = net.velocity(
+                DualTensor(z, v), Tensor(r_col), DualTensor(tau_col, ones), h=net.encode(Tensor(obs))
+            )
+        return v - (tau_col - r_col) * u.tangent
+    u = net.velocity(DualTensor(Tensor(z), v), Tensor(r_col), DualTensor(Tensor(tau_col), ones), h=h)
+    pred = u.primal if isinstance(u.primal, Tensor) else Tensor(u.primal)
+    return pred, v - (tau_col - r_col) * u.tangent
 
 
 def mf_loss(net: VelocityNet, batch: Stage1Batch, h=None, u_tgt: np.ndarray | None = None) -> Tensor:
     """Mean over the batch of || u(z, r, tau, obs) - sg(u_tgt) ||^2.
 
-    The target is recomputed (outside any recording) unless supplied; the
-    returned scalar is differentiable through the prediction branch only.
+    ``h`` is the batch embedding (encoded here when not given). Unless the
+    target is supplied, one ``target_velocity`` pass gives both the
+    prediction and the target; the returned scalar is differentiable
+    through the prediction branch only.
     """
     z = interpolate(batch.actions, batch.noise, batch.tau[:, None])
-    if u_tgt is None:
-        v = batch.noise - batch.actions
-        u_tgt = target_velocity(net, z, batch.r, batch.tau, batch.obs, v)
     if h is None:
         h = net.encode(Tensor(batch.obs))
-    u = net.velocity(
-        Tensor(z), Tensor(batch.r[:, None]), Tensor(batch.tau[:, None]), h=h
-    )
+    if u_tgt is None:
+        v = batch.noise - batch.actions
+        u, u_tgt = target_velocity(net, z, batch.r, batch.tau, batch.obs, v, h=h)
+    else:
+        u = net.velocity(Tensor(z), Tensor(batch.r[:, None]), Tensor(batch.tau[:, None]), h=h)
     return square(u - Tensor(u_tgt)).sum(axis=1).mean()
 
 
@@ -212,14 +222,11 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
             eps = rng.standard_normal((B, d_a))
             r_arr, tau_arr = sample_time_pairs(rng, B, config.rho_inst, config.full_interval_frac)
             batch = Stage1Batch(obs, act, eps, r_arr, tau_arr)
-            v = eps - act
-            z = interpolate(act, eps, tau_arr[:, None])
-            u_tgt = target_velocity(net, z, r_arr, tau_arr, obs, v)
 
             try:
                 with Graph() as g:
                     h = net.encode(Tensor(obs))
-                    mf = mf_loss(net, batch, h=h, u_tgt=u_tgt)
+                    mf = mf_loss(net, batch, h=h)
                     if use_disp and B >= 2:
                         disp = dispersive_loss(h, config)
                         total = mf + config.alpha_disp * disp

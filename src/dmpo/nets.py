@@ -7,18 +7,21 @@ to an action-space velocity. The encoder output is what the dispersive
 regularizers act on; trunk parameters never influence ``encode``.
 
 Forward code is written against the autodiff ops, so the same method runs
-traced (reverse mode), dual (forward mode), or plain. ``*_arrays`` variants
-are inference-only fast paths over the fused kernels.
+traced (reverse mode), dual (forward mode), both at once (duals over
+recorded Tensors: a taped forward with its directional derivative), or
+plain. ``*_arrays`` variants are inference-only fast paths over the fused
+kernels.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from . import kernels
-from .autodiff import DualTensor, Tensor, concat, tanh
+from .autodiff import Tensor, concat, tanh, value_of
 
 # Flow times enter the trunk raw. Sinusoidal embeddings (sin/cos of 2^j pi t)
 # are value-blind at t in {0, 1} while their slopes peak there, which feeds
@@ -106,9 +109,7 @@ class VelocityNet(_MLPBase):
 
     def velocity(self, z, r, tau, obs=None, h=None):
         """Average-velocity prediction. r, tau are (B, 1); requires r <= tau."""
-        rp = r.primal if isinstance(r, DualTensor) else r.data
-        tp = tau.primal if isinstance(tau, DualTensor) else tau.data
-        if np.any(rp > tp):
+        if np.any(value_of(r) > value_of(tau)):
             raise ValueError("flow interval start r exceeds end tau")
         if h is None:
             if obs is None:
@@ -281,13 +282,23 @@ class Adam:
 
 
 def clip_grad_norm(grads: dict[Tensor, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so the global L2 norm is <= max_norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
+    """Scale the gradients in ``grads`` so their global L2 norm is <= max_norm
+    and return the norm before clipping.
+
+    The gradients are gathered into one flat buffer: one dot product gives
+    the norm, and when it exceeds the cap one in-place multiply scales them
+    all and the dict entries become views of that buffer. The arrays passed
+    in, which ``Graph.backward`` also stores as ``Tensor.grad``, are never
+    written.
+    """
+    if not grads:
+        return 0.0
+    flat = np.concatenate([g.ravel() for g in grads.values()])
+    norm = math.sqrt(flat @ flat)
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for k in grads:
-            grads[k] = grads[k] * scale
+        flat *= max_norm / norm
+        lo = 0
+        for k, g in grads.items():
+            grads[k] = flat[lo : lo + g.size].reshape(g.shape)
+            lo += g.size
     return norm

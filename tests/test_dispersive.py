@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from dmpo import autodiff as ad
 from dmpo.autodiff import Graph, Tensor
 from dmpo.dispersive import cov_loss, dispersive_loss, effective_rank, hinge, nce_cos, nce_l2
 
@@ -140,6 +141,87 @@ def test_gradients_match_finite_differences(loss):
     grads = g.backward(out)
     want = fd_grad(lambda arr: loss(arr).item(), H0.copy())
     assert rel_err(grads[H], want) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the fused hinge: one tape node against the op-composed definition
+
+
+def _hinge_composed(H, margin):
+    """The hinge written with autodiff ops, one node per op (the reference)."""
+    H = Tensor(H) if not isinstance(H, Tensor) else H
+    B = H.data.shape[0]
+    sq = ad.square(H).sum(axis=1)
+    d2 = sq.reshape((B, 1)) + sq.reshape((1, B)) - 2.0 * (H @ H.T)
+    dist = ad.sqrt(ad.relu(d2))
+    contrib = ad.relu(-dist + margin) * Tensor(1.0 - np.eye(B))
+    return contrib.sum() * (1.0 / (B * (B - 1)))
+
+
+def _value_and_grad(loss, H0, margin):
+    H = Tensor(H0, requires_grad=True)
+    with Graph() as g:
+        out = loss(H, margin)
+    return out.item(), g.backward(out)[H], [n.op for n in g.nodes]
+
+
+def test_hinge_value_matches_composed_reference():
+    rng = np.random.default_rng(12)
+    for B, d, s in [(2, 3, 0.3), (5, 1, 0.5), (17, 8, 0.2), (64, 32, 0.1), (64, 32, 0.02)]:
+        H0 = s * rng.normal(size=(B, d))
+        got, g_got, _ = _value_and_grad(hinge, H0, 1.0)
+        want, g_want, _ = _value_and_grad(_hinge_composed, H0, 1.0)
+        assert abs(got - want) <= 1e-12
+        np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
+
+
+# dyadic rows keep every product and sum exact, so coincident rows are at
+# distance exactly 0 and rows 0 and 1 of the "margin" case exactly 1 apart
+_COINCIDENT = np.array([[0.5, -0.25, 0.125], [0.5, -0.25, 0.125], [0.0, 0.25, -0.5],
+                        [1.5, 0.5, 0.25], [0.25, 0.375, -0.5]])
+
+
+@pytest.mark.parametrize(
+    "H0",
+    [
+        np.random.default_rng(13).normal(size=(6, 3)) * 0.4,
+        _COINCIDENT,
+        np.array([[0.1, -0.2], [0.3, 0.25]]),
+    ],
+    ids=["random", "coincident-rows", "B=2"],
+)
+def test_hinge_gradcheck_one_node(H0):
+    _, grad, ops = _value_and_grad(hinge, H0, 1.0)
+    assert ops == ["hinge"]
+    want = fd_grad(lambda arr: hinge(arr, 1.0).item(), H0.copy())
+    np.testing.assert_allclose(grad, want, rtol=1e-6, atol=1e-9)
+    _, ref, _ = _value_and_grad(_hinge_composed, H0, 1.0)
+    np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12)
+
+
+def test_hinge_coincident_rows_have_zero_subgradient():
+    # a row pair at distance 0 pushes neither row (the sqrt kink); only the
+    # other rows move them
+    H0 = np.array([[0.5, -0.25], [0.5, -0.25]])
+    value, grad, _ = _value_and_grad(hinge, H0, 1.0)
+    assert value == 1.0
+    np.testing.assert_array_equal(grad, np.zeros_like(H0))
+
+
+def test_hinge_pair_at_the_margin_has_zero_subgradient():
+    # rows 0 and 1 are exactly `margin` apart: relu's kink gives them no pull,
+    # which is also the one-sided derivative for moving them apart
+    H0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 0.5]])
+    value, grad, _ = _value_and_grad(hinge, H0, 1.0)
+    want, ref, _ = _value_and_grad(_hinge_composed, H0, 1.0)
+    assert abs(value - want) <= 1e-12
+    np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12)
+    pair = H0[:2]
+    v_pair, g_pair, _ = _value_and_grad(hinge, pair, 1.0)
+    assert v_pair == 0.0
+    np.testing.assert_array_equal(g_pair, np.zeros_like(pair))
+    apart = pair + 1e-6 * np.array([[-1.0, 0.0], [1.0, 0.0]])
+    assert hinge(apart, 1.0).item() == 0.0
 
 
 # ---------------------------------------------------------------------------

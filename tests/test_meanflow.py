@@ -189,6 +189,103 @@ def test_meanflow_identity_residual_coincides():
     np.testing.assert_array_equal(u_tgt, identity_target)
 
 
+def _jvp_case(seed=61, B=7):
+    """A net and a batch with r == tau rows and (0, 1) rows among general ones."""
+    net = init_velocity_net(seed, 3, 2, d_h=5, enc_width=6, trunk_width=6)
+    rng = np.random.default_rng(seed)
+    obs, act, eps = rng.normal(size=(B, 3)), 0.2 * rng.normal(size=(B, 2)), rng.standard_normal((B, 2))
+    r = rng.uniform(0.0, 0.4, B)
+    tau = rng.uniform(0.5, 1.0, B)
+    r[1], r[4] = tau[1], tau[4]
+    r[2], tau[2] = 0.0, 1.0
+    r[5], tau[5] = 0.0, 1.0
+    return net, obs, interpolate(act, eps, tau[:, None]), r, tau, eps - act
+
+
+def test_taped_jvp_pass_target_equals_untaped_target():
+    net, obs, z, r, tau, v = _jvp_case()
+    with Graph():
+        u, got = target_velocity(net, z, r, tau, obs, v, h=net.encode(Tensor(obs)))
+    assert np.array_equal(got, target_velocity(net, z, r, tau, obs, v))
+    np.testing.assert_array_equal(got[[1, 4]], v[[1, 4]])
+
+
+def test_taped_jvp_pass_prediction_equals_traced_forward():
+    net, obs, z, r, tau, v = _jvp_case()
+    with Graph() as g_dual:
+        h = net.encode(Tensor(obs))
+        u, _ = target_velocity(net, z, r, tau, obs, v, h=h)
+    with Graph() as g_plain:
+        h2 = net.encode(Tensor(obs))
+        u2 = net.velocity(Tensor(z), Tensor(r[:, None]), Tensor(tau[:, None]), h=h2)
+    assert isinstance(u, Tensor) and u.requires_grad
+    assert np.array_equal(u.data, u2.data)
+    # the same nodes, with the same values, and the same gradients
+    assert [n.op for n in g_dual.nodes] == [n.op for n in g_plain.nodes]
+    for a, b in zip(g_dual.nodes, g_plain.nodes):
+        assert np.array_equal(a.out.data, b.out.data)
+    seed = np.random.default_rng(0).normal(size=u.data.shape)
+    grads_dual, grads_plain = g_dual.backward(u, seed), g_plain.backward(u2, seed)
+    assert set(grads_dual) == set(grads_plain) == set(net.parameters())
+    for p in net.parameters():
+        assert np.array_equal(grads_dual[p], grads_plain[p])
+
+
+def test_taped_jvp_pass_records_nothing_on_the_tangent(monkeypatch):
+    from dmpo.autodiff import DualTensor
+
+    net, obs, z, r, tau, v = _jvp_case()
+    seen = []
+    real_init = DualTensor.__init__
+
+    def spy(self, primal, tangent):
+        real_init(self, primal, tangent)
+        seen.append(self.tangent)
+
+    monkeypatch.setattr(DualTensor, "__init__", spy)
+    with Graph() as g:
+        target_velocity(net, z, r, tau, obs, v, h=net.encode(Tensor(obs)))
+    monkeypatch.undo()
+    assert seen  # the pass did run on duals
+    recorded = [n.out for n in g.nodes] + [p for n in g.nodes for p in n.parents]
+    for t in recorded:
+        assert not any(t.data is tan or np.shares_memory(t.data, tan) for tan in seen)
+    # every node is a forward op over Tensors; none carries a dual
+    assert all(isinstance(t, Tensor) for t in recorded)
+
+
+def test_pretrain_step_encodes_once_and_runs_velocity_once(monkeypatch):
+    from dmpo.nets import VelocityNet
+
+    calls = {"encode": 0, "velocity": 0}
+    for name in calls:
+        real = getattr(VelocityNet, name)
+
+        def counted(self, *a, _real=real, _name=name, **k):
+            calls[_name] += 1
+            return _real(self, *a, **k)
+
+        monkeypatch.setattr(VelocityNet, name, counted)
+    ds = _tiny_dataset(np.random.default_rng(63))
+    _, metrics = pretrain(ds, Stage1Config(epochs=1, batch_size=8, seed=0))
+    assert metrics[-1]["step"] == 1
+    assert calls == {"encode": 1, "velocity": 1}
+
+
+def test_pretrain_nan_parameter_names_epoch_step_and_op(monkeypatch):
+    import dmpo.meanflow as mfmod
+
+    class PoisonAfterFirstStep(mfmod.Adam):
+        def step(self, grads):
+            super().step(grads)
+            self.params[4].data[0, 0] = np.nan  # trunk0_w: the first matmul of the dual pass
+
+    monkeypatch.setattr(mfmod, "Adam", PoisonAfterFirstStep)
+    ds = _tiny_dataset(np.random.default_rng(65))
+    with pytest.raises(RuntimeError, match=r"pre-training diverged at epoch 1 step 1: .*op 'matmul'"):
+        pretrain(ds, Stage1Config(epochs=3, batch_size=8, seed=0))
+
+
 # ---------------------------------------------------------------------------
 # mf loss
 

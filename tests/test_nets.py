@@ -6,6 +6,7 @@ from dmpo.nets import (
     Adam,
     ValueNet,
     VelocityNet,
+    clip_grad_norm,
     encode,
     init_value_net,
     init_velocity_net,
@@ -190,3 +191,66 @@ def test_clone_is_independent():
     assert param_checksum(net) == param_checksum(twin)
     twin.params["out_b"].data[...] += 1.0
     assert param_checksum(net) != param_checksum(twin)
+
+
+# ---------------------------------------------------------------------------
+# gradient clipping
+
+
+def _grads(seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    shapes = [(3, 4), (4,), (), (5, 1)]
+    return {Tensor(np.zeros(s), requires_grad=True): scale * rng.normal(size=s) for s in shapes}
+
+
+def _global_norm(grads):
+    return float(np.sqrt(sum(np.sum(np.square(g)) for g in grads.values())))
+
+
+def test_clip_grad_norm_returns_pre_clip_norm_and_caps_at_max():
+    grads = _grads(0)
+    want = _global_norm(grads)
+    assert want > 0.5
+    norm = clip_grad_norm(grads, 0.5)
+    assert norm == pytest.approx(want, rel=1e-14)
+    assert _global_norm(grads) == pytest.approx(0.5, rel=1e-12)
+    assert [g.shape for g in grads.values()] == [(3, 4), (4,), (), (5, 1)]
+
+
+def test_clip_grad_norm_scales_every_gradient_by_one_factor():
+    grads = _grads(1)
+    before = {k: g.copy() for k, g in grads.items()}
+    norm = clip_grad_norm(grads, 0.25)
+    for k, g in grads.items():
+        np.testing.assert_allclose(g, before[k] * (0.25 / norm), rtol=1e-14, atol=0)
+
+
+def test_clip_grad_norm_below_cap_leaves_gradients_unchanged():
+    grads = _grads(2, scale=1e-3)
+    before = dict(grads)
+    copies = {k: g.copy() for k, g in grads.items()}
+    norm = clip_grad_norm(grads, 1.0)
+    assert norm == pytest.approx(_global_norm(copies), rel=1e-14)
+    for k, g in grads.items():
+        assert g is before[k]
+        np.testing.assert_array_equal(g, copies[k])
+
+
+def test_clip_grad_norm_all_zero_and_empty():
+    grads = _grads(3, scale=0.0)
+    before = dict(grads)
+    assert clip_grad_norm(grads, 1.0) == 0.0
+    assert all(grads[k] is before[k] and not np.any(grads[k]) for k in grads)
+    assert clip_grad_norm({}, 1.0) == 0.0
+
+
+def test_clip_grad_norm_leaves_tensor_grad_unchanged():
+    # Graph.backward stores the returned arrays as Tensor.grad too
+    x = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    with Graph() as g:
+        loss = (x * x).sum()
+    grads = g.backward(loss)
+    assert grads[x] is x.grad
+    assert clip_grad_norm(grads, 1.0) == pytest.approx(10.0, rel=1e-15)
+    np.testing.assert_array_equal(x.grad, [6.0, 8.0])
+    np.testing.assert_allclose(grads[x], [0.6, 0.8], rtol=1e-15)
