@@ -12,7 +12,7 @@ from .autodiff import DualTensor, Graph, Tensor, jvp, stop_gradient
 from .dispersive import cov_loss, dispersive_loss, effective_rank, hinge, nce_cos, nce_l2
 from .envs import Dataset, EvalResult, ModalBandit, PointReach, evaluate, gen_demos, make_env
 from .io import load_checkpoint, load_dataset, save_checkpoint, save_dataset
-from .meanflow import Stage1Config, interpolate, mf_loss, pretrain, sample_time_pair, target_velocity
+from .meanflow import Stage1Config, interpolate, mf_loss, pretrain, target_velocity
 from .nets import Adam, ValueNet, VelocityNet, init_value_net, init_velocity_net, predict_velocity
 from .ppo import Stage2Config, bc_loss, bc_schedule, clipped_pg_loss, finetune, gae, ppo_ratio, value_loss
 from .sampler import (

@@ -84,9 +84,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach_array(self) -> Array:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -25,18 +25,6 @@ from .nets import Adam, VelocityNet, init_velocity_net
 METRIC_COLUMNS = ("epoch", "step", "mf_loss", "disp_loss", "total_loss", "d_eff", "wall_ms")
 
 
-@dataclass(frozen=True)
-class TimePair:
-    """A flow interval [r, tau] with 0 <= r <= tau <= 1."""
-
-    r: float
-    tau: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.r <= self.tau <= 1.0):
-            raise ValueError(f"invalid time pair r={self.r}, tau={self.tau}")
-
-
 @dataclass
 class Stage1Batch:
     obs: np.ndarray  # (B, d_obs)
@@ -106,15 +94,6 @@ def interpolate(a, eps, tau):
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def sample_time_pair(rng: np.random.Generator, rho_inst: float) -> TimePair:
-    """Sorted sigmoids of two standard normals; r := tau with prob rho_inst."""
-    s = _sigmoid(rng.standard_normal(2))
-    r, tau = float(np.min(s)), float(np.max(s))
-    if rng.random() < rho_inst:
-        r = tau
-    return TimePair(r, tau)
 
 
 def sample_time_pairs(rng: np.random.Generator, n: int, rho_inst: float, full_frac: float = 0.0):

@@ -1,10 +1,10 @@
-"""Velocity and value networks, seeded init, and the Adam update rule.
+"""Velocity and value networks, seeded init, and Adam over one parameter buffer.
 
 The velocity network u(z, r, tau, obs) is an observation encoder (2-layer
-tanh MLP producing the conditional embedding h), sinusoidal features of the
-two flow times, and a tanh trunk mapping concat(z, h, feat(r), feat(tau))
-to an action-space velocity. The encoder output is what the dispersive
-regularizers act on; trunk parameters never influence ``encode``.
+tanh MLP producing the conditional embedding h) and a tanh trunk mapping
+concat(z, h, r, tau), with the two flow times raw, to an action-space
+velocity. The encoder output is what the dispersive regularizers act on;
+trunk parameters never influence ``encode``.
 
 Forward code is written against the autodiff ops, so the same method runs
 traced (reverse mode), dual (forward mode), both at once (duals over
@@ -22,23 +22,6 @@ import numpy as np
 
 from . import kernels
 from .autodiff import Tensor, concat, tanh, value_of
-
-# Flow times enter the trunk raw. Sinusoidal embeddings (sin/cos of 2^j pi t)
-# are value-blind at t in {0, 1} while their slopes peak there, which feeds
-# unconstrained derivative noise into the directional-derivative target at
-# the exact (r=0, tau=1) corner one-step sampling queries; a raw time input
-# keeps the time-derivative pathway identified everywhere.
-N_TIME_FEATS = 1
-
-
-def time_features(t):
-    """(B, 1) flow times -> (B, N_TIME_FEATS) trunk features."""
-    return t
-
-
-def time_features_arrays(t: np.ndarray) -> np.ndarray:
-    return t
-
 
 def _uniform_fan_in(rng: np.random.Generator, fan_in: int, fan_out: int):
     bound = 1.0 / np.sqrt(fan_in)
@@ -116,7 +99,13 @@ class VelocityNet(_MLPBase):
                 raise ValueError("need obs or precomputed embedding h")
             h = self.encode(obs)
         p = self.params
-        x = concat([z, h, time_features(r), time_features(tau)], axis=1)
+        # Flow times enter the trunk raw. Sinusoidal embeddings (sin/cos of
+        # 2^j pi t) are value-blind at t in {0, 1} while their slopes peak
+        # there, which feeds unconstrained derivative noise into the
+        # directional-derivative target at the exact (r=0, tau=1) corner
+        # one-step sampling queries; a raw time input keeps the
+        # time-derivative pathway identified everywhere.
+        x = concat([z, h, r, tau], axis=1)
         x = tanh(x @ p["trunk0_w"] + p["trunk0_b"])
         x = tanh(x @ p["trunk1_w"] + p["trunk1_b"])
         return x @ p["out_w"] + p["out_b"]
@@ -134,11 +123,7 @@ class VelocityNet(_MLPBase):
         if r > tau:
             raise ValueError("flow interval start r exceeds end tau")
         B = z.shape[0]
-        tf = time_features_arrays(np.array([[r], [tau]]))
-        x = np.concatenate(
-            [z, h, np.broadcast_to(tf[0], (B, tf.shape[1])), np.broadcast_to(tf[1], (B, tf.shape[1]))],
-            axis=1,
-        )
+        x = np.concatenate([z, h, np.broadcast_to(r, (B, 1)), np.broadcast_to(tau, (B, 1))], axis=1)
         p = self.params
         x = kernels.affine_tanh(x, p["trunk0_w"].data, p["trunk0_b"].data)
         x = kernels.affine_tanh(x, p["trunk1_w"].data, p["trunk1_b"].data)
@@ -182,7 +167,7 @@ def init_velocity_net(
     sizes = [(d_obs, enc_width), (enc_width, d_h)]
     for i, (fi, fo) in enumerate(sizes):
         arrays[f"enc{i}_w"], arrays[f"enc{i}_b"] = _uniform_fan_in(rng, fi, fo)
-    d_in = d_a + d_h + 2 * N_TIME_FEATS
+    d_in = d_a + d_h + 2
     sizes = [(d_in, trunk_width), (trunk_width, trunk_width)]
     for i, (fi, fo) in enumerate(sizes):
         arrays[f"trunk{i}_w"], arrays[f"trunk{i}_b"] = _uniform_fan_in(rng, fi, fo)
@@ -241,7 +226,14 @@ def param_checksum(net: _MLPBase) -> str:
 
 
 class Adam:
-    """Adam with bias correction; state lives per parameter tensor."""
+    """Adam with bias correction over one flat parameter buffer.
+
+    The constructor copies the parameters into the contiguous float64 array
+    ``flat`` and points each ``Tensor.data`` at its slice, so writes through
+    the tensors (``load_arrays``) and the update see the same memory. The
+    moments are two arrays of the same size, and a step is one gather of
+    the gradients and one ``kernels.adam_update`` call.
+    """
 
     def __init__(
         self,
@@ -257,28 +249,21 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros(p.data.size) for p in self.params]
-        self._v = [np.zeros(p.data.size) for p in self.params]
+        self.flat = np.concatenate([p.data.ravel() for p in self.params])
+        lo = 0
+        for p in self.params:
+            n = p.data.size
+            p.data = self.flat[lo : lo + n].reshape(p.data.shape)
+            lo += n
+        self._m = np.zeros(self.flat.size)
+        self._v = np.zeros(self.flat.size)
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = grads.get(p)
-            if g is None:
-                continue
-            flat = np.ascontiguousarray(g, dtype=np.float64).ravel()
-            kernels.adam_update(
-                p.data.ravel(), flat, m, v, self.lr, self.beta1, self.beta2, self.eps, bc1, bc2
-            )
-
-    def state_arrays(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [m.copy() for m in self._m],
-            "v": [v.copy() for v in self._v],
-        }
+        g = np.concatenate([grads[p].ravel() for p in self.params])
+        kernels.adam_update(self.flat, g, self._m, self._v, self.lr, self.beta1, self.beta2, self.eps, bc1, bc2)
 
 
 def clip_grad_norm(grads: dict[Tensor, np.ndarray], max_norm: float) -> float:

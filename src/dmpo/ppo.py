@@ -3,18 +3,21 @@ value and entropy terms, behavior-cloning regularization with linear decay,
 and the full collect/update loop.
 
 The chain's transition log-probability sum (prior excluded; it cancels in
-the ratio) is recomputed under the tape each epoch, so one advantage per
-environment step credits every denoising transition that produced the
-executed action. With fixed sigma the entropy term is a constant reported
-for the breakdown; an optional learnable per-dimension log-sigma head makes
-it (and the ratio) sigma-differentiable.
+the ratio) is recomputed under the tape each epoch by
+``sampler.chain_logprob_traced``, which repeats the sampler's arithmetic,
+so the ratio is 1 at theta_old. One advantage per environment step credits
+every denoising transition that produced the executed action. With fixed
+sigma the entropy term is a constant reported for the breakdown; an
+optional learnable per-dimension log-sigma head makes it (and the ratio)
+sigma-differentiable.
 
 Per minibatch the policy encoder runs once, traced, and its embedding feeds
 both the chain log-prob and the BC term; the frozen BC reference runs on
 the plain-array forward and adds nothing to the tape. Each transition's
 Gaussian log-density and the clipped surrogate are single tape nodes with
 hand-written VJPs (``autodiff.custom_op``). Rollouts are collected as
-stacked arrays, one ``[:, t]`` row per step across environments.
+stacked arrays, one ``[:, t]`` row per step across environments, and GAE
+runs as one backward pass over the whole batch.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from . import kernels
 from .autodiff import Graph, Tensor, custom_op, exp, log, square
 from .io import write_metrics_csv
 from .nets import Adam, clip_grad_norm, init_value_net
-from .sampler import LOG_2PI, make_schedule, sample_chain_batch, step_entropy
+from .sampler import LOG_2PI, chain_logprob_traced, sample_chain_batch, step_entropy
 
 METRIC_COLUMNS = (
     "iter",
@@ -93,10 +96,12 @@ class Stage2Config:
 
 
 def gae(rewards, values, dones, gamma, lam):
-    """Backward-recursion GAE over one episode segment.
+    """Backward-recursion GAE over a sequence of rows.
 
     ``values`` has one extra trailing entry: the bootstrap (0 at a true
-    terminal). Returns (advantages, returns) with R_t = A_t + V(o_t).
+    terminal). A done row neither bootstraps from the next row's value nor
+    passes the recursion on, so one call can cover many segments. Returns
+    (advantages, returns) with R_t = A_t + V(o_t).
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -197,7 +202,7 @@ def bc_schedule(n: int, config: Stage2Config) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched traced chain log-probability
+# the minibatch loss
 
 
 def _sigma_tensor(nets, config):
@@ -205,44 +210,6 @@ def _sigma_tensor(nets, config):
     if nets.log_sigma is not None:
         return exp(nets.log_sigma)
     return Tensor(np.full(nets.policy.d_a, config.sigma))
-
-
-def _transition_logpdf(u, a_k: np.ndarray, a_next: np.ndarray, sigma_t, dt: float):
-    """ln N(a_next | a_k - dt * u, diag(sigma^2)) per row, as one tape node
-    over ``u`` (M, d_a) and ``sigma_t`` (d_a,)."""
-    sig = sigma_t.data
-    mu = a_k - dt * u.data
-    diff = (a_next - mu) / sig
-    quad = np.square(diff).sum(axis=1)
-    data = -0.5 * quad - 0.5 * sig.size * LOG_2PI - np.log(sig).sum()
-
-    def vjp(g):
-        g_col = g[:, None]
-        g_u = -g_col * diff * (dt / sig)
-        g_sig = (g_col * (diff * diff - 1.0)).sum(axis=0) / sig if sigma_t.requires_grad else None
-        return g_u, g_sig
-
-    return custom_op(data, (u, sigma_t), vjp, "gauss_logpdf")
-
-
-def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K: int, h=None):
-    """Sum of the K transition log-densities, differentiable in theta (and
-    sigma when traced). ``states`` is (M, K+1, d_a); recorded states are
-    constants, only the means depend on parameters. ``h`` is the policy's
-    embedding of ``obs`` when the caller has already traced it."""
-    sched = make_schedule(K)
-    M = states.shape[0]
-    if h is None:
-        h = policy.encode(Tensor(obs))
-    total = None
-    for k in range(K):
-        a_k = np.ascontiguousarray(states[:, k, :])
-        r_col = Tensor(np.full((M, 1), sched.taus[k + 1]))
-        tau_col = Tensor(np.full((M, 1), sched.taus[k]))
-        u = policy.velocity(Tensor(a_k), r_col, tau_col, h=h)
-        term = _transition_logpdf(u, a_k, states[:, k + 1, :], sigma_t, sched.dt)
-        total = term if total is None else total + term
-    return total
 
 
 @dataclass
@@ -392,29 +359,22 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
 
 
 def compute_advantages(batch: RolloutBatch, value_net, config: Stage2Config) -> None:
-    """Per-segment GAE (segments end at dones and at the window boundary);
-    truncated segments bootstrap with V of the recorded pre-reset next obs."""
-    N = batch.rewards.shape[0]
-    adv = np.empty(N)
-    ret = np.empty(N)
-    for lo, hi in batch.env_slices:
-        seg_start = lo
-        for i in range(lo, hi):
-            at_cut = batch.dones[i] > 0.5 or i == hi - 1
-            if not at_cut:
-                continue
-            seg = slice(seg_start, i + 1)
-            if batch.terminals[i] > 0.5:
-                boot = 0.0
-            else:
-                boot = float(value_net.value_arrays(batch.next_obs[i : i + 1])[0])
-            values_seg = np.concatenate([batch.values[seg], [boot]])
-            a, r = gae(batch.rewards[seg], values_seg, batch.terminals[seg], config.gamma, config.lam_gae)
-            adv[seg] = a
-            ret[seg] = r
-            seg_start = i + 1
-    batch.advantages = adv
-    batch.returns = ret
+    """GAE in one backward pass over the env-major batch.
+
+    A row is a cut when it is a done or the last row of its env's window;
+    the cuts stop the recursion. A truncated cut (not a true terminal)
+    bootstraps from V of its recorded pre-reset next obs, folded into its
+    reward as gamma * V; one value call covers every such row. Both steps
+    leave each segment's recursion exactly as a separate per-segment pass.
+    """
+    cuts = batch.dones > 0.5
+    cuts[[hi - 1 for _, hi in batch.env_slices]] = True
+    rewards = batch.rewards.copy()
+    trunc = np.flatnonzero(cuts & (batch.terminals < 0.5))
+    if trunc.size:
+        rewards[trunc] += config.gamma * value_net.value_arrays(batch.next_obs[trunc])
+    values = np.append(batch.values, 0.0)
+    batch.advantages, batch.returns = gae(rewards, values, cuts, config.gamma, config.lam_gae)
 
 
 def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=None):

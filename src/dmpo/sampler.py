@@ -11,6 +11,13 @@ a ``DenoiseChain``, which alone also stores the prior term ln p0(a^0). That
 term is kept out of the transition sum: it has no parameter dependence and
 cancels in probability ratios.
 
+There is one chain log-probability: ``chain_logprob_traced`` walks recorded
+chains with the autodiff ops, one tape node per transition, and serves both
+the PPO update and ``chain_logprob``. Sampled terms and that node share one
+log-density formula and one summation order, so at unchanged parameters the
+recomputed log-prob equals the sampled one exactly, as long as a matrix
+product's rows do not depend on how many rows it has.
+
 Exactly K velocity-network evaluations happen per generated action.
 """
 
@@ -20,6 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .autodiff import Tensor, custom_op
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -80,13 +89,20 @@ def _sigma_vector(sigma, d_a: int) -> np.ndarray:
     return sig
 
 
+def _logpdf_rows(diff: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """ln N(x | mu, diag(sig^2)) over the last axis, from diff = (x - mu) / sig.
+
+    The one Gaussian log-density formula: sampled terms, the taped
+    transition node and the prior term all come from it."""
+    return -0.5 * np.sum(LOG_2PI + 2.0 * np.log(sig) + diff * diff, axis=-1)
+
+
 def gaussian_logpdf(x: np.ndarray, mu: np.ndarray, sigma) -> float:
     """ln N(x | mu, diag(sigma^2)); sigma scalar or per-dimension."""
     x = np.asarray(x, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     sig = _sigma_vector(sigma, x.shape[-1])
-    diff = x - mu
-    return float(-0.5 * np.sum(LOG_2PI + 2.0 * np.log(sig) + (diff / sig) ** 2))
+    return float(_logpdf_rows((x - mu) / sig, sig))
 
 
 def step_entropy(d_a: int, sigma) -> float:
@@ -166,28 +182,59 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
         a = mu + sig * xi
         means[:, k] = mu
         states[:, k + 1] = a
-        diff = (a - mu) / sig
-        terms[:, k] = -0.5 * np.sum(LOG_2PI + 2.0 * np.log(sig) + diff * diff, axis=1)
-    return ChainBatch(states, means, terms, terms.sum(axis=1))
+        terms[:, k] = _logpdf_rows((a - mu) / sig, sig)
+    # summed left to right, as the taped walk adds its per-step nodes
+    total = terms[:, 0].copy()
+    for k in range(1, K):
+        total += terms[:, k]
+    return ChainBatch(states, means, terms, total)
+
+
+def _transition_logpdf(u, a_k: np.ndarray, a_next: np.ndarray, sigma_t, dt: float):
+    """ln N(a_next | a_k - dt * u, diag(sigma^2)) per row, as one tape node
+    over ``u`` (M, d_a) and ``sigma_t`` (d_a,)."""
+    sig = sigma_t.data
+    diff = (a_next - (a_k - dt * u.data)) / sig
+
+    def vjp(g):
+        g_col = g[:, None]
+        g_u = -g_col * diff * (dt / sig)
+        g_sig = (g_col * (diff * diff - 1.0)).sum(axis=0) / sig if sigma_t.requires_grad else None
+        return g_u, g_sig
+
+    return custom_op(_logpdf_rows(diff, sig), (u, sigma_t), vjp, "gauss_logpdf")
+
+
+def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K: int, h=None):
+    """Sum of the K transition log-densities, differentiable in theta (and
+    sigma when traced). ``states`` is (M, K+1, d_a); recorded states are
+    constants, only the means depend on parameters. ``h`` is the policy's
+    embedding of ``obs`` when the caller has already traced it.
+
+    Outside a ``Graph`` this records nothing. It repeats the arithmetic of
+    ``sample_chain_batch``, so on the rows that call sampled, at the same
+    parameters, it returns their totals exactly."""
+    sched = make_schedule(K)
+    M = states.shape[0]
+    if h is None:
+        h = policy.encode(Tensor(obs))
+    total = None
+    for k in range(K):
+        a_k = np.ascontiguousarray(states[:, k, :])
+        r_col = Tensor(np.full((M, 1), sched.taus[k + 1]))
+        tau_col = Tensor(np.full((M, 1), sched.taus[k]))
+        u = policy.velocity(Tensor(a_k), r_col, tau_col, h=h)
+        term = _transition_logpdf(u, a_k, states[:, k + 1, :], sigma_t, sched.dt)
+        total = term if total is None else total + term
+    return total
 
 
 def chain_logprob(net, chain: DenoiseChain, obs: np.ndarray, sigma) -> float:
-    """Recompute the transition log-probability sum from the recorded states.
-
-    Matches the value stored at sampling time to machine precision when the
-    parameters are unchanged (same arithmetic path).
-    """
-    K = chain.K
-    sched = make_schedule(K)
+    """Recompute one chain's transition log-probability sum from its
+    recorded states with ``chain_logprob_traced``; equals
+    ``chain.total_logprob`` exactly when the parameters are unchanged."""
+    sig = _sigma_vector(sigma, chain.states.shape[1])
     obs = np.asarray(obs, dtype=np.float64).reshape(1, -1)
-    d_a = chain.states.shape[1]
-    sig = _sigma_vector(sigma, d_a)
-    h = net.encode_arrays(obs)
-    total = 0.0
-    for k in range(K):
-        a_k = chain.states[k].reshape(1, -1)
-        u = net.velocity_arrays(a_k, float(sched.taus[k + 1]), float(sched.taus[k]), h)
-        mu = a_k[0] - sched.dt * u[0]
-        diff = (chain.states[k + 1] - mu) / sig
-        total += float(-0.5 * np.sum(LOG_2PI + 2.0 * np.log(sig) + diff * diff))
-    return total
+    return float(chain_logprob_traced(net, chain.states[None], obs, Tensor(sig), chain.K).data[0])
+
+

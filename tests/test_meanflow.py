@@ -6,11 +6,9 @@ from dmpo.envs import Dataset
 from dmpo.meanflow import (
     Stage1Batch,
     Stage1Config,
-    TimePair,
     interpolate,
     mf_loss,
     pretrain,
-    sample_time_pair,
     sample_time_pairs,
     target_velocity,
 )
@@ -71,22 +69,29 @@ class _FixedRng:
 
 
 def test_time_pair_zero_normals_give_half():
-    tp = sample_time_pair(_FixedRng(1.0), rho_inst=0.1)
-    assert tp.r == tp.tau == 0.5
+    r, tau = sample_time_pairs(_FixedRng(1.0), 4, rho_inst=0.1)
+    np.testing.assert_array_equal(r, np.full(4, 0.5))
+    np.testing.assert_array_equal(tau, np.full(4, 0.5))
 
 
 def test_time_pair_bounds():
     rng = np.random.default_rng(5)
-    for _ in range(2000):
-        tp = sample_time_pair(rng, rho_inst=0.1)
-        assert 0.0 < tp.r <= tp.tau < 1.0
+    r, tau = sample_time_pairs(rng, 2000, rho_inst=0.1)
+    assert np.all((0.0 < r) & (r <= tau) & (tau < 1.0))
 
 
 def test_time_pair_invariant_enforced():
+    def batch(r, tau):
+        return Stage1Batch(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 2)), np.array([r]), np.array([tau]))
+
+    batch(0.3, 0.7)
+    batch(0.5, 0.5)
     with pytest.raises(ValueError):
-        TimePair(r=0.7, tau=0.3)
+        batch(0.7, 0.3)
     with pytest.raises(ValueError):
-        TimePair(r=-0.1, tau=0.5)
+        batch(-0.1, 0.5)
+    with pytest.raises(ValueError):
+        batch(0.5, 1.1)
 
 
 def test_instantaneous_fraction_monte_carlo():

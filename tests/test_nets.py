@@ -12,7 +12,6 @@ from dmpo.nets import (
     init_velocity_net,
     param_checksum,
     predict_velocity,
-    time_features_arrays,
 )
 
 
@@ -65,8 +64,7 @@ def test_predict_velocity_matches_manual_evaluation():
 
     p = {n: t.data for n, t in net.params.items()}
     h = np.tanh(np.tanh(obs @ p["enc0_w"] + p["enc0_b"]) @ p["enc1_w"] + p["enc1_b"])
-    tf = time_features_arrays(np.array([[r], [tau]]))
-    x = np.concatenate([z, h, tf[0], tf[1]])
+    x = np.concatenate([z, h, [r], [tau]])
     x = np.tanh(x @ p["trunk0_w"] + p["trunk0_b"])
     x = np.tanh(x @ p["trunk1_w"] + p["trunk1_b"])
     want = x @ p["out_w"] + p["out_b"]
@@ -100,8 +98,7 @@ def test_forward_on_zeros_is_bias_chain():
     net = init_velocity_net(9, d_obs=3, d_a=2, d_h=4, enc_width=4, trunk_width=4)
     p = {n: t.data for n, t in net.params.items()}
     h = np.tanh(np.tanh(p["enc0_b"]) @ p["enc1_w"] + p["enc1_b"])
-    tf = time_features_arrays(np.zeros((2, 1)))
-    x = np.concatenate([np.zeros(2), h, tf[0], tf[1]])
+    x = np.concatenate([np.zeros(2), h, [0.0], [0.0]])
     x = np.tanh(x @ p["trunk0_w"] + p["trunk0_b"])
     x = np.tanh(x @ p["trunk1_w"] + p["trunk1_b"])
     want = x @ p["out_w"] + p["out_b"]
@@ -183,6 +180,48 @@ def test_adam_deterministic():
         return p.data.copy()
 
     np.testing.assert_array_equal(run(), run())
+
+
+def _adam_reference(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    m[...] = beta1 * m + (1.0 - beta1) * grad
+    v[...] = beta2 * v + (1.0 - beta2) * grad * grad
+    param -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+
+
+def test_adam_one_buffer_matches_per_tensor_reference():
+    rng = np.random.default_rng(21)
+    shapes = [(3, 4), (5,), ()]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    ref = [p.data.copy() for p in params]
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    opt = Adam(params, lr=0.01)
+    for p, want in zip(params, ref):
+        assert np.shares_memory(p.data, opt.flat)
+        np.testing.assert_array_equal(p.data, want)
+    for t in range(1, 21):
+        grads = {p: rng.normal(size=s) for p, s in zip(params, shapes)}
+        opt.step(grads)
+        for p, r, m, v in zip(params, ref, ms, vs):
+            _adam_reference(r, grads[p], m, v, t, 0.01)
+    for p, r in zip(params, ref):
+        assert p.data.shape == r.shape
+        assert np.shares_memory(p.data, opt.flat)
+        np.testing.assert_array_equal(p.data, r)
+
+
+def test_adam_sees_load_arrays_after_construction():
+    net = init_value_net(3, d_obs=2, width=4)
+    opt = Adam(net.parameters(), lr=0.05)
+    loaded = init_value_net(4, d_obs=2, width=4).param_arrays()
+    net.load_arrays(loaded)
+    rng = np.random.default_rng(22)
+    grads = {p: rng.normal(size=p.data.shape) for p in net.parameters()}
+    opt.step(grads)
+    for n, p in net.params.items():
+        want = loaded[n].copy()
+        _adam_reference(want, grads[p], np.zeros(want.shape), np.zeros(want.shape), 1, 0.05)
+        np.testing.assert_array_equal(p.data, want)
 
 
 def test_clone_is_independent():

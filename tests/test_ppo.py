@@ -5,8 +5,10 @@ from dmpo.autodiff import Graph, Tensor
 from dmpo.envs import gen_demos, make_env
 from dmpo.meanflow import Stage1Config, pretrain
 from dmpo.nets import init_velocity_net, init_value_net, param_checksum
+import dmpo.ppo as ppo_mod
 from dmpo.ppo import (
     MiniBatch,
+    RolloutBatch,
     Stage2Config,
     Stage2Nets,
     bc_loss,
@@ -14,6 +16,7 @@ from dmpo.ppo import (
     chain_logprob_traced,
     clipped_pg_loss,
     collect_rollouts,
+    compute_advantages,
     finetune,
     gae,
     ppo_ratio,
@@ -86,6 +89,69 @@ def test_gae_matches_double_sum_oracle():
 def test_gae_length_mismatch():
     with pytest.raises(ValueError):
         gae([1.0, 2.0], [0.0, 0.0], [0.0, 0.0], 0.9, 0.9)
+
+
+class _RowValueNet:
+    """V(obs) from elementwise ops, so a row's value never depends on batching."""
+
+    def value_arrays(self, obs):
+        return np.tanh(obs[:, 0]) + 0.5 * obs[:, 1] * obs[:, 2]
+
+
+def _per_segment_advantages(batch, value_net, gamma, lam):
+    """One gae call per segment, each truncated segment bootstrapped alone."""
+    adv = np.empty(batch.rewards.shape[0])
+    ret = np.empty_like(adv)
+    for lo, hi in batch.env_slices:
+        seg_start = lo
+        for i in range(lo, hi):
+            if not (batch.dones[i] > 0.5 or i == hi - 1):
+                continue
+            seg = slice(seg_start, i + 1)
+            boot = 0.0 if batch.terminals[i] > 0.5 else float(value_net.value_arrays(batch.next_obs[i : i + 1])[0])
+            a, r = gae(batch.rewards[seg], np.append(batch.values[seg], boot), batch.terminals[seg], gamma, lam)
+            adv[seg], ret[seg] = a, r
+            seg_start = i + 1
+    return adv, ret
+
+
+def test_compute_advantages_one_pass_matches_per_segment_reference(monkeypatch):
+    rng = np.random.default_rng(31)
+    E, T = 4, 7
+    N = E * T
+    terminals = np.zeros(N)
+    dones = np.zeros(N)
+    terminals[2] = dones[2] = 1.0  # env 0: terminal mid-window, window ends mid-episode
+    dones[T + 3] = 1.0  # env 1: truncation mid-window, window ends mid-episode
+    terminals[3 * T - 1] = dones[3 * T - 1] = 1.0  # env 2: terminal on its last row
+    dones[3 * T + 1] = 1.0  # env 3: truncation then terminal, then a truncated tail
+    terminals[3 * T + 4] = dones[3 * T + 4] = 1.0
+    d_obs, d_a, K = 3, 2, 1
+    batch = RolloutBatch(
+        obs=rng.normal(size=(N, d_obs)),
+        next_obs=rng.normal(size=(N, d_obs)),
+        states=np.zeros((N, K + 1, d_a)),
+        actions=np.zeros((N, d_a)),
+        rewards=rng.normal(size=N),
+        terminals=terminals,
+        dones=dones,
+        values=rng.normal(size=N),
+        old_logprobs=np.zeros(N),
+        env_slices=[(e * T, (e + 1) * T) for e in range(E)],
+    )
+    cfg = Stage2Config(gamma=0.97, lam_gae=0.9)
+    want_adv, want_ret = _per_segment_advantages(batch, _RowValueNet(), cfg.gamma, cfg.lam_gae)
+    rewards = batch.rewards.copy()
+
+    calls = []
+    monkeypatch.setattr(ppo_mod, "gae", lambda *a: calls.append(1) or gae(*a))
+    compute_advantages(batch, _RowValueNet(), cfg)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(batch.advantages, want_adv)
+    np.testing.assert_array_equal(batch.returns, want_ret)
+    # the cuts and bootstraps go into copies; the recorded rows stay as they were
+    np.testing.assert_array_equal(batch.dones, np.isin(np.arange(N), [2, T + 3, 3 * T - 1, 3 * T + 1, 3 * T + 4]))
+    np.testing.assert_array_equal(batch.rewards, rewards)
 
 
 # ---------------------------------------------------------------------------

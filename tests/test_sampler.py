@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from dmpo.autodiff import Tensor
 from dmpo.nets import init_velocity_net
 from dmpo.sampler import (
     DenoiseChain,
     chain_logprob,
+    chain_logprob_traced,
     gaussian_logpdf,
     make_schedule,
     policy_entropy,
@@ -201,3 +203,17 @@ def test_batched_chains_match_single():
         solo = sample_stochastic(net, obs[e], 4, 0.05, np.random.default_rng(100 + e))
         assert np.max(np.abs(chains.states[e] - solo.states)) < 1e-12
         assert chains.total_logprobs[e] == pytest.approx(solo.total_logprob, abs=1e-10)
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("sigma", [0.01, np.array([0.02, 0.07])])
+def test_sampled_logprobs_equal_traced_walk_exactly(K, sigma):
+    net = init_velocity_net(11, 3, 2)
+    obs = np.random.default_rng(9).normal(size=(32, 3))
+    chains = sample_chain_batch(net, obs, K, sigma, [np.random.default_rng(300 + e) for e in range(32)])
+    sig = Tensor(np.broadcast_to(sigma, (2,)).astype(np.float64))
+    traced = chain_logprob_traced(net, chains.states, obs, sig, K).data
+    np.testing.assert_array_equal(chains.total_logprobs, traced)
+
+    chain = sample_stochastic(net, obs[0], K, sigma, np.random.default_rng(300))
+    assert chain_logprob(net, chain, obs[0], sigma) == chain.total_logprob
