@@ -15,6 +15,7 @@ Two environments cover the two training stages' failure modes:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -106,16 +107,23 @@ class PointReach:
     def step(self, action):
         if self._done:
             raise EnvError("step() called on a finished episode; call reset()")
-        a = np.clip(np.asarray(action, dtype=np.float64), self.action_low, self.action_high)
+        # clamps as ufunc pairs: np.clip's values, NaN included, at less cost
+        a = np.minimum(np.maximum(action, self.action_low), self.action_high)
         prev = self._pos
-        new = np.clip(prev + a, -1.0, 1.0)
+        new = prev + a
+        np.maximum(new, -1.0, out=new)
+        np.minimum(new, 1.0, out=new)
         if self.homotopy_class == 0 and prev[0] < 0.0 <= new[0]:
             frac = (0.0 - prev[0]) / (new[0] - prev[0])
             y_cross = prev[1] + frac * (new[1] - prev[1])
             self.homotopy_class = 1 if y_cross > 0.0 else -1
         self._pos = new
-        dist = float(np.linalg.norm(new - self._goal))
-        contact = float(np.linalg.norm(new - self.OBSTACLE_CENTER)) <= self.OBSTACLE_RADIUS
+        # sqrt(d @ d) is np.linalg.norm's own formula for a vector; the dot
+        # product (not x*x + y*y or math.hypot) keeps its rounding
+        d = new - self._goal
+        dist = math.sqrt(d @ d)
+        c = new - self.OBSTACLE_CENTER
+        contact = math.sqrt(c @ c) <= self.OBSTACLE_RADIUS
         reached = dist < self.REACH_EPS
         reward = -dist + (10.0 if reached else 0.0) - (1.0 if contact else 0.0)
         self._t += 1

@@ -43,12 +43,18 @@ def _adam_update_numpy(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2):
     param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
+# The bias add and tanh work in place on the fresh product: the same ops in
+# the same order as ``np.tanh(x @ w + b)``, without its two temporaries.
 def _affine_numpy(x, w, b):
-    return x @ w + b
+    y = x @ w
+    y += b
+    return y
 
 
 def _affine_tanh_numpy(x, w, b):
-    return np.tanh(x @ w + b)
+    y = x @ w
+    y += b
+    return np.tanh(y, out=y)
 
 
 if NUMBA_ENABLED:

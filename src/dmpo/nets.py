@@ -10,7 +10,8 @@ Forward code is written against the autodiff ops, so the same method runs
 traced (reverse mode), dual (forward mode), both at once (duals over
 recorded Tensors: a taped forward with its directional derivative), or
 plain. ``*_arrays`` variants are inference-only fast paths over the fused
-kernels.
+kernels; on the numpy kernels they run the traced forward's ops in the same
+order on the same layout, so their outputs are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -122,8 +123,14 @@ class VelocityNet(_MLPBase):
         """Batched plain-numpy forward with scalar times shared across rows."""
         if r > tau:
             raise ValueError("flow interval start r exceeds end tau")
-        B = z.shape[0]
-        x = np.concatenate([z, h, np.broadcast_to(r, (B, 1)), np.broadcast_to(tau, (B, 1))], axis=1)
+        # the trunk input [z, h, r, tau] filled in place: the values and C
+        # layout of the traced ``concat``, so the matmuls below match it
+        B, d_a = z.shape
+        x = np.empty((B, d_a + h.shape[1] + 2))
+        x[:, :d_a] = z
+        x[:, d_a:-2] = h
+        x[:, -2] = r
+        x[:, -1] = tau
         p = self.params
         x = kernels.affine_tanh(x, p["trunk0_w"].data, p["trunk0_b"].data)
         x = kernels.affine_tanh(x, p["trunk1_w"].data, p["trunk1_b"].data)

@@ -320,27 +320,31 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
 
     low = np.stack([env.action_low for env in envs_list])
     high = np.stack([env.action_high for env in envs_list])
+    # the current observations stay one (E, d_obs) array across the window
+    # and go back into ``obs_cur`` at its end
+    obs_mat = np.stack(obs_cur)
     for t in range(T):
-        obs_mat = np.ascontiguousarray(np.stack(obs_cur))
         states, _, _, logprobs = sample_chain_batch(nets.policy, obs_mat, config.K, sigma, env_rngs)
         actions = states[:, -1]
         obs_buf[:, t] = obs_mat
         states_buf[:, t] = states
-        act_buf[:, t] = np.clip(actions, low, high)
+        np.minimum(np.maximum(actions, low), high, out=act_buf[:, t])
         val_buf[:, t] = nets.value.value_arrays(obs_mat)
         lp_buf[:, t] = logprobs
         for e, env in enumerate(envs_list):
             nxt, r, done = env.step(actions[e])
             next_buf[e, t] = nxt
             rew_buf[e, t] = r
-            term_buf[e, t] = 1.0 if env.terminated else 0.0
-            done_buf[e, t] = 1.0 if done else 0.0
             # episodes span collection windows, so the running return lives on the env
             env.episode_return += r
             if done:
+                done_buf[e, t] = 1.0
+                if env.terminated:
+                    term_buf[e, t] = 1.0
                 finished.append((env.episode_return, bool(env.success)))
                 nxt = env.reset(int(env_rngs[e].integers(2**63)))
-            obs_cur[e] = nxt
+            obs_mat[e] = nxt
+    obs_cur[:] = list(obs_mat)
 
     N = E * T
     batch = RolloutBatch(

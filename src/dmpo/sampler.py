@@ -5,8 +5,9 @@ Euler steps of size exactly 1/K; K = 1 collapses to a single forward pass
 a = z1 - u(z1, 0, 1, obs). Stochastic sampling wraps each step in a
 Gaussian of scale sigma and records everything needed to recompute the
 chain's log-probability bit-for-bit later (the PPO old-log-prob contract).
-``sample_chain_batch`` samples one chain per environment and returns them as
-stacked arrays (``ChainBatch``); ``sample_stochastic`` wraps a single chain in
+``sample_chain_batch`` samples one chain per environment, with one noise
+draw per environment for the whole chain, and returns them as stacked arrays
+(``ChainBatch``); ``sample_stochastic`` wraps a single chain in
 a ``DenoiseChain``, which alone also stores the prior term ln p0(a^0). That
 term is kept out of the transition sum: it has no parameter dependence and
 cancels in probability ratios.
@@ -119,14 +120,19 @@ def policy_entropy(K: int, d_a: int, sigma) -> float:
 
 
 def sample_deterministic(net, obs: np.ndarray, K: int, rng: np.random.Generator):
-    """Noise-free K-step generation; returns (action, nfe). nfe == K always."""
-    sched = make_schedule(K)
+    """Noise-free K-step generation; returns (action, nfe). nfe == K always.
+
+    The times are Python floats (K - k) / K: one correctly rounded division
+    of two exact integers, equal to ``make_schedule(K).taus[k]``."""
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     obs = np.asarray(obs, dtype=np.float64).reshape(1, -1)
     h = net.encode_arrays(obs)
-    z = rng.standard_normal(net.d_a).reshape(1, -1)
+    z = rng.standard_normal((1, net.d_a))
+    dt = 1.0 / K
     for k in range(K):
-        u = net.velocity_arrays(z, float(sched.taus[k + 1]), float(sched.taus[k]), h)
-        z = z - sched.dt * u
+        u = net.velocity_arrays(z, (K - k - 1) / K, (K - k) / K, h)
+        z = z - dt * u
     return z[0], K
 
 
@@ -158,9 +164,12 @@ def sample_stochastic(net, obs: np.ndarray, K: int, sigma, rng: np.random.Genera
 def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
     """Vectorized chain sampling across environments with per-env rng streams.
 
-    Each environment's noise comes only from its own generator (draw order:
-    a^0 first, then one xi per step), so results are independent of batching.
-    Exactly K velocity evaluations cover the whole batch.
+    Each environment's noise comes only from its own generator, in one
+    (K+1, d_a) draw: row 0 is a^0 and row k+1 is xi_k. A generator fills an
+    array in order, so this is the same numbers, in the same order, leaving
+    the generator in the same state, as K+1 separate draws of d_a, and the
+    results are independent of batching. Exactly K velocity evaluations
+    cover the whole batch.
     """
     sched = make_schedule(K)
     E = obs.shape[0]
@@ -170,16 +179,18 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
     sig = _sigma_vector(sigma, d_a)
     h = net.encode_arrays(obs)
 
+    # the noise is drawn into ``states``; step k reads xi_k from row k+1
+    # before writing a^{k+1} over it
     states = np.empty((E, K + 1, d_a))
+    for e, rng in enumerate(rngs):
+        rng.standard_normal(out=states[e])
     means = np.empty((E, K, d_a))
     terms = np.empty((E, K))
-    a = np.stack([rng.standard_normal(d_a) for rng in rngs])
-    states[:, 0] = a
+    a = states[:, 0]
     for k in range(K):
         u = net.velocity_arrays(a, float(sched.taus[k + 1]), float(sched.taus[k]), h)
         mu = a - sched.dt * u
-        xi = np.stack([rng.standard_normal(d_a) for rng in rngs])
-        a = mu + sig * xi
+        a = mu + sig * states[:, k + 1]
         means[:, k] = mu
         states[:, k + 1] = a
         terms[:, k] = _logpdf_rows((a - mu) / sig, sig)

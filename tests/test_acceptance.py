@@ -6,7 +6,6 @@ part of the test suite by design. Run alone with:
 """
 
 import csv
-import json
 import time
 
 import numpy as np
@@ -17,7 +16,7 @@ from dmpo.autodiff import Graph, Tensor, jvp
 from dmpo.cli import main
 from dmpo.dispersive import cov_loss, effective_rank, hinge, nce_cos, nce_l2
 from dmpo.envs import Dataset, evaluate, gen_demos, make_env
-from dmpo.io import load_checkpoint, save_checkpoint
+from dmpo.io import save_checkpoint
 from dmpo.meanflow import (
     Stage1Batch,
     Stage1Config,

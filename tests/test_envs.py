@@ -6,6 +6,7 @@ from dmpo.envs import (
     EnvError,
     ModalBandit,
     PointReach,
+    _point_reach_expert_action,
     evaluate,
     gen_demos,
     make_env,
@@ -81,6 +82,71 @@ def test_point_reach_homotopy_classes():
     env2.homotopy_class = 0
     env2.step(np.array([0.2, 0.0]))
     assert env2.homotopy_class == -1
+
+
+class _ClipNormPointReach(PointReach):
+    """Reference step: the clamps as ``np.clip`` and the distances as
+    ``np.linalg.norm``."""
+
+    def step(self, action):
+        if self._done:
+            raise EnvError("step() called on a finished episode; call reset()")
+        a = np.clip(np.asarray(action, dtype=np.float64), self.action_low, self.action_high)
+        prev = self._pos
+        new = np.clip(prev + a, -1.0, 1.0)
+        if self.homotopy_class == 0 and prev[0] < 0.0 <= new[0]:
+            frac = (0.0 - prev[0]) / (new[0] - prev[0])
+            y_cross = prev[1] + frac * (new[1] - prev[1])
+            self.homotopy_class = 1 if y_cross > 0.0 else -1
+        self._pos = new
+        dist = float(np.linalg.norm(new - self._goal))
+        contact = float(np.linalg.norm(new - self.OBSTACLE_CENTER)) <= self.OBSTACLE_RADIUS
+        reached = dist < self.REACH_EPS
+        reward = -dist + (10.0 if reached else 0.0) - (1.0 if contact else 0.0)
+        self._t += 1
+        self.terminated = reached
+        self.truncated = (not reached) and self._t >= self.max_steps
+        self._done = self.terminated or self.truncated
+        return self._obs(), reward, self._done
+
+
+def test_point_reach_step_matches_clip_norm_reference():
+    rng = np.random.default_rng(21)
+    seen = {"wall": 0, "action_clamp": 0, "contact": 0, "crossing": 0, "reach": 0, "truncated": 0}
+    for ep in range(120):
+        env, ref = PointReach((0.7, 0.2 * (ep % 2))), _ClipNormPointReach((0.7, 0.2 * (ep % 2)))
+        np.testing.assert_array_equal(env.reset(ep), ref.reset(ep))
+        side = 1 if ep % 2 else -1
+        wild = ep % 3 == 0  # large random actions: wall and action clamps
+        done = False
+        while not done:
+            if wild:
+                action = rng.uniform(-0.6, 0.6, 2)
+            else:
+                action = _point_reach_expert_action(ref._pos, ref._goal, side) + rng.normal(0.0, 0.02, 2)
+            got, want = env.step(action), ref.step(action)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1] and got[2] == want[2]
+            assert (env.terminated, env.truncated) == (ref.terminated, ref.truncated)
+            assert env.homotopy_class == ref.homotopy_class
+            done = want[2]
+            seen["wall"] += bool(np.any(np.abs(want[0][:2]) == 1.0))
+            seen["action_clamp"] += bool(np.any(np.abs(action) > 0.2))
+            seen["contact"] += bool(np.linalg.norm(want[0][:2]) <= PointReach.OBSTACLE_RADIUS)
+        seen["crossing"] += ref.homotopy_class != 0
+        seen["reach"] += ref.terminated
+        seen["truncated"] += ref.truncated
+    assert min(seen.values()) > 0, seen
+
+
+def test_point_reach_step_nan_action_matches_clip():
+    env, ref = PointReach(), _ClipNormPointReach()
+    env.reset(4)
+    ref.reset(4)
+    for action in ([np.nan, 0.1], [0.1, 0.1]):
+        got, want = env.step(np.array(action)), ref.step(np.array(action))
+        np.testing.assert_array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1], equal_nan=True) and got[2] == want[2]
 
 
 def test_expert_always_succeeds():

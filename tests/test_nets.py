@@ -4,8 +4,6 @@ import pytest
 from dmpo.autodiff import Graph, Tensor
 from dmpo.nets import (
     Adam,
-    ValueNet,
-    VelocityNet,
     clip_grad_norm,
     encode,
     init_value_net,
@@ -149,6 +147,27 @@ def test_fast_paths_match_traced_forward():
     v_fast = vnet.value_arrays(obs)
     v_ref = vnet.value(Tensor(obs)).data
     assert np.max(np.abs(v_fast - v_ref)) < 1e-12
+
+
+@pytest.mark.parametrize("B", [1, 8, 256])
+@pytest.mark.parametrize("r, tau", [(0.0, 1.0), (0.25, 0.5)])
+def test_fast_paths_bit_identical_to_traced_forward(B, r, tau):
+    net = init_velocity_net(14, d_obs=4, d_a=2)
+    vnet = init_value_net(14, d_obs=4)
+    rng = np.random.default_rng(B)
+    z = rng.normal(size=(B, 2))
+    obs = rng.normal(size=(B, 4))
+
+    h_fast = net.encode_arrays(obs)
+    np.testing.assert_array_equal(h_fast, net.encode(Tensor(obs)).data)
+
+    u_fast = net.velocity_arrays(z, r, tau, h_fast)
+    u_ref = net.velocity(
+        Tensor(z), Tensor(np.full((B, 1), r)), Tensor(np.full((B, 1), tau)), obs=Tensor(obs)
+    ).data
+    np.testing.assert_array_equal(u_fast, u_ref)
+
+    np.testing.assert_array_equal(vnet.value_arrays(obs), vnet.value(Tensor(obs)).data)
 
 
 def test_value_net_scalar_output():

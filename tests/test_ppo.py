@@ -428,6 +428,24 @@ def test_old_logprob_freeze_before_update():
     assert np.max(np.abs(rho.data - 1.0)) < 1e-10
 
 
+def test_collect_rollouts_hands_back_current_observations():
+    net = init_velocity_net(24, 4, 2)
+    nets = Stage2Nets(policy=net, value=init_value_net(24, 4), frozen=net.clone())
+    cfg = Stage2Config(rollout_steps=60, n_envs=3)
+    envs_list = [make_env("point-reach") for _ in range(3)]
+    env_rngs = [np.random.default_rng(e) for e in range(3)]
+    obs_cur = [env.reset(10 + e) for e, env in enumerate(envs_list)]
+    for _ in range(2):
+        start = [o.copy() for o in obs_cur]
+        batch, _ = collect_rollouts(nets, envs_list, env_rngs, obs_cur, cfg)
+        # each window starts from the observations passed in and hands back
+        # each env's observation after its last step
+        np.testing.assert_array_equal(batch.obs[[lo for lo, _ in batch.env_slices]], np.stack(start))
+        assert len(obs_cur) == 3
+        for e, env in enumerate(envs_list):
+            np.testing.assert_array_equal(obs_cur[e], env._obs())
+
+
 def test_collect_rollouts_accumulates_declared_episode_return():
     net = init_velocity_net(23, 4, 2)
     nets = Stage2Nets(policy=net, value=init_value_net(23, 4), frozen=net.clone())

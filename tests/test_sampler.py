@@ -4,6 +4,7 @@ import pytest
 from dmpo.autodiff import Tensor
 from dmpo.nets import init_velocity_net
 from dmpo.sampler import (
+    LOG_2PI,
     DenoiseChain,
     chain_logprob,
     chain_logprob_traced,
@@ -83,6 +84,39 @@ def test_one_step_inverts_affine_net():
     for seed in range(5):
         a, _ = sample_deterministic(net, np.zeros(2), 1, np.random.default_rng(seed))
         np.testing.assert_allclose(a, net.c, atol=1e-14)
+
+
+def test_one_step_action_equals_traced_forward():
+    net = init_velocity_net(15, 4, 2)
+    obs = np.random.default_rng(15).normal(size=(10, 4))
+    for seed in range(10):
+        z = np.random.default_rng(seed).standard_normal((1, 2))
+        o = Tensor(obs[seed : seed + 1])
+        u = net.velocity(Tensor(z), Tensor(np.zeros((1, 1))), Tensor(np.ones((1, 1))), obs=o)
+        a, nfe = sample_deterministic(net, obs[seed], 1, np.random.default_rng(seed))
+        assert nfe == 1
+        np.testing.assert_array_equal(a, (z - u.data)[0])
+
+
+def test_deterministic_times_equal_schedule():
+    class _TimeLog(_ConstNet):
+        def velocity_arrays(self, z, r, tau, h):
+            self.times.append((r, tau))
+            return super().velocity_arrays(z, r, tau, h)
+
+    for K in (1, 2, 3, 5, 7, 10, 49, 128):
+        net = _TimeLog([0.1, 0.1])
+        net.times = []
+        sample_deterministic(net, np.zeros(2), K, np.random.default_rng(0))
+        taus = make_schedule(K).taus
+        assert net.times == [(taus[k + 1], taus[k]) for k in range(K)]
+
+
+def test_deterministic_rejects_k_below_one():
+    net = _ConstNet([0.1, 0.1])
+    with pytest.raises(ValueError):
+        sample_deterministic(net, np.zeros(2), 0, np.random.default_rng(0))
+    assert net.calls == 0
 
 
 @pytest.mark.parametrize("K", [1, 5, 20])
@@ -217,3 +251,44 @@ def test_sampled_logprobs_equal_traced_walk_exactly(K, sigma):
 
     chain = sample_stochastic(net, obs[0], K, sigma, np.random.default_rng(300))
     assert chain_logprob(net, chain, obs[0], sigma) == chain.total_logprob
+
+
+def _chain_batch_per_draw(net, obs, K, sigma, rngs):
+    """Reference: a^0, then each xi_k, drawn separately from each env's
+    generator, with the times from ``make_schedule``."""
+    sched = make_schedule(K)
+    d_a = net.d_a
+    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (d_a,))
+    h = net.encode_arrays(obs)
+    a = np.stack([rng.standard_normal(d_a) for rng in rngs])
+    states, means, terms = [a], [], []
+    for k in range(K):
+        u = net.velocity_arrays(a, float(sched.taus[k + 1]), float(sched.taus[k]), h)
+        mu = a - sched.dt * u
+        xi = np.stack([rng.standard_normal(d_a) for rng in rngs])
+        a = mu + sig * xi
+        diff = (a - mu) / sig
+        states.append(a)
+        means.append(mu)
+        terms.append(-0.5 * np.sum(LOG_2PI + 2.0 * np.log(sig) + diff * diff, axis=-1))
+    total = terms[0].copy()
+    for t in terms[1:]:
+        total += t
+    return np.stack(states, axis=1), np.stack(means, axis=1), np.stack(terms, axis=1), total
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("sigma", [0.05, np.array([0.02, 0.1])])
+def test_chain_batch_draws_match_per_step_draws(K, sigma):
+    net = init_velocity_net(16, 3, 2)
+    obs = np.random.default_rng(16).normal(size=(8, 3))
+    rngs = [np.random.default_rng(500 + e) for e in range(8)]
+    ref_rngs = [np.random.default_rng(500 + e) for e in range(8)]
+    for _ in range(3):  # the streams carry over between batches
+        got = sample_chain_batch(net, obs, K, sigma, rngs)
+        want = _chain_batch_per_draw(net, obs, K, sigma, ref_rngs)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+    # each generator is left where the per-step draws leave it: the next env
+    # reset seed is the same
+    assert [r.integers(2**63) for r in rngs] == [r.integers(2**63) for r in ref_rngs]
