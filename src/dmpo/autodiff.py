@@ -20,7 +20,9 @@ Three pieces:
 Every op output is checked for NaN/Inf and raises ``NonFiniteError`` rather
 than propagating silently. Supported rank is <= 2; broadcasting follows
 numpy within that limit. :func:`custom_op` records a fused computation with
-a hand-written VJP as a single tape node.
+a hand-written VJP as a single tape node; :func:`dense`, the network layer,
+is one node in reverse mode, carries its own tangent rule in forward mode,
+and runs plain-array kernels on ndarray input.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from . import kernels
 
 Array = np.ndarray
 
@@ -343,6 +347,11 @@ def _matmul_tangent(y, xs, ts):
 def _emit(data: Array, parents: tuple[Tensor, ...], vjp_builder, op: str) -> Tensor:
     """Create the op output; record a node when grads are being traced."""
     _check_finite(data, op)
+    return _output(data, parents, vjp_builder, op)
+
+
+def _output(data: Array, parents: tuple[Tensor, ...], vjp_builder, op: str) -> Tensor:
+    # ``_emit`` without the finite check, for ops that check another array
     needs = bool(_ACTIVE) and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=needs)
     if needs:
@@ -531,6 +540,62 @@ def _unary(a, fwd: Callable[[Array], Array], dydx: Callable[[Array, Array], Arra
 
 def tanh(a):
     return _unary(a, np.tanh, lambda x, y: 1.0 - y * y, "tanh")
+
+
+def dense(x, W, b, tanh: bool = True):
+    """One layer, ``tanh(x @ W + b)``, or ``x @ W + b`` with ``tanh`` off.
+
+    ``W`` and ``b`` are the layer's parameter Tensors. ``x`` decides the path:
+
+    * an ndarray runs the plain-array kernels and returns an ndarray,
+      untraced and unchecked (inference);
+    * a Tensor gives one tape node whose VJP is written out, with one finite
+      check on the pre-activation (tanh of a finite value is finite);
+    * a DualTensor sends its primal through this op, so a Tensor primal is
+      taped, and carries the tangent ``(1 - y*y) * (t @ W)``.
+
+    Every path runs the ops of ``matmul`` -> ``add`` -> ``tanh`` in their
+    order, so values, cotangents and tangents equal that chain's bit for bit.
+    """
+    if type(x) is np.ndarray:
+        if tanh:
+            return kernels.affine_tanh(x, W.data, b.data)
+        return kernels.affine(x, W.data, b.data)
+    if isinstance(x, DualTensor):
+        p = x.primal
+        y = dense(_coerce(p), W, b, tanh)
+        yd, tw = y.data, x.tangent @ W.data
+        return DualTensor(y if isinstance(p, Tensor) else yd, (1.0 - yd * yd) * tw if tanh else tw)
+    return _dense_node(_coerce(x), W, b, tanh)
+
+
+def _dense_node(x: Tensor, W: Tensor, b: Tensor, tanh: bool) -> Tensor:
+    # kept out of ``dense``: the VJP closure would turn that function's
+    # arguments into cells and slow its plain-array path
+    xd, Wd = x.data, W.data
+    if xd.ndim != 2 or xd.shape[1] != Wd.shape[0]:
+        raise ShapeError(f"dense input {xd.shape} does not fit weight {Wd.shape}")
+    y = xd @ Wd
+    y += b.data
+    _check_finite(y, "dense")
+    if tanh:
+        np.tanh(y, out=y)
+
+    def build(parents):
+        def vjp(g):
+            gp = g * (1.0 - y * y) if tanh else g
+            out = []
+            if x.requires_grad:
+                out.append((x, gp @ Wd.T))
+            if W.requires_grad:
+                out.append((W, xd.T @ gp))
+            if b.requires_grad:
+                out.append((b, gp.sum(axis=0)))
+            return out
+
+        return vjp
+
+    return _output(y, (x, W, b), build, "dense")
 
 
 def relu(a):

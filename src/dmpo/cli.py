@@ -32,6 +32,7 @@ from .io import (
     write_metrics_csv,
 )
 from .meanflow import Stage1Config, pretrain
+from .nets import VelocityNet
 from .ppo import Stage2Config, finetune
 from .sampler import sample_deterministic
 
@@ -155,9 +156,9 @@ def cmd_inspect(args) -> int:
         dims = " ".join(f"{k}={v}" for k, v in net.dims.items())
         n_params = sum(p.data.size for p in net.parameters())
         print(f"net={name} {dims} params={n_params}")
-        if hasattr(net, "encode_arrays"):
+        if isinstance(net, VelocityNet):
             probe = np.random.default_rng(0).standard_normal((64, net.d_obs))
-            print(f"net={name} d_eff={effective_rank(net.encode_arrays(probe))}")
+            print(f"net={name} d_eff={effective_rank(net.encode(probe))}")
     return 0
 
 

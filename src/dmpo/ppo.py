@@ -87,8 +87,10 @@ class Stage2Config:
             raise ValueError("bc_decay_start must be < bc_decay_end")
         if self.K < 1 or self.sigma <= 0:
             raise ValueError("need K >= 1 and sigma > 0")
-        if min(self.iterations, self.epochs, self.minibatch_size, self.rollout_steps, self.n_envs) < 0:
+        if min(self.iterations, self.epochs, self.rollout_steps) < 0:
             raise ValueError("loop sizes must be nonnegative")
+        if self.n_envs < 1 or self.minibatch_size < 1:
+            raise ValueError("n_envs and minibatch_size must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +331,7 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
         obs_buf[:, t] = obs_mat
         states_buf[:, t] = states
         np.minimum(np.maximum(actions, low), high, out=act_buf[:, t])
-        val_buf[:, t] = nets.value.value_arrays(obs_mat)
+        val_buf[:, t] = nets.value.value(obs_mat)
         lp_buf[:, t] = logprobs
         for e, env in enumerate(envs_list):
             nxt, r, done = env.step(actions[e])
@@ -376,7 +378,7 @@ def compute_advantages(batch: RolloutBatch, value_net, config: Stage2Config) -> 
     rewards = batch.rewards.copy()
     trunc = np.flatnonzero(cuts & (batch.terminals < 0.5))
     if trunc.size:
-        rewards[trunc] += config.gamma * value_net.value_arrays(batch.next_obs[trunc])
+        rewards[trunc] += config.gamma * value_net.value(batch.next_obs[trunc])
     values = np.append(batch.values, 0.0)
     batch.advantages, batch.returns = gae(rewards, values, cuts, config.gamma, config.lam_gae)
 

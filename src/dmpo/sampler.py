@@ -169,9 +169,10 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
     array in order, so this is the same numbers, in the same order, leaving
     the generator in the same state, as K+1 separate draws of d_a, and the
     results are independent of batching. Exactly K velocity evaluations
-    cover the whole batch.
+    cover the whole batch, at the float times of ``sample_deterministic``.
     """
-    sched = make_schedule(K)
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     E = obs.shape[0]
     if len(rngs) != E:
         raise ValueError("need one rng stream per row")
@@ -187,9 +188,10 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
     means = np.empty((E, K, d_a))
     terms = np.empty((E, K))
     a = states[:, 0]
+    dt = 1.0 / K
     for k in range(K):
-        u = net.velocity_arrays(a, float(sched.taus[k + 1]), float(sched.taus[k]), h)
-        mu = a - sched.dt * u
+        u = net.velocity_arrays(a, (K - k - 1) / K, (K - k) / K, h)
+        mu = a - dt * u
         a = mu + sig * states[:, k + 1]
         means[:, k] = mu
         states[:, k + 1] = a
@@ -225,17 +227,19 @@ def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K
     Outside a ``Graph`` this records nothing. It repeats the arithmetic of
     ``sample_chain_batch``, so on the rows that call sampled, at the same
     parameters, it returns their totals exactly."""
-    sched = make_schedule(K)
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     M = states.shape[0]
     if h is None:
         h = policy.encode(Tensor(obs))
+    dt = 1.0 / K
     total = None
     for k in range(K):
         a_k = np.ascontiguousarray(states[:, k, :])
-        r_col = Tensor(np.full((M, 1), sched.taus[k + 1]))
-        tau_col = Tensor(np.full((M, 1), sched.taus[k]))
+        r_col = Tensor(np.full((M, 1), (K - k - 1) / K))
+        tau_col = Tensor(np.full((M, 1), (K - k) / K))
         u = policy.velocity(Tensor(a_k), r_col, tau_col, h=h)
-        term = _transition_logpdf(u, a_k, states[:, k + 1, :], sigma_t, sched.dt)
+        term = _transition_logpdf(u, a_k, states[:, k + 1, :], sigma_t, dt)
         total = term if total is None else total + term
     return total
 

@@ -406,3 +406,109 @@ def test_backward_foreign_output_rejected():
 def test_dual_shape_mismatch():
     with pytest.raises(ShapeError):
         DualTensor(np.ones(3), np.ones(4))
+
+
+# ---------------------------------------------------------------------------
+# the fused dense layer
+
+
+def _dense_case(seed):
+    rng = np.random.default_rng(seed)
+    return _rand(rng, 5, 4), 0.5 * _rand(rng, 4, 3), 0.5 * _rand(rng, 3), _rand(rng, 5, 3)
+
+
+def _dense_np(x, W, b, tanh):
+    y = x @ W + b
+    return np.tanh(y) if tanh else y
+
+
+def _op_chain(x, W, b, tanh):
+    y = x @ W + b
+    return ad.tanh(y) if tanh else y
+
+
+@pytest.mark.parametrize("tanh", [True, False])
+@pytest.mark.parametrize("x_traced", [True, False])
+def test_dense_gradcheck(tanh, x_traced):
+    x0, W0, b0, w = _dense_case(41)
+    x = Tensor(x0, requires_grad=x_traced)
+    W, b = Tensor(W0, requires_grad=True), Tensor(b0, requires_grad=True)
+    with Graph() as g:
+        loss = (ad.dense(x, W, b, tanh) * Tensor(w)).sum()
+    assert [n.op for n in g.nodes][0] == "dense"
+    grads = g.backward(loss)
+    assert (x in grads) is x_traced
+
+    def f(xa, Wa, ba):
+        return float(np.sum(_dense_np(xa, Wa, ba, tanh) * w))
+
+    want = {
+        W: fd_grad(lambda a: f(x0, a, b0), W0.copy()),
+        b: fd_grad(lambda a: f(x0, W0, a), b0.copy()),
+    }
+    if x_traced:
+        want[x] = fd_grad(lambda a: f(a, W0, b0), x0.copy())
+    for t, g_fd in want.items():
+        assert rel_err(grads[t], g_fd) < 1e-4
+
+
+@pytest.mark.parametrize("tanh", [True, False])
+@pytest.mark.parametrize("x_traced", [True, False])
+def test_dense_jvp_vs_fd(tanh, x_traced):
+    x0, W0, b0, _ = _dense_case(43)
+    t0 = _rand(np.random.default_rng(44), 5, 4)
+    W, b = Tensor(W0, requires_grad=True), Tensor(b0, requires_grad=True)
+    if x_traced:
+        # a Tensor primal: the forward is taped as one node, the tangent is not
+        with Graph() as g:
+            out = ad.dense(DualTensor(Tensor(x0, requires_grad=True), t0), W, b, tanh)
+        assert isinstance(out.primal, Tensor) and [n.op for n in g.nodes] == ["dense"]
+        value = out.primal.data
+    else:
+        out = ad.dense(DualTensor(x0, t0), W, b, tanh)
+        value = out.primal
+    np.testing.assert_array_equal(value, _dense_np(x0, W0, b0, tanh))
+    want = fd_directional(lambda x: _dense_np(x, W0, b0, tanh), [x0], [t0])
+    assert rel_err(out.tangent, want) < 1e-4
+
+
+@pytest.mark.parametrize("tanh", [True, False])
+def test_dense_bit_identical_to_op_chain(tanh):
+    # value, every VJP and the tangent equal the matmul -> add -> tanh chain
+    x0, W0, b0, g0 = _dense_case(47)
+    t0 = _rand(np.random.default_rng(48), 5, 4)
+
+    def reverse(layer):
+        x, W, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, W0, b0))
+        with Graph() as g:
+            y = layer(x, W, b, tanh)
+        grads = g.backward(y, seed=g0)
+        return [y.data] + [grads[p] for p in (x, W, b)]
+
+    for got, want in zip(reverse(ad.dense), reverse(_op_chain)):
+        np.testing.assert_array_equal(got, want)
+
+    W, b = Tensor(W0), Tensor(b0)
+    for primal in (x0, Tensor(x0, requires_grad=True)):
+        with Graph():
+            got = ad.dense(DualTensor(primal, t0), W, b, tanh)
+            want = _op_chain(DualTensor(primal, t0), W, b, tanh)
+        np.testing.assert_array_equal(ad.value_of(got), ad.value_of(want))
+        np.testing.assert_array_equal(got.tangent, want.tangent)
+
+    # the plain-array path returns an array, not a Tensor, and records nothing
+    with Graph() as g:
+        plain = ad.dense(x0, Tensor(W0, requires_grad=True), Tensor(b0, requires_grad=True), tanh)
+    assert type(plain) is np.ndarray and not g.nodes
+    np.testing.assert_array_equal(plain, _op_chain(Tensor(x0), W, b, tanh).data)
+
+
+def test_dense_checks_the_pre_activation():
+    # tanh(inf) is finite, so the check must see x @ W + b, as the chain's
+    # matmul and add checks did
+    x = Tensor(np.array([[1e308, 1e308]]), requires_grad=True)
+    W = Tensor(np.ones((2, 1)), requires_grad=True)
+    b = Tensor(np.zeros(1), requires_grad=True)
+    with np.errstate(over="ignore"), Graph():
+        with pytest.raises(NonFiniteError, match="dense"):
+            ad.dense(x, W, b)

@@ -277,17 +277,34 @@ def test_pretrain_step_encodes_once_and_runs_velocity_once(monkeypatch):
     assert calls == {"encode": 1, "velocity": 1}
 
 
+def test_hinge_pretrain_step_tape_has_13_nodes(monkeypatch):
+    # five dense layers (2 encoder, 3 trunk) among the step's nodes
+    sizes = []
+    backward = Graph.backward
+
+    def counted(self, output, seed=None):
+        sizes.append([n.op for n in self.nodes])
+        return backward(self, output, seed)
+
+    monkeypatch.setattr(Graph, "backward", counted)
+    ds = _tiny_dataset(np.random.default_rng(64))
+    pretrain(ds, Stage1Config(epochs=2, batch_size=8, seed=0, disp_kind="hinge"))
+    assert len(sizes) == 2
+    for ops in sizes:
+        assert len(ops) == 13 and ops.count("dense") == 5
+
+
 def test_pretrain_nan_parameter_names_epoch_step_and_op(monkeypatch):
     import dmpo.meanflow as mfmod
 
     class PoisonAfterFirstStep(mfmod.Adam):
         def step(self, grads):
             super().step(grads)
-            self.params[4].data[0, 0] = np.nan  # trunk0_w: the first matmul of the dual pass
+            self.params[4].data[0, 0] = np.nan  # trunk0_w: the first layer of the dual pass
 
     monkeypatch.setattr(mfmod, "Adam", PoisonAfterFirstStep)
     ds = _tiny_dataset(np.random.default_rng(65))
-    with pytest.raises(RuntimeError, match=r"pre-training diverged at epoch 1 step 1: .*op 'matmul'"):
+    with pytest.raises(RuntimeError, match=r"pre-training diverged at epoch 1 step 1: .*op 'dense'"):
         pretrain(ds, Stage1Config(epochs=3, batch_size=8, seed=0))
 
 

@@ -144,7 +144,7 @@ def test_fast_paths_match_traced_forward():
     ).data
     assert np.max(np.abs(u_fast - u_ref)) < 1e-12
 
-    v_fast = vnet.value_arrays(obs)
+    v_fast = vnet.value(obs)
     v_ref = vnet.value(Tensor(obs)).data
     assert np.max(np.abs(v_fast - v_ref)) < 1e-12
 
@@ -167,7 +167,7 @@ def test_fast_paths_bit_identical_to_traced_forward(B, r, tau):
     ).data
     np.testing.assert_array_equal(u_fast, u_ref)
 
-    np.testing.assert_array_equal(vnet.value_arrays(obs), vnet.value(Tensor(obs)).data)
+    np.testing.assert_array_equal(vnet.value(obs), vnet.value(Tensor(obs)).data)
 
 
 def test_value_net_scalar_output():

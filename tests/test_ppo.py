@@ -94,7 +94,7 @@ def test_gae_length_mismatch():
 class _RowValueNet:
     """V(obs) from elementwise ops, so a row's value never depends on batching."""
 
-    def value_arrays(self, obs):
+    def value(self, obs):
         return np.tanh(obs[:, 0]) + 0.5 * obs[:, 1] * obs[:, 2]
 
 
@@ -108,7 +108,7 @@ def _per_segment_advantages(batch, value_net, gamma, lam):
             if not (batch.dones[i] > 0.5 or i == hi - 1):
                 continue
             seg = slice(seg_start, i + 1)
-            boot = 0.0 if batch.terminals[i] > 0.5 else float(value_net.value_arrays(batch.next_obs[i : i + 1])[0])
+            boot = 0.0 if batch.terminals[i] > 0.5 else float(value_net.value(batch.next_obs[i : i + 1])[0])
             a, r = gae(batch.rewards[seg], np.append(batch.values[seg], boot), batch.terminals[seg], gamma, lam)
             adv[seg], ret[seg] = a, r
             seg_start = i + 1
@@ -479,6 +479,30 @@ def test_stage2_config_validation():
         Stage2Config(sigma=0.0)
     with pytest.raises(ValueError):
         Stage2Config(lam_value=-1.0)
+
+
+@pytest.mark.parametrize("field", ["n_envs", "minibatch_size"])
+def test_stage2_config_rejects_zero_envs_and_minibatch(field):
+    # each zero used to pass and crash later inside finetune
+    with pytest.raises(ValueError, match=">= 1"):
+        Stage2Config(**{field: 0})
+
+
+def test_c12a_config_minibatch_tape_has_33_nodes(monkeypatch):
+    # K=1, fixed sigma: every MLP layer is one dense node
+    net = _pretrained()
+    sizes = []
+    backward = Graph.backward
+
+    def counted(self, output, seed=None):
+        sizes.append(len(self.nodes))
+        return backward(self, output, seed)
+
+    monkeypatch.setattr(Graph, "backward", counted)
+    cfg = Stage2Config(iterations=1, seed=0, lam_bc_init=0.1, lam_bc_final=0.1, bc_decay_start=0, bc_decay_end=1)
+    finetune(net, lambda: make_env("point-reach-shifted"), cfg)
+    assert len(sizes) == cfg.epochs * cfg.rollout_steps // cfg.minibatch_size
+    assert set(sizes) == {33}
 
 
 def test_learnable_sigma_mode():

@@ -110,12 +110,18 @@ def test_deterministic_times_equal_schedule():
         sample_deterministic(net, np.zeros(2), K, np.random.default_rng(0))
         taus = make_schedule(K).taus
         assert net.times == [(taus[k + 1], taus[k]) for k in range(K)]
+        # the chain sampler passes the same float times
+        net.times = []
+        sample_chain_batch(net, np.zeros((1, 2)), K, 0.1, [np.random.default_rng(0)])
+        assert net.times == [(taus[k + 1], taus[k]) for k in range(K)]
 
 
 def test_deterministic_rejects_k_below_one():
     net = _ConstNet([0.1, 0.1])
     with pytest.raises(ValueError):
         sample_deterministic(net, np.zeros(2), 0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_chain_batch(net, np.zeros((1, 2)), 0, 0.1, [np.random.default_rng(0)])
     assert net.calls == 0
 
 
