@@ -7,22 +7,22 @@ Three pieces:
   ``requires_grad`` tensor participates.
 * ``Graph`` — an explicit tape: ordered node list recorded during a forward
   pass, walked in reverse by :meth:`Graph.backward`.
-* ``DualTensor`` — (primal, tangent) pairs for one-pass directional
-  derivatives; :func:`jvp` evaluates a function built from the ops below on
-  duals and returns value plus directional derivative. A dual may hold a
-  ``Tensor`` as its primal: each dual op then computes the primal with the
-  ordinary Tensor op, so it is recorded on the active graph like any
-  forward, and computes the tangent from the primal data as a constant that
-  no node touches. One pass yields a taped prediction and its (untaped)
-  directional derivative. Non-dual operands (parameters, constants) have a
-  zero tangent, so their tangent products are skipped.
+* ``DualTensor`` — a ``Tensor`` primal with an array tangent, for one-pass
+  directional derivatives. Each dual op computes the primal with the
+  ordinary Tensor op, so it is recorded on the active graph exactly as that
+  op would be, and computes the tangent from the primal data as a constant
+  that no node touches: under a graph one pass yields a taped prediction
+  and its (untaped) directional derivative. :func:`jvp` runs its pass under
+  :func:`no_record` and records nothing. Non-dual operands (parameters,
+  constants) have a zero tangent, so their tangent products are skipped.
 
 Every op output is checked for NaN/Inf and raises ``NonFiniteError`` rather
 than propagating silently. Supported rank is <= 2; broadcasting follows
 numpy within that limit. :func:`custom_op` records a fused computation with
 a hand-written VJP as a single tape node; :func:`dense`, the network layer,
 is one node in reverse mode, carries its own tangent rule in forward mode,
-and runs plain-array kernels on ndarray input.
+and runs plain-array kernels on ndarray input. An op hands the tape its VJP
+``vjp(g) -> [(parent, cotangent), ...]`` directly.
 """
 
 from __future__ import annotations
@@ -70,12 +70,11 @@ _ACTIVE: list["Graph"] = []
 class Tensor:
     """A float64 value. ``requires_grad`` marks trainable leaves."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = requires_grad
-        self.grad: Array | None = None
 
     @property
     def shape(self):
@@ -140,16 +139,13 @@ class Tensor:
 
 
 class DualTensor:
-    """Forward-mode pair: primal value and tangent of identical shape.
-
-    The primal is an array, or a ``Tensor`` whose ops are recorded when a
-    graph is active; the tangent is always an array.
-    """
+    """Forward-mode pair: a ``Tensor`` primal (an array-like is wrapped in
+    one) and an array tangent of identical shape."""
 
     __slots__ = ("primal", "tangent")
 
     def __init__(self, primal, tangent):
-        self.primal = primal if isinstance(primal, Tensor) else _as_array(primal)
+        self.primal = as_tensor(primal)
         self.tangent = _as_array(tangent)
         if self.primal.shape != self.tangent.shape:
             raise ShapeError(
@@ -181,7 +177,6 @@ class DualTensor:
 
 
 class _Node:
-    # holds a strong ref to `out` so tensor ids stay unique for the graph's life
     __slots__ = ("out", "parents", "vjp", "op")
 
     def __init__(self, out, parents, vjp, op):
@@ -200,7 +195,9 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._out_ids: set[int] = set()
+        self._outs: set[Tensor] = set()
+        # trainable inputs not produced here, in order of first use
+        self._leaves: dict[Tensor, None] = {}
 
     def __enter__(self):
         _ACTIVE.append(self)
@@ -212,17 +209,22 @@ class Graph:
         return False
 
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], vjp, op: str):
+        for p in parents:
+            if p not in self._outs:
+                self._leaves.setdefault(p)
         self.nodes.append(_Node(out, parents, vjp, op))
-        self._out_ids.add(id(out))
+        self._outs.add(out)
 
     def backward(self, output: Tensor, seed: Array | None = None) -> dict[Tensor, Array]:
         """Reverse sweep from ``output``; returns leaf gradients.
 
-        ``seed`` is the cotangent of ``output`` (defaults to ones). Leaf
-        tensors (``requires_grad`` and not produced inside this graph) get
-        their ``.grad`` accumulated and appear in the returned dict.
+        ``seed`` is the cotangent of ``output`` (defaults to ones). The dict
+        maps each leaf (a ``requires_grad`` tensor not produced inside this
+        graph) that ``output`` depends on to its gradient, in the order the
+        forward pass first used the leaves. Nothing is stored on the
+        tensors, so the graph can be swept again.
         """
-        if id(output) not in self._out_ids:
+        if not isinstance(output, Tensor) or output not in self._outs:
             raise GraphError("output was not produced under this graph")
         if seed is None:
             seed = np.ones_like(output.data)
@@ -232,30 +234,14 @@ class Graph:
                 raise ShapeError(
                     f"seed shape {seed.shape} != output shape {output.data.shape}"
                 )
-        cot: dict[int, Array] = {id(output): seed}
-        leaf_grads: dict[Tensor, Array] = {}
+        cot: dict[Tensor, Array] = {output: seed}
         for node in reversed(self.nodes):
-            g = cot.pop(id(node.out), None)
+            g = cot.pop(node.out, None)
             if g is None:
                 continue
             for parent, pg in node.vjp(g):
-                pid = id(parent)
-                if pid in cot:
-                    cot[pid] = cot[pid] + pg
-                else:
-                    cot[pid] = pg
-        for node in self.nodes:
-            for parent in node.parents:
-                if (
-                    parent.requires_grad
-                    and id(parent) not in self._out_ids
-                    and id(parent) in cot
-                    and parent not in leaf_grads
-                ):
-                    leaf_grads[parent] = cot[id(parent)]
-        for t, g in leaf_grads.items():
-            t.grad = g if t.grad is None else t.grad + g
-        return leaf_grads
+                cot[parent] = cot[parent] + pg if parent in cot else pg
+        return {t: cot[t] for t in self._leaves if t in cot}
 
 
 def trace(fn: Callable, *args) -> tuple[Tensor, Graph]:
@@ -280,7 +266,8 @@ def no_record():
 # op plumbing
 
 
-def _coerce(x) -> Tensor:
+def as_tensor(x) -> Tensor:
+    """``x`` itself if it is a Tensor, else a constant Tensor of its value."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -296,21 +283,17 @@ def _any_dual(args) -> bool:
 
 
 def _dual_op(fn, args, tangent) -> DualTensor:
-    """Apply a dual op: the primal is ``fn`` (the Tensor op) on the primal
-    operands, the tangent ``tangent(y, xs, ts)`` of the output data, the
-    operand data and the operand tangents (None for non-duals, whose tangent
-    is zero). When some dual holds a Tensor primal, the operands go in as
-    Tensors so the op is recorded; otherwise only the value is kept."""
-    taped = any(isinstance(a, DualTensor) and isinstance(a.primal, Tensor) for a in args)
-    operands, xs, ts = [], [], []
+    """Apply a dual op: the primal is ``fn`` (the Tensor op, recorded as
+    usual) on the primal operands, the tangent ``tangent(y, xs, ts)`` of the
+    output data, the operand data and the operand tangents (None for
+    non-duals, whose tangent is zero)."""
+    operands, ts = [], []
     for a in args:
-        p, t = (a.primal, a.tangent) if isinstance(a, DualTensor) else (a, None)
-        x = p.data if isinstance(p, Tensor) else _as_array(p)
-        operands.append(p if taped else x)
-        xs.append(x)
+        p, t = (a.primal, a.tangent) if isinstance(a, DualTensor) else (as_tensor(a), None)
+        operands.append(p)
         ts.append(t)
     out = fn(*operands)
-    return DualTensor(out if taped else out.data, tangent(out.data, xs, ts))
+    return DualTensor(out, tangent(out.data, [p.data for p in operands], ts))
 
 
 def _tsum(p, q):
@@ -344,20 +327,21 @@ def _matmul_tangent(y, xs, ts):
     return _tsum(None if ta is None else ta @ xb, None if tb is None else xa @ tb)
 
 
-def _emit(data: Array, parents: tuple[Tensor, ...], vjp_builder, op: str) -> Tensor:
-    """Create the op output; record a node when grads are being traced."""
+def _emit(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
+    """Create the op output; record a node when grads are being traced.
+
+    ``vjp(g)`` returns ``(parent, cotangent)`` pairs for the parents that
+    require grad."""
     _check_finite(data, op)
-    return _output(data, parents, vjp_builder, op)
+    return _output(data, parents, vjp, op)
 
 
-def _output(data: Array, parents: tuple[Tensor, ...], vjp_builder, op: str) -> Tensor:
+def _output(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     # ``_emit`` without the finite check, for ops that check another array
     needs = bool(_ACTIVE) and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=needs)
     if needs:
-        grad_parents = tuple(p for p in parents if p.requires_grad)
-        vjp = vjp_builder(grad_parents)
-        _ACTIVE[-1]._record(out, grad_parents, vjp, op)
+        _ACTIVE[-1]._record(out, tuple(p for p in parents if p.requires_grad), vjp, op)
     return out
 
 
@@ -369,15 +353,12 @@ def custom_op(data, parents: Sequence, vjp: Callable, op: str) -> Tensor:
     entries of parents that do not are ignored (they may be None). The output
     gets the same finite check as every built-in op. Reverse mode only.
     """
-    parents = tuple(_coerce(p) for p in parents)
+    parents = tuple(as_tensor(p) for p in parents)
 
-    def build(grad_parents):
-        def node_vjp(g):
-            return [(p, gp) for p, gp in zip(parents, vjp(g)) if p.requires_grad]
+    def node_vjp(g):
+        return [(p, gp) for p, gp in zip(parents, vjp(g)) if p.requires_grad]
 
-        return node_vjp
-
-    return _emit(_as_array(data), parents, build, op)
+    return _emit(_as_array(data), parents, node_vjp, op)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -398,24 +379,21 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 def add(a, b):
     if _any_dual((a, b)):
         return _dual_op(add, (a, b), _add_tangent)
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_tensor(a), as_tensor(b)
     try:
         data = a.data + b.data
     except ValueError as e:
         raise ShapeError(str(e)) from None
 
-    def build(parents):
-        def vjp(g):
-            out = []
-            if a.requires_grad:
-                out.append((a, _unbroadcast(g, a.data.shape)))
-            if b.requires_grad:
-                out.append((b, _unbroadcast(g, b.data.shape)))
-            return out
+    def vjp(g):
+        out = []
+        if a.requires_grad:
+            out.append((a, _unbroadcast(g, a.data.shape)))
+        if b.requires_grad:
+            out.append((b, _unbroadcast(g, b.data.shape)))
+        return out
 
-        return vjp
-
-    return _emit(data, (a, b), build, "add")
+    return _emit(data, (a, b), vjp, "add")
 
 
 def sub(a, b):
@@ -425,66 +403,56 @@ def sub(a, b):
 def mul(a, b):
     if _any_dual((a, b)):
         return _dual_op(mul, (a, b), _mul_tangent)
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_tensor(a), as_tensor(b)
     try:
         data = a.data * b.data
     except ValueError as e:
         raise ShapeError(str(e)) from None
     ad, bd = a.data, b.data
 
-    def build(parents):
-        def vjp(g):
-            out = []
-            if a.requires_grad:
-                out.append((a, _unbroadcast(g * bd, ad.shape)))
-            if b.requires_grad:
-                out.append((b, _unbroadcast(g * ad, bd.shape)))
-            return out
+    def vjp(g):
+        out = []
+        if a.requires_grad:
+            out.append((a, _unbroadcast(g * bd, ad.shape)))
+        if b.requires_grad:
+            out.append((b, _unbroadcast(g * ad, bd.shape)))
+        return out
 
-        return vjp
-
-    return _emit(data, (a, b), build, "mul")
+    return _emit(data, (a, b), vjp, "mul")
 
 
 def div(a, b):
     if _any_dual((a, b)):
         return _dual_op(div, (a, b), _div_tangent)
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_tensor(a), as_tensor(b)
     try:
         data = a.data / b.data
     except ValueError as e:
         raise ShapeError(str(e)) from None
     ad, bd = a.data, b.data
 
-    def build(parents):
-        def vjp(g):
-            out = []
-            if a.requires_grad:
-                out.append((a, _unbroadcast(g / bd, ad.shape)))
-            if b.requires_grad:
-                out.append((b, _unbroadcast(-g * ad / (bd * bd), bd.shape)))
-            return out
+    def vjp(g):
+        out = []
+        if a.requires_grad:
+            out.append((a, _unbroadcast(g / bd, ad.shape)))
+        if b.requires_grad:
+            out.append((b, _unbroadcast(-g * ad / (bd * bd), bd.shape)))
+        return out
 
-        return vjp
-
-    return _emit(data, (a, b), build, "div")
+    return _emit(data, (a, b), vjp, "div")
 
 
 def neg(a):
     if isinstance(a, DualTensor):
         return _dual_op(neg, (a,), lambda y, xs, ts: -ts[0])
-    a = _coerce(a)
-
-    def build(parents):
-        return lambda g: [(a, -g)]
-
-    return _emit(-a.data, (a,), build, "neg")
+    a = as_tensor(a)
+    return _emit(-a.data, (a,), lambda g: [(a, -g)], "neg")
 
 
 def matmul(a, b):
     if _any_dual((a, b)):
         return _dual_op(matmul, (a, b), _matmul_tangent)
-    a, b = _coerce(a), _coerce(b)
+    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim == 0 or b.data.ndim == 0:
         raise ShapeError("matmul requires rank >= 1 operands")
     if a.data.shape[-1] != b.data.shape[0]:
@@ -492,30 +460,21 @@ def matmul(a, b):
     data = a.data @ b.data
     ad, bd = a.data, b.data
 
-    def build(parents):
-        def vjp(g):
-            out = []
-            if a.requires_grad:
-                if ad.ndim == 1 and bd.ndim == 2:
-                    ga = bd @ g
-                elif ad.ndim == 2 and bd.ndim == 1:
-                    ga = np.outer(g, bd)
-                else:
-                    ga = g @ bd.T
-                out.append((a, ga))
-            if b.requires_grad:
-                if ad.ndim == 1 and bd.ndim == 2:
-                    gb = np.outer(ad, g)
-                elif ad.ndim == 2 and bd.ndim == 1:
-                    gb = ad.T @ g
-                else:
-                    gb = ad.T @ g
-                out.append((b, gb))
-            return out
+    def vjp(g):
+        out = []
+        if a.requires_grad:
+            if ad.ndim == 1 and bd.ndim == 2:
+                ga = bd @ g
+            elif ad.ndim == 2 and bd.ndim == 1:
+                ga = np.outer(g, bd)
+            else:
+                ga = g @ bd.T
+            out.append((a, ga))
+        if b.requires_grad:
+            out.append((b, np.outer(ad, g) if ad.ndim == 1 and bd.ndim == 2 else ad.T @ g))
+        return out
 
-        return vjp
-
-    return _emit(data, (a, b), build, "matmul")
+    return _emit(data, (a, b), vjp, "matmul")
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +487,10 @@ def _unary(a, fwd: Callable[[Array], Array], dydx: Callable[[Array, Array], Arra
         return _dual_op(
             lambda x: _unary(x, fwd, dydx, op), (a,), lambda y, xs, ts: dydx(xs[0], y) * ts[0]
         )
-    a = _coerce(a)
+    a = as_tensor(a)
     y = fwd(a.data)
     x = a.data
-
-    def build(parents):
-        return lambda g: [(a, g * dydx(x, y))]
-
-    return _emit(y, (a,), build, op)
+    return _emit(y, (a,), lambda g: [(a, g * dydx(x, y))], op)
 
 
 def tanh(a):
@@ -551,8 +506,8 @@ def dense(x, W, b, tanh: bool = True):
       untraced and unchecked (inference);
     * a Tensor gives one tape node whose VJP is written out, with one finite
       check on the pre-activation (tanh of a finite value is finite);
-    * a DualTensor sends its primal through this op, so a Tensor primal is
-      taped, and carries the tangent ``(1 - y*y) * (t @ W)``.
+    * a DualTensor sends its primal through the Tensor path, recorded as
+      that path would be, and carries the tangent ``(1 - y*y) * (t @ W)``.
 
     Every path runs the ops of ``matmul`` -> ``add`` -> ``tanh`` in their
     order, so values, cotangents and tangents equal that chain's bit for bit.
@@ -562,11 +517,10 @@ def dense(x, W, b, tanh: bool = True):
             return kernels.affine_tanh(x, W.data, b.data)
         return kernels.affine(x, W.data, b.data)
     if isinstance(x, DualTensor):
-        p = x.primal
-        y = dense(_coerce(p), W, b, tanh)
+        y = _dense_node(x.primal, W, b, tanh)
         yd, tw = y.data, x.tangent @ W.data
-        return DualTensor(y if isinstance(p, Tensor) else yd, (1.0 - yd * yd) * tw if tanh else tw)
-    return _dense_node(_coerce(x), W, b, tanh)
+        return DualTensor(y, (1.0 - yd * yd) * tw if tanh else tw)
+    return _dense_node(as_tensor(x), W, b, tanh)
 
 
 def _dense_node(x: Tensor, W: Tensor, b: Tensor, tanh: bool) -> Tensor:
@@ -581,21 +535,18 @@ def _dense_node(x: Tensor, W: Tensor, b: Tensor, tanh: bool) -> Tensor:
     if tanh:
         np.tanh(y, out=y)
 
-    def build(parents):
-        def vjp(g):
-            gp = g * (1.0 - y * y) if tanh else g
-            out = []
-            if x.requires_grad:
-                out.append((x, gp @ Wd.T))
-            if W.requires_grad:
-                out.append((W, xd.T @ gp))
-            if b.requires_grad:
-                out.append((b, gp.sum(axis=0)))
-            return out
+    def vjp(g):
+        gp = g * (1.0 - y * y) if tanh else g
+        out = []
+        if x.requires_grad:
+            out.append((x, gp @ Wd.T))
+        if W.requires_grad:
+            out.append((W, xd.T @ gp))
+        if b.requires_grad:
+            out.append((b, gp.sum(axis=0)))
+        return out
 
-        return vjp
-
-    return _output(y, (x, W, b), build, "dense")
+    return _output(y, (x, W, b), vjp, "dense")
 
 
 def relu(a):
@@ -650,42 +601,31 @@ def square(a):
 def reshape(a, shape):
     if isinstance(a, DualTensor):
         return _dual_op(lambda x: reshape(x, shape), (a,), lambda y, xs, ts: ts[0].reshape(shape))
-    a = _coerce(a)
+    a = as_tensor(a)
     old = a.data.shape
-
-    def build(parents):
-        return lambda g: [(a, g.reshape(old))]
-
-    return _emit(a.data.reshape(shape), (a,), build, "reshape")
+    return _emit(a.data.reshape(shape), (a,), lambda g: [(a, g.reshape(old))], "reshape")
 
 
 def transpose(a):
     if isinstance(a, DualTensor):
         return _dual_op(transpose, (a,), lambda y, xs, ts: ts[0].T)
-    a = _coerce(a)
-
-    def build(parents):
-        return lambda g: [(a, g.T)]
-
-    return _emit(a.data.T.copy(), (a,), build, "transpose")
+    a = as_tensor(a)
+    return _emit(a.data.T.copy(), (a,), lambda g: [(a, g.T)], "transpose")
 
 
 def take(a, key):
     """Basic slicing/indexing along any axes (numpy semantics)."""
     if isinstance(a, DualTensor):
         return _dual_op(lambda x: take(x, key), (a,), lambda y, xs, ts: ts[0][key])
-    a = _coerce(a)
+    a = as_tensor(a)
     shape = a.data.shape
 
-    def build(parents):
-        def vjp(g):
-            full = np.zeros(shape)
-            np.add.at(full, key, g)
-            return [(a, full)]
+    def vjp(g):
+        full = np.zeros(shape)
+        np.add.at(full, key, g)
+        return [(a, full)]
 
-        return vjp
-
-    return _emit(a.data[key], (a,), build, "slice")
+    return _emit(a.data[key], (a,), vjp, "slice")
 
 
 def concat(parts: Sequence, axis: int = 1):
@@ -698,7 +638,7 @@ def concat(parts: Sequence, axis: int = 1):
             )
 
         return _dual_op(lambda *ps: concat(ps, axis), parts, tangent)
-    ts = [_coerce(p) for p in parts]
+    ts = [as_tensor(p) for p in parts]
     try:
         data = np.concatenate([t.data for t in ts], axis=axis)
     except ValueError as e:
@@ -706,19 +646,16 @@ def concat(parts: Sequence, axis: int = 1):
     sizes = [t.data.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
-    def build(parents):
-        def vjp(g):
-            out = []
-            sl = [slice(None)] * g.ndim
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    sl[axis] = slice(lo, hi)
-                    out.append((t, g[tuple(sl)]))
-            return out
+    def vjp(g):
+        out = []
+        sl = [slice(None)] * g.ndim
+        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                sl[axis] = slice(lo, hi)
+                out.append((t, g[tuple(sl)]))
+        return out
 
-        return vjp
-
-    return _emit(data, tuple(ts), build, "concat")
+    return _emit(data, tuple(ts), vjp, "concat")
 
 
 def _reduce(a, np_fn, scale_fn, axis, op):
@@ -726,22 +663,19 @@ def _reduce(a, np_fn, scale_fn, axis, op):
         return _dual_op(
             lambda x: _reduce(x, np_fn, scale_fn, axis, op), (a,), lambda y, xs, ts: np_fn(ts[0], axis=axis)
         )
-    a = _coerce(a)
+    a = as_tensor(a)
     data = np_fn(a.data, axis=axis)
     shape = a.data.shape
     scale = scale_fn(shape, axis)
 
-    def build(parents):
-        def vjp(g):
-            if axis is None:
-                full = np.broadcast_to(g, shape) * scale
-            else:
-                full = np.broadcast_to(np.expand_dims(g, axis), shape) * scale
-            return [(a, full.copy())]
+    def vjp(g):
+        if axis is None:
+            full = np.broadcast_to(g, shape) * scale
+        else:
+            full = np.broadcast_to(np.expand_dims(g, axis), shape) * scale
+        return [(a, full.copy())]
 
-        return vjp
-
-    return _emit(data, (a,), build, op)
+    return _emit(data, (a,), vjp, op)
 
 
 def sum_(a, axis=None):
@@ -759,9 +693,8 @@ def mean_(a, axis=None):
 def stop_gradient(a):
     """Pass the value through; block both cotangent and tangent flow."""
     if isinstance(a, DualTensor):
-        p = stop_gradient(a.primal)
-        return DualTensor(p if isinstance(a.primal, Tensor) else p.data, np.zeros(a.shape))
-    a = _coerce(a)
+        return DualTensor(stop_gradient(a.primal), np.zeros(a.shape))
+    a = as_tensor(a)
     return Tensor(a.data.copy(), requires_grad=False)
 
 
@@ -773,16 +706,14 @@ def jvp(fn: Callable, inputs: Iterable, tangents: Iterable) -> tuple[Tensor, Ten
     """Directional derivative of ``fn`` at ``inputs`` along ``tangents``.
 
     One dual-number forward pass: returns (value, J @ tangents). ``fn`` must
-    be built from the ops in this module.
+    be built from the ops in this module. The pass records nothing, even
+    under an active graph.
     """
-    duals = []
-    for x, t in zip(list(inputs), list(tangents), strict=True):
-        xv = x.data if isinstance(x, Tensor) else _as_array(x)
-        tv = t.data if isinstance(t, Tensor) else _as_array(t)
-        duals.append(DualTensor(xv, tv))
-    out = fn(*duals)
+    duals = [DualTensor(value_of(x), value_of(t)) for x, t in zip(list(inputs), list(tangents), strict=True)]
+    with no_record():
+        out = fn(*duals)
     if not isinstance(out, DualTensor):
         # function ignored its inputs entirely; tangent is exactly zero
-        out_t = out if isinstance(out, Tensor) else Tensor(out)
-        return out_t, Tensor(np.zeros_like(out_t.data))
-    return Tensor(out.primal), Tensor(out.tangent)
+        out = as_tensor(out)
+        return out, Tensor(np.zeros_like(out.data))
+    return out.primal, Tensor(out.tangent)

@@ -11,15 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, custom_op, exp, log, sqrt, square
+from .autodiff import Tensor, as_tensor, custom_op, exp, log, sqrt, square, value_of
 
 DISP_KINDS = ("nce-l2", "nce-cos", "hinge", "cov", "none")
 
 _MASK_NEG = -1e30  # additive mask: exp() underflows to exactly 0
-
-
-def _as_tensor(H) -> Tensor:
-    return H if isinstance(H, Tensor) else Tensor(H)
 
 
 def _require_batch(H: Tensor) -> int:
@@ -49,7 +45,7 @@ def nce_l2(H, temperature: float) -> Tensor:
     averaged over the batch. The asymmetric numerator (+norm, not -self-distance)
     is intentional and makes the loss scale-sensitive.
     """
-    H = _as_tensor(H)
+    H = as_tensor(H)
     B = _require_batch(H)
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -65,7 +61,7 @@ def nce_cos(H, temperature: float) -> Tensor:
     Rows with norm < 1e-12 are treated as similarity 0 to every other row so
     the loss stays defined at initialization.
     """
-    H = _as_tensor(H)
+    H = as_tensor(H)
     B = _require_batch(H)
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -88,7 +84,7 @@ def hinge(H, margin: float) -> Tensor:
     an identical row is exactly 0. The gradient is 0 at the kinks: for pairs
     at distance 0 (sqrt) and pairs exactly at the margin (relu).
     """
-    H = _as_tensor(H)
+    H = as_tensor(H)
     B = _require_batch(H)
     if margin <= 0:
         raise ValueError("margin must be positive")
@@ -119,7 +115,7 @@ def hinge(H, margin: float) -> Tensor:
 
 def cov_loss(H) -> Tensor:
     """Squared off-diagonal entries of the sample covariance, averaged by d_h."""
-    H = _as_tensor(H)
+    H = as_tensor(H)
     B = _require_batch(H)
     d_h = H.data.shape[1]
     Hc = H - H.mean(axis=0)
@@ -150,7 +146,7 @@ def effective_rank(H, tol: float = 1e-3) -> int:
     The collapse diagnostic: identical rows give 0; a well-spread batch
     approaches min(B - 1, d_h).
     """
-    arr = H.data if isinstance(H, Tensor) else np.asarray(H, dtype=np.float64)
+    arr = value_of(H)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("effective_rank needs a (B >= 2, d_h) matrix")
     centered = arr - arr.mean(axis=0)

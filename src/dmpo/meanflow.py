@@ -124,9 +124,9 @@ def target_velocity(net, z, r, tau, obs, v, h=None):
 
     Without ``h`` the pass encodes ``obs`` itself, records nothing and only
     the target is returned. Given the step's embedding ``h`` (traced or
-    not), the pass runs over Tensors: it returns ``(u, u_tgt)``, where ``u``
-    is the prediction u(z, r, tau, h) recorded on the active graph and
-    ``u_tgt`` is the same target, bit for bit.
+    not), it returns ``(u, u_tgt)``, where ``u`` is the prediction
+    u(z, r, tau, h) recorded on the active graph and ``u_tgt`` is the same
+    target, bit for bit.
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
@@ -134,15 +134,12 @@ def target_velocity(net, z, r, tau, obs, v, h=None):
     tau_col = np.asarray(tau, dtype=np.float64).reshape(-1, 1)
     ones = np.ones_like(tau_col)
     if h is None:
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         with no_record():
-            u = net.velocity(
-                DualTensor(z, v), Tensor(r_col), DualTensor(tau_col, ones), h=net.encode(Tensor(obs))
-            )
+            h = net.encode(Tensor(np.atleast_2d(obs)))
+            u = net.velocity(DualTensor(z, v), Tensor(r_col), DualTensor(tau_col, ones), h=h)
         return v - (tau_col - r_col) * u.tangent
-    u = net.velocity(DualTensor(Tensor(z), v), Tensor(r_col), DualTensor(Tensor(tau_col), ones), h=h)
-    pred = u.primal if isinstance(u.primal, Tensor) else Tensor(u.primal)
-    return pred, v - (tau_col - r_col) * u.tangent
+    u = net.velocity(DualTensor(z, v), Tensor(r_col), DualTensor(tau_col, ones), h=h)
+    return u.primal, v - (tau_col - r_col) * u.tangent
 
 
 def mf_loss(net: VelocityNet, batch: Stage1Batch, h=None, u_tgt: np.ndarray | None = None) -> Tensor:

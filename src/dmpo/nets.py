@@ -7,9 +7,10 @@ velocity. The encoder output is what the dispersive regularizers act on;
 trunk parameters never influence ``encode``.
 
 Each net has one forward, built from ``autodiff.dense`` layers. The same
-method runs traced (reverse mode), dual (forward mode), both at once (duals
-over recorded Tensors: a taped forward with its directional derivative), or
-on plain arrays, where it records nothing and returns arrays.
+method runs traced (reverse mode), on duals (forward mode; under a graph the
+primal is taped as the traced forward would be, so one pass gives a taped
+forward and its directional derivative), or on plain arrays, where it
+records nothing and returns arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .autodiff import Tensor, concat, dense, value_of
+from .autodiff import Tensor, as_tensor, concat, dense, value_of
 
 
 def _uniform_fan_in(rng: np.random.Generator, fan_in: int, fan_out: int):
@@ -187,7 +188,7 @@ def init_value_net(seed: int, d_obs: int, width: int = 64) -> ValueNet:
 
 
 def encode(net: VelocityNet, obs_batch) -> Tensor:
-    obs = obs_batch if isinstance(obs_batch, Tensor) else Tensor(obs_batch)
+    obs = as_tensor(obs_batch)
     if obs.data.ndim != 2 or obs.data.shape[1] != net.d_obs:
         raise ValueError(f"obs batch must be (B, {net.d_obs}), got {obs.data.shape}")
     return net.encode(obs)
@@ -267,8 +268,7 @@ def clip_grad_norm(grads: dict[Tensor, np.ndarray], max_norm: float) -> float:
     The gradients are gathered into one flat buffer: one dot product gives
     the norm, and when it exceeds the cap one in-place multiply scales them
     all and the dict entries become views of that buffer. The arrays passed
-    in, which ``Graph.backward`` also stores as ``Tensor.grad``, are never
-    written.
+    in are never written.
     """
     if not grads:
         return 0.0

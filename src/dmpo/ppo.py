@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .autodiff import Graph, Tensor, custom_op, exp, log, square
+from .autodiff import Graph, Tensor, as_tensor, custom_op, exp, log, square, value_of
 from .io import write_metrics_csv
 from .nets import Adam, clip_grad_norm, init_value_net
 from .sampler import LOG_2PI, chain_logprob_traced, sample_chain_batch, step_entropy
@@ -87,10 +87,18 @@ class Stage2Config:
             raise ValueError("bc_decay_start must be < bc_decay_end")
         if self.K < 1 or self.sigma <= 0:
             raise ValueError("need K >= 1 and sigma > 0")
-        if min(self.iterations, self.epochs, self.rollout_steps) < 0:
+        if min(self.iterations, self.epochs) < 0:
             raise ValueError("loop sizes must be nonnegative")
         if self.n_envs < 1 or self.minibatch_size < 1:
             raise ValueError("n_envs and minibatch_size must be >= 1")
+        # each env steps rollout_steps // n_envs times per iteration
+        if self.rollout_steps < self.n_envs:
+            raise ValueError("rollout_steps must be >= n_envs")
+        if self.rollout_steps % self.n_envs:
+            raise ValueError(
+                f"rollout_steps ({self.rollout_steps}) must be a multiple of n_envs ({self.n_envs}); "
+                f"the last {self.rollout_steps % self.n_envs} steps would never be collected"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +132,13 @@ def gae(rewards, values, dones, gamma, lam):
 
 def ppo_ratio(new_logprob, old_logprob):
     """exp(new - old); raises OverflowError with diagnostics instead of inf."""
-    new_arr = new_logprob.data if isinstance(new_logprob, Tensor) else np.asarray(new_logprob, dtype=np.float64)
-    old_arr = old_logprob.data if isinstance(old_logprob, Tensor) else np.asarray(old_logprob, dtype=np.float64)
+    new_arr, old_arr = value_of(new_logprob), value_of(old_logprob)
     if not (np.all(np.isfinite(new_arr)) and np.all(np.isfinite(old_arr))):
         raise ValueError("log-probabilities must be finite")
     diff_max = float(np.max(new_arr - old_arr))
     if diff_max > 700.0:
         raise OverflowError(f"probability ratio overflow: max log-prob difference {diff_max:.3f}")
-    new_t = new_logprob if isinstance(new_logprob, Tensor) else Tensor(new_arr)
-    return exp(new_t - Tensor(old_arr))
+    return exp(as_tensor(new_logprob) - Tensor(old_arr))
 
 
 def clipped_pg_loss(rho, adv, clip_eps: float):
@@ -143,8 +149,8 @@ def clipped_pg_loss(rho, adv, clip_eps: float):
     band, where the two coincide) and at theta == theta_old the gradient is
     the plain policy gradient.
     """
-    rho_t = rho if isinstance(rho, Tensor) else Tensor(np.asarray(rho, dtype=np.float64))
-    a = adv.data if isinstance(adv, Tensor) else np.asarray(adv, dtype=np.float64)
+    rho_t = as_tensor(rho)
+    a = value_of(adv)
     r = rho_t.data
     lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
     unclipped = -a * r
@@ -161,9 +167,7 @@ def clipped_pg_loss(rho, adv, clip_eps: float):
 
 def value_loss(v_pred, returns):
     """0.5 * mean squared error between predictions and returns."""
-    v_t = v_pred if isinstance(v_pred, Tensor) else Tensor(np.asarray(v_pred, dtype=np.float64))
-    r_c = Tensor(returns.data if isinstance(returns, Tensor) else np.asarray(returns, dtype=np.float64))
-    return 0.5 * square(v_t - r_c).mean()
+    return 0.5 * square(as_tensor(v_pred) - Tensor(value_of(returns))).mean()
 
 
 def bc_loss(frozen_net, current_net, obs_batch, shared_noise, h=None):
@@ -303,8 +307,6 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
     """
     E = len(envs_list)
     T = config.rollout_steps // E
-    if T < 1:
-        raise ValueError("rollout_steps must be >= n_envs")
     d_obs = nets.policy.d_obs
     d_a = nets.policy.d_a
     sigma = np.exp(nets.log_sigma.data) if nets.log_sigma is not None else config.sigma

@@ -386,6 +386,7 @@ def test_c10_single_demo_one_step_fit():
 # 11. collapse-prevention direction
 
 
+@pytest.mark.slow
 def test_c11_collapse_prevention_direction():
     bandit = gen_demos("modal-bandit", 512, seed=0)
     probe = bandit.obs[:256]
@@ -433,6 +434,7 @@ def _finetune_arm(net, lam_bc, seed):
     return evaluate(policy, "point-reach-shifted", 50, 1, seed=777)
 
 
+@pytest.mark.slow
 def test_c12a_ppo_bc_improves_return(shifted_task_baseline):
     t0 = time.time()
     net, base = shifted_task_baseline
@@ -449,6 +451,7 @@ def test_c12a_ppo_bc_improves_return(shifted_task_baseline):
                 f"({base.mean_return:.1f} -> {np.mean(results):.1f} mean) in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_c12b_no_bc_collapses_below_baseline(shifted_task_baseline):
     # Known-red by design at the shipped configuration (the one where 12a
     # holds): with the task's +-0.2 action box and sigma = 0.01, the

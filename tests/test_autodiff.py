@@ -317,16 +317,52 @@ def test_stop_gradient_blocks_both_modes():
     d = DualTensor(np.array([1.0]), np.array([1.0]))
     out = stop_gradient(d * 2.0)
     np.testing.assert_array_equal(out.tangent, [0.0])
-    np.testing.assert_array_equal(out.primal, [2.0])
+    np.testing.assert_array_equal(out.primal.data, [2.0])
 
 
-def test_second_backward_accumulates_into_grad():
-    x = Tensor(2.0, requires_grad=True)
+def test_backward_twice_gives_equal_grads_and_mutates_no_tensor():
+    rng = np.random.default_rng(3)
+    x, w = Tensor(_rand(rng, 2, 3), requires_grad=True), Tensor(_rand(rng, 3, 2), requires_grad=True)
     with Graph() as g:
-        loss = ad.square(x)
-    g.backward(loss)
-    g.backward(loss)
-    assert x.grad == pytest.approx(8.0)
+        loss = ad.tanh(x @ w).sum()
+    recorded = {t: t.data.copy() for n in g.nodes for t in (n.out, *n.parents)}
+    first, second = g.backward(loss), g.backward(loss)
+    assert list(first) == list(second) == [x, w]
+    for t in (x, w):
+        assert first[t] is not second[t]
+        np.testing.assert_array_equal(first[t], second[t])
+    for t, before in recorded.items():
+        np.testing.assert_array_equal(t.data, before)
+        assert not hasattr(t, "grad")
+
+
+def test_backward_leaves_in_order_of_first_use():
+    # clip_grad_norm sums the gradients in this order, so it fixes the
+    # rounding of the global norm
+    a, b, c = (Tensor(np.full(2, v), requires_grad=True) for v in (1.0, 2.0, 3.0))
+    with Graph() as g:
+        hidden = c * b  # c first, then b
+        loss = (hidden * a + b).sum() + (c * 0.0).sum()
+    assert list(g.backward(loss)) == [c, b, a]
+    # a leaf the output does not depend on is left out
+    with Graph() as g:
+        first = (a * b).sum()
+        _ = (c * 2.0).sum()
+    assert list(g.backward(first)) == [a, b]
+
+
+def test_jvp_under_a_graph_records_nothing():
+    from dmpo.nets import init_velocity_net
+
+    net = init_velocity_net(5, 3, 2)
+    rng = np.random.default_rng(5)
+    z, r, tau = rng.normal(size=(4, 2)), np.full((4, 1), 0.2), np.full((4, 1), 0.7)
+    h = net.encode(Tensor(rng.normal(size=(4, 3))))
+    with Graph() as g:
+        value, tangent = jvp(lambda z, tau: net.velocity(z, Tensor(r), tau, h=h), [z, tau],
+                             [np.ones((4, 2)), np.ones((4, 1))])
+    assert g.nodes == []
+    assert not value.requires_grad and value.shape == tangent.shape == (4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +502,7 @@ def test_dense_jvp_vs_fd(tanh, x_traced):
         value = out.primal.data
     else:
         out = ad.dense(DualTensor(x0, t0), W, b, tanh)
-        value = out.primal
+        value = out.primal.data
     np.testing.assert_array_equal(value, _dense_np(x0, W0, b0, tanh))
     want = fd_directional(lambda x: _dense_np(x, W0, b0, tanh), [x0], [t0])
     assert rel_err(out.tangent, want) < 1e-4

@@ -215,6 +215,14 @@ def test_taped_jvp_pass_target_equals_untaped_target():
     np.testing.assert_array_equal(got[[1, 4]], v[[1, 4]])
 
 
+def test_untaped_target_under_a_graph_records_nothing():
+    net, obs, z, r, tau, v = _jvp_case()
+    with Graph() as g:
+        got = target_velocity(net, z, r, tau, obs, v)
+    assert g.nodes == []
+    assert isinstance(got, np.ndarray) and got.shape == v.shape
+
+
 def test_taped_jvp_pass_prediction_equals_traced_forward():
     net, obs, z, r, tau, v = _jvp_case()
     with Graph() as g_dual:

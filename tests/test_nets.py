@@ -303,12 +303,25 @@ def test_clip_grad_norm_all_zero_and_empty():
 
 
 def test_clip_grad_norm_leaves_tensor_grad_unchanged():
-    # Graph.backward stores the returned arrays as Tensor.grad too
+    # the arrays Graph.backward returned are not written
     x = Tensor(np.array([3.0, 4.0]), requires_grad=True)
     with Graph() as g:
         loss = (x * x).sum()
     grads = g.backward(loss)
-    assert grads[x] is x.grad
+    returned = grads[x]
     assert clip_grad_norm(grads, 1.0) == pytest.approx(10.0, rel=1e-15)
-    np.testing.assert_array_equal(x.grad, [6.0, 8.0])
+    np.testing.assert_array_equal(returned, [6.0, 8.0])
     np.testing.assert_allclose(grads[x], [0.6, 0.8], rtol=1e-15)
+
+
+def test_clip_grad_norm_scales_aliased_gradients_once():
+    # add passes its cotangent through unchanged, so both leaves get one array
+    a = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with Graph() as g:
+        loss = (a + b).sum()
+    grads = g.backward(loss)
+    assert grads[a] is grads[b]
+    assert clip_grad_norm(grads, 1.0) == pytest.approx(2.0, rel=1e-15)
+    for t in (a, b):
+        np.testing.assert_allclose(grads[t], [0.5, 0.5], rtol=1e-15)

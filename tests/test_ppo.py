@@ -488,6 +488,20 @@ def test_stage2_config_rejects_zero_envs_and_minibatch(field):
         Stage2Config(**{field: 0})
 
 
+def test_stage2_config_rejects_fewer_rollout_steps_than_envs():
+    with pytest.raises(ValueError, match="rollout_steps must be >= n_envs"):
+        Stage2Config(rollout_steps=4, n_envs=8)
+    with pytest.raises(ValueError, match="rollout_steps must be >= n_envs"):
+        Stage2Config(rollout_steps=0, n_envs=1)
+
+
+def test_stage2_config_rejects_rollout_steps_not_a_multiple_of_envs():
+    # 100 // 8 would collect 96 rows and drop 4 without a word
+    with pytest.raises(ValueError, match=r"rollout_steps \(100\) must be a multiple of n_envs \(8\).*last 4 steps"):
+        Stage2Config(rollout_steps=100, n_envs=8)
+    assert Stage2Config(rollout_steps=96, n_envs=8).rollout_steps == 96
+
+
 def test_c12a_config_minibatch_tape_has_33_nodes(monkeypatch):
     # K=1, fixed sigma: every MLP layer is one dense node
     net = _pretrained()
