@@ -19,10 +19,12 @@ Three pieces:
 Every op output is checked for NaN/Inf and raises ``NonFiniteError`` rather
 than propagating silently. Supported rank is <= 2; broadcasting follows
 numpy within that limit. :func:`custom_op` records a fused computation with
-a hand-written VJP as a single tape node; :func:`dense`, the network layer,
-is one node in reverse mode, carries its own tangent rule in forward mode,
-and runs plain-array kernels on ndarray input. An op hands the tape its VJP
-``vjp(g) -> [(parent, cotangent), ...]`` directly.
+a hand-written VJP as a single tape node; :func:`weighted_sum` (a weighted
+total of losses) is one, and :func:`row_sq_mean` gives the loss heads built
+that way their squared-distance arithmetic. :func:`dense`, the network
+layer, is one node in reverse mode, carries its own tangent rule in forward
+mode, and runs plain-array kernels on ndarray input. An op hands the tape
+its VJP ``vjp(g) -> [(parent, cotangent), ...]`` directly.
 """
 
 from __future__ import annotations
@@ -359,6 +361,38 @@ def custom_op(data, parents: Sequence, vjp: Callable, op: str) -> Tensor:
         return [(p, gp) for p, gp in zip(parents, vjp(g)) if p.requires_grad]
 
     return _emit(_as_array(data), parents, node_vjp, op)
+
+
+def weighted_sum(terms: Sequence, weights: Sequence[float], op: str) -> Tensor:
+    """``w0 * t0 + w1 * t1 + ...`` of scalar Tensors, summed left to right,
+    as one node; term i's cotangent is ``g * w_i``.
+
+    These are the values and cotangents of the op chain, bit for bit; a
+    weight of 1.0 multiplies exactly, so ``[t0, t1], [1.0, w]`` is
+    ``t0 + w * t1``.
+    """
+    terms = [as_tensor(t) for t in terms]
+    ws = [float(w) for w in weights]
+    acc = ws[0] * terms[0].data
+    for w, t in zip(ws[1:], terms[1:]):
+        acc = acc + w * t.data
+    return custom_op(acc, terms, lambda g: [g * w for w in ws], op)
+
+
+def row_sq_mean(e: Array):
+    """``square(e).sum(axis=1).mean()`` of a (B, d) array, and the map from
+    that scalar's cotangent ``g`` to the cotangent of ``e``.
+
+    Both repeat the op chain's arithmetic (the mean's VJP
+    ``broadcast(g) * (1/B)``, then square's ``g * (2e)``), so a loss head
+    built on them as one ``custom_op`` node matches the chain bit for bit.
+    """
+    B = e.shape[0]
+
+    def grad(g):
+        return (np.broadcast_to(g, (B,)) * (1.0 / B))[:, None] * (2.0 * e)
+
+    return np.square(e).sum(axis=1).mean(), grad
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:

@@ -8,6 +8,9 @@ own directional derivative along (v, 0, 1) but is treated as a constant
 A training step runs one forward: the encoder once, then one dual-number
 velocity pass over recorded Tensors that yields the taped prediction and,
 as a constant, its derivative in tau (MeanFlow's ``u, dudt = jvp(...)``).
+The squared distance to the target and the total ``mf + alpha * disp`` are
+one tape node each, with the arithmetic of the op chains they replace, so a
+hinge step tapes 9 nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DualTensor, Graph, Tensor, no_record, square
+from .autodiff import DualTensor, Graph, Tensor, custom_op, no_record, row_sq_mean, weighted_sum
 from .dispersive import DISP_KINDS, dispersive_loss, effective_rank
 from .io import write_metrics_csv
 from .nets import Adam, VelocityNet, init_velocity_net
@@ -148,7 +151,8 @@ def mf_loss(net: VelocityNet, batch: Stage1Batch, h=None, u_tgt: np.ndarray | No
     ``h`` is the batch embedding (encoded here when not given). Unless the
     target is supplied, one ``target_velocity`` pass gives both the
     prediction and the target; the returned scalar is differentiable
-    through the prediction branch only.
+    through the prediction branch only. The squared distance
+    ``square(u - sg(u_tgt)).sum(1).mean()`` is one tape node.
     """
     z = interpolate(batch.actions, batch.noise, batch.tau[:, None])
     if h is None:
@@ -158,7 +162,8 @@ def mf_loss(net: VelocityNet, batch: Stage1Batch, h=None, u_tgt: np.ndarray | No
         u, u_tgt = target_velocity(net, z, batch.r, batch.tau, batch.obs, v, h=h)
     else:
         u = net.velocity(Tensor(z), Tensor(batch.r[:, None]), Tensor(batch.tau[:, None]), h=h)
-    return square(u - Tensor(u_tgt)).sum(axis=1).mean()
+    loss, grad = row_sq_mean(u.data + -u_tgt)
+    return custom_op(loss, (u,), lambda g: (grad(g),), "mf_dist")
 
 
 def pretrain(dataset, config: Stage1Config, metrics_path=None):
@@ -205,7 +210,7 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
                     mf = mf_loss(net, batch, h=h)
                     if use_disp and B >= 2:
                         disp = dispersive_loss(h, config)
-                        total = mf + config.alpha_disp * disp
+                        total = weighted_sum([mf, disp], [1.0, config.alpha_disp], "stage1_total")
                         disp_val = disp.item()
                     else:
                         total = mf

@@ -13,10 +13,14 @@ sigma-differentiable.
 
 Per minibatch the policy encoder runs once, traced, and its embedding feeds
 both the chain log-prob and the BC term; the frozen BC reference runs on
-the plain-array forward and adds nothing to the tape. Each transition's
-Gaussian log-density and the clipped surrogate are single tape nodes with
-hand-written VJPs (``autodiff.custom_op``). Rollouts are collected as
-stacked arrays, one ``[:, t]`` row per step across environments, and GAE
+the plain-array forward and adds nothing to the tape. Around the MLP layers
+every loss head is a single tape node with a hand-written VJP
+(``autodiff.custom_op``): each transition's Gaussian log-density, the ratio,
+the clipped surrogate, the value loss, the BC distance and the weighted
+total, so a K=1 fixed-sigma minibatch tapes 20 nodes. Each fused head
+repeats the arithmetic of the op chain it replaces, in the same order, so
+values and gradients equal that chain's bit for bit. Rollouts are collected
+as stacked arrays, one ``[:, t]`` row per step across environments, and GAE
 runs as one backward pass over the whole batch.
 """
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .autodiff import Graph, Tensor, as_tensor, custom_op, exp, log, square, value_of
+from .autodiff import Graph, Tensor, as_tensor, custom_op, exp, log, row_sq_mean, value_of, weighted_sum
 from .io import write_metrics_csv
 from .nets import Adam, clip_grad_norm, init_value_net
 from .sampler import LOG_2PI, chain_logprob_traced, sample_chain_batch, step_entropy
@@ -91,6 +95,10 @@ class Stage2Config:
             raise ValueError("loop sizes must be nonnegative")
         if self.n_envs < 1 or self.minibatch_size < 1:
             raise ValueError("n_envs and minibatch_size must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
+        if self.grad_clip < 0:
+            raise ValueError("grad_clip must be >= 0 (0 turns clipping off)")
         # each env steps rollout_steps // n_envs times per iteration
         if self.rollout_steps < self.n_envs:
             raise ValueError("rollout_steps must be >= n_envs")
@@ -127,18 +135,28 @@ def gae(rewards, values, dones, gamma, lam):
 
 
 # ---------------------------------------------------------------------------
-# surrogate pieces (op-composed: usable plain or under a tape)
+# surrogate pieces (single nodes: usable plain or under a tape)
 
 
 def ppo_ratio(new_logprob, old_logprob):
-    """exp(new - old); raises OverflowError with diagnostics instead of inf."""
-    new_arr, old_arr = value_of(new_logprob), value_of(old_logprob)
-    if not (np.all(np.isfinite(new_arr)) and np.all(np.isfinite(old_arr))):
+    """exp(new - old) as one tape node; raises OverflowError with
+    diagnostics instead of inf.
+
+    The difference is ``new + (-old)`` and the VJP ``g * rho``, as the op
+    chain ``exp(new - old)`` computes them; equal log-probs give exactly 1.
+    """
+    new = as_tensor(new_logprob)
+    old = value_of(old_logprob)
+    if not (np.all(np.isfinite(new.data)) and np.all(np.isfinite(old))):
         raise ValueError("log-probabilities must be finite")
-    diff_max = float(np.max(new_arr - old_arr))
+    diff = new.data + -old
+    if diff.shape != new.shape:
+        raise ValueError(f"old log-probs {old.shape} do not match new {new.shape}")
+    diff_max = float(np.max(diff))
     if diff_max > 700.0:
         raise OverflowError(f"probability ratio overflow: max log-prob difference {diff_max:.3f}")
-    return exp(as_tensor(new_logprob) - Tensor(old_arr))
+    rho = np.exp(diff)
+    return custom_op(rho, (new,), lambda g: (g * rho,), "ppo_ratio")
 
 
 def clipped_pg_loss(rho, adv, clip_eps: float):
@@ -166,8 +184,17 @@ def clipped_pg_loss(rho, adv, clip_eps: float):
 
 
 def value_loss(v_pred, returns):
-    """0.5 * mean squared error between predictions and returns."""
-    return 0.5 * square(as_tensor(v_pred) - Tensor(value_of(returns))).mean()
+    """0.5 * mean squared error between predictions and returns, as one tape
+    node with the arithmetic of ``0.5 * square(v - returns).mean()``."""
+    v = as_tensor(v_pred)
+    d = v.data + -value_of(returns)
+    if d.shape != v.shape:
+        raise ValueError(f"returns do not match predictions {v.shape}")
+
+    def vjp(g):
+        return ((np.broadcast_to(g * 0.5, d.shape) * (1.0 / d.size)) * (2.0 * d),)
+
+    return custom_op(0.5 * np.square(d).mean(), (v,), vjp, "value_loss")
 
 
 def bc_loss(frozen_net, current_net, obs_batch, shared_noise, h=None):
@@ -176,7 +203,9 @@ def bc_loss(frozen_net, current_net, obs_batch, shared_noise, h=None):
 
     ``h`` is the current net's embedding of ``obs_batch`` when the caller
     has already traced it. The frozen reference runs on the plain-array
-    forward and records nothing.
+    forward and records nothing. The distance head
+    ``square((z1 - u) - a_frozen).sum(1).mean()`` over the current velocity
+    ``u`` is one tape node.
     """
     obs = np.asarray(obs_batch, dtype=np.float64)
     z1 = np.asarray(shared_noise, dtype=np.float64)
@@ -189,8 +218,8 @@ def bc_loss(frozen_net, current_net, obs_batch, shared_noise, h=None):
     if h is None:
         h = current_net.encode(Tensor(obs))
     u_cur = current_net.velocity(Tensor(z1), Tensor(np.zeros((B, 1))), Tensor(np.ones((B, 1))), h=h)
-    a_cur = Tensor(z1) - u_cur
-    return square(a_cur - Tensor(a_frozen)).sum(axis=1).mean()
+    dist, grad = row_sq_mean((z1 + -u_cur.data) + -a_frozen)
+    return custom_op(dist, (u_cur,), lambda g: (-grad(g),), "bc_dist")
 
 
 def bc_schedule(n: int, config: Stage2Config) -> float:
@@ -264,7 +293,9 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     bc = bc_loss(nets.frozen, nets.policy, batch.obs, batch.bc_noise, h=h)
     lam_bc = bc_schedule(n, config)
 
-    total = pg + config.lam_value * v + config.lam_entropy * ent + lam_bc * bc
+    total = weighted_sum(
+        [pg, v, ent, bc], [1.0, config.lam_value, config.lam_entropy, lam_bc], "stage2_total"
+    )
     parts = {
         "pg": pg.item(),
         "v": v.item(),
@@ -305,7 +336,10 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
     all randomness comes from the per-env generator streams, so results do
     not depend on how rows are batched.
     """
-    E = len(envs_list)
+    E = config.n_envs
+    for name, given in (("envs_list", envs_list), ("env_rngs", env_rngs), ("obs_cur", obs_cur)):
+        if len(given) != E:
+            raise ValueError(f"{name} has {len(given)} entries but config.n_envs is {E}")
     T = config.rollout_steps // E
     d_obs = nets.policy.d_obs
     d_a = nets.policy.d_a
@@ -388,7 +422,10 @@ def compute_advantages(batch: RolloutBatch, value_net, config: Stage2Config) -> 
 def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=None):
     """Full Algorithm: iterate collect -> GAE -> minibatch epochs on the
     joint loss. Returns (policy, value_net, metrics rows). The frozen BC
-    reference is a clone of the input and is never updated."""
+    reference is a clone of the input and is never updated. A non-finite op
+    in a minibatch's loss or backward raises ``RuntimeError`` naming the
+    iteration, the minibatch (counted across the iteration's epochs) and
+    the op."""
     policy = pretrained_net.clone()
     frozen = pretrained_net.clone()
     value_net = init_value_net(config.seed, pretrained_net.d_obs, config.value_width)
@@ -443,9 +480,14 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                     returns=batch.returns[idx],
                     bc_noise=update_rng.standard_normal((idx.size, policy.d_a)),
                 )
-                with Graph() as g:
-                    total, parts = stage2_loss(mb, nets, config, n)
-                grads = g.backward(total)
+                try:
+                    with Graph() as g:
+                        total, parts = stage2_loss(mb, nets, config, n)
+                    grads = g.backward(total)
+                except FloatingPointError as e:
+                    raise RuntimeError(
+                        f"fine-tuning diverged at iteration {n} minibatch {n_mb}: {e}"
+                    ) from e
                 if config.grad_clip > 0:
                     clip_grad_norm(grads, config.grad_clip)
                 opt.step(grads)

@@ -423,6 +423,58 @@ def test_custom_op_single_node_and_vjp():
             ad.custom_op(np.array([np.nan]), (x,), lambda gy: (gy,), "bad")
 
 
+def _vjp_pair(fn, xs, seed):
+    """(value, cotangents of xs) of scalar-or-array ``fn(*xs)`` under a tape."""
+    with Graph() as g:
+        out = fn(*xs)
+    grads = g.backward(out, seed=seed)
+    return out.data, [grads[x] for x in xs]
+
+
+@pytest.mark.parametrize("weights", [[1.0, 0.5, 0.01, 0.1], [1.0, 0.1], [0.3, 2.0, 0.0]])
+def test_weighted_sum_bit_identical_to_op_chain(weights):
+    rng = np.random.default_rng(71)
+    vals = rng.normal(size=len(weights))
+    xs = [Tensor(np.array(v), requires_grad=True) for v in vals]
+    seed = np.array(0.37)
+
+    def chain(*ts):
+        # the reference: the weighted total as mul/add ops, left to right
+        total = weights[0] * ts[0]
+        for w, t in zip(weights[1:], ts[1:]):
+            total = total + w * t
+        return total
+
+    with Graph() as g:
+        ad.weighted_sum(xs, weights, "total")
+    assert [n.op for n in g.nodes] == ["total"]
+    got_v, got_g = _vjp_pair(lambda *ts: ad.weighted_sum(ts, weights, "total"), xs, seed)
+    want_v, want_g = _vjp_pair(chain, xs, seed)
+    assert np.array_equal(got_v, want_v)
+    for a, b in zip(got_g, want_g):
+        assert np.array_equal(a, b)
+    want = fd_grad(lambda v: float(np.dot(weights, v)), vals.copy())
+    assert rel_err(np.array(got_g) / seed, want) < 1e-8
+
+
+def test_row_sq_mean_head_bit_identical_to_op_chain():
+    rng = np.random.default_rng(72)
+    x0 = rng.normal(size=(7, 3))
+    c = rng.normal(size=(7, 3))
+    x = Tensor(x0.copy(), requires_grad=True)
+    seed = np.array(1.7)
+
+    def head(t):
+        val, grad = ad.row_sq_mean(t.data + -c)
+        return ad.custom_op(val, (t,), lambda g: (grad(g),), "dist")
+
+    got_v, (got_g,) = _vjp_pair(head, [x], seed)
+    want_v, (want_g,) = _vjp_pair(lambda t: ad.square(t - Tensor(c)).sum(axis=1).mean(), [x], seed)
+    assert np.array_equal(got_v, want_v) and np.array_equal(got_g, want_g)
+    want = fd_grad(lambda a: float(np.sum((a - c) ** 2, axis=1).mean()), x0.copy())
+    assert rel_err(got_g / seed, want) < 1e-6
+
+
 def test_backward_seed_shape_mismatch():
     x = Tensor(np.ones(3), requires_grad=True)
     with Graph() as g:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dmpo.autodiff as ad
 from dmpo.autodiff import Graph, Tensor
 from dmpo.envs import Dataset
 from dmpo.meanflow import (
@@ -285,8 +286,9 @@ def test_pretrain_step_encodes_once_and_runs_velocity_once(monkeypatch):
     assert calls == {"encode": 1, "velocity": 1}
 
 
-def test_hinge_pretrain_step_tape_has_13_nodes(monkeypatch):
-    # five dense layers (2 encoder, 3 trunk) among the step's nodes
+def test_hinge_pretrain_step_tape_has_9_nodes(monkeypatch):
+    # five dense layers (2 encoder, 3 trunk); the mf distance, the hinge and
+    # the weighted total are one node each
     sizes = []
     backward = Graph.backward
 
@@ -298,8 +300,9 @@ def test_hinge_pretrain_step_tape_has_13_nodes(monkeypatch):
     ds = _tiny_dataset(np.random.default_rng(64))
     pretrain(ds, Stage1Config(epochs=2, batch_size=8, seed=0, disp_kind="hinge"))
     assert len(sizes) == 2
-    for ops in sizes:
-        assert len(ops) == 13 and ops.count("dense") == 5
+    assert sizes == [
+        ["dense", "dense", "concat", "dense", "dense", "dense", "mf_dist", "hinge", "stage1_total"]
+    ] * 2
 
 
 def test_pretrain_nan_parameter_names_epoch_step_and_op(monkeypatch):
@@ -415,6 +418,45 @@ def test_mf_loss_gradient_ignores_target_path():
     assert rel_err(grads[p], fd_grad(f, orig.copy())) < 1e-3
 
 
+def _mf_loss_op_chain(net, batch, h):
+    # the reference: the one-pass prediction and target, and the distance as
+    # add/square/sum/mean ops
+    z = interpolate(batch.actions, batch.noise, batch.tau[:, None])
+    v = batch.noise - batch.actions
+    u, u_tgt = target_velocity(net, z, batch.r, batch.tau, batch.obs, v, h=h)
+    return ad.square(u - Tensor(u_tgt)).sum(axis=1).mean()
+
+
+def test_mf_loss_distance_is_one_node_bit_identical_to_op_chain():
+    net = init_velocity_net(34, 3, 2, d_h=4, enc_width=4, trunk_width=4)
+    batch = _batch_from(np.random.default_rng(34), B=5)
+    seed = np.array(0.6)
+    runs = []
+    for fn in (lambda h: mf_loss(net, batch, h=h), lambda h: _mf_loss_op_chain(net, batch, h)):
+        with Graph() as g:
+            loss = fn(net.encode(Tensor(batch.obs)))
+        runs.append((loss.data, g.backward(loss, seed=seed), [n.op for n in g.nodes]))
+    (hv, hg, hops), (cv, cg, _) = runs
+    assert hops == ["dense", "dense", "concat", "dense", "dense", "dense", "mf_dist"]
+    assert np.array_equal(hv, cv)
+    assert list(hg) == list(cg) and all(np.array_equal(hg[p], cg[p]) for p in hg)
+
+
+def test_pretrain_step_total_bit_identical_to_op_chain(monkeypatch):
+    # the step's weighted total against ``mf + alpha * disp`` as mul/add ops:
+    # the same parameters after two epochs
+    import dmpo.meanflow as mfmod
+
+    ds = _tiny_dataset(np.random.default_rng(66))
+    cfg = Stage1Config(epochs=2, batch_size=8, seed=0, alpha_disp=0.3)
+    fused, _ = pretrain(ds, cfg)
+    monkeypatch.setattr(mfmod, "weighted_sum", lambda ts, ws, op: ts[0] + ws[1] * ts[1])
+    chained, _ = pretrain(ds, cfg)
+    assert param_checksum(fused) == param_checksum(chained)
+
+
+# ---------------------------------------------------------------------------
+# pretrain loop
 # ---------------------------------------------------------------------------
 # pretrain loop
 

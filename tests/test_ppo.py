@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dmpo.autodiff as ad
 from dmpo.autodiff import Graph, Tensor
 from dmpo.envs import gen_demos, make_env
 from dmpo.meanflow import Stage1Config, pretrain
@@ -23,7 +24,7 @@ from dmpo.ppo import (
     stage2_loss,
     value_loss,
 )
-from dmpo.sampler import sample_stochastic
+from dmpo.sampler import LOG_2PI, sample_stochastic
 
 from helpers import fd_grad, rel_err
 
@@ -178,7 +179,8 @@ def test_ppo_ratio_round_trip_at_unchanged_params():
         net, chain.states[None], obs[None], Tensor(chain.sigma), 3
     )
     rho = ppo_ratio(lp, np.array([chain.total_logprob]))
-    assert abs(rho.data[0] - 1.0) < 1e-10
+    # one chain log-prob code path: the ratio is exactly 1 at theta_old
+    assert rho.data[0] == 1.0
 
 
 def test_clipped_pg_loss_hand_cases():
@@ -241,6 +243,52 @@ def test_value_loss_gradient():
     np.testing.assert_allclose(grads[v], (v.data - r) / 3.0, atol=1e-12)
 
 
+def _head_vs_chain(head, chain, x0, seed):
+    """Value and cotangent of ``head`` and of its op-composed ``chain`` at x0."""
+    out = []
+    for fn in (head, chain):
+        x = Tensor(x0.copy(), requires_grad=True)
+        with Graph() as g:
+            y = fn(x)
+        out.append((y.data, g.backward(y, seed=seed)[x], [n.op for n in g.nodes]))
+    return out
+
+
+def test_ppo_ratio_is_one_node_bit_identical_to_op_chain():
+    rng = np.random.default_rng(40)
+    new0, old = rng.normal(size=9), rng.normal(size=9)
+    seed = rng.normal(size=9)
+    (hv, hg, hops), (cv, cg, _) = _head_vs_chain(
+        lambda x: ppo_ratio(x, old), lambda x: ad.exp(x - Tensor(old)), new0, seed
+    )
+    assert hops == ["ppo_ratio"]
+    assert np.array_equal(hv, cv) and np.array_equal(hg, cg)
+    want = fd_grad(lambda a: float(np.dot(seed, np.exp(a - old))), new0.copy())
+    assert rel_err(hg, want) < 1e-8
+    # equal log-probs give a ratio of exactly 1
+    assert np.array_equal(ppo_ratio(old, old.copy()).data, np.ones(9))
+
+
+def test_value_loss_is_one_node_bit_identical_to_op_chain():
+    rng = np.random.default_rng(41)
+    v0, ret = rng.normal(size=11), rng.normal(size=11)
+    seed = np.array(0.8)
+    (hv, hg, hops), (cv, cg, _) = _head_vs_chain(
+        lambda x: value_loss(x, ret), lambda x: 0.5 * ad.square(x - Tensor(ret)).mean(), v0, seed
+    )
+    assert hops == ["value_loss"]
+    assert np.array_equal(hv, cv) and np.array_equal(hg, cg)
+    want = fd_grad(lambda a: 0.5 * float(np.mean((a - ret) ** 2)), v0.copy())
+    assert rel_err(hg / seed, want) < 1e-8
+
+
+def test_ratio_and_value_heads_reject_mismatched_shapes():
+    with pytest.raises(ValueError, match="do not match"):
+        ppo_ratio(np.zeros(4), np.zeros((4, 1)))
+    with pytest.raises(ValueError, match="do not match"):
+        value_loss(np.zeros(4), np.zeros((4, 1)))
+
+
 # ---------------------------------------------------------------------------
 # behavior cloning
 
@@ -273,6 +321,44 @@ def test_bc_loss_gradient_only_into_current():
     frozen_params = set(map(id, frozen.parameters()))
     assert all(id(p) not in frozen_params for p in grads)
     assert any(id(p) in set(map(id, current.parameters())) for p in grads)
+
+
+def _bc_loss_op_chain(frozen_net, current_net, obs, z1, h=None):
+    # the reference: bc_loss's distance head as neg/add/square/sum/mean ops
+    B = obs.shape[0]
+    a_frozen = z1 - frozen_net.velocity_arrays(z1, 0.0, 1.0, frozen_net.encode_arrays(obs))
+    if h is None:
+        h = current_net.encode(Tensor(obs))
+    u_cur = current_net.velocity(Tensor(z1), Tensor(np.zeros((B, 1))), Tensor(np.ones((B, 1))), h=h)
+    a_cur = Tensor(z1) - u_cur
+    return ad.square(a_cur - Tensor(a_frozen)).sum(axis=1).mean()
+
+
+def test_bc_loss_distance_head_is_one_node_bit_identical_to_op_chain():
+    frozen = init_velocity_net(14, 3, 2, d_h=4, enc_width=4, trunk_width=4)
+    current = init_velocity_net(15, 3, 2, d_h=4, enc_width=4, trunk_width=4)
+    obs = np.random.default_rng(14).normal(size=(5, 3))
+    noise = np.random.default_rng(15).standard_normal((5, 2))
+    seed = np.array(1.3)
+    runs = []
+    for fn in (bc_loss, _bc_loss_op_chain):
+        with Graph() as g:
+            loss = fn(frozen, current, obs, noise)
+        runs.append((loss.data, g.backward(loss, seed=seed), [n.op for n in g.nodes]))
+    (hv, hg, hops), (cv, cg, _) = runs
+    assert hops[-1] == "bc_dist" and hops.count("dense") == 5 and len(hops) == 7
+    assert np.array_equal(hv, cv)
+    assert list(hg) == list(cg) and all(np.array_equal(hg[p], cg[p]) for p in hg)
+    p = current.params["out_w"]
+    orig = p.data.copy()
+
+    def f(arr):
+        p.data[...] = arr
+        val = bc_loss(frozen, current, obs, noise).item()
+        p.data[...] = orig
+        return val
+
+    assert rel_err(hg[p] / seed, fd_grad(f, orig.copy()), floor=1e-6) < 1e-6
 
 
 def test_bc_schedule_branches():
@@ -381,6 +467,38 @@ def test_stage2_gradients_match_finite_differences():
 # the full loop
 
 
+def _stage2_loss_op_chain(mb, nets, cfg, n):
+    # the reference: stage2_loss with every fused head written as its op chain
+    # (learnable sigma, so the entropy term is traced too)
+    K = mb.states.shape[1] - 1
+    sigma_t = ad.exp(nets.log_sigma)
+    h = nets.policy.encode(Tensor(mb.obs))
+    new_lp = chain_logprob_traced(nets.policy, mb.states, mb.obs, sigma_t, K, h=h)
+    pg = clipped_pg_loss(ad.exp(new_lp - Tensor(mb.old_logprobs)), mb.advantages, cfg.clip_eps)
+    v = 0.5 * ad.square(nets.value.value(Tensor(mb.obs)) - Tensor(mb.returns)).mean()
+    ent = -float(K) * ((0.5 * (1.0 + LOG_2PI) * nets.policy.d_a) + ad.log(sigma_t).sum())
+    bc = _bc_loss_op_chain(nets.frozen, nets.policy, mb.obs, mb.bc_noise, h=h)
+    return pg + cfg.lam_value * v + cfg.lam_entropy * ent + bc_schedule(n, cfg) * bc
+
+
+def test_stage2_loss_bit_identical_to_op_composed_heads():
+    net = init_velocity_net(25, 3, 2, d_h=4, enc_width=4, trunk_width=4)
+    mb = _make_minibatch(net, K=2, sigma=0.05)
+    policy = net.clone()
+    policy.params["out_b"].data[...] += 0.002  # ratios away from 1, a nonzero BC term
+    log_sigma = Tensor(np.log(np.array([0.05, 0.04])), requires_grad=True)
+    nets = Stage2Nets(policy=policy, value=init_value_net(25, 3, width=4), frozen=net, log_sigma=log_sigma)
+    cfg = Stage2Config(K=2, sigma=0.05, sigma_learnable=True, lam_bc_init=0.3, lam_bc_final=0.3)
+    runs = []
+    for fn in (lambda: stage2_loss(mb, nets, cfg, n=0)[0], lambda: _stage2_loss_op_chain(mb, nets, cfg, 0)):
+        with Graph() as g:
+            total = fn()
+        runs.append((total.data, g.backward(total)))
+    (hv, hg), (cv, cg) = runs
+    assert hv == cv and hv != 0.0
+    assert list(hg) == list(cg) and all(np.array_equal(hg[p], cg[p]) for p in hg)
+
+
 def _pretrained(seed=0):
     ds = gen_demos("point-reach", 6, seed=seed)
     return pretrain(ds, Stage1Config(epochs=5, seed=seed))[0]
@@ -446,6 +564,22 @@ def test_collect_rollouts_hands_back_current_observations():
             np.testing.assert_array_equal(obs_cur[e], env._obs())
 
 
+@pytest.mark.parametrize("short", ["envs_list", "env_rngs", "obs_cur"])
+def test_collect_rollouts_rejects_counts_other_than_n_envs(short):
+    # three envs under n_envs=4 used to collect 63 of 64 rows without a word
+    net = init_velocity_net(26, 4, 2)
+    nets = Stage2Nets(policy=net, value=init_value_net(26, 4), frozen=net.clone())
+    cfg = Stage2Config(rollout_steps=64, n_envs=4)
+    args = {
+        "envs_list": [make_env("point-reach") for _ in range(4)],
+        "env_rngs": [np.random.default_rng(e) for e in range(4)],
+    }
+    args["obs_cur"] = [env.reset(e) for e, env in enumerate(args["envs_list"])]
+    args[short] = args[short][:3]
+    with pytest.raises(ValueError, match=f"{short} has 3 entries but config.n_envs is 4"):
+        collect_rollouts(nets, args["envs_list"], args["env_rngs"], args["obs_cur"], cfg)
+
+
 def test_collect_rollouts_accumulates_declared_episode_return():
     net = init_velocity_net(23, 4, 2)
     nets = Stage2Nets(policy=net, value=init_value_net(23, 4), frozen=net.clone())
@@ -488,6 +622,19 @@ def test_stage2_config_rejects_zero_envs_and_minibatch(field):
         Stage2Config(**{field: 0})
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0])
+def test_stage2_config_rejects_nonpositive_lr(lr):
+    # a negative lr was accepted, and Adam then ascended the loss
+    with pytest.raises(ValueError, match="lr must be > 0"):
+        Stage2Config(lr=lr)
+
+
+def test_stage2_config_rejects_negative_grad_clip():
+    with pytest.raises(ValueError, match="grad_clip must be >= 0"):
+        Stage2Config(grad_clip=-0.5)
+    assert Stage2Config(grad_clip=0.0).grad_clip == 0.0  # 0 turns clipping off
+
+
 def test_stage2_config_rejects_fewer_rollout_steps_than_envs():
     with pytest.raises(ValueError, match="rollout_steps must be >= n_envs"):
         Stage2Config(rollout_steps=4, n_envs=8)
@@ -502,21 +649,41 @@ def test_stage2_config_rejects_rollout_steps_not_a_multiple_of_envs():
     assert Stage2Config(rollout_steps=96, n_envs=8).rollout_steps == 96
 
 
-def test_c12a_config_minibatch_tape_has_33_nodes(monkeypatch):
-    # K=1, fixed sigma: every MLP layer is one dense node
+def test_c12a_config_minibatch_tape_has_20_nodes(monkeypatch):
+    # K=1, fixed sigma: every MLP layer is one dense node and every loss head
+    # one fused node
     net = _pretrained()
-    sizes = []
+    tapes = []
     backward = Graph.backward
 
     def counted(self, output, seed=None):
-        sizes.append(len(self.nodes))
+        tapes.append([n.op for n in self.nodes])
         return backward(self, output, seed)
 
     monkeypatch.setattr(Graph, "backward", counted)
     cfg = Stage2Config(iterations=1, seed=0, lam_bc_init=0.1, lam_bc_final=0.1, bc_decay_start=0, bc_decay_end=1)
     finetune(net, lambda: make_env("point-reach-shifted"), cfg)
-    assert len(sizes) == cfg.epochs * cfg.rollout_steps // cfg.minibatch_size
-    assert set(sizes) == {33}
+    assert len(tapes) == cfg.epochs * cfg.rollout_steps // cfg.minibatch_size
+    trunk = ["concat", "dense", "dense", "dense"]
+    ops = (
+        ["dense", "dense"] + trunk + ["gauss_logpdf", "ppo_ratio", "clipped_pg"]
+        + ["dense", "dense", "dense", "reshape", "value_loss"]
+        + trunk + ["bc_dist", "stage2_total"]
+    )
+    assert len(ops) == 20
+    assert all(t == ops for t in tapes)
+
+
+def test_finetune_nan_parameter_names_iteration_minibatch_and_op(monkeypatch):
+    class PoisonAfterFirstStep(ppo_mod.Adam):
+        def step(self, grads):
+            super().step(grads)
+            self.params[4].data[0, 0] = np.nan  # policy trunk0_w: the chain pass's first trunk layer
+
+    monkeypatch.setattr(ppo_mod, "Adam", PoisonAfterFirstStep)
+    cfg = Stage2Config(iterations=2, seed=0, rollout_steps=64, n_envs=4, minibatch_size=16)
+    with pytest.raises(RuntimeError, match=r"fine-tuning diverged at iteration 0 minibatch 1: .*op 'dense'"):
+        finetune(_pretrained(), lambda: make_env("point-reach"), cfg)
 
 
 def test_learnable_sigma_mode():
