@@ -570,7 +570,13 @@ def _dense_node(x: Tensor, W: Tensor, b: Tensor, tanh: bool) -> Tensor:
         np.tanh(y, out=y)
 
     def vjp(g):
-        gp = g * (1.0 - y * y) if tanh else g
+        if tanh:
+            # g * (1 - y*y) without temporaries; IEEE multiplication commutes
+            gp = y * y
+            np.subtract(1.0, gp, out=gp)
+            gp *= g
+        else:
+            gp = g
         out = []
         if x.requires_grad:
             out.append((x, gp @ Wd.T))
@@ -677,13 +683,17 @@ def concat(parts: Sequence, axis: int = 1):
         data = np.concatenate([t.data for t in ts], axis=axis)
     except ValueError as e:
         raise ShapeError(str(e)) from None
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    spans = []
+    lo = 0
+    for t in ts:
+        hi = lo + t.data.shape[axis]
+        spans.append((t, lo, hi))
+        lo = hi
 
     def vjp(g):
         out = []
         sl = [slice(None)] * g.ndim
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
+        for t, lo, hi in spans:
             if t.requires_grad:
                 sl[axis] = slice(lo, hi)
                 out.append((t, g[tuple(sl)]))

@@ -52,6 +52,15 @@ class Dataset:
         return self.obs.shape[0]
 
 
+def _checked_action(action, d_a):
+    """``action`` as a float64 array; any shape but ``(d_a,)`` is an error,
+    not a broadcast to every dimension."""
+    a = np.asarray(action, dtype=np.float64)
+    if a.shape != (d_a,):
+        raise EnvError(f"action must have shape ({d_a},), got {a.shape}")
+    return a
+
+
 class PointReach:
     """Velocity-controlled point agent; obstacle disc at the origin.
 
@@ -107,23 +116,29 @@ class PointReach:
     def step(self, action):
         if self._done:
             raise EnvError("step() called on a finished episode; call reset()")
-        # clamps as ufunc pairs: np.clip's values, NaN included, at less cost
-        a = np.minimum(np.maximum(action, self.action_low), self.action_high)
-        prev = self._pos
-        new = prev + a
-        np.maximum(new, -1.0, out=new)
-        np.minimum(new, 1.0, out=new)
-        if self.homotopy_class == 0 and prev[0] < 0.0 <= new[0]:
-            frac = (0.0 - prev[0]) / (new[0] - prev[0])
-            y_cross = prev[1] + frac * (new[1] - prev[1])
+        a0, a1 = _checked_action(action, self.d_a).tolist()
+        # The move runs on Python floats, with each clamp as comparisons that
+        # give np.clip's values and let NaN through as it does.
+        lo0, lo1 = self.action_low.tolist()
+        hi0, hi1 = self.action_high.tolist()
+        p0, p1 = self._pos.tolist()
+        x = p0 + (lo0 if a0 < lo0 else (hi0 if a0 > hi0 else a0))
+        y = p1 + (lo1 if a1 < lo1 else (hi1 if a1 > hi1 else a1))
+        x = -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
+        y = -1.0 if y < -1.0 else (1.0 if y > 1.0 else y)
+        if self.homotopy_class == 0 and p0 < 0.0 <= x:
+            frac = (0.0 - p0) / (x - p0)
+            y_cross = p1 + frac * (y - p1)
             self.homotopy_class = 1 if y_cross > 0.0 else -1
+        new = np.array([x, y])
         self._pos = new
-        # sqrt(d @ d) is np.linalg.norm's own formula for a vector; the dot
-        # product (not x*x + y*y or math.hypot) keeps its rounding
+        # sqrt(d . d) is np.linalg.norm's own formula for a vector; numpy's
+        # 2-element dot rounds as fma(d1, d1, d0*d0), which neither
+        # x*x + y*y nor math.hypot reproduces
         d = new - self._goal
-        dist = math.sqrt(d @ d)
+        dist = math.sqrt(d.dot(d))
         c = new - self.OBSTACLE_CENTER
-        contact = math.sqrt(c @ c) <= self.OBSTACLE_RADIUS
+        contact = math.sqrt(c.dot(c)) <= self.OBSTACLE_RADIUS
         reached = dist < self.REACH_EPS
         reward = -dist + (10.0 if reached else 0.0) - (1.0 if contact else 0.0)
         self._t += 1
@@ -186,7 +201,7 @@ class ModalBandit:
     def step(self, action):
         if self._done:
             raise EnvError("step() called on a finished episode; call reset()")
-        a = np.clip(np.asarray(action, dtype=np.float64), self.action_low, self.action_high)
+        a = np.clip(_checked_action(action, self.d_a), self.action_low, self.action_high)
         reward = self._log_mixture(a)
         mu1, mu2 = self.mixture_means(self._obs_arr)
         d1, d2 = np.linalg.norm(a - mu1), np.linalg.norm(a - mu2)

@@ -14,23 +14,41 @@ NUMBA_ENABLED = False
 
 
 def gae_backward(rewards, values, dones, gamma, lam):
-    T = rewards.shape[0]
-    adv = np.empty(T)
+    # The recursion runs on Python floats: IEEE doubles like numpy's float64
+    # scalars, at a fraction of their cost per op. Each step is
+    # ``delta = r + gamma * v' * live - v`` then
+    # ``acc = delta + gamma * lam * live * acc``, in that order.
+    r, v, d = rewards.tolist(), values.tolist(), dones.tolist()
+    gl = gamma * lam
+    adv = [0.0] * len(r)
     acc = 0.0
-    for t in range(T - 1, -1, -1):
-        live = 1.0 - dones[t]
-        delta = rewards[t] + gamma * values[t + 1] * live - values[t]
-        acc = delta + gamma * lam * live * acc
+    for t in range(len(r) - 1, -1, -1):
+        live = 1.0 - d[t]
+        acc = r[t] + gamma * v[t + 1] * live - v[t] + gl * live * acc
         adv[t] = acc
-    return adv
+    return np.array(adv)
 
 
-def adam_update(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2):
+def adam_update(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2, work):
+    """``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``param -= lr * (m/bc1) / (sqrt(v/bc2) + eps)`` in place, with the two
+    rows of ``work`` (shape ``(2, n)``) holding the temporaries. IEEE
+    multiplication commutes, so ``g * c`` equals ``c * g`` bit for bit."""
+    s, q = work
     m *= beta1
-    m += (1.0 - beta1) * grad
+    np.multiply(grad, 1.0 - beta1, out=s)
+    m += s
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.multiply(grad, 1.0 - beta2, out=s)
+    s *= grad
+    v += s
+    np.divide(m, bc1, out=s)
+    s *= lr
+    np.divide(v, bc2, out=q)
+    np.sqrt(q, out=q)
+    q += eps
+    s /= q
+    param -= s
 
 
 # The bias add and tanh work in place on the fresh product: the same ops in

@@ -226,8 +226,9 @@ class Adam:
     The constructor copies the parameters into the contiguous float64 array
     ``flat`` and points each ``Tensor.data`` at its slice, so writes through
     the tensors (``load_arrays``) and the update see the same memory. The
-    moments are two arrays of the same size, and a step is one gather of
-    the gradients and one ``kernels.adam_update`` call.
+    moments, the gathered gradient and the update's two scratch rows are
+    arrays of the same size, allocated once; a step is one gather of the
+    gradients into that buffer and one in-place ``kernels.adam_update`` call.
     """
 
     def __init__(
@@ -252,13 +253,17 @@ class Adam:
             lo += n
         self._m = np.zeros(self.flat.size)
         self._v = np.zeros(self.flat.size)
+        self._g = np.empty(self.flat.size)
+        self._work = np.empty((2, self.flat.size))
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        g = np.concatenate([grads[p].ravel() for p in self.params])
-        kernels.adam_update(self.flat, g, self._m, self._v, self.lr, self.beta1, self.beta2, self.eps, bc1, bc2)
+        g = np.concatenate([grads[p].ravel() for p in self.params], out=self._g)
+        kernels.adam_update(
+            self.flat, g, self._m, self._v, self.lr, self.beta1, self.beta2, self.eps, bc1, bc2, self._work
+        )
 
 
 def clip_grad_norm(grads: dict[Tensor, np.ndarray], max_norm: float) -> float:

@@ -20,14 +20,16 @@ the clipped surrogate, the value loss, the BC distance and the weighted
 total, so a K=1 fixed-sigma minibatch tapes 20 nodes. Each fused head
 repeats the arithmetic of the op chain it replaces, in the same order, so
 values and gradients equal that chain's bit for bit. Rollouts are collected
-as stacked arrays, one ``[:, t]`` row per step across environments, and GAE
-runs as one backward pass over the whole batch.
+as stacked arrays, one ``[:, t]`` row per step across environments, with one
+value-net call over the whole window, and GAE runs as one backward pass over
+the whole batch.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -240,6 +242,13 @@ def bc_schedule(n: int, config: Stage2Config) -> float:
 # the minibatch loss
 
 
+@lru_cache(maxsize=16)
+def _fixed_sigma_entropy(K: int, d_a: int, sigma: float) -> float:
+    """The entropy term with fixed sigma: a constant, computed once per
+    (K, d_a, sigma) rather than once per minibatch."""
+    return -float(K) * step_entropy(d_a, sigma)
+
+
 def _sigma_tensor(nets, config):
     """Current transition scale: traced tensor if learnable, else constant."""
     if nets.log_sigma is not None:
@@ -288,7 +297,7 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
         ent_per_step = (0.5 * (1.0 + LOG_2PI) * d_a) + log(sigma_t).sum()
         ent = -float(K) * ent_per_step
     else:
-        ent = Tensor(-float(K) * step_entropy(d_a, config.sigma))
+        ent = Tensor(_fixed_sigma_entropy(K, d_a, config.sigma))
 
     bc = bc_loss(nets.frozen, nets.policy, batch.obs, batch.bc_noise, h=h)
     lam_bc = bc_schedule(n, config)
@@ -341,9 +350,10 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
         if len(given) != E:
             raise ValueError(f"{name} has {len(given)} entries but config.n_envs is {E}")
     T = config.rollout_steps // E
+    N = E * T
     d_obs = nets.policy.d_obs
     d_a = nets.policy.d_a
-    sigma = np.exp(nets.log_sigma.data) if nets.log_sigma is not None else config.sigma
+    sig = np.exp(nets.log_sigma.data) if nets.log_sigma is not None else np.full(d_a, config.sigma)
 
     obs_buf = np.empty((E, T, d_obs))
     next_buf = np.empty((E, T, d_obs))
@@ -352,7 +362,6 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
     rew_buf = np.empty((E, T))
     term_buf = np.zeros((E, T))
     done_buf = np.zeros((E, T))
-    val_buf = np.empty((E, T))
     lp_buf = np.empty((E, T))
     finished = []  # (return, success) per completed episode
 
@@ -362,17 +371,17 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
     # and go back into ``obs_cur`` at its end
     obs_mat = np.stack(obs_cur)
     for t in range(T):
-        states, _, _, logprobs = sample_chain_batch(nets.policy, obs_mat, config.K, sigma, env_rngs)
+        states, _, _, logprobs = sample_chain_batch(nets.policy, obs_mat, config.K, sig, env_rngs)
         actions = states[:, -1]
         obs_buf[:, t] = obs_mat
         states_buf[:, t] = states
         np.minimum(np.maximum(actions, low), high, out=act_buf[:, t])
-        val_buf[:, t] = nets.value.value(obs_mat)
         lp_buf[:, t] = logprobs
+        next_t, rew_t = next_buf[:, t], rew_buf[:, t]
+        resets = []
         for e, env in enumerate(envs_list):
-            nxt, r, done = env.step(actions[e])
-            next_buf[e, t] = nxt
-            rew_buf[e, t] = r
+            next_t[e], r, done = env.step(actions[e])
+            rew_t[e] = r
             # episodes span collection windows, so the running return lives on the env
             env.episode_return += r
             if done:
@@ -380,20 +389,27 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
                 if env.terminated:
                     term_buf[e, t] = 1.0
                 finished.append((env.episode_return, bool(env.success)))
-                nxt = env.reset(int(env_rngs[e].integers(2**63)))
-            obs_mat[e] = nxt
+                resets.append((e, env.reset(int(env_rngs[e].integers(2**63)))))
+        # every row moves on to its next observation, a reset row to its
+        # reset one
+        obs_mat[...] = next_t
+        for e, o in resets:
+            obs_mat[e] = o
     obs_cur[:] = list(obs_mat)
 
-    N = E * T
+    # values do not feed actions, so one call covers the window; a row's
+    # value equals a per-step call's when both batches are multiples of 4
+    # rows (sampler module docstring), and agrees to rounding otherwise
+    obs_rows = obs_buf.reshape(N, d_obs)
     batch = RolloutBatch(
-        obs=obs_buf.reshape(N, d_obs),
+        obs=obs_rows,
         next_obs=next_buf.reshape(N, d_obs),
         states=states_buf.reshape(N, config.K + 1, d_a),
         actions=act_buf.reshape(N, d_a),
         rewards=rew_buf.reshape(N),
         terminals=term_buf.reshape(N),
         dones=done_buf.reshape(N),
-        values=val_buf.reshape(N),
+        values=nets.value.value(obs_rows),
         old_logprobs=lp_buf.reshape(N),
         env_slices=[(e * T, (e + 1) * T) for e in range(E)],
     )

@@ -16,8 +16,12 @@ There is one chain log-probability: ``chain_logprob_traced`` walks recorded
 chains with the autodiff ops, one tape node per transition, and serves both
 the PPO update and ``chain_logprob``. Sampled terms and that node share one
 log-density formula and one summation order, so at unchanged parameters the
-recomputed log-prob equals the sampled one exactly, as long as a matrix
-product's rows do not depend on how many rows it has.
+recomputed log-prob equals the sampled one up to how the matrix products
+round each row. With OpenBLAS, a row that falls in a full block of 4 rows
+rounds the same whatever the row count M; the last ``M mod 4`` rows, and
+M = 1 (a matrix-vector product), round differently. So the two agree exactly
+when both batches are multiples of 4 rows (``n_envs`` and the minibatch size
+in stage 2), and to rounding error otherwise.
 
 Exactly K velocity-network evaluations happen per generated action.
 """
@@ -90,12 +94,18 @@ def _sigma_vector(sigma, d_a: int) -> np.ndarray:
     return sig
 
 
-def _logpdf_rows(diff: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """ln N(x | mu, diag(sig^2)) over the last axis, from diff = (x - mu) / sig.
+def _log_norm(sig: np.ndarray) -> np.ndarray:
+    """ln(2 pi) + 2 ln sig, the per-dimension constant of ``_logpdf_rows``."""
+    return LOG_2PI + 2.0 * np.log(sig)
+
+
+def _logpdf_rows(diff: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
+    """ln N(x | mu, diag(sig^2)) over the last axis, from diff = (x - mu) / sig
+    and ``log_norm = _log_norm(sig)``.
 
     The one Gaussian log-density formula: sampled terms, the taped
     transition node and the prior term all come from it."""
-    return -0.5 * np.sum(LOG_2PI + 2.0 * np.log(sig) + diff * diff, axis=-1)
+    return -0.5 * np.sum(log_norm + diff * diff, axis=-1)
 
 
 def gaussian_logpdf(x: np.ndarray, mu: np.ndarray, sigma) -> float:
@@ -103,7 +113,7 @@ def gaussian_logpdf(x: np.ndarray, mu: np.ndarray, sigma) -> float:
     x = np.asarray(x, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     sig = _sigma_vector(sigma, x.shape[-1])
-    return float(_logpdf_rows((x - mu) / sig, sig))
+    return float(_logpdf_rows((x - mu) / sig, _log_norm(sig)))
 
 
 def step_entropy(d_a: int, sigma) -> float:
@@ -178,6 +188,7 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
         raise ValueError("need one rng stream per row")
     d_a = net.d_a
     sig = _sigma_vector(sigma, d_a)
+    log_norm = _log_norm(sig)
     h = net.encode_arrays(obs)
 
     # the noise is drawn into ``states``; step k reads xi_k from row k+1
@@ -195,7 +206,7 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
         a = mu + sig * states[:, k + 1]
         means[:, k] = mu
         states[:, k + 1] = a
-        terms[:, k] = _logpdf_rows((a - mu) / sig, sig)
+        terms[:, k] = _logpdf_rows((a - mu) / sig, log_norm)
     # summed left to right, as the taped walk adds its per-step nodes
     total = terms[:, 0].copy()
     for k in range(1, K):
@@ -215,7 +226,7 @@ def _transition_logpdf(u, a_k: np.ndarray, a_next: np.ndarray, sigma_t, dt: floa
         g_sig = (g_col * (diff * diff - 1.0)).sum(axis=0) / sig if sigma_t.requires_grad else None
         return g_u, g_sig
 
-    return custom_op(_logpdf_rows(diff, sig), (u, sigma_t), vjp, "gauss_logpdf")
+    return custom_op(_logpdf_rows(diff, _log_norm(sig)), (u, sigma_t), vjp, "gauss_logpdf")
 
 
 def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K: int, h=None):

@@ -149,6 +149,41 @@ def test_point_reach_step_nan_action_matches_clip():
         assert np.array_equal(got[1], want[1], equal_nan=True) and got[2] == want[2]
 
 
+def test_point_reach_step_at_clamp_edges_and_signed_zeros_matches_clip_norm_reference():
+    # actions exactly at and just past the +-0.2 box, positions on the +-1.0
+    # walls, and -0.0 components: the float comparisons give np.clip's
+    # values, signed zeros included
+    comps = [0.2, -0.2, 0.0, -0.0, 0.25, -0.25, np.nextafter(0.2, 1.0), 0.1]
+    starts = [(1.0, -1.0), (-1.0, 1.0), (0.9, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.1, 0.4), (-0.1, -0.0), (0.65, 0.1)]
+    for sx, sy in starts:
+        for ax in comps:
+            for ay in comps:
+                env, ref = PointReach(), _ClipNormPointReach()
+                env.reset(5)
+                ref.reset(5)
+                env._pos, ref._pos = np.array([sx, sy]), np.array([sx, sy])
+                action = np.array([ax, ay])
+                got, want = env.step(action), ref.step(action)
+                assert got[0].tobytes() == want[0].tobytes()  # bitwise, so -0.0 != 0.0
+                assert got[1] == want[1] and got[2] == want[2]
+                assert (env.terminated, env.truncated, env.homotopy_class) == (
+                    ref.terminated,
+                    ref.truncated,
+                    ref.homotopy_class,
+                )
+
+
+@pytest.mark.parametrize("env_cls", [PointReach, ModalBandit])
+@pytest.mark.parametrize("action", [0.1, np.array([0.1]), np.zeros(3), np.zeros((1, 2))], ids=["scalar", "(1,)", "(3,)", "(1,2)"])
+def test_step_rejects_actions_not_of_shape_2(env_cls, action):
+    # a scalar or a (1,) action must not broadcast to both dimensions
+    env = env_cls()
+    env.reset(0)
+    with pytest.raises(EnvError, match=r"action must have shape \(2,\)"):
+        env.step(action)
+    env.step(np.zeros(2))  # the rejected action left the episode as it was
+
+
 def test_expert_always_succeeds():
     # gen_demos drops failed expert episodes with a warning; demand 100/100
     import warnings

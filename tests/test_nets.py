@@ -229,6 +229,34 @@ def test_adam_one_buffer_matches_per_tensor_reference():
         np.testing.assert_array_equal(p.data, r)
 
 
+def test_adam_in_place_step_matches_out_of_place_expression_and_scratch_stays_apart():
+    rng = np.random.default_rng(23)
+    params = init_value_net(5, d_obs=3, width=8).parameters()
+    lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    want = opt.flat.copy()
+    m = np.zeros(want.size)
+    v = np.zeros(want.size)
+    buffers = {"m": opt._m, "v": opt._v, "gather": opt._g, "work0": opt._work[0], "work1": opt._work[1]}
+    for t in range(1, 8):
+        grads = {p: rng.normal(size=p.data.shape) for p in params}
+        given = {p: g.copy() for p, g in grads.items()}
+        opt.step(grads)
+        g = np.concatenate([given[p].ravel() for p in params])
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        want = want - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert np.array_equal(opt.flat, want)
+        assert np.array_equal(opt._m, m) and np.array_equal(opt._v, v)
+        for p in params:
+            assert np.array_equal(grads[p], given[p])  # the caller's gradients are only read
+        names = list(buffers)
+        for i, a in enumerate(names):
+            assert not np.shares_memory(buffers[a], opt.flat), a
+            for b in names[i + 1 :]:
+                assert not np.shares_memory(buffers[a], buffers[b]), (a, b)
+
+
 def test_adam_sees_load_arrays_after_construction():
     net = init_value_net(3, d_obs=2, width=4)
     opt = Adam(net.parameters(), lr=0.05)
