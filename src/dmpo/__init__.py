@@ -8,7 +8,7 @@ behavior-cloning regularization. Built-in toy tasks, scripted experts,
 exact NFE accounting, and a CLI cover the full pipeline.
 """
 
-from .autodiff import DualTensor, Graph, Tensor, jvp, stop_gradient
+from .autodiff import DualTensor, Graph, Tensor, jvp
 from .dispersive import cov_loss, dispersive_loss, effective_rank, hinge, nce_cos, nce_l2
 from .envs import Dataset, EvalResult, ModalBandit, PointReach, evaluate, gen_demos, make_env
 from .io import load_checkpoint, load_dataset, save_checkpoint, save_dataset

@@ -25,6 +25,9 @@ that way their squared-distance arithmetic. :func:`dense`, the network
 layer, is one node in reverse mode, carries its own tangent rule in forward
 mode, and runs plain-array kernels on ndarray input. An op hands the tape
 its VJP ``vjp(g) -> [(parent, cotangent), ...]`` directly.
+
+There is no indexing op: a head that needs part of a value works on
+``.data`` inside a ``custom_op``.
 """
 
 from __future__ import annotations
@@ -123,9 +126,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __getitem__(self, key):
-        return take(self, key)
-
     def sum(self, axis=None):
         return sum_(self, axis)
 
@@ -171,7 +171,6 @@ class DualTensor:
     __rtruediv__ = Tensor.__rtruediv__
     __neg__ = Tensor.__neg__
     __matmul__ = Tensor.__matmul__
-    __getitem__ = Tensor.__getitem__
     sum = Tensor.sum
     mean = Tensor.mean
     reshape = Tensor.reshape
@@ -244,13 +243,6 @@ class Graph:
             for parent, pg in node.vjp(g):
                 cot[parent] = cot[parent] + pg if parent in cot else pg
         return {t: cot[t] for t in self._leaves if t in cot}
-
-
-def trace(fn: Callable, *args) -> tuple[Tensor, Graph]:
-    """Run ``fn(*args)`` under a fresh graph; returns (output, graph)."""
-    with Graph() as g:
-        out = fn(*args)
-    return out, g
 
 
 @contextmanager
@@ -622,14 +614,6 @@ def sqrt(a):
     return _unary(a, np.sqrt, d, "sqrt")
 
 
-def sin(a):
-    return _unary(a, np.sin, lambda x, y: np.cos(x), "sin")
-
-
-def cos(a):
-    return _unary(a, np.cos, lambda x, y: -np.sin(x), "cos")
-
-
 def square(a):
     return _unary(a, np.square, lambda x, y: 2.0 * x, "square")
 
@@ -651,21 +635,6 @@ def transpose(a):
         return _dual_op(transpose, (a,), lambda y, xs, ts: ts[0].T)
     a = as_tensor(a)
     return _emit(a.data.T.copy(), (a,), lambda g: [(a, g.T)], "transpose")
-
-
-def take(a, key):
-    """Basic slicing/indexing along any axes (numpy semantics)."""
-    if isinstance(a, DualTensor):
-        return _dual_op(lambda x: take(x, key), (a,), lambda y, xs, ts: ts[0][key])
-    a = as_tensor(a)
-    shape = a.data.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        np.add.at(full, key, g)
-        return [(a, full)]
-
-    return _emit(a.data[key], (a,), vjp, "slice")
 
 
 def concat(parts: Sequence, axis: int = 1):
@@ -732,14 +701,6 @@ def mean_(a, axis=None):
         return 1.0 / float(n)
 
     return _reduce(a, np.mean, scale, axis, "mean")
-
-
-def stop_gradient(a):
-    """Pass the value through; block both cotangent and tangent flow."""
-    if isinstance(a, DualTensor):
-        return DualTensor(stop_gradient(a.primal), np.zeros(a.shape))
-    a = as_tensor(a)
-    return Tensor(a.data.copy(), requires_grad=False)
 
 
 # ---------------------------------------------------------------------------

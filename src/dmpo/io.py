@@ -66,24 +66,21 @@ def _from_jsonable(x):
     return x
 
 
-_NET_KINDS = {"velocity": VelocityNet, "value": ValueNet}
+# checkpoint kind -> (net class, seeded init the saved arrays are loaded into)
+_NET_KINDS = {"velocity": (VelocityNet, init_velocity_net), "value": (ValueNet, init_value_net)}
 
 
 def _net_kind(net) -> str:
-    if isinstance(net, VelocityNet):
-        return "velocity"
-    if isinstance(net, ValueNet):
-        return "value"
+    for kind, (cls, _) in _NET_KINDS.items():
+        if isinstance(net, cls):
+            return kind
     raise CheckpointError(f"cannot checkpoint object of type {type(net).__name__}")
 
 
 def _rebuild_net(kind: str, dims: dict, arrays: dict):
-    if kind == "velocity":
-        net = init_velocity_net(0, **dims)
-    elif kind == "value":
-        net = init_value_net(0, **dims)
-    else:
+    if kind not in _NET_KINDS:
         raise CheckpointError(f"unknown net kind {kind!r}")
+    net = _NET_KINDS[kind][1](0, **dims)
     net.load_arrays(arrays)
     return net
 

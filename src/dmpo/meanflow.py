@@ -220,7 +220,7 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
                 raise RuntimeError(
                     f"pre-training diverged at epoch {epoch} step {step}: {e}"
                 ) from e
-            opt.step(grads)
+            opt.step(opt.gather(grads))
 
             mf_sum += mf.item()
             disp_sum += disp_val

@@ -10,7 +10,9 @@ Each net has one forward, built from ``autodiff.dense`` layers. The same
 method runs traced (reverse mode), on duals (forward mode; under a graph the
 primal is taped as the traced forward would be, so one pass gives a taped
 forward and its directional derivative), or on plain arrays, where it
-records nothing and returns arrays.
+records nothing and returns arrays (``velocity`` then takes float times).
+``Adam.gather`` flattens a tape's gradients into one array, which
+``clip_grad_norm`` rescales in place and ``Adam.step`` consumes.
 """
 
 from __future__ import annotations
@@ -54,13 +56,8 @@ class _MLPBase:
             self.params[n].data[...] = a
 
     def clone(self):
-        new = object.__new__(type(self))
-        new.param_names = self.param_names
-        new.params = {
-            n: Tensor(self.params[n].data.copy(), requires_grad=True) for n in self.param_names
-        }
-        new.dims = dict(self.dims)
-        return new
+        params = {n: Tensor(self.params[n].data.copy(), requires_grad=True) for n in self.param_names}
+        return type(self)(params, dict(self.dims))
 
 
 class VelocityNet(_MLPBase):
@@ -90,9 +87,12 @@ class VelocityNet(_MLPBase):
         p = self.params
         return dense(dense(obs, p["enc0_w"], p["enc0_b"]), p["enc1_w"], p["enc1_b"])
 
-    def velocity(self, z, r, tau, obs=None, h=None):
-        """Average-velocity prediction. r, tau are (B, 1); requires r <= tau."""
-        if np.any(value_of(r) > value_of(tau)):
+    def velocity(self, z, r, tau, h=None, obs=None):
+        """Average-velocity prediction; requires r <= tau. r and tau are (B, 1)
+        columns, or floats shared across rows when ``z`` is an ndarray (the
+        array path). ``h``, if given, is the embedding of ``obs``."""
+        arrays = type(z) is np.ndarray
+        if (r > tau) if arrays else np.any(value_of(r) > value_of(tau)):
             raise ValueError("flow interval start r exceeds end tau")
         if h is None:
             if obs is None:
@@ -104,31 +104,26 @@ class VelocityNet(_MLPBase):
         # directional-derivative target at the exact (r=0, tau=1) corner
         # one-step sampling queries; a raw time input keeps the
         # time-derivative pathway identified everywhere.
-        return self._trunk(concat([z, h, r, tau], axis=1))
-
-    def _trunk(self, x):
+        if arrays:
+            # [z, h, r, tau] filled in place: the values and C layout of the
+            # traced ``concat``, so the trunk's matmuls match it
+            B, d_a = z.shape
+            x = np.empty((B, d_a + h.shape[1] + 2))
+            x[:, :d_a] = z
+            x[:, d_a:-2] = h
+            x[:, -2] = r
+            x[:, -1] = tau
+        else:
+            x = concat([z, h, r, tau], axis=1)
         p = self.params
         x = dense(x, p["trunk0_w"], p["trunk0_b"])
         x = dense(x, p["trunk1_w"], p["trunk1_b"])
         return dense(x, p["out_w"], p["out_b"], False)
 
-    # The plain-array entry points the samplers call (pipeline_bench times
-    # and counts calls to them by these names).
+    # The names the samplers call on arrays (pipeline_bench times and counts
+    # calls to them by these names).
     encode_arrays = encode
-
-    def velocity_arrays(self, z: np.ndarray, r: float, tau: float, h: np.ndarray) -> np.ndarray:
-        """``velocity`` on arrays, with scalar times shared across rows."""
-        if r > tau:
-            raise ValueError("flow interval start r exceeds end tau")
-        # the trunk input [z, h, r, tau] filled in place: the values and C
-        # layout of the traced ``concat``, so the trunk's matmuls match it
-        B, d_a = z.shape
-        x = np.empty((B, d_a + h.shape[1] + 2))
-        x[:, :d_a] = z
-        x[:, d_a:-2] = h
-        x[:, -2] = r
-        x[:, -1] = tau
-        return self._trunk(x)
+    velocity_arrays = velocity
 
 
 class ValueNet(_MLPBase):
@@ -226,9 +221,10 @@ class Adam:
     The constructor copies the parameters into the contiguous float64 array
     ``flat`` and points each ``Tensor.data`` at its slice, so writes through
     the tensors (``load_arrays``) and the update see the same memory. The
-    moments, the gathered gradient and the update's two scratch rows are
-    arrays of the same size, allocated once; a step is one gather of the
-    gradients into that buffer and one in-place ``kernels.adam_update`` call.
+    moments, the gradient buffer and the update's two scratch rows are
+    arrays of the same size, allocated once. A step is ``step(gather(grads))``:
+    one concatenate into that buffer (which ``clip_grad_norm`` may rescale in
+    between), then one in-place ``kernels.adam_update`` call.
     """
 
     def __init__(
@@ -256,33 +252,29 @@ class Adam:
         self._g = np.empty(self.flat.size)
         self._work = np.empty((2, self.flat.size))
 
-    def step(self, grads: dict[Tensor, np.ndarray]) -> None:
+    def gather(self, grads: dict[Tensor, np.ndarray]) -> np.ndarray:
+        """The gradients of ``params``, in that order, concatenated into the
+        buffer Adam owns (overwritten by the next gather); ``grads`` is only
+        read."""
+        return np.concatenate([grads[p].ravel() for p in self.params], out=self._g)
+
+    def step(self, g: np.ndarray) -> None:
+        """One update from the flat gradient ``g``, laid out as ``flat``."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        g = np.concatenate([grads[p].ravel() for p in self.params], out=self._g)
         kernels.adam_update(
             self.flat, g, self._m, self._v, self.lr, self.beta1, self.beta2, self.eps, bc1, bc2, self._work
         )
 
 
-def clip_grad_norm(grads: dict[Tensor, np.ndarray], max_norm: float) -> float:
-    """Scale the gradients in ``grads`` so their global L2 norm is <= max_norm
-    and return the norm before clipping.
-
-    The gradients are gathered into one flat buffer: one dot product gives
-    the norm, and when it exceeds the cap one in-place multiply scales them
-    all and the dict entries become views of that buffer. The arrays passed
-    in are never written.
-    """
-    if not grads:
-        return 0.0
-    flat = np.concatenate([g.ravel() for g in grads.values()])
-    norm = math.sqrt(flat @ flat)
+def clip_grad_norm(g: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient ``g`` in place so its L2 norm is <= max_norm
+    and return the norm before clipping: one dot product, and one multiply
+    when the norm exceeds the cap. The dot's rounding depends on the order
+    of the entries, so ``finetune`` lists its parameters in the order the
+    tape first uses them."""
+    norm = math.sqrt(g @ g)
     if norm > max_norm and norm > 0.0:
-        flat *= max_norm / norm
-        lo = 0
-        for k, g in grads.items():
-            grads[k] = flat[lo : lo + g.size].reshape(g.shape)
-            lo += g.size
+        g *= max_norm / norm
     return norm

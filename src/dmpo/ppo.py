@@ -22,7 +22,8 @@ repeats the arithmetic of the op chain it replaces, in the same order, so
 values and gradients equal that chain's bit for bit. Rollouts are collected
 as stacked arrays, one ``[:, t]`` row per step across environments, with one
 value-net call over the whole window, and GAE runs as one backward pass over
-the whole batch.
+the whole batch. Each optimizer step gathers the gradients once
+(``Adam.gather``); clipping and the Adam update work on that one array.
 """
 
 from __future__ import annotations
@@ -450,9 +451,9 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
         log_sigma = Tensor(np.full(pretrained_net.d_a, np.log(config.sigma)), requires_grad=True)
     nets = Stage2Nets(policy=policy, value=value_net, frozen=frozen, log_sigma=log_sigma)
 
-    params = policy.parameters() + value_net.parameters()
-    if log_sigma is not None:
-        params.append(log_sigma)
+    # in the order the loss first uses them, so the clipping norm sums the
+    # gathered gradient in the tape's leaf order and rounds as over the tape's
+    params = ([] if log_sigma is None else [log_sigma]) + policy.parameters() + value_net.parameters()
     opt = Adam(params, lr=config.lr)
 
     ss = np.random.SeedSequence(config.seed)
@@ -504,9 +505,10 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                     raise RuntimeError(
                         f"fine-tuning diverged at iteration {n} minibatch {n_mb}: {e}"
                     ) from e
+                flat_grad = opt.gather(grads)
                 if config.grad_clip > 0:
-                    clip_grad_norm(grads, config.grad_clip)
-                opt.step(grads)
+                    clip_grad_norm(flat_grad, config.grad_clip)
+                opt.step(flat_grad)
                 rho = parts.pop("rho")
                 clip_hits += int(np.sum(np.abs(rho - 1.0) > config.clip_eps))
                 kl_sum += float(np.sum((rho - 1.0) - np.log(np.maximum(rho, 1e-300))))

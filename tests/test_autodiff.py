@@ -13,8 +13,6 @@ from dmpo.autodiff import (
     Tensor,
     concat,
     jvp,
-    stop_gradient,
-    trace,
 )
 
 from helpers import fd_directional, fd_grad, rel_err
@@ -33,8 +31,6 @@ UNARY_OPS = {
     "relu": ad.relu,
     "softplus": ad.softplus,
     "exp": ad.exp,
-    "sin": ad.sin,
-    "cos": ad.cos,
     "square": ad.square,
     "neg": ad.neg,
 }
@@ -130,10 +126,10 @@ def test_reduction_gradcheck(red, axis):
 def test_shape_ops_gradcheck():
     rng = np.random.default_rng(17)
     x0 = _rand(rng, 3, 4)
-    w = _rand(rng, 2, 3)
+    w, v = _rand(rng, 4, 3), _rand(rng, 12)
 
     def fn(t):
-        return (t.T[:2, :3] * Tensor(w)).sum() + t.reshape((12,))[::2].sum()
+        return (t.T * Tensor(w)).sum() + (t.reshape((12,)) * Tensor(v)).sum()
 
     x = Tensor(x0, requires_grad=True)
     with Graph() as g:
@@ -165,9 +161,10 @@ def test_concat_gradcheck():
 def test_forward_identity_net():
     w = Tensor(np.eye(2))
     x = Tensor([1.0, 2.0])
-    out, graph = trace(lambda t: t @ w, x)
+    with Graph() as graph:
+        out = x @ w
     np.testing.assert_array_equal(out.data, [1.0, 2.0])
-    assert isinstance(graph, Graph)
+    assert graph.nodes == []  # nothing requires grad, so nothing is taped
 
 
 def test_forward_affine_hand_case():
@@ -307,19 +304,6 @@ def test_determinism_bit_identical():
     np.testing.assert_array_equal(a, b)
 
 
-def test_stop_gradient_blocks_both_modes():
-    x = Tensor(np.array([2.0, -1.0]), requires_grad=True)
-    with Graph() as g:
-        loss = (stop_gradient(x * 3.0) * x).sum()
-    grads = g.backward(loss)
-    np.testing.assert_allclose(grads[x], [6.0, -3.0])  # only the live factor
-
-    d = DualTensor(np.array([1.0]), np.array([1.0]))
-    out = stop_gradient(d * 2.0)
-    np.testing.assert_array_equal(out.tangent, [0.0])
-    np.testing.assert_array_equal(out.primal.data, [2.0])
-
-
 def test_backward_twice_gives_equal_grads_and_mutates_no_tensor():
     rng = np.random.default_rng(3)
     x, w = Tensor(_rand(rng, 2, 3), requires_grad=True), Tensor(_rand(rng, 3, 2), requires_grad=True)
@@ -337,8 +321,8 @@ def test_backward_twice_gives_equal_grads_and_mutates_no_tensor():
 
 
 def test_backward_leaves_in_order_of_first_use():
-    # clip_grad_norm sums the gradients in this order, so it fixes the
-    # rounding of the global norm
+    # finetune lists Adam's parameters in this order, so the gathered
+    # gradient and the rounding of its clipping norm follow it
     a, b, c = (Tensor(np.full(2, v), requires_grad=True) for v in (1.0, 2.0, 3.0))
     with Graph() as g:
         hidden = c * b  # c first, then b

@@ -73,6 +73,23 @@ def test_checkpoint_truncated_file(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_unknown_net_kind_and_non_nets(tmp_path):
+    import hashlib
+
+    path = tmp_path / "ck.json"
+    with pytest.raises(CheckpointError, match="cannot checkpoint object of type dict"):
+        save_checkpoint(path, {"policy": {}})
+    save_checkpoint(path, {"policy": init_value_net(7, 3)})
+    env = json.loads(path.read_text())
+    env.pop("checksum")
+    env["nets"]["policy"]["kind"] = "critic"
+    canon = json.dumps(env, sort_keys=True, separators=(",", ":")).encode()
+    env["checksum"] = hashlib.sha256(canon).hexdigest()
+    path.write_text(json.dumps(env))
+    with pytest.raises(CheckpointError, match="unknown net kind 'critic'"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # datasets and metrics
 

@@ -309,8 +309,8 @@ def test_pretrain_nan_parameter_names_epoch_step_and_op(monkeypatch):
     import dmpo.meanflow as mfmod
 
     class PoisonAfterFirstStep(mfmod.Adam):
-        def step(self, grads):
-            super().step(grads)
+        def step(self, g):
+            super().step(g)
             self.params[4].data[0, 0] = np.nan  # trunk0_w: the first layer of the dual pass
 
     monkeypatch.setattr(mfmod, "Adam", PoisonAfterFirstStep)

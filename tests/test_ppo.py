@@ -736,14 +736,35 @@ def test_c12a_config_minibatch_tape_has_20_nodes(monkeypatch):
 
 def test_finetune_nan_parameter_names_iteration_minibatch_and_op(monkeypatch):
     class PoisonAfterFirstStep(ppo_mod.Adam):
-        def step(self, grads):
-            super().step(grads)
+        def step(self, g):
+            super().step(g)
             self.params[4].data[0, 0] = np.nan  # policy trunk0_w: the chain pass's first trunk layer
 
     monkeypatch.setattr(ppo_mod, "Adam", PoisonAfterFirstStep)
     cfg = Stage2Config(iterations=2, seed=0, rollout_steps=64, n_envs=4, minibatch_size=16)
     with pytest.raises(RuntimeError, match=r"fine-tuning diverged at iteration 0 minibatch 1: .*op 'dense'"):
         finetune(_pretrained(), lambda: make_env("point-reach"), cfg)
+
+
+@pytest.mark.parametrize("sigma_learnable", [False, True])
+def test_finetune_gathers_gradients_in_tape_leaf_order(monkeypatch, sigma_learnable):
+    # clip_grad_norm's dot product rounds by entry order; Adam listing its
+    # parameters in the order the tape first uses them keeps the clipping
+    # norm equal to the one over the tape's gradients
+    gathered = []
+
+    class OrderChecked(ppo_mod.Adam):
+        def gather(self, grads):
+            assert list(grads) == self.params
+            gathered.append(len(grads))
+            return super().gather(grads)
+
+    monkeypatch.setattr(ppo_mod, "Adam", OrderChecked)
+    cfg = Stage2Config(iterations=1, seed=0, lam_bc_init=0.1, lam_bc_final=0.1, bc_decay_start=0,
+                       bc_decay_end=1, sigma_learnable=sigma_learnable)
+    finetune(_pretrained(), lambda: make_env("point-reach-shifted"), cfg)
+    n_params = 10 + 6 + sigma_learnable  # policy, value, log-sigma
+    assert gathered == [n_params] * (cfg.epochs * cfg.rollout_steps // cfg.minibatch_size)
 
 
 def test_learnable_sigma_mode():
