@@ -27,7 +27,9 @@ mode, and runs plain-array kernels on ndarray input. An op hands the tape
 its VJP ``vjp(g) -> [(parent, cotangent), ...]`` directly.
 
 There is no indexing op: a head that needs part of a value works on
-``.data`` inside a ``custom_op``.
+``.data`` inside a ``custom_op``. :func:`split_rows`, the inverse of a
+two-part ``concat(axis=0)``, is one node with two outputs, so one stacked
+network pass can feed two heads.
 """
 
 from __future__ import annotations
@@ -178,6 +180,9 @@ class DualTensor:
 
 
 class _Node:
+    # ``out`` is the op's output Tensor, or a tuple of them for an op with
+    # several outputs, whose ``vjp`` then takes a list of their cotangents
+    # (None for an output nothing used)
     __slots__ = ("out", "parents", "vjp", "op")
 
     def __init__(self, out, parents, vjp, op):
@@ -214,7 +219,10 @@ class Graph:
             if p not in self._outs:
                 self._leaves.setdefault(p)
         self.nodes.append(_Node(out, parents, vjp, op))
-        self._outs.add(out)
+        if type(out) is tuple:
+            self._outs.update(out)
+        else:
+            self._outs.add(out)
 
     def backward(self, output: Tensor, seed: Array | None = None) -> dict[Tensor, Array]:
         """Reverse sweep from ``output``; returns leaf gradients.
@@ -237,9 +245,14 @@ class Graph:
                 )
         cot: dict[Tensor, Array] = {output: seed}
         for node in reversed(self.nodes):
-            g = cot.pop(node.out, None)
-            if g is None:
-                continue
+            if type(node.out) is tuple:
+                g = [cot.pop(o, None) for o in node.out]
+                if all(x is None for x in g):
+                    continue
+            else:
+                g = cot.pop(node.out, None)
+                if g is None:
+                    continue
             for parent, pg in node.vjp(g):
                 cot[parent] = cot[parent] + pg if parent in cot else pg
         return {t: cot[t] for t in self._leaves if t in cot}
@@ -669,6 +682,25 @@ def concat(parts: Sequence, axis: int = 1):
         return out
 
     return _emit(data, tuple(ts), vjp, "concat")
+
+
+def split_rows(a, n: int):
+    """``(a[:n], a[n:])`` of a 2-D Tensor, the inverse of ``concat(axis=0)``
+    over two parts: one node with two outputs, whose VJP stacks their
+    cotangents (zeros for a part nothing used). Reverse mode only."""
+    a = as_tensor(a)
+    x = a.data
+    if x.ndim != 2 or not 0 < n < x.shape[0]:
+        raise ShapeError(f"cannot split {x.shape} after row {n}")
+    needs = bool(_ACTIVE) and a.requires_grad
+    outs = (Tensor(x[:n], requires_grad=needs), Tensor(x[n:], requires_grad=needs))
+    if needs:
+
+        def vjp(gs):
+            return [(a, np.concatenate([np.zeros(o.shape) if g is None else g for o, g in zip(outs, gs)]))]
+
+        _ACTIVE[-1]._record(outs, (a,), vjp, "split_rows")
+    return outs
 
 
 def _reduce(a, np_fn, scale_fn, axis, op):

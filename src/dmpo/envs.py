@@ -11,6 +11,11 @@ Two environments cover the two training stages' failure modes:
   from a two-component Gaussian mixture with observation-dependent means;
   reward is the log-density of the executed action under the true mixture.
   It isolates representation collapse without sequential credit assignment.
+
+``PointReach.step`` runs on Python floats, at a fraction of the cost of
+numpy calls on 2-vectors, and stays bitwise equal to the ``np.clip`` and
+``np.linalg.norm`` arithmetic: its distances come from ``_fma``, an exact
+fused multiply-add that rounds as numpy's 2-element dot.
 """
 
 from __future__ import annotations
@@ -50,6 +55,26 @@ class Dataset:
 
     def __len__(self):
         return self.obs.shape[0]
+
+
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant for doubles
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """``a * b + c`` with one rounding, on Python floats.
+
+    Dekker's TwoProduct writes ``a * b`` exactly as ``p + e``, and
+    ``math.fsum`` rounds the exact sum ``p + e + c`` once. Exact for finite
+    operands whose product neither overflows nor underflows."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return math.fsum((p, e, c))
 
 
 def _checked_action(action, d_a):
@@ -130,22 +155,22 @@ class PointReach:
             frac = (0.0 - p0) / (x - p0)
             y_cross = p1 + frac * (y - p1)
             self.homotopy_class = 1 if y_cross > 0.0 else -1
-        new = np.array([x, y])
-        self._pos = new
-        # sqrt(d . d) is np.linalg.norm's own formula for a vector; numpy's
+        self._pos = np.array([x, y])
+        # the distances are np.linalg.norm's sqrt(d . d), and numpy's
         # 2-element dot rounds as fma(d1, d1, d0*d0), which neither
-        # x*x + y*y nor math.hypot reproduces
-        d = new - self._goal
-        dist = math.sqrt(d.dot(d))
-        c = new - self.OBSTACLE_CENTER
-        contact = math.sqrt(c.dot(c)) <= self.OBSTACLE_RADIUS
+        # x*x + y*y nor math.hypot reproduces; the obstacle centre is the
+        # origin, so (x, y) is the contact vector as it is
+        g0, g1 = self._goal.tolist()
+        d0, d1 = x - g0, y - g1
+        dist = math.sqrt(_fma(d1, d1, d0 * d0))
+        contact = math.sqrt(_fma(y, y, x * x)) <= self.OBSTACLE_RADIUS
         reached = dist < self.REACH_EPS
         reward = -dist + (10.0 if reached else 0.0) - (1.0 if contact else 0.0)
         self._t += 1
         self.terminated = reached
         self.truncated = (not reached) and self._t >= self.max_steps
         self._done = self.terminated or self.truncated
-        return self._obs(), reward, self._done
+        return np.array([x, y, g0, g1]), reward, self._done
 
 
 class ModalBandit:

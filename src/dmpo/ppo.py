@@ -12,18 +12,27 @@ optional learnable per-dimension log-sigma head makes it (and the ratio)
 sigma-differentiable.
 
 Per minibatch the policy encoder runs once, traced, and its embedding feeds
-both the chain log-prob and the BC term; the frozen BC reference runs on
-the plain-array forward and adds nothing to the tape. Around the MLP layers
-every loss head is a single tape node with a hand-written VJP
-(``autodiff.custom_op``): each transition's Gaussian log-density, the ratio,
-the clipped surrogate, the value loss, the BC distance and the weighted
-total, so a K=1 fixed-sigma minibatch tapes 20 nodes. Each fused head
-repeats the arithmetic of the op chain it replaces, in the same order, so
-values and gradients equal that chain's bit for bit. Rollouts are collected
-as stacked arrays, one ``[:, t]`` row per step across environments, with one
-value-net call over the whole window, and GAE runs as one backward pass over
-the whole batch. Each optimizer step gathers the gradients once
-(``Adam.gather``); clipping and the Adam update work on that one array.
+both the chain log-prob and the BC term. The policy trunk runs once too,
+over the chain's first step (for K=1 its only one) and the BC rows stacked,
+and ``autodiff.split_rows`` hands each head its own rows; the trunk-weight
+gradients then sum over both row sets in one matmul, which rounds
+differently from two passes. The frozen BC reference runs on the
+plain-array forward and adds nothing to the tape: ``finetune`` embeds the
+rollout rows once per iteration and computes each epoch's targets in one
+pass. With ``n_envs`` and the minibatch size multiples of 4, the stacked
+chain rows and the per-epoch targets equal per-minibatch passes bit for bit
+(rows in full blocks of 4 round alike; sampler module docstring), so the
+ratio is exactly 1 at theta_old. Around the MLP layers every loss head is a
+single tape node with a hand-written VJP (``autodiff.custom_op``): each
+transition's Gaussian log-density, the ratio, the clipped surrogate, the
+value loss, the BC distance and the weighted total, so a K=1 fixed-sigma
+minibatch tapes 18 nodes. Each fused head repeats the arithmetic of the op
+chain it replaces, in the same order, so values and gradients equal that
+chain's bit for bit. Rollouts are collected as stacked arrays, one
+``[:, t]`` row per step across environments, with one value-net call over
+the whole window, and GAE runs as one backward pass over the whole batch.
+Each optimizer step gathers the gradients once (``Adam.gather``); clipping
+and the Adam update work on that one array.
 """
 
 from __future__ import annotations
@@ -35,7 +44,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .autodiff import Graph, Tensor, as_tensor, custom_op, exp, log, row_sq_mean, value_of, weighted_sum
+from .autodiff import (
+    Graph, Tensor, as_tensor, concat, custom_op, exp, log, row_sq_mean, split_rows, value_of, weighted_sum
+)
 from .io import write_metrics_csv
 from .nets import Adam, clip_grad_norm, init_value_net
 from .sampler import LOG_2PI, chain_logprob_traced, sample_chain_batch, step_entropy
@@ -200,15 +211,22 @@ def value_loss(v_pred, returns):
     return custom_op(0.5 * np.square(d).mean(), (v,), vjp, "value_loss")
 
 
-def bc_loss(frozen_net, current_net, obs_batch, shared_noise, h=None):
+def bc_target(frozen_net, z1: np.ndarray, h_frozen: np.ndarray) -> np.ndarray:
+    """The frozen net's one-step actions ``z1 - u(z1, 0, 1)`` from its
+    embeddings ``h_frozen``: the BC regression target, on the plain-array
+    forward, so it records nothing."""
+    return z1 - frozen_net.velocity_arrays(z1, 0.0, 1.0, h_frozen)
+
+
+def bc_loss(frozen_net, current_net, obs_batch, shared_noise, h=None, u=None, target=None):
     """Squared distance between one-step actions of the two nets from the
     same z1 draws; gradient flows into ``current_net`` only.
 
-    ``h`` is the current net's embedding of ``obs_batch`` when the caller
-    has already traced it. The frozen reference runs on the plain-array
-    forward and records nothing. The distance head
-    ``square((z1 - u) - a_frozen).sum(1).mean()`` over the current velocity
-    ``u`` is one tape node.
+    ``h`` is the current net's embedding of ``obs_batch``, and ``u`` its
+    velocity at (z1, r=0, tau=1), when the caller has already traced them;
+    ``target`` is ``bc_target`` of the frozen net when the caller has
+    computed it (``finetune`` does, once per epoch). The distance head
+    ``square((z1 - u) - target).sum(1).mean()`` is one tape node.
     """
     obs = np.asarray(obs_batch, dtype=np.float64)
     z1 = np.asarray(shared_noise, dtype=np.float64)
@@ -216,13 +234,15 @@ def bc_loss(frozen_net, current_net, obs_batch, shared_noise, h=None):
         raise ValueError("frozen and current nets must share dims")
     if z1.shape != (obs.shape[0], current_net.d_a):
         raise ValueError(f"shared noise must be (B, {current_net.d_a})")
-    B = obs.shape[0]
-    a_frozen = z1 - frozen_net.velocity_arrays(z1, 0.0, 1.0, frozen_net.encode_arrays(obs))
-    if h is None:
-        h = current_net.encode(Tensor(obs))
-    u_cur = current_net.velocity(Tensor(z1), Tensor(np.zeros((B, 1))), Tensor(np.ones((B, 1))), h=h)
-    dist, grad = row_sq_mean((z1 + -u_cur.data) + -a_frozen)
-    return custom_op(dist, (u_cur,), lambda g: (-grad(g),), "bc_dist")
+    if target is None:
+        target = bc_target(frozen_net, z1, frozen_net.encode_arrays(obs))
+    if u is None:
+        B = obs.shape[0]
+        if h is None:
+            h = current_net.encode(Tensor(obs))
+        u = current_net.velocity(Tensor(z1), Tensor(np.zeros((B, 1))), Tensor(np.ones((B, 1))), h=h)
+    dist, grad = row_sq_mean((z1 + -u.data) + -target)
+    return custom_op(dist, (u,), lambda g: (-grad(g),), "bc_dist")
 
 
 def bc_schedule(n: int, config: Stage2Config) -> float:
@@ -273,6 +293,7 @@ class MiniBatch:
     advantages: np.ndarray  # (M,)
     returns: np.ndarray  # (M,)
     bc_noise: np.ndarray  # (M, d_a)
+    bc_target: np.ndarray | None = None  # (M, d_a) bc_target of the frozen net; computed when None
 
 
 def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int):
@@ -280,13 +301,22 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
 
     total = L_PG + lam_value * L_V + lam_entropy * L_ent + lam_bc(n) * L_BC
     """
-    K = batch.states.shape[1] - 1
+    M, K = batch.states.shape[0], batch.states.shape[1] - 1
     d_a = nets.policy.d_a
     sigma_t = _sigma_tensor(nets, config)
 
-    # one traced encoder pass serves the chain log-prob and the BC term
+    # One traced encoder pass serves the chain log-prob and the BC term, and
+    # one trunk pass over stacked rows serves the chain's first step
+    # (a^0, r=(K-1)/K, tau=1) and the BC rows (z1, r=0, tau=1). A row in a
+    # full block of 4 rounds as in an M-row pass (sampler module docstring),
+    # so at M % 4 == 0 the chain rows equal a separate pass's bit for bit.
     h = nets.policy.encode(Tensor(batch.obs))
-    new_lp = chain_logprob_traced(nets.policy, batch.states, batch.obs, sigma_t, K, h=h)
+    r = np.zeros((2 * M, 1))
+    r[:M] = (K - 1) / K
+    z = np.concatenate([batch.states[:, 0], batch.bc_noise])
+    u = nets.policy.velocity(Tensor(z), Tensor(r), Tensor(np.ones((2 * M, 1))), h=concat([h, h], axis=0))
+    u0, u_bc = split_rows(u, M)
+    new_lp = chain_logprob_traced(nets.policy, batch.states, batch.obs, sigma_t, K, h=h, u0=u0)
     rho = ppo_ratio(new_lp, batch.old_logprobs)
     pg = clipped_pg_loss(rho, batch.advantages, config.clip_eps)
 
@@ -300,7 +330,7 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     else:
         ent = Tensor(_fixed_sigma_entropy(K, d_a, config.sigma))
 
-    bc = bc_loss(nets.frozen, nets.policy, batch.obs, batch.bc_noise, h=h)
+    bc = bc_loss(nets.frozen, nets.policy, batch.obs, batch.bc_noise, u=u_bc, target=batch.bc_target)
     lam_bc = bc_schedule(n, config)
 
     total = weighted_sum(
@@ -480,6 +510,8 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
             adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         N = batch.obs.shape[0]
+        # the frozen reference's embedding of every rollout row, once per iteration
+        h_frozen = frozen.encode_arrays(batch.obs)
         parts_acc = {"pg": 0.0, "v": 0.0, "ent": 0.0, "bc": 0.0}
         clip_hits = 0
         kl_sum = 0.0
@@ -487,15 +519,24 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
         n_mb = 0
         for _ in range(config.epochs):
             order = update_rng.permutation(N)
+            # The epoch's BC noise in one draw: a generator fills an array in
+            # order, so these are the numbers that one draw per minibatch
+            # gives, leaving the generator in the same state. Their frozen
+            # targets come from one N-row pass, equal to per-minibatch passes
+            # when N and the minibatch size are multiples of 4.
+            noise = update_rng.standard_normal((N, policy.d_a))
+            targets = bc_target(frozen, noise, h_frozen[order])
             for lo in range(0, N, config.minibatch_size):
-                idx = order[lo : lo + config.minibatch_size]
+                rows = slice(lo, lo + config.minibatch_size)
+                idx = order[rows]
                 mb = MiniBatch(
                     obs=np.ascontiguousarray(batch.obs[idx]),
                     states=np.ascontiguousarray(batch.states[idx]),
                     old_logprobs=batch.old_logprobs[idx],
                     advantages=adv[idx],
                     returns=batch.returns[idx],
-                    bc_noise=update_rng.standard_normal((idx.size, policy.d_a)),
+                    bc_noise=noise[rows],
+                    bc_target=targets[rows],
                 )
                 try:
                     with Graph() as g:

@@ -229,11 +229,12 @@ def _transition_logpdf(u, a_k: np.ndarray, a_next: np.ndarray, sigma_t, dt: floa
     return custom_op(_logpdf_rows(diff, _log_norm(sig)), (u, sigma_t), vjp, "gauss_logpdf")
 
 
-def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K: int, h=None):
+def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K: int, h=None, u0=None):
     """Sum of the K transition log-densities, differentiable in theta (and
     sigma when traced). ``states`` is (M, K+1, d_a); recorded states are
     constants, only the means depend on parameters. ``h`` is the policy's
-    embedding of ``obs`` when the caller has already traced it.
+    embedding of ``obs``, and ``u0`` its velocity at the first step
+    (a^0, r = (K-1)/K, tau = 1), when the caller has already traced them.
 
     Outside a ``Graph`` this records nothing. It repeats the arithmetic of
     ``sample_chain_batch``, so on the rows that call sampled, at the same
@@ -247,9 +248,12 @@ def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K
     total = None
     for k in range(K):
         a_k = np.ascontiguousarray(states[:, k, :])
-        r_col = Tensor(np.full((M, 1), (K - k - 1) / K))
-        tau_col = Tensor(np.full((M, 1), (K - k) / K))
-        u = policy.velocity(Tensor(a_k), r_col, tau_col, h=h)
+        if k == 0 and u0 is not None:
+            u = u0
+        else:
+            r_col = Tensor(np.full((M, 1), (K - k - 1) / K))
+            tau_col = Tensor(np.full((M, 1), (K - k) / K))
+            u = policy.velocity(Tensor(a_k), r_col, tau_col, h=h)
         term = _transition_logpdf(u, a_k, states[:, k + 1, :], sigma_t, dt)
         total = term if total is None else total + term
     return total

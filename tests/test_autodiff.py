@@ -154,6 +154,29 @@ def test_concat_gradcheck():
     assert rel_err(grads[b], fb) < 1e-4
 
 
+def test_split_rows_inverts_concat_and_gradcheck():
+    rng = np.random.default_rng(20)
+    x0, wa, wb = _rand(rng, 5, 3), _rand(rng, 2, 3), _rand(rng, 3, 3)
+    x = Tensor(x0, requires_grad=True)
+    with Graph() as g:
+        a, b = ad.split_rows(x, 2)
+        both = (a * Tensor(wa)).sum() + (b * Tensor(wb)).sum()
+        only_b = (b * Tensor(wb)).sum()
+        again = concat([a, b], axis=0)
+    assert [n.op for n in g.nodes].count("split_rows") == 1
+    assert np.array_equal(a.data, x0[:2]) and np.array_equal(b.data, x0[2:])
+    assert np.array_equal(again.data, x0)
+    f = lambda arr: float(np.sum(arr[:2] * wa) + np.sum(arr[2:] * wb))
+    assert rel_err(g.backward(both)[x], fd_grad(f, x0.copy())) < 1e-4
+    # a part nothing used passes back zeros
+    gb = g.backward(only_b)[x]
+    assert np.array_equal(gb[:2], np.zeros((2, 3))) and np.array_equal(gb[2:], wb)
+    np.testing.assert_array_equal(g.backward(again, seed=x0)[x], x0)
+    for n in (0, 5):
+        with pytest.raises(ShapeError):
+            ad.split_rows(x, n)
+
+
 # ---------------------------------------------------------------------------
 # contract examples
 
@@ -573,6 +596,23 @@ def test_dense_bit_identical_to_op_chain(tanh):
         plain = ad.dense(x0, Tensor(W0, requires_grad=True), Tensor(b0, requires_grad=True), tanh)
     assert type(plain) is np.ndarray and not g.nodes
     np.testing.assert_array_equal(plain, _op_chain(Tensor(x0), W, b, tanh).data)
+
+
+@pytest.mark.parametrize("tanh", [True, False])
+@pytest.mark.parametrize("B", [1, 8])
+def test_dense_plain_array_path_leaves_inputs_and_returns_fresh_array(B, tanh):
+    # the plain-array path works in place on a fresh product: the same ops in
+    # the same order as the out-of-place numpy expression, inputs untouched
+    rng = np.random.default_rng(B)
+    x = rng.normal(size=(B, 5))
+    W = Tensor(rng.normal(size=(5, 7)))
+    b = Tensor(rng.normal(size=7))
+    before = [a.copy() for a in (x, W.data, b.data)]
+    y = ad.dense(x, W, b, tanh)
+    for a, a0 in zip((x, W.data, b.data), before):
+        np.testing.assert_array_equal(a, a0)
+        assert not np.shares_memory(y, a)
+    np.testing.assert_array_equal(y, _dense_np(x, W.data, b.data, tanh))
 
 
 def test_dense_checks_the_pre_activation():

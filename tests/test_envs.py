@@ -6,6 +6,7 @@ from dmpo.envs import (
     EnvError,
     ModalBandit,
     PointReach,
+    _fma,
     _point_reach_expert_action,
     evaluate,
     gen_demos,
@@ -82,6 +83,24 @@ def test_point_reach_homotopy_classes():
     env2.homotopy_class = 0
     env2.step(np.array([0.2, 0.0]))
     assert env2.homotopy_class == -1
+
+
+def test_fma_rounds_as_numpy_two_element_dot():
+    # PointReach.step's distances are sqrt(_fma(d1, d1, d0*d0)), which must
+    # round as np.linalg.norm's sqrt(d . d); x*x + y*y differs on about one
+    # pair in six here
+    rng = np.random.default_rng(29)
+    pairs = rng.uniform(-2.5, 2.5, size=(100_000, 2)).tolist()
+    pairs += [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0, 0], [np.nan, 0.5], [0.5, np.nan]]
+    want = np.array([np.dot(d, d) for d in np.array(pairs)])
+    got = np.array([_fma(d1, d1, d0 * d0) for d0, d1 in pairs])
+    assert np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))
+    naive = np.array([d0 * d0 + d1 * d1 for d0, d1 in pairs])
+    assert np.sum(naive[:100_000] != want[:100_000]) > 10_000
+    # a general product a . b as well, with mixed signs
+    ab = rng.uniform(-2.5, 2.5, size=(20_000, 2, 2))
+    want = np.array([np.dot(a, b) for a, b in ab])
+    assert np.array_equal([_fma(a1, b1, a0 * b0) for (a0, a1), (b0, b1) in ab.tolist()], want)
 
 
 class _ClipNormPointReach(PointReach):

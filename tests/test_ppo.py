@@ -3,7 +3,7 @@ import pytest
 
 import dmpo.autodiff as ad
 from dmpo import kernels
-from dmpo.autodiff import Graph, Tensor
+from dmpo.autodiff import Graph, Tensor, concat
 from dmpo.envs import gen_demos, make_env
 from dmpo.meanflow import Stage1Config, pretrain
 from dmpo.nets import init_velocity_net, init_value_net, param_checksum
@@ -25,7 +25,7 @@ from dmpo.ppo import (
     stage2_loss,
     value_loss,
 )
-from dmpo.sampler import LOG_2PI, sample_stochastic
+from dmpo.sampler import LOG_2PI, sample_chain_batch, sample_stochastic
 
 from helpers import fd_grad, rel_err
 
@@ -353,14 +353,14 @@ def test_bc_loss_gradient_only_into_current():
     assert any(id(p) in set(map(id, current.parameters())) for p in grads)
 
 
-def _bc_loss_op_chain(frozen_net, current_net, obs, z1, h=None):
+def _bc_loss_op_chain(frozen_net, current_net, obs, z1, u=None):
     # the reference: bc_loss's distance head as neg/add/square/sum/mean ops
     B = obs.shape[0]
     a_frozen = z1 - frozen_net.velocity_arrays(z1, 0.0, 1.0, frozen_net.encode_arrays(obs))
-    if h is None:
+    if u is None:
         h = current_net.encode(Tensor(obs))
-    u_cur = current_net.velocity(Tensor(z1), Tensor(np.zeros((B, 1))), Tensor(np.ones((B, 1))), h=h)
-    a_cur = Tensor(z1) - u_cur
+        u = current_net.velocity(Tensor(z1), Tensor(np.zeros((B, 1))), Tensor(np.ones((B, 1))), h=h)
+    a_cur = Tensor(z1) - u
     return ad.square(a_cur - Tensor(a_frozen)).sum(axis=1).mean()
 
 
@@ -497,17 +497,28 @@ def test_stage2_gradients_match_finite_differences():
 # the full loop
 
 
+def _stacked_first_step_and_bc_rows(policy, mb, h):
+    # one trunk pass over the chain's first step and the BC rows, as
+    # stage2_loss makes it
+    M, K = mb.states.shape[0], mb.states.shape[1] - 1
+    r = np.concatenate([np.full((M, 1), (K - 1) / K), np.zeros((M, 1))])
+    z = np.concatenate([mb.states[:, 0], mb.bc_noise])
+    u = policy.velocity(Tensor(z), Tensor(r), Tensor(np.ones((2 * M, 1))), h=concat([h, h], axis=0))
+    return ad.split_rows(u, M)
+
+
 def _stage2_loss_op_chain(mb, nets, cfg, n):
     # the reference: stage2_loss with every fused head written as its op chain
     # (learnable sigma, so the entropy term is traced too)
     K = mb.states.shape[1] - 1
     sigma_t = ad.exp(nets.log_sigma)
     h = nets.policy.encode(Tensor(mb.obs))
-    new_lp = chain_logprob_traced(nets.policy, mb.states, mb.obs, sigma_t, K, h=h)
+    u0, u_bc = _stacked_first_step_and_bc_rows(nets.policy, mb, h)
+    new_lp = chain_logprob_traced(nets.policy, mb.states, mb.obs, sigma_t, K, h=h, u0=u0)
     pg = clipped_pg_loss(ad.exp(new_lp - Tensor(mb.old_logprobs)), mb.advantages, cfg.clip_eps)
     v = 0.5 * ad.square(nets.value.value(Tensor(mb.obs)) - Tensor(mb.returns)).mean()
     ent = -float(K) * ((0.5 * (1.0 + LOG_2PI) * nets.policy.d_a) + ad.log(sigma_t).sum())
-    bc = _bc_loss_op_chain(nets.frozen, nets.policy, mb.obs, mb.bc_noise, h=h)
+    bc = _bc_loss_op_chain(nets.frozen, nets.policy, mb.obs, mb.bc_noise, u=u_bc)
     return pg + cfg.lam_value * v + cfg.lam_entropy * ent + bc_schedule(n, cfg) * bc
 
 
@@ -527,6 +538,169 @@ def test_stage2_loss_bit_identical_to_op_composed_heads():
     (hv, hg), (cv, cg) = runs
     assert hv == cv and hv != 0.0
     assert list(hg) == list(cg) and all(np.array_equal(hg[p], cg[p]) for p in hg)
+
+
+def _sampled_minibatch(net, M, K, sigma, seed):
+    # chains sampled in one M-row call; at M % 4 == 0 its rows round as
+    # collection's 8-row calls do
+    rng = np.random.default_rng(seed)
+    obs = rng.normal(size=(M, net.d_obs))
+    chains = sample_chain_batch(net, obs, K, sigma, [np.random.default_rng(seed + 1 + i) for i in range(M)])
+    return MiniBatch(
+        obs=obs,
+        states=chains.states,
+        old_logprobs=chains.total_logprobs,
+        advantages=rng.normal(size=M),
+        returns=rng.normal(size=M),
+        bc_noise=rng.standard_normal((M, net.d_a)),
+    )
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_stacked_trunk_pass_rows_equal_separate_passes_and_rho_is_one_at_theta_old(monkeypatch, K):
+    # rows in full blocks of 4 round alike whatever the matmul's row count, so
+    # at M % 4 == 0 the stacked pass's chain and BC rows equal separate M-row
+    # passes bit for bit, and the ratio at unchanged parameters is exactly 1
+    net = init_velocity_net(31, 3, 2)
+    nets = Stage2Nets(policy=net, value=init_value_net(31, 3), frozen=net.clone())
+    cfg = Stage2Config(K=K, sigma=0.01)
+    mb = _sampled_minibatch(net, 64, K, cfg.sigma, seed=31)
+    seen = {}
+    chain_logprob, bc = ppo_mod.chain_logprob_traced, ppo_mod.bc_loss
+
+    def chain_spy(*args, **kwargs):
+        seen["u0"] = kwargs["u0"].data
+        return chain_logprob(*args, **kwargs)
+
+    def bc_spy(*args, **kwargs):
+        seen["u_bc"] = kwargs["u"].data
+        return bc(*args, **kwargs)
+
+    monkeypatch.setattr(ppo_mod, "chain_logprob_traced", chain_spy)
+    monkeypatch.setattr(ppo_mod, "bc_loss", bc_spy)
+    with Graph():
+        _, parts = stage2_loss(mb, nets, cfg, n=0)
+    M = mb.obs.shape[0]
+    h = net.encode(Tensor(mb.obs))
+    ones = Tensor(np.ones((M, 1)))
+    first = net.velocity(Tensor(mb.states[:, 0]), Tensor(np.full((M, 1), (K - 1) / K)), ones, h=h)
+    bc_rows = net.velocity(Tensor(mb.bc_noise), Tensor(np.zeros((M, 1))), ones, h=h)
+    assert np.array_equal(seen["u0"], first.data)
+    assert np.array_equal(seen["u_bc"], bc_rows.data)
+    assert np.all(parts["rho"] == 1.0) and parts["bc"] == 0.0
+
+
+def _stage2_loss_separate_passes(mb, nets, cfg, n):
+    # the reference: stage2_loss with the chain's first step and the BC rows
+    # in two trunk passes over the shared embedding
+    K = mb.states.shape[1] - 1
+    sigma_t = ppo_mod._sigma_tensor(nets, cfg)
+    h = nets.policy.encode(Tensor(mb.obs))
+    new_lp = chain_logprob_traced(nets.policy, mb.states, mb.obs, sigma_t, K, h=h)
+    pg = clipped_pg_loss(ppo_ratio(new_lp, mb.old_logprobs), mb.advantages, cfg.clip_eps)
+    v = value_loss(nets.value.value(Tensor(mb.obs)), mb.returns)
+    ent = Tensor(ppo_mod._fixed_sigma_entropy(K, nets.policy.d_a, cfg.sigma))
+    bc = bc_loss(nets.frozen, nets.policy, mb.obs, mb.bc_noise, h=h)
+    weights = [1.0, cfg.lam_value, cfg.lam_entropy, bc_schedule(n, cfg)]
+    return ad.weighted_sum([pg, v, ent, bc], weights, "stage2_total")
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_stacked_trunk_pass_gradients_match_two_separate_passes(K):
+    # the stacked pass sums each trunk weight's gradient over 2M rows in one
+    # matmul where two passes summed two M-row matmuls: rounding only
+    net = init_velocity_net(32, 3, 2)
+    mb = _sampled_minibatch(net, 64, K, 0.01, seed=32)
+    policy = net.clone()
+    policy.params["out_b"].data[...] += 0.002  # ratios away from 1, a nonzero BC term
+    nets = Stage2Nets(policy=policy, value=init_value_net(32, 3), frozen=net)
+    cfg = Stage2Config(K=K, sigma=0.01, lam_bc_init=0.3, lam_bc_final=0.3)
+    runs = []
+    for fn in (lambda: stage2_loss(mb, nets, cfg, n=0)[0], lambda: _stage2_loss_separate_passes(mb, nets, cfg, 0)):
+        with Graph() as g:
+            total = fn()
+        runs.append((total.data, g.backward(total)))
+    (sv, sg), (rv, rg) = runs
+    assert sv == rv and sv != 0.0
+    assert list(sg) == list(rg)
+    for p in sg:
+        # an entry that cancels to far below its tensor's scale keeps only
+        # absolute accuracy (seen: 2e-17 on an entry of 1.07e-6)
+        np.testing.assert_allclose(sg[p], rg[p], rtol=1e-12, atol=1e-12 * np.max(np.abs(rg[p])))
+
+
+def test_epoch_bc_noise_draw_is_the_per_minibatch_draws():
+    # a generator fills an array in order: one (N, d_a) draw gives the
+    # numbers of the per-minibatch draws and leaves the same state
+    for size in (64, 30):
+        one, per = np.random.default_rng(33), np.random.default_rng(33)
+        whole = one.standard_normal((320, 2))
+        parts = [per.standard_normal((min(size, 320 - lo), 2)) for lo in range(0, 320, size)]
+        assert np.array_equal(whole, np.concatenate(parts))
+        assert one.bit_generator.state == per.bit_generator.state
+
+
+def _captured_minibatches(monkeypatch, net, cfg):
+    seen = []
+    loss = ppo_mod.stage2_loss
+
+    def spy(mb, *args, **kwargs):
+        seen.append(mb)
+        return loss(mb, *args, **kwargs)
+
+    monkeypatch.setattr(ppo_mod, "stage2_loss", spy)
+    finetune(net, lambda: make_env("point-reach-shifted"), cfg)
+    return seen
+
+
+@pytest.mark.parametrize("minibatch_size", [64, 30])
+def test_finetune_bc_targets_once_per_epoch_equal_per_minibatch_frozen_pass(monkeypatch, minibatch_size):
+    # finetune draws each epoch's BC noise at once and computes its frozen
+    # targets in one N-row pass; the noise is the per-minibatch stream, and the
+    # targets equal per-minibatch frozen passes exactly when the minibatch
+    # size is a multiple of 4 (and to rounding otherwise)
+    net = _pretrained()
+    cfg = Stage2Config(iterations=1, seed=4, minibatch_size=minibatch_size, lam_bc_init=0.1, lam_bc_final=0.1,
+                       bc_decay_start=0, bc_decay_end=1)
+    mbs = _captured_minibatches(monkeypatch, net, cfg)
+    N = cfg.rollout_steps
+    update_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(cfg.n_envs + 1)[-1])
+    want_noise = []
+    for _ in range(cfg.epochs):
+        update_rng.permutation(N)
+        for lo in range(0, N, minibatch_size):
+            want_noise.append(update_rng.standard_normal((min(minibatch_size, N - lo), net.d_a)))
+    assert len(mbs) == len(want_noise)
+    exact = minibatch_size % 4 == 0
+    for mb, noise in zip(mbs, want_noise):
+        assert np.array_equal(mb.bc_noise, noise)
+        want = ppo_mod.bc_target(net, noise, net.encode_arrays(mb.obs))
+        if exact:
+            assert np.array_equal(mb.bc_target, want)
+        else:
+            # measured <= 2.3e-16 on targets of magnitude <= 3.7
+            np.testing.assert_allclose(mb.bc_target, want, rtol=0, atol=1e-15)
+    # the loss and gradients with the hoisted target, against the target
+    # bc_loss computes itself from a per-minibatch frozen pass
+    policy = net.clone()
+    policy.params["out_b"].data[...] += 0.002
+    nets = Stage2Nets(policy=policy, value=init_value_net(4, net.d_obs), frozen=net)
+    runs = []
+    for mb in (mbs[1], MiniBatch(**{**mbs[1].__dict__, "bc_target": None})):
+        with Graph() as g:
+            total, parts = stage2_loss(mb, nets, cfg, n=0)
+        runs.append((total.data, parts["bc"], g.backward(total)))
+    (hv, hbc, hg), (pv, pbc, pg) = runs
+    assert hbc != 0.0 and list(hg) == list(pg)
+    if exact:
+        assert hv == pv and hbc == pbc
+        assert all(np.array_equal(hg[p], pg[p]) for p in hg)
+    else:
+        # measured over every minibatch: equal totals, gradients within
+        # 4e-17 of their tensor's largest entry
+        assert hv == pytest.approx(pv, rel=1e-13) and hbc == pytest.approx(pbc, rel=1e-13)
+        for p in hg:
+            np.testing.assert_allclose(hg[p], pg[p], rtol=1e-12, atol=1e-12 * np.max(np.abs(pg[p])))
 
 
 def _pretrained(seed=0):
@@ -709,9 +883,9 @@ def test_stage2_config_rejects_rollout_steps_not_a_multiple_of_envs():
     assert Stage2Config(rollout_steps=96, n_envs=8).rollout_steps == 96
 
 
-def test_c12a_config_minibatch_tape_has_20_nodes(monkeypatch):
-    # K=1, fixed sigma: every MLP layer is one dense node and every loss head
-    # one fused node
+def test_c12a_config_minibatch_tape_has_18_nodes(monkeypatch):
+    # K=1, fixed sigma: every MLP layer is one dense node, every loss head one
+    # fused node, and one trunk pass over stacked rows serves the chain and BC
     net = _pretrained()
     tapes = []
     backward = Graph.backward
@@ -724,13 +898,13 @@ def test_c12a_config_minibatch_tape_has_20_nodes(monkeypatch):
     cfg = Stage2Config(iterations=1, seed=0, lam_bc_init=0.1, lam_bc_final=0.1, bc_decay_start=0, bc_decay_end=1)
     finetune(net, lambda: make_env("point-reach-shifted"), cfg)
     assert len(tapes) == cfg.epochs * cfg.rollout_steps // cfg.minibatch_size
-    trunk = ["concat", "dense", "dense", "dense"]
     ops = (
-        ["dense", "dense"] + trunk + ["gauss_logpdf", "ppo_ratio", "clipped_pg"]
+        ["dense", "dense", "concat", "concat", "dense", "dense", "dense", "split_rows"]
+        + ["gauss_logpdf", "ppo_ratio", "clipped_pg"]
         + ["dense", "dense", "dense", "reshape", "value_loss"]
-        + trunk + ["bc_dist", "stage2_total"]
+        + ["bc_dist", "stage2_total"]
     )
-    assert len(ops) == 20
+    assert len(ops) == 18
     assert all(t == ops for t in tapes)
 
 
