@@ -22,8 +22,9 @@ numpy within that limit. :func:`custom_op` records a fused computation with
 a hand-written VJP as a single tape node; :func:`weighted_sum` (a weighted
 total of losses) is one, and :func:`row_sq_mean` gives the loss heads built
 that way their squared-distance arithmetic. :func:`dense`, the network
-layer, is one node in reverse mode, carries its own tangent rule in forward
-mode, and runs plain-array kernels on ndarray input. An op hands the tape
+layer, is one node in reverse mode and on a dual input alike; there one
+tanh slope ``1 - y*y`` serves both the tangent and the node's VJP. On
+ndarray input it runs plain-array kernels. An op hands the tape
 its VJP ``vjp(g) -> [(parent, cotangent), ...]`` directly.
 
 There is no indexing op: a head that needs part of a value works on
@@ -65,9 +66,12 @@ def _as_array(x) -> Array:
 
 
 def _check_finite(a: Array, op: str) -> None:
-    # one reduction on the common path; the sum of finite entries can still
-    # overflow, so the elementwise test decides whenever the sum is not finite
-    if not math.isfinite(a.sum()) and not np.isfinite(a).all():
+    # One call on the common path: the sum of squares ``vdot(a, a)`` is NaN
+    # if an entry is NaN and +inf if one is infinite (squares are >= 0, so
+    # they cannot cancel), so a finite result proves every entry finite. A
+    # finite entry whose square overflows also reads inf, so the elementwise
+    # test decides whenever the fast path is not finite.
+    if not math.isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -345,11 +349,13 @@ def _emit(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
 
 def _output(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     # ``_emit`` without the finite check, for ops that check another array
-    needs = bool(_ACTIVE) and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=needs)
-    if needs:
-        _ACTIVE[-1]._record(out, tuple(p for p in parents if p.requires_grad), vjp, op)
-    return out
+    if _ACTIVE:
+        traced = [p for p in parents if p.requires_grad]
+        if traced:
+            out = Tensor(data, requires_grad=True)
+            _ACTIVE[-1]._record(out, tuple(traced), vjp, op)
+            return out
+    return Tensor(data)
 
 
 def custom_op(data, parents: Sequence, vjp: Callable, op: str) -> Tensor:
@@ -360,7 +366,7 @@ def custom_op(data, parents: Sequence, vjp: Callable, op: str) -> Tensor:
     entries of parents that do not are ignored (they may be None). The output
     gets the same finite check as every built-in op. Reverse mode only.
     """
-    parents = tuple(as_tensor(p) for p in parents)
+    parents = tuple([as_tensor(p) for p in parents])
 
     def node_vjp(g):
         return [(p, gp) for p, gp in zip(parents, vjp(g)) if p.requires_grad]
@@ -397,7 +403,8 @@ def row_sq_mean(e: Array):
     def grad(g):
         return (np.broadcast_to(g, (B,)) * (1.0 / B))[:, None] * (2.0 * e)
 
-    return np.square(e).sum(axis=1).mean(), grad
+    # ``mean`` is this sum followed by one true divide by the count
+    return np.square(e).sum(axis=1).sum() / B, grad
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -545,38 +552,46 @@ def dense(x, W, b, tanh: bool = True):
       untraced and unchecked (inference);
     * a Tensor gives one tape node whose VJP is written out, with one finite
       check on the pre-activation (tanh of a finite value is finite);
-    * a DualTensor sends its primal through the Tensor path, recorded as
-      that path would be, and carries the tangent ``(1 - y*y) * (t @ W)``.
+    * a DualTensor is the same one node over its primal, recorded as the
+      Tensor path would be, and carries the tangent ``(t @ W) * (1 - y*y)``;
+      the slope ``1 - y*y`` is computed once and serves both that tangent
+      and the node's VJP.
 
     Every path runs the ops of ``matmul`` -> ``add`` -> ``tanh`` in their
-    order, so values, cotangents and tangents equal that chain's bit for bit.
+    order, so values, cotangents and tangents equal that chain's bit for bit
+    (IEEE multiplication commutes).
     """
     if type(x) is np.ndarray:
         if tanh:
             return kernels.affine_tanh(x, W.data, b.data)
         return kernels.affine(x, W.data, b.data)
     if isinstance(x, DualTensor):
-        y = _dense_node(x.primal, W, b, tanh)
-        yd, tw = y.data, x.tangent @ W.data
-        return DualTensor(y, (1.0 - yd * yd) * tw if tanh else tw)
+        return _dense_node(x.primal, W, b, tanh, x.tangent)
     return _dense_node(as_tensor(x), W, b, tanh)
 
 
-def _dense_node(x: Tensor, W: Tensor, b: Tensor, tanh: bool) -> Tensor:
+def _dense_node(x: Tensor, W: Tensor, b: Tensor, tanh: bool, t: Array | None = None):
     # kept out of ``dense``: the VJP closure would turn that function's
-    # arguments into cells and slow its plain-array path
+    # arguments into cells and slow its plain-array path. Given the tangent
+    # ``t`` of ``x``, returns a DualTensor.
     xd, Wd = x.data, W.data
     if xd.ndim != 2 or xd.shape[1] != Wd.shape[0]:
         raise ShapeError(f"dense input {xd.shape} does not fit weight {Wd.shape}")
     y = xd @ Wd
     y += b.data
     _check_finite(y, "dense")
+    slope = None
     if tanh:
         np.tanh(y, out=y)
+        if t is not None:
+            slope = y * y
+            np.subtract(1.0, slope, out=slope)
 
     def vjp(g):
-        if tanh:
-            # g * (1 - y*y) without temporaries; IEEE multiplication commutes
+        if slope is not None:
+            gp = slope * g
+        elif tanh:
+            # g * (1 - y*y) without temporaries
             gp = y * y
             np.subtract(1.0, gp, out=gp)
             gp *= g
@@ -591,7 +606,13 @@ def _dense_node(x: Tensor, W: Tensor, b: Tensor, tanh: bool) -> Tensor:
             out.append((b, gp.sum(axis=0)))
         return out
 
-    return _output(y, (x, W, b), vjp, "dense")
+    out = _output(y, (x, W, b), vjp, "dense")
+    if t is None:
+        return out
+    tw = t @ Wd
+    if slope is not None:
+        tw *= slope
+    return DualTensor(out, tw)
 
 
 def relu(a):
@@ -653,13 +674,20 @@ def transpose(a):
 def concat(parts: Sequence, axis: int = 1):
     parts = list(parts)
     if _any_dual(parts):
-
-        def tangent(y, xs, ts):
-            return np.concatenate(
-                [np.zeros_like(x) if t is None else t for x, t in zip(xs, ts)], axis=axis
-            )
-
-        return _dual_op(lambda *ps: concat(ps, axis), parts, tangent)
+        # the primal through the Tensor path; the tangent written by slices
+        # into one zeroed buffer (a non-dual part's tangent is zero)
+        primals = [p.primal if isinstance(p, DualTensor) else as_tensor(p) for p in parts]
+        out = concat(primals, axis)
+        tangent = np.zeros_like(out.data)
+        sl = [slice(None)] * tangent.ndim
+        lo = 0
+        for p, q in zip(parts, primals):
+            hi = lo + q.data.shape[axis]
+            if isinstance(p, DualTensor):
+                sl[axis] = slice(lo, hi)
+                tangent[tuple(sl)] = p.tangent
+            lo = hi
+        return DualTensor(out, tangent)
     ts = [as_tensor(p) for p in parts]
     try:
         data = np.concatenate([t.data for t in ts], axis=axis)

@@ -90,8 +90,9 @@ def hinge(H, margin: float) -> Tensor:
         raise ValueError("margin must be positive")
     X = H.data
     G = X @ X.T
-    sq = G.diagonal()
-    d2 = G * -2.0
+    sq = G.diagonal().copy()
+    d2 = G
+    d2 *= -2.0
     d2 += sq[:, None]
     d2 += sq
     np.maximum(d2, 0.0, out=d2)  # relu guards tiny negative fp dust

@@ -42,9 +42,10 @@ class Stage1Batch:
             raise ValueError("inconsistent batch sizes")
         if self.actions.shape != self.noise.shape:
             raise ValueError("noise must match action shape")
-        if not np.all(np.isfinite(self.noise)):
+        if not np.isfinite(self.noise).all():
             raise ValueError("non-finite noise")
-        if np.any(self.r > self.tau) or np.any(self.r < 0.0) or np.any(self.tau > 1.0):
+        # one test of what must hold, so a NaN time fails it
+        if not ((0.0 <= self.r) & (self.r <= self.tau) & (self.tau <= 1.0)).all():
             raise ValueError("time pairs must satisfy 0 <= r <= tau <= 1")
 
 
@@ -90,13 +91,11 @@ def interpolate(a, eps, tau):
     if a.shape != eps.shape:
         raise ValueError(f"action/noise shape mismatch: {a.shape} vs {eps.shape}")
     t = np.asarray(tau, dtype=np.float64)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not ((0.0 <= t) & (t <= 1.0)).all():
         raise ValueError("tau must lie in [0, 1]")
-    return (1.0 - t) * a + t * eps
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    z = (1.0 - t) * a
+    z += t * eps
+    return z
 
 
 def sample_time_pairs(rng: np.random.Generator, n: int, rho_inst: float, full_frac: float = 0.0):
@@ -107,14 +106,20 @@ def sample_time_pairs(rng: np.random.Generator, n: int, rho_inst: float, full_fr
     sigmoids essentially never reach. Draw order is fixed: normals, then the
     instantaneous mask, then the full-interval mask.
     """
-    s = _sigmoid(rng.standard_normal((n, 2)))
+    # the sigmoid 1 / (1 + exp(-x)) in place
+    s = rng.standard_normal((n, 2))
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
     r = s.min(axis=1)
     tau = s.max(axis=1)
     inst = rng.random(n) < rho_inst
-    full = (rng.random(n) < full_frac) & ~inst
-    r = np.where(inst, tau, r)
-    r = np.where(full, 0.0, r)
-    tau = np.where(full, 1.0, tau)
+    full = rng.random(n) < full_frac
+    full &= ~inst
+    np.copyto(r, tau, where=inst)
+    np.copyto(r, 0.0, where=full)
+    np.copyto(tau, 1.0, where=full)
     return r, tau
 
 

@@ -92,7 +92,7 @@ class VelocityNet(_MLPBase):
         columns, or floats shared across rows when ``z`` is an ndarray (the
         array path). ``h``, if given, is the embedding of ``obs``."""
         arrays = type(z) is np.ndarray
-        if (r > tau) if arrays else np.any(value_of(r) > value_of(tau)):
+        if (r > tau) if arrays else (value_of(r) > value_of(tau)).any():
             raise ValueError("flow interval start r exceeds end tau")
         if h is None:
             if obs is None:

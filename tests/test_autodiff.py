@@ -154,6 +154,22 @@ def test_concat_gradcheck():
     assert rel_err(grads[b], fb) < 1e-4
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_dual_concat_tangent_is_the_concatenated_tangents(axis):
+    # the primal is the Tensor path's (one recorded node); a non-dual part,
+    # Tensor or ndarray, contributes an exact zero tangent
+    rng = np.random.default_rng(axis)
+    a0, b0, c0 = (_rand(rng, 3, 2) for _ in range(3))
+    ta, tc = _rand(rng, 3, 2), _rand(rng, 3, 2)
+    b = Tensor(b0, requires_grad=True)
+    with Graph() as g:
+        out = concat([DualTensor(a0, ta), b, DualTensor(c0, tc), a0], axis=axis)
+    assert [n.op for n in g.nodes] == ["concat"]
+    np.testing.assert_array_equal(out.primal.data, np.concatenate([a0, b0, c0, a0], axis=axis))
+    zero = np.zeros((3, 2))
+    np.testing.assert_array_equal(out.tangent, np.concatenate([ta, zero, tc, zero], axis=axis))
+
+
 def test_split_rows_inverts_concat_and_gradcheck():
     rng = np.random.default_rng(20)
     x0, wa, wb = _rand(rng, 5, 3), _rand(rng, 2, 3), _rand(rng, 3, 3)
@@ -400,19 +416,61 @@ def test_nonfinite_raises():
             ad.exp(Tensor([1000.0]))
 
 
+def _layouts(values):
+    """``values`` as 0-d (one value), 1-d, 2-d and non-contiguous arrays."""
+    v = np.array(values, dtype=np.float64)
+    n = v.size
+    out = [v, v.reshape(1, n), v.reshape(n, 1), np.array([v, v]).T]
+    if n == 1:
+        out.append(v.reshape(()))
+    buf = np.full((3, 2 * n), 7.0)
+    buf[0, ::2] = v
+    out += [buf[0, ::2], buf[:1, ::2]]
+    assert n == 1 or not (out[-1].flags.c_contiguous or out[-2].flags.c_contiguous)
+    return out
+
+
+def _probe(a):
+    # an op whose output is ``a`` itself, so the finite check sees its layout
+    return ad.custom_op(a, (), lambda g: (), "probe")
+
+
+# finite, though their squares or their sum overflow
+_FINITE_TABLE = [[1e200, -1e200], [1e308, 1e308], [-1e300], [1.0, -2.0, 0.0]]
+# a NaN or an infinity somewhere
+_NONFINITE_TABLE = [
+    [np.nan, np.nan],
+    [np.nan],
+    [np.inf, -np.inf, 1.0],
+    [-np.inf],
+    [1e308, np.inf, 1e308],
+    [1e308, 1e308, -1e308, np.inf],
+    [1.0, 2.0, 3.0, np.nan],
+    [1e200, -np.inf, -1e200],
+    [np.inf, np.nan],
+]
+
+
 def test_finite_output_with_overflowing_sum_passes():
-    # the one-reduction check must fall back to the exact test, not raise
+    # a fast reduction that overflows must fall back to the exact test, not raise
     with np.errstate(over="ignore"):
         out = Tensor([1e308, 1e308]) + 0.0
     np.testing.assert_array_equal(out.data, [1e308, 1e308])
+    for values in _FINITE_TABLE:
+        for a in _layouts(values):
+            assert _probe(a).data.shape == a.shape
 
 
 def test_nan_only_and_mixed_inf_outputs_raise():
-    with np.errstate(invalid="ignore"):  # inf + -inf inside the check's sum
+    with np.errstate(invalid="ignore"):  # inf + -inf inside a summing check
         with pytest.raises(NonFiniteError):
             Tensor([np.nan, np.nan]) + 0.0
         with pytest.raises(NonFiniteError):
             Tensor([np.inf, -np.inf, 1.0]) + 0.0
+        for values in _NONFINITE_TABLE:
+            for a in _layouts(values):
+                with pytest.raises(NonFiniteError, match="probe"):
+                    _probe(a)
 
 
 def test_custom_op_single_node_and_vjp():
@@ -583,15 +641,34 @@ def test_dense_bit_identical_to_op_chain(tanh):
     for got, want in zip(reverse(ad.dense), reverse(_op_chain)):
         np.testing.assert_array_equal(got, want)
 
-    W, b = Tensor(W0), Tensor(b0)
-    for primal in (x0, Tensor(x0, requires_grad=True)):
-        with Graph():
-            got = ad.dense(DualTensor(primal, t0), W, b, tanh)
-            want = _op_chain(DualTensor(primal, t0), W, b, tanh)
-        np.testing.assert_array_equal(ad.value_of(got), ad.value_of(want))
-        np.testing.assert_array_equal(got.tangent, want.tangent)
+    # the dual path: the same values and tangent, and, through the slope it
+    # keeps for its VJP, the traced-only pass's and the chain's cotangents
+    traced = reverse(ad.dense)
+
+    def dual(layer, x_traced):
+        x = Tensor(x0.copy(), requires_grad=True) if x_traced else x0
+        W, b = (Tensor(a.copy(), requires_grad=True) for a in (W0, b0))
+        with Graph() as g:
+            y = layer(DualTensor(x, t0), W, b, tanh)
+        grads = g.backward(y.primal, seed=g0)
+        again = g.backward(y.primal, seed=g0)  # the slope is not consumed
+        leaves = (x, W, b) if x_traced else (W, b)
+        for p in leaves:
+            np.testing.assert_array_equal(again[p], grads[p])
+        return [y.primal.data, y.tangent], [grads[p] for p in leaves]
+
+    for x_traced in (False, True):
+        (got_y, got_t), got_g = dual(ad.dense, x_traced)
+        (want_y, want_t), want_g = dual(_op_chain, x_traced)
+        np.testing.assert_array_equal(got_y, want_y)
+        np.testing.assert_array_equal(got_y, traced[0])
+        np.testing.assert_array_equal(got_t, want_t)
+        assert len(got_g) == len(want_g) == (3 if x_traced else 2)
+        for got, want, ref in zip(got_g, want_g, traced[4 - len(got_g):]):
+            assert np.array_equal(got, want) and np.array_equal(got, ref)
 
     # the plain-array path returns an array, not a Tensor, and records nothing
+    W, b = Tensor(W0), Tensor(b0)
     with Graph() as g:
         plain = ad.dense(x0, Tensor(W0, requires_grad=True), Tensor(b0, requires_grad=True), tanh)
     assert type(plain) is np.ndarray and not g.nodes

@@ -42,6 +42,21 @@ def test_interpolate_rejects_bad_tau():
         interpolate(np.ones(2), np.ones(2), -0.1)
 
 
+def test_interpolate_rejects_nan_tau():
+    a = np.ones((2, 2))
+    for tau in (np.nan, [[np.nan]], [[0.5], [np.nan]]):
+        with pytest.raises(ValueError, match="tau"):
+            interpolate(a, a, tau)
+
+
+def test_interpolate_bit_identical_to_expression():
+    rng = np.random.default_rng(21)
+    a, eps = rng.normal(size=(64, 3)), rng.standard_normal((64, 3))
+    for tau in (rng.uniform(size=(64, 1)), 0.3, 1.0, np.float64(0.7), rng.uniform(size=3)):
+        t = np.asarray(tau)
+        np.testing.assert_array_equal(interpolate(a, eps, tau), (1.0 - t) * a + t * eps)
+
+
 def test_displacement_identity():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -93,6 +108,34 @@ def test_time_pair_invariant_enforced():
         batch(-0.1, 0.5)
     with pytest.raises(ValueError):
         batch(0.5, 1.1)
+    for r, tau in ((np.nan, 0.5), (0.3, np.nan), (np.nan, np.nan), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="time pairs"):
+            batch(r, tau)
+
+
+def _time_pairs_where_reference(rng, n, rho_inst, full_frac):
+    # the out-of-place formulation: the same draws, in the same order
+    s = 1.0 / (1.0 + np.exp(-rng.standard_normal((n, 2))))
+    r, tau = s.min(axis=1), s.max(axis=1)
+    inst = rng.random(n) < rho_inst
+    full = (rng.random(n) < full_frac) & ~inst
+    r = np.where(inst, tau, r)
+    r = np.where(full, 0.0, r)
+    tau = np.where(full, 1.0, tau)
+    return r, tau
+
+
+@pytest.mark.parametrize("rho_inst", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("full_frac", [0.0, 0.1, 1.0])
+def test_time_pair_draw_bit_identical_to_where_reference(rho_inst, full_frac):
+    for seed in range(4):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (1, 64, 257):
+            r, tau = sample_time_pairs(got_rng, n, rho_inst, full_frac)
+            r_ref, tau_ref = _time_pairs_where_reference(want_rng, n, rho_inst, full_frac)
+            np.testing.assert_array_equal(r, r_ref)
+            np.testing.assert_array_equal(tau, tau_ref)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_instantaneous_fraction_monte_carlo():
