@@ -10,7 +10,8 @@ Each net has one forward, built from ``autodiff.dense`` layers. The same
 method runs traced (reverse mode), on duals (forward mode; under a graph the
 primal is taped as the traced forward would be, so one pass gives a taped
 forward and its directional derivative), or on plain arrays, where it
-records nothing and returns arrays (``velocity`` then takes float times).
+records nothing and returns arrays (``velocity`` then takes float times,
+and one unbatched row runs as 1-D arrays).
 ``Adam.gather`` flattens a tape's gradients into one array, which
 ``clip_grad_norm`` rescales in place and ``Adam.step`` consumes.
 """
@@ -88,11 +89,13 @@ class VelocityNet(_MLPBase):
         return dense(dense(obs, p["enc0_w"], p["enc0_b"]), p["enc1_w"], p["enc1_b"])
 
     def velocity(self, z, r, tau, h=None, obs=None):
-        """Average-velocity prediction; requires r <= tau. r and tau are (B, 1)
-        columns, or floats shared across rows when ``z`` is an ndarray (the
-        array path). ``h``, if given, is the embedding of ``obs``."""
+        """Average-velocity prediction; requires r <= tau (a NaN time fails
+        it). r and tau are (B, 1) columns, or floats shared across rows when
+        ``z`` is an ndarray (the array path), which may be one unbatched row
+        ``(d_a,)`` with ``h`` ``(d_h,)``, or ``(B, d_a)``. ``h``, if given, is
+        the embedding of ``obs``."""
         arrays = type(z) is np.ndarray
-        if (r > tau) if arrays else (value_of(r) > value_of(tau)).any():
+        if not (r <= tau) if arrays else not (value_of(r) <= value_of(tau)).all():
             raise ValueError("flow interval start r exceeds end tau")
         if h is None:
             if obs is None:
@@ -104,7 +107,9 @@ class VelocityNet(_MLPBase):
         # directional-derivative target at the exact (r=0, tau=1) corner
         # one-step sampling queries; a raw time input keeps the
         # time-derivative pathway identified everywhere.
-        if arrays:
+        if arrays and z.ndim == 1:
+            x = np.concatenate((z, h, (r, tau)))
+        elif arrays:
             # [z, h, r, tau] filled in place: the values and C layout of the
             # traced ``concat``, so the trunk's matmuls match it
             B, d_a = z.shape

@@ -2,7 +2,11 @@
 
 Deterministic sampling walks the uniform time schedule tau_k = 1 - k/K with
 Euler steps of size exactly 1/K; K = 1 collapses to a single forward pass
-a = z1 - u(z1, 0, 1, obs). Stochastic sampling wraps each step in a
+a = z1 - u(z1, 0, 1, obs). ``sample_deterministic`` runs one observation
+as one unbatched row, 1-D arrays end to end, so every layer is a
+matrix-vector product; NumPy computes a (1, d) row's product with the same
+matrix-vector routine, so the action is bit-identical to the walk on (1, d)
+rows. Stochastic sampling wraps each step in a
 Gaussian of scale sigma and records everything needed to recompute the
 chain's log-probability bit-for-bit later (the PPO old-log-prob contract).
 ``sample_chain_batch`` samples one chain per environment, with one noise
@@ -130,20 +134,28 @@ def policy_entropy(K: int, d_a: int, sigma) -> float:
 
 
 def sample_deterministic(net, obs: np.ndarray, K: int, rng: np.random.Generator):
-    """Noise-free K-step generation; returns (action, nfe). nfe == K always.
+    """Noise-free K-step generation for one observation, ``(d_obs,)`` or
+    ``(1, d_obs)``; returns (action, nfe), the action a fresh ``(d_a,)``
+    array. nfe == K always.
 
-    The times are Python floats (K - k) / K: one correctly rounded division
-    of two exact integers, equal to ``make_schedule(K).taus[k]``."""
+    The observation, its embedding and the action run as one unbatched row:
+    each layer is a matrix-vector product, bit-identical to the same walk on
+    ``(1, d)`` rows. The times are Python floats (K - k) / K: one correctly
+    rounded division of two exact integers, equal to
+    ``make_schedule(K).taus[k]``."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    obs = np.asarray(obs, dtype=np.float64).reshape(1, -1)
+    obs = np.asarray(obs, dtype=np.float64)
+    if obs.size != net.d_obs:
+        raise ValueError(f"observation of shape {obs.shape} does not fit d_obs={net.d_obs}")
+    if obs.ndim != 1:
+        obs = obs.reshape(-1)
     h = net.encode_arrays(obs)
-    z = rng.standard_normal((1, net.d_a))
+    z = rng.standard_normal(net.d_a)
     dt = 1.0 / K
     for k in range(K):
-        u = net.velocity_arrays(z, (K - k - 1) / K, (K - k) / K, h)
-        z = z - dt * u
-    return z[0], K
+        z -= dt * net.velocity_arrays(z, (K - k - 1) / K, (K - k) / K, h)
+    return z, K
 
 
 class ChainBatch(NamedTuple):

@@ -90,6 +90,24 @@ def test_velocity_rejects_r_above_tau_on_both_paths(path):
             net.velocity_arrays(z, 0.8, 0.3, net.encode_arrays(obs))
 
 
+@pytest.mark.parametrize("r, tau", [(np.nan, 0.5), (0.5, np.nan)])
+@pytest.mark.parametrize("path", ["tensor-columns", "array-rows", "array-row-1d"])
+def test_velocity_rejects_nan_times_on_every_path(path, r, tau):
+    # a NaN time fails r <= tau and gets the interval message, not a NaN
+    # velocity or another op's finite check
+    net = init_velocity_net(6, d_obs=3, d_a=2)
+    z, obs = np.ones((2, 2)), np.ones((2, 3))
+    with pytest.raises(ValueError, match="r exceeds end tau"):
+        if path == "tensor-columns":
+            # one NaN row of two is enough
+            r_col, tau_col = Tensor([[0.2], [r]]), Tensor([[0.5], [tau]])
+            net.velocity(Tensor(z), r_col, tau_col, obs=Tensor(obs))
+        elif path == "array-rows":
+            net.velocity_arrays(z, r, tau, net.encode_arrays(obs))
+        else:
+            net.velocity_arrays(z[0], r, tau, net.encode_arrays(obs[0]))
+
+
 def test_init_checksums():
     a = init_velocity_net(7, d_obs=3, d_a=2)
     b = init_velocity_net(7, d_obs=3, d_a=2)

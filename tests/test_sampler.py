@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dmpo.autodiff import Tensor
+from dmpo.envs import gen_demos
+from dmpo.meanflow import Stage1Config, pretrain
 from dmpo.nets import init_velocity_net
 from dmpo.sampler import (
     LOG_2PI,
@@ -96,6 +98,63 @@ def test_one_step_action_equals_traced_forward():
         a, nfe = sample_deterministic(net, obs[seed], 1, np.random.default_rng(seed))
         assert nfe == 1
         np.testing.assert_array_equal(a, (z - u.data)[0])
+
+
+@pytest.fixture(scope="module")
+def pretrained_reach_net():
+    net, _ = pretrain(gen_demos("point-reach", 10, 0), Stage1Config(epochs=5, seed=0))
+    return net
+
+
+def _row_walk(net, obs, K, rng):
+    """The K-step walk on (1, d) rows: the reference for the unbatched path."""
+    h = net.encode_arrays(obs.reshape(1, -1))
+    z = rng.standard_normal((1, net.d_a))
+    for k in range(K):
+        z = z - (1.0 / K) * net.velocity_arrays(z, (K - k - 1) / K, (K - k) / K, h)
+    return z[0]
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 20])
+def test_unbatched_action_equals_row_walk(pretrained_reach_net, K):
+    net = pretrained_reach_net
+    obs = np.random.default_rng(100 + K).normal(size=(100, net.d_obs))
+    rng, ref_rng = np.random.default_rng(K), np.random.default_rng(K)
+    for o in obs:
+        a, nfe = sample_deterministic(net, o, K, rng)
+        assert nfe == K and a.shape == (net.d_a,)
+        assert a.flags.owndata and not np.shares_memory(a, o)
+        assert np.array_equal(a, _row_walk(net, o, K, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_unbatched_velocity_equals_one_row_call(pretrained_reach_net):
+    # compared with a (1, d) call only: rows of a multi-row call may round
+    # differently (see the sampler module docstring)
+    net = pretrained_reach_net
+    rng = np.random.default_rng(3)
+    for r, tau in [(0.0, 1.0), (0.25, 0.5), (0.5, 0.5)]:
+        for _ in range(20):
+            z, o = rng.normal(size=net.d_a), rng.normal(size=net.d_obs)
+            h = net.encode_arrays(o)
+            h_row = net.encode_arrays(o.reshape(1, -1))
+            assert h.shape == (net.d_h,) and np.array_equal(h, h_row[0])
+            u = net.velocity_arrays(z, r, tau, h)
+            assert u.shape == (net.d_a,)
+            assert np.array_equal(u, net.velocity_arrays(z.reshape(1, -1), r, tau, h_row)[0])
+
+
+def test_deterministic_observation_shapes():
+    net = init_velocity_net(16, 4, 2)
+    obs = np.random.default_rng(16).normal(size=4)
+    a, _ = sample_deterministic(net, obs, 2, np.random.default_rng(0))
+    a_row, _ = sample_deterministic(net, obs.reshape(1, 4), 2, np.random.default_rng(0))
+    assert np.array_equal(a, a_row)
+    assert np.array_equal(obs, np.random.default_rng(16).normal(size=4))  # input untouched
+    for bad in (np.zeros(5), np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(ValueError, match="d_obs=4") as err:
+            sample_deterministic(net, bad, 1, np.random.default_rng(0))
+        assert str(bad.shape) in str(err.value)
 
 
 def test_deterministic_times_equal_schedule():
