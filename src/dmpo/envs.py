@@ -329,6 +329,8 @@ def evaluate(net, env_kind: str, n_episodes: int, K: int, seed: int) -> EvalResu
     each mode (homotopy class for PointReach, nearest mixture component for
     ModalBandit); both entries positive means multimodality survived.
     """
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     env = make_env(env_kind)
     if net.d_obs != env.d_obs or net.d_a != env.d_a:
         raise ValueError(

@@ -3,6 +3,15 @@ path, the Adam update over one flat buffer, and the GAE recursion.
 
 Each kernel works in place where it can, with the operations of the plain
 numpy expression in the same order, so its results are bit-identical to it.
+
+The affine layers take a rank-1 input's product with ``ndarray.dot``, which
+gives the bits of ``@`` at a fraction of the matmul gufunc's dispatch cost
+(both hand a contiguous weight, as every net's is, to the same BLAS
+matrix-vector routine; on a strided weight view they round differently).
+A rank-2 input keeps ``@``: for the five layers of a velocity pass, ``.dot``
+against ``@`` measured -45% at 1 row, -43% at 8, -2% at 64, -3% at 128 and
++8% at 256 rows (numpy 2.4, OpenBLAS on one thread), so moving batches to
+``.dot`` would slow the large ones.
 """
 
 from __future__ import annotations
@@ -52,14 +61,15 @@ def adam_update(param, grad, m, v, lr, beta1, beta2, eps, bc1, bc2, work):
 
 
 # The bias add and tanh work in place on the fresh product: the same ops in
-# the same order as ``np.tanh(x @ w + b)``, without its two temporaries.
+# the same order as ``np.tanh(x @ w + b)``, without its two temporaries. One
+# unbatched row's product goes through ``.dot`` (same bits, less dispatch).
 def affine(x, w, b):
-    y = x @ w
+    y = x.dot(w) if x.ndim == 1 else x @ w
     y += b
     return y
 
 
 def affine_tanh(x, w, b):
-    y = x @ w
+    y = x.dot(w) if x.ndim == 1 else x @ w
     y += b
     return np.tanh(y, out=y)

@@ -108,7 +108,12 @@ class VelocityNet(_MLPBase):
         # one-step sampling queries; a raw time input keeps the
         # time-derivative pathway identified everywhere.
         if arrays and z.ndim == 1:
-            x = np.concatenate((z, h, (r, tau)))
+            d_a = z.shape[0]
+            x = np.empty(d_a + h.shape[0] + 2)
+            x[:d_a] = z
+            x[d_a:-2] = h
+            x[-2] = r
+            x[-1] = tau
         elif arrays:
             # [z, h, r, tau] filled in place: the values and C layout of the
             # traced ``concat``, so the trunk's matmuls match it

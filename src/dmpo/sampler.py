@@ -4,9 +4,11 @@ Deterministic sampling walks the uniform time schedule tau_k = 1 - k/K with
 Euler steps of size exactly 1/K; K = 1 collapses to a single forward pass
 a = z1 - u(z1, 0, 1, obs). ``sample_deterministic`` runs one observation
 as one unbatched row, 1-D arrays end to end, so every layer is a
-matrix-vector product; NumPy computes a (1, d) row's product with the same
-matrix-vector routine, so the action is bit-identical to the walk on (1, d)
-rows. Stochastic sampling wraps each step in a
+matrix-vector product, taken with ``ndarray.dot`` (``kernels``); NumPy
+computes a (1, d) row's ``@`` product with the same matrix-vector routine,
+so the action is bit-identical to the walk on (1, d) rows. At K = 1 the
+Euler step is ``z - u`` with no multiply, since dt is exactly 1.0.
+Stochastic sampling wraps each step in a
 Gaussian of scale sigma and records everything needed to recompute the
 chain's log-probability bit-for-bit later (the PPO old-log-prob contract).
 ``sample_chain_batch`` samples one chain per environment, with one noise
@@ -142,19 +144,24 @@ def sample_deterministic(net, obs: np.ndarray, K: int, rng: np.random.Generator)
     each layer is a matrix-vector product, bit-identical to the same walk on
     ``(1, d)`` rows. The times are Python floats (K - k) / K: one correctly
     rounded division of two exact integers, equal to
-    ``make_schedule(K).taus[k]``."""
+    ``make_schedule(K).taus[k]``. Each step scales the fresh velocity in
+    place, ``u *= dt`` (IEEE multiplication commutes), skipped at K = 1
+    where dt is 1.0."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     obs = np.asarray(obs, dtype=np.float64)
-    if obs.size != net.d_obs:
-        raise ValueError(f"observation of shape {obs.shape} does not fit d_obs={net.d_obs}")
-    if obs.ndim != 1:
+    if obs.shape != (net.d_obs,):
+        if obs.shape != (1, net.d_obs):
+            raise ValueError(f"observation of shape {obs.shape} does not fit d_obs={net.d_obs}")
         obs = obs.reshape(-1)
     h = net.encode_arrays(obs)
     z = rng.standard_normal(net.d_a)
     dt = 1.0 / K
     for k in range(K):
-        z -= dt * net.velocity_arrays(z, (K - k - 1) / K, (K - k) / K, h)
+        u = net.velocity_arrays(z, (K - k - 1) / K, (K - k) / K, h)
+        if K > 1:
+            u *= dt
+        z -= u
     return z, K
 
 
@@ -195,9 +202,11 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    E = obs.shape[0]
-    if len(rngs) != E:
-        raise ValueError("need one rng stream per row")
+    E = len(rngs)
+    if obs.shape != (E, net.d_obs):
+        raise ValueError(
+            f"observations of shape {obs.shape} do not fit (E, d_obs) = ({E}, {net.d_obs}): one row per rng stream"
+        )
     d_a = net.d_a
     sig = _sigma_vector(sigma, d_a)
     log_norm = _log_norm(sig)

@@ -307,6 +307,13 @@ def test_evaluate_random_net_near_zero_success():
     assert res.success_rate <= 0.1
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_evaluate_rejects_no_episodes(n):
+    net = init_velocity_net(0, 4, 2)
+    with pytest.raises(ValueError, match=f"n_episodes must be >= 1, got {n}"):
+        evaluate(net, "point-reach", n, 1, seed=0)
+
+
 def test_evaluate_dim_mismatch():
     net = init_velocity_net(0, 3, 2)
     with pytest.raises(ValueError):

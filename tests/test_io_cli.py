@@ -213,6 +213,14 @@ def test_cli_bench_rejects_bad_sample_counts(pipeline, tmp_path, capsys, flag, v
     assert not out.exists()
 
 
+def test_cli_eval_rejects_no_episodes(pipeline, capsys):
+    root, data, ck = pipeline
+    assert main(["eval", "--checkpoint", str(ck), "--env", "point-reach", "--episodes", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: n_episodes must be >= 1, got 0\n"
+
+
 def test_cli_runtime_failure_exit_code(capsys):
     assert main(["eval", "--checkpoint", "/nonexistent.json", "--env", "point-reach"]) == 1
     err = capsys.readouterr().err

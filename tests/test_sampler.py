@@ -151,10 +151,27 @@ def test_deterministic_observation_shapes():
     a_row, _ = sample_deterministic(net, obs.reshape(1, 4), 2, np.random.default_rng(0))
     assert np.array_equal(a, a_row)
     assert np.array_equal(obs, np.random.default_rng(16).normal(size=4))  # input untouched
-    for bad in (np.zeros(5), np.zeros(3), np.zeros((2, 4))):
+    for bad in (np.zeros(5), np.zeros(3), np.zeros((2, 4)), np.zeros((4, 1)), np.zeros((2, 2))):
         with pytest.raises(ValueError, match="d_obs=4") as err:
             sample_deterministic(net, bad, 1, np.random.default_rng(0))
         assert str(bad.shape) in str(err.value)
+
+
+def test_chain_observation_shapes():
+    # a mis-sized observation gets a named error on both stochastic entry
+    # points, and a 1-D observation of length E is not broadcast to E rows
+    net = init_velocity_net(16, 4, 2)
+    rngs = [np.random.default_rng(e) for e in range(4)]
+    for bad in (np.zeros((3, 5)), np.zeros((4, 3)), np.zeros(4), np.zeros((3, 4)), np.zeros((1, 4, 1))):
+        with pytest.raises(ValueError, match=r"d_obs\) = \(4, 4\)") as err:
+            sample_chain_batch(net, bad, 1, 0.1, rngs)
+        assert str(bad.shape) in str(err.value)
+    assert [r.bit_generator.state for r in rngs] == [np.random.default_rng(e).bit_generator.state for e in range(4)]
+    for bad in (np.zeros(5), np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(ValueError, match=r"d_obs\) = \(1, 4\)"):
+            sample_stochastic(net, bad, 1, 0.1, np.random.default_rng(0))
+    sample_chain_batch(net, np.zeros((4, 4)), 2, 0.1, rngs)
+    sample_stochastic(net, np.zeros(4), 2, 0.1, np.random.default_rng(0))
 
 
 def test_deterministic_times_equal_schedule():
