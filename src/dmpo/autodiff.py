@@ -31,6 +31,11 @@ There is no indexing op: a head that needs part of a value works on
 ``.data`` inside a ``custom_op``. :func:`split_rows`, the inverse of a
 two-part ``concat(axis=0)``, is one node with two outputs, so one stacked
 network pass can feed two heads.
+
+Code that runs on every training step calls ufuncs and ndarray methods, not
+numpy's Python-level wrappers (``np.ones_like``, ``np.broadcast_to``,
+``np.sum`` and the like): on arrays of this package's size each wrapper call
+costs a measured 0.6-4 us more than the ufunc or method giving the same bits.
 """
 
 from __future__ import annotations
@@ -240,7 +245,8 @@ class Graph:
         if not isinstance(output, Tensor) or output not in self._outs:
             raise GraphError("output was not produced under this graph")
         if seed is None:
-            seed = np.ones_like(output.data)
+            seed = np.empty_like(output.data)
+            seed.fill(1.0)
         else:
             seed = _as_array(seed)
             if seed.shape != output.data.shape:
@@ -401,7 +407,8 @@ def row_sq_mean(e: Array):
     B = e.shape[0]
 
     def grad(g):
-        return (np.broadcast_to(g, (B,)) * (1.0 / B))[:, None] * (2.0 * e)
+        # every entry of the broadcast ``g * (1/B)`` is that one product
+        return (g * (1.0 / B)) * (2.0 * e)
 
     # ``mean`` is this sum followed by one true divide by the count
     return np.square(e).sum(axis=1).sum() / B, grad
@@ -681,7 +688,7 @@ def concat(parts: Sequence, axis: int = 1):
         # into one zeroed buffer (a non-dual part's tangent is zero)
         primals = [p.primal if isinstance(p, DualTensor) else as_tensor(p) for p in parts]
         out = concat(primals, axis)
-        tangent = np.zeros_like(out.data)
+        tangent = np.zeros(out.data.shape)
         sl = [slice(None)] * tangent.ndim
         lo = 0
         for p, q in zip(parts, primals):

@@ -47,7 +47,7 @@ def nce_l2(H, temperature: float) -> Tensor:
     """
     H = as_tensor(H)
     B = _require_batch(H)
-    if temperature <= 0:
+    if not temperature > 0:  # what must hold, so a NaN fails it
         raise ValueError("temperature must be positive")
     sq = square(H).sum(axis=1)
     M = _pairwise_sq_dists(H, sq) * (-1.0 / temperature) + Tensor(np.diag(np.full(B, _MASK_NEG)))
@@ -63,7 +63,7 @@ def nce_cos(H, temperature: float) -> Tensor:
     """
     H = as_tensor(H)
     B = _require_batch(H)
-    if temperature <= 0:
+    if not temperature > 0:  # what must hold, so a NaN fails it
         raise ValueError("temperature must be positive")
     nsq = square(H).sum(axis=1)
     norm = sqrt(nsq)
@@ -86,7 +86,7 @@ def hinge(H, margin: float) -> Tensor:
     """
     H = as_tensor(H)
     B = _require_batch(H)
-    if margin <= 0:
+    if not margin > 0:  # what must hold, so a NaN fails it
         raise ValueError("margin must be positive")
     X = H.data
     G = X @ X.T
@@ -98,7 +98,7 @@ def hinge(H, margin: float) -> Tensor:
     np.maximum(d2, 0.0, out=d2)  # relu guards tiny negative fp dust
     dist = np.sqrt(d2, out=d2)
     gap = margin - dist
-    np.fill_diagonal(gap, 0.0)
+    gap.ravel()[:: B + 1] = 0.0  # the diagonal of the fresh C-ordered (B, B) array
     np.maximum(gap, 0.0, out=gap)
     scale = 1.0 / (B * (B - 1))
 
@@ -106,7 +106,7 @@ def hinge(H, margin: float) -> Tensor:
         # w = 2 d loss / d d2_ij = -scale / dist_ij on pairs inside the margin
         # at nonzero distance; d2_ij = |h_i|^2 + |h_j|^2 - 2 h_i.h_j, so
         # d loss / dH = rowsum(w + w^T) H - (w + w^T) H
-        w = np.zeros_like(dist)
+        w = np.zeros(dist.shape)
         np.divide(-scale * float(g), dist, out=w, where=(gap > 0.0) & (dist > 0.0))
         w += w.T
         return [w.sum(axis=1)[:, None] * X - w @ X]

@@ -68,19 +68,22 @@ class Stage1Config:
     trunk_width: int = 64
 
     def __post_init__(self):
-        if self.alpha_disp < 0:
+        # each guard tests what must hold, so a NaN fails it
+        if not self.alpha_disp >= 0:
             raise ValueError("alpha_disp must be >= 0")
         if self.disp_kind not in DISP_KINDS:
             raise ValueError(f"disp_kind must be one of {DISP_KINDS}")
-        if self.disp_temperature <= 0:
+        if not self.disp_temperature > 0:
             raise ValueError("disp_temperature must be > 0")
-        if self.hinge_margin <= 0:
+        if not self.hinge_margin > 0:
             raise ValueError("hinge_margin must be > 0")
         if not (0.0 <= self.rho_inst <= 1.0):
             raise ValueError("rho_inst must be in [0, 1]")
         if not (0.0 <= self.full_interval_frac <= 1.0):
             raise ValueError("full_interval_frac must be in [0, 1]")
-        if self.lr <= 0 or self.epochs < 0 or self.batch_size < 1:
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
+        if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad optimizer settings")
 
 
@@ -112,8 +115,8 @@ def sample_time_pairs(rng: np.random.Generator, n: int, rho_inst: float, full_fr
     np.exp(s, out=s)
     s += 1.0
     np.divide(1.0, s, out=s)
-    r = s.min(axis=1)
-    tau = s.max(axis=1)
+    r = np.minimum(s[:, 0], s[:, 1])
+    tau = np.maximum(s[:, 0], s[:, 1])
     inst = rng.random(n) < rho_inst
     full = rng.random(n) < full_frac
     full &= ~inst
@@ -121,6 +124,12 @@ def sample_time_pairs(rng: np.random.Generator, n: int, rho_inst: float, full_fr
     np.copyto(r, 0.0, where=full)
     np.copyto(tau, 1.0, where=full)
     return r, tau
+
+
+def _rows(x) -> np.ndarray:
+    # ``np.atleast_2d`` of the float64 array, without that wrapper's cost
+    a = np.asarray(x, dtype=np.float64)
+    return a if a.ndim >= 2 else a.reshape(1, -1)
 
 
 def target_velocity(net, z, r, tau, obs, v, h=None):
@@ -136,14 +145,15 @@ def target_velocity(net, z, r, tau, obs, v, h=None):
     u(z, r, tau, h) recorded on the active graph and ``u_tgt`` is the same
     target, bit for bit.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    z = _rows(z)
+    v = _rows(v)
     r_col = np.asarray(r, dtype=np.float64).reshape(-1, 1)
     tau_col = np.asarray(tau, dtype=np.float64).reshape(-1, 1)
-    ones = np.ones_like(tau_col)
+    ones = np.empty(tau_col.shape)
+    ones.fill(1.0)
     if h is None:
         with no_record():
-            h = net.encode(Tensor(np.atleast_2d(obs)))
+            h = net.encode(Tensor(_rows(obs)))
             u = net.velocity(DualTensor(z, v), Tensor(r_col), DualTensor(tau_col, ones), h=h)
         return v - (tau_col - r_col) * u.tangent
     u = net.velocity(DualTensor(z, v), Tensor(r_col), DualTensor(tau_col, ones), h=h)

@@ -32,7 +32,11 @@ chain's bit for bit. Rollouts are collected as stacked arrays, one
 ``[:, t]`` row per step across environments, with one value-net call over
 the whole window, and GAE runs as one backward pass over the whole batch.
 Each optimizer step gathers the gradients once (``Adam.gather``); clipping
-and the Adam update work on that one array.
+and the Adam update work on that one array. The loss heads and the
+per-minibatch statistics call ufuncs and ndarray methods (``np.clip`` as
+``np.minimum(np.maximum(...))``, a mean as ``x.sum() / x.size``), not
+numpy's Python-level wrappers, which cost a measured 0.6-4 us more per call at
+these sizes for the same bits.
 """
 
 from __future__ import annotations
@@ -93,25 +97,26 @@ class Stage2Config:
     seed: int = 0
 
     def __post_init__(self):
+        # each guard tests what must hold, so a NaN fails it
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must be in [0, 1)")
         if not (0.0 <= self.lam_gae <= 1.0):
             raise ValueError("lam_gae must be in [0, 1]")
-        if self.clip_eps <= 0:
+        if not self.clip_eps > 0:
             raise ValueError("clip_eps must be > 0")
-        if min(self.lam_value, self.lam_entropy, self.lam_bc_init, self.lam_bc_final) < 0:
+        if not all(c >= 0 for c in (self.lam_value, self.lam_entropy, self.lam_bc_init, self.lam_bc_final)):
             raise ValueError("loss coefficients must be >= 0")
         if self.bc_decay_start >= self.bc_decay_end:
             raise ValueError("bc_decay_start must be < bc_decay_end")
-        if self.K < 1 or self.sigma <= 0:
+        if self.K < 1 or not self.sigma > 0:
             raise ValueError("need K >= 1 and sigma > 0")
         if min(self.iterations, self.epochs) < 0:
             raise ValueError("loop sizes must be nonnegative")
         if self.n_envs < 1 or self.minibatch_size < 1:
             raise ValueError("n_envs and minibatch_size must be >= 1")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("lr must be > 0")
-        if self.grad_clip < 0:
+        if not self.grad_clip >= 0:
             raise ValueError("grad_clip must be >= 0 (0 turns clipping off)")
         # each env steps rollout_steps // n_envs times per iteration
         if self.rollout_steps < self.n_envs:
@@ -161,12 +166,12 @@ def ppo_ratio(new_logprob, old_logprob):
     """
     new = as_tensor(new_logprob)
     old = value_of(old_logprob)
-    if not (np.all(np.isfinite(new.data)) and np.all(np.isfinite(old))):
+    if not (np.isfinite(new.data).all() and np.isfinite(old).all()):
         raise ValueError("log-probabilities must be finite")
     diff = new.data + -old
     if diff.shape != new.shape:
         raise ValueError(f"old log-probs {old.shape} do not match new {new.shape}")
-    diff_max = float(np.max(diff))
+    diff_max = float(diff.max())
     if diff_max > 700.0:
         raise OverflowError(f"probability ratio overflow: max log-prob difference {diff_max:.3f}")
     rho = np.exp(diff)
@@ -186,7 +191,7 @@ def clipped_pg_loss(rho, adv, clip_eps: float):
     r = rho_t.data
     lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
     unclipped = -a * r
-    clipped = -a * np.clip(r, lo, hi)
+    clipped = -a * np.minimum(np.maximum(r, lo), hi)  # np.clip's values, NaN included
     on_clipped = clipped > unclipped
 
     def vjp(g):
@@ -194,7 +199,9 @@ def clipped_pg_loss(rho, adv, clip_eps: float):
         slope = np.where(on_clipped & ((r <= lo) | (r > hi)), 0.0, -a)
         return (g * slope / r.size,)
 
-    return custom_op(np.maximum(unclipped, clipped).mean(), (rho_t,), vjp, "clipped_pg")
+    rows = np.maximum(unclipped, clipped)
+    # ``mean`` is the sum divided by the count
+    return custom_op(rows.sum() / rows.size, (rho_t,), vjp, "clipped_pg")
 
 
 def value_loss(v_pred, returns):
@@ -206,9 +213,10 @@ def value_loss(v_pred, returns):
         raise ValueError(f"returns do not match predictions {v.shape}")
 
     def vjp(g):
-        return ((np.broadcast_to(g * 0.5, d.shape) * (1.0 / d.size)) * (2.0 * d),)
+        # every entry of the broadcast ``(g * 0.5) * (1/n)`` is that one product
+        return (((g * 0.5) * (1.0 / d.size)) * (2.0 * d),)
 
-    return custom_op(0.5 * np.square(d).mean(), (v,), vjp, "value_loss")
+    return custom_op(0.5 * (np.square(d).sum() / d.size), (v,), vjp, "value_loss")
 
 
 def bc_target(frozen_net, z1: np.ndarray, h_frozen: np.ndarray) -> np.ndarray:
@@ -466,6 +474,11 @@ def compute_advantages(batch: RolloutBatch, value_net, config: Stage2Config) -> 
     batch.advantages, batch.returns = gae(rewards, values, cuts, config.gamma, config.lam_gae)
 
 
+def _mean_or_zero(xs) -> float:
+    # ``np.mean``'s value, the sum over the count, or 0.0 for no entries
+    return float(np.array(xs).sum() / len(xs)) if xs else 0.0
+
+
 def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=None):
     """Full Algorithm: iterate collect -> GAE -> minibatch epochs on the
     joint loss. Returns (policy, value_net, metrics rows). The frozen BC
@@ -551,8 +564,8 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                     clip_grad_norm(flat_grad, config.grad_clip)
                 opt.step(flat_grad)
                 rho = parts.pop("rho")
-                clip_hits += int(np.sum(np.abs(rho - 1.0) > config.clip_eps))
-                kl_sum += float(np.sum((rho - 1.0) - np.log(np.maximum(rho, 1e-300))))
+                clip_hits += int((np.abs(rho - 1.0) > config.clip_eps).sum())
+                kl_sum += float(((rho - 1.0) - np.log(np.maximum(rho, 1e-300))).sum())
                 n_rows += idx.size
                 n_mb += 1
                 for k in parts_acc:
@@ -562,8 +575,8 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
         metrics.append(
             {
                 "iter": n,
-                "mean_return": float(np.mean(recent_returns)) if recent_returns else 0.0,
-                "success_rate": float(np.mean(recent_success)) if recent_success else 0.0,
+                "mean_return": _mean_or_zero(recent_returns),
+                "success_rate": _mean_or_zero(recent_success),
                 "pg": parts_acc["pg"] / max(n_mb, 1),
                 "v": parts_acc["v"] / max(n_mb, 1),
                 "ent": parts_acc["ent"] / max(n_mb, 1),

@@ -297,3 +297,10 @@ def test_effective_rank_permutation_invariant():
     H = rng.normal(size=(6, 4))
     perm = rng.permutation(6)
     assert effective_rank(H[perm]) == effective_rank(H)
+
+
+@pytest.mark.parametrize("loss", [nce_l2, nce_cos, hinge])
+def test_nan_temperature_or_margin_is_rejected(loss):
+    H = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
+    with pytest.raises(ValueError, match="must be positive"):
+        loss(H, float("nan"))

@@ -545,6 +545,13 @@ def test_pretrain_metrics_columns():
     assert set(metrics[0]) == set(METRIC_COLUMNS)
 
 
+@pytest.mark.parametrize("field", ["lr", "alpha_disp", "hinge_margin", "disp_temperature"])
+def test_stage1_config_rejects_nan(field):
+    # each guard tests what must hold; a `<= 0` test let NaN through
+    with pytest.raises(ValueError, match=field):
+        Stage1Config(**{field: float("nan")})
+
+
 def test_stage1_config_validation():
     with pytest.raises(ValueError):
         Stage1Config(alpha_disp=-0.1)

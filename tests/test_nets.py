@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmpo import kernels
 from dmpo.autodiff import Graph, Tensor
 from dmpo.nets import (
     Adam,
@@ -286,6 +287,26 @@ def test_adam_in_place_step_matches_out_of_place_expression_and_scratch_stays_ap
             assert not np.shares_memory(buffers[a], opt.flat), a
             for b in names[i + 1 :]:
                 assert not np.shares_memory(buffers[a], buffers[b]), (a, b)
+
+
+@pytest.mark.parametrize("t", [1, 355, 356, 2000])
+def test_adam_update_matches_out_of_place_expression_on_both_bias_branches(t):
+    # from t = 356 on, 1 - 0.9**t is exactly 1.0 and the kernel skips the
+    # divide by it; before, it divides
+    b1, b2, lr, eps = 0.9, 0.999, 1e-3, 1e-8
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    assert (bc1 == 1.0) == (t >= 356) and bc2 < 1.0
+    rng = np.random.default_rng(t)
+    g, m, v = rng.normal(size=(3, 50))
+    v = np.abs(v)
+    # from zero parameters the result is the update itself, to the last bit
+    param = np.zeros(50)
+    m_want = b1 * m + (1.0 - b1) * g
+    v_want = b2 * v + (1.0 - b2) * g * g
+    want = param - lr * (m_want / bc1) / (np.sqrt(v_want / bc2) + eps)
+    kernels.adam_update(param, g, m, v, lr, b1, b2, eps, bc1, bc2, np.empty((2, 50)))
+    assert np.array_equal(param, want)
+    assert np.array_equal(m, m_want) and np.array_equal(v, v_want)
 
 
 def test_adam_sees_load_arrays_after_construction():

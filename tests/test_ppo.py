@@ -849,6 +849,15 @@ def test_stage2_config_validation():
         Stage2Config(lam_value=-1.0)
 
 
+@pytest.mark.parametrize(
+    "field", ["sigma", "lr", "clip_eps", "grad_clip", "lam_value", "lam_entropy", "lam_bc_init", "lam_bc_final"]
+)
+def test_stage2_config_rejects_nan(field):
+    # each guard tests what must hold; a `<= 0` test let NaN through
+    with pytest.raises(ValueError):
+        Stage2Config(**{field: float("nan")})
+
+
 @pytest.mark.parametrize("field", ["n_envs", "minibatch_size"])
 def test_stage2_config_rejects_zero_envs_and_minibatch(field):
     # each zero used to pass and crash later inside finetune

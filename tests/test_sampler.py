@@ -172,6 +172,44 @@ def test_chain_observation_shapes():
             sample_stochastic(net, bad, 1, 0.1, np.random.default_rng(0))
     sample_chain_batch(net, np.zeros((4, 4)), 2, 0.1, rngs)
     sample_stochastic(net, np.zeros(4), 2, 0.1, np.random.default_rng(0))
+    # one observation is exactly (d_obs,) or (1, d_obs), never another shape
+    # with d_obs entries, on both single-chain entry points
+    chain = sample_stochastic(net, np.arange(4.0), 2, 0.1, np.random.default_rng(0))
+    for bad in (np.zeros((2, 2)), np.zeros((4, 1)), np.zeros((1, 1, 4)), np.zeros(5), np.zeros((1, 5))):
+        with pytest.raises(ValueError, match=r"d_obs\) = \(1, 4\)") as err:
+            sample_stochastic(net, bad, 2, 0.1, np.random.default_rng(0))
+        assert str(bad.shape) in str(err.value)
+        with pytest.raises(ValueError, match=r"d_obs\) = \(1, 4\)") as err:
+            chain_logprob(net, chain, bad, 0.1)
+        assert str(bad.shape) in str(err.value)
+    row = sample_stochastic(net, np.arange(4.0)[None], 2, 0.1, np.random.default_rng(0))
+    assert np.array_equal(row.states, chain.states)
+    assert chain_logprob(net, chain, np.arange(4.0), 0.1) == chain_logprob(net, chain, np.arange(4.0)[None], 0.1)
+
+
+_NAN_SIGMAS = [float("nan"), np.array([0.1, np.nan])]
+
+
+@pytest.mark.parametrize("sigma", _NAN_SIGMAS, ids=["scalar", "per-dim"])
+@pytest.mark.parametrize(
+    "entry",
+    ["sample_stochastic", "sample_chain_batch", "chain_logprob", "gaussian_logpdf", "step_entropy", "policy_entropy"],
+)
+def test_nan_sigma_is_rejected(entry, sigma):
+    # the check tests sigma > 0, what must hold, so a NaN fails it (a
+    # `sigma <= 0` test let it through to NaN actions and log-probs)
+    net = init_velocity_net(16, 2, 2)
+    chain = sample_stochastic(net, np.zeros(2), 1, 0.1, np.random.default_rng(0))
+    calls = {
+        "sample_stochastic": lambda: sample_stochastic(net, np.zeros(2), 1, sigma, np.random.default_rng(0)),
+        "sample_chain_batch": lambda: sample_chain_batch(net, np.zeros((1, 2)), 1, sigma, [np.random.default_rng(0)]),
+        "chain_logprob": lambda: chain_logprob(net, chain, np.zeros(2), sigma),
+        "gaussian_logpdf": lambda: gaussian_logpdf(np.zeros(2), np.zeros(2), sigma),
+        "step_entropy": lambda: step_entropy(2, sigma),
+        "policy_entropy": lambda: policy_entropy(1, 2, sigma),
+    }
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        calls[entry]()
 
 
 def test_deterministic_times_equal_schedule():
