@@ -13,7 +13,9 @@ gave bit-identical results:
 * ``serve``: deterministic actions at K=1 and K=5 for demo observations,
   plus the action generator's next draw;
 * ``evaluate``: ``evaluate()`` results on point-reach and
-  point-reach-shifted.
+  point-reach-shifted;
+* ``data``: the JSON Lines bytes ``save_dataset`` writes for point-reach
+  and modal-bandit demos, and the arrays ``load_dataset`` reads back.
 
 Stage-2 results depend on the BLAS thread count, so the script pins
 OpenBLAS to one thread before numpy is imported. Run it from anywhere:
@@ -31,6 +33,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import hashlib  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -38,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from dmpo import Stage1Config, Stage2Config, evaluate, finetune, gen_demos, make_env, pretrain  # noqa: E402
+from dmpo.io import load_dataset, save_dataset  # noqa: E402
 from dmpo.nets import param_checksum  # noqa: E402
 from dmpo.sampler import sample_deterministic  # noqa: E402
 
@@ -100,6 +104,18 @@ def evaluate_block(net):
     return _digest(items)
 
 
+def data_block():
+    items = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, episodes, seed in (("point-reach", 40, 0), ("modal-bandit", 64, 1)):
+            path = Path(tmp) / f"{kind}.jsonl"
+            save_dataset(path, gen_demos(kind, episodes, seed))
+            back = load_dataset(path)
+            items.append((kind, hashlib.sha256(path.read_bytes()).hexdigest(),
+                          back.obs, back.actions, back.episode_ids, back.ts))
+    return _digest(items)
+
+
 def main() -> None:
     demos = gen_demos("point-reach", 40, seed=0)
     digest, net = pretrain_block(demos)
@@ -107,6 +123,7 @@ def main() -> None:
     print(f"finetune  {finetune_block(net)}")
     print(f"serve     {serve_block(net, demos)}")
     print(f"evaluate  {evaluate_block(net)}")
+    print(f"data      {data_block()}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ All four losses operate on an embedding matrix H (B x d_h) and gradients
 flow back into the encoder during pre-training. The hinge (the default) is
 one ``custom_op`` tape node with an analytic VJP; the others are written
 against the autodiff ops. ``effective_rank`` is a pure diagnostic (numpy
-SVD, no graph).
+eigenvalues or SVD, no graph).
 """
 
 from __future__ import annotations
@@ -146,11 +146,22 @@ def effective_rank(H, tol: float = 1e-3) -> int:
 
     The collapse diagnostic: identical rows give 0; a well-spread batch
     approaches min(B - 1, d_h).
+
+    The count comes from the eigenvalues of the (d_h, d_h) Gram matrix, the
+    squared singular values, at about half the cost of the SVD. Rounding
+    moves them by ~1e-13 * lambda_max, so whenever one lies within
+    1e-9 * lambda_max of the cut tol**2 * lambda_max, or lambda_max is not
+    positive, the SVD decides and the count is always the SVD's.
     """
     arr = value_of(H)
     if arr.ndim != 2 or arr.shape[0] < 2:
         raise ValueError("effective_rank needs a (B >= 2, d_h) matrix")
     centered = arr - arr.mean(axis=0)
+    if centered.shape[1]:
+        lam = np.linalg.eigvalsh(centered.T @ centered)  # ascending
+        cut = tol * tol * lam[-1]
+        if lam[-1] > 0.0 and not (np.abs(lam - cut) <= 1e-9 * lam[-1]).any():
+            return int((lam > cut).sum())
     s = np.linalg.svd(centered, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0

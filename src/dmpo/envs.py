@@ -12,10 +12,11 @@ Two environments cover the two training stages' failure modes:
   reward is the log-density of the executed action under the true mixture.
   It isolates representation collapse without sequential credit assignment.
 
-``PointReach.step`` runs on Python floats, at a fraction of the cost of
-numpy calls on 2-vectors, and stays bitwise equal to the ``np.clip`` and
-``np.linalg.norm`` arithmetic: its distances come from ``_fma``, an exact
-fused multiply-add that rounds as numpy's 2-element dot.
+``PointReach.step`` and the point-reach expert run on Python floats, at a
+fraction of the cost of numpy calls on 2-vectors, and stay bitwise equal to
+the ``np.clip`` and ``np.linalg.norm`` arithmetic: ``step``'s distances
+come from ``_fma``, an exact fused multiply-add that rounds as numpy's
+2-element dot.
 """
 
 from __future__ import annotations
@@ -256,12 +257,21 @@ def make_env(kind: str):
 
 
 def _point_reach_expert_action(pos, goal, side):
-    """Waypoint controller: swing above/below the obstacle, then home in."""
-    if pos[0] < -0.02:
-        target = np.array([0.0, side * 0.55])
+    """Waypoint controller: swing above/below the obstacle, then home in.
+
+    Runs on Python floats, as ``PointReach.step`` does: each component of
+    ``target - pos`` is clamped to [-0.2, 0.2] with the comparisons that give
+    ``np.clip``'s values and let NaN through."""
+    p0, p1 = pos.tolist()
+    if p0 < -0.02:
+        t0, t1 = 0.0, side * 0.55
     else:
-        target = goal
-    return np.clip(target - pos, -0.2, 0.2)
+        t0, t1 = goal.tolist()
+    d0, d1 = t0 - p0, t1 - p1
+    return np.array([
+        -0.2 if d0 < -0.2 else (0.2 if d0 > 0.2 else d0),
+        -0.2 if d1 < -0.2 else (0.2 if d1 > 0.2 else d1),
+    ])
 
 
 def gen_demos(env_kind: str, n_episodes: int, seed: int) -> Dataset:
@@ -294,18 +304,18 @@ def gen_demos(env_kind: str, n_episodes: int, seed: int) -> Dataset:
         ep_obs, ep_act = [], []
         done = False
         while not done:
-            a = _point_reach_expert_action(obs[:2], obs[2:], side)
+            # the env's position and goal hold the observation's two halves
+            a = _point_reach_expert_action(env._pos, env._goal, side)
             ep_obs.append(obs)
             ep_act.append(a)
             obs, _, done = env.step(a)
         if not env.success:
             warnings.warn(f"expert failed episode {ep}; excluded from dataset")
             continue
-        for t, (o, a) in enumerate(zip(ep_obs, ep_act)):
-            obs_rows.append(o)
-            act_rows.append(a)
-            ep_rows.append(ep)
-            t_rows.append(t)
+        obs_rows += ep_obs
+        act_rows += ep_act
+        ep_rows += [ep] * len(ep_obs)
+        t_rows += range(len(ep_obs))
     return Dataset(np.array(obs_rows), np.array(act_rows), np.array(ep_rows), np.array(t_rows))
 
 

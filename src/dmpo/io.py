@@ -4,8 +4,8 @@ Checkpoints are a JSON envelope: named parameter tensors as base64-encoded
 little-endian IEEE-754 binary64 payloads, plus dims, a format version, an
 arbitrary JSON-safe state blob (config snapshot, rng state, optimizer
 state), and a sha256 content hash verified on load. Round trips are
-bit-identical. Datasets are JSON Lines with full round-trip float precision;
-metrics are plain CSV with a fixed header.
+bit-identical. Datasets are JSON Lines with full round-trip float precision,
+read strictly line by line; metrics are plain CSV with a fixed header.
 """
 
 from __future__ import annotations
@@ -134,31 +134,89 @@ def load_checkpoint(path):
 # dataset JSONL
 
 
+_DATASET_KEYS = ("obs", "action", "episode", "t")
+_DECODER = json.JSONDecoder()
+
+
+def _row_texts(col: np.ndarray) -> list[str]:
+    """``json.dumps(row)`` for each row of ``col``.
+
+    A 2-D column is encoded by one ``json.dumps`` and cut between rows: a
+    number's text (``NaN`` and ``Infinity`` included) holds no bracket, so
+    ``"], ["`` occurs only there."""
+    rows = col.tolist()
+    if col.ndim != 2:
+        return [json.dumps(r) for r in rows]
+    return json.dumps(rows)[1:-1].replace("], [", "]\n[").split("\n")
+
+
 def save_dataset(path, ds: Dataset) -> None:
+    """One JSON object per line, as ``json.dumps`` writes
+    ``{"obs": [...], "action": [...], "episode": e, "t": t}``."""
+    text = "".join(
+        f'{{"obs": {o}, "action": {a}, "episode": {e}, "t": {t}}}\n'
+        for o, a, e, t in zip(_row_texts(ds.obs), _row_texts(ds.actions),
+                              ds.episode_ids.tolist(), ds.ts.tolist())
+    )
     with open(path, "w", encoding="utf-8") as f:
-        for i in range(len(ds)):
-            rec = {
-                "obs": ds.obs[i].tolist(),
-                "action": ds.actions[i].tolist(),
-                "episode": int(ds.episode_ids[i]),
-                "t": int(ds.ts[i]),
-            }
-            f.write(json.dumps(rec) + "\n")
+        f.write(text)
+
+
+def _shape(x):
+    """``np.shape(x)``, or None for a ragged nested list."""
+    try:
+        return np.shape(x)
+    except ValueError:
+        return None
+
+
+def _ragged_column(path, key: str, col: list) -> ValueError:
+    """The error for a column whose records differ in shape. It names the
+    first record that is ragged itself or differs from the first record."""
+    first = _shape(col[0])
+    i = 0 if first is None else next(i for i, x in enumerate(col) if _shape(x) != first)
+    with open(path, encoding="utf-8") as f:
+        n = [n for n, line in enumerate(f, 1) if line.strip()][i]
+    shape = _shape(col[i])
+    what = "is a ragged list" if shape is None else f"has shape {shape}, the first record's {first}"
+    return ValueError(f"{path} line {n}: {key!r} {what}")
 
 
 def load_dataset(path) -> Dataset:
-    obs, act, ep, ts = [], [], [], []
+    """Read a dataset line by line. Each non-blank line must hold exactly one
+    JSON object with the four keys, and its ``obs`` and ``action`` must have
+    the shapes of the first record's; a bad line is a ``ValueError`` naming
+    the file and the line's 1-based number."""
+    obs, act, ep, ts = cols = [], [], [], []
+    decode = _DECODER.raw_decode
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            obs.append(rec["obs"])
-            act.append(rec["action"])
-            ep.append(rec["episode"])
-            ts.append(rec["t"])
-    return Dataset(np.array(obs), np.array(act), np.array(ep), np.array(ts))
+            try:
+                rec, end = decode(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path} line {n}: malformed JSON: {err.msg} (column {err.colno})") from None
+            if end != len(line):
+                raise ValueError(f"{path} line {n}: trailing data after the record (column {end + 1})")
+            if type(rec) is not dict:
+                raise ValueError(f"{path} line {n}: expected a JSON object, got {type(rec).__name__}")
+            try:
+                o, a, e, t = rec["obs"], rec["action"], rec["episode"], rec["t"]
+            except KeyError as err:
+                raise ValueError(f"{path} line {n}: missing key {err}") from None
+            obs.append(o)
+            act.append(a)
+            ep.append(e)
+            ts.append(t)
+    arrays = []
+    for key, col in zip(_DATASET_KEYS, cols):
+        try:
+            arrays.append(np.array(col))
+        except ValueError:
+            raise _ragged_column(path, key, col) from None
+    return Dataset(*arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,44 @@ def test_effective_rank_scaled_basis(d):
     assert effective_rank(H) == want == d - 1
 
 
+def _svd_rank(H, tol=1e-3):
+    s = np.linalg.svd(H - H.mean(axis=0), compute_uv=False)
+    return int(np.sum(s > tol * s[0]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_effective_rank_at_the_cut_is_the_svd_count(seed):
+    # singular values a relative 1e-12 either side of the cut tol * s_max:
+    # far inside the Gram eigenvalues' rounding, so only the SVD can count them
+    rng = np.random.default_rng(seed)
+    B, d, tol = 256, 32, 1e-3
+    U = np.linalg.qr(rng.normal(size=(B, d + 1)) - 1.0)[0]
+    U = U - U.mean(axis=0)  # centered columns, so H is its own row-centering
+    U = np.linalg.qr(U[:, :d])[0]
+    V = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    for sign in (1.0, -1.0):
+        s = np.geomspace(1.0, 1e-6, d)
+        s[[5, 11, 17]] = tol * (1.0 + sign * 1e-12)
+        H = 3.0 * (U * s) @ V.T
+        assert effective_rank(H) == _svd_rank(H) == int(np.sum(s > tol))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "low-rank", "tanh", "rescaled"])
+def test_effective_rank_matches_svd_count(kind):
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        B, d = int(rng.integers(2, 300)), int(rng.integers(1, 40))
+        H = rng.normal(size=(B, d))
+        if kind == "low-rank":
+            r = int(rng.integers(1, d + 1))
+            H = rng.normal(size=(B, r)) @ rng.normal(size=(r, d))
+        elif kind == "tanh":
+            H = np.tanh(5.0 * H @ rng.normal(size=(d, d)))
+        elif kind == "rescaled":
+            H = H * 10.0 ** rng.uniform(-5.0, 5.0, d)
+        assert effective_rank(H) == _svd_rank(H)
+
+
 def test_effective_rank_permutation_invariant():
     rng = np.random.default_rng(11)
     H = rng.normal(size=(6, 4))

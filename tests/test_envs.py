@@ -203,6 +203,43 @@ def test_step_rejects_actions_not_of_shape_2(env_cls, action):
     env.step(np.zeros(2))  # the rejected action left the episode as it was
 
 
+def _clip_expert_action(pos, goal, side):
+    """The expert as numpy arithmetic: the reference its float version keeps."""
+    target = np.array([0.0, side * 0.55]) if pos[0] < -0.02 else goal
+    return np.clip(target - pos, -0.2, 0.2)
+
+
+def test_expert_action_matches_clip_reference():
+    rng = np.random.default_rng(31)
+    n = 100_000
+    pos = rng.uniform(-1.0, 1.0, (n, 2))
+    goal = rng.uniform(-1.0, 1.0, (n, 2))
+    sides = rng.choice([-1, 1], n)
+    # the waypoint switch, actions landing exactly on +-0.2, and NaN
+    edges = [
+        ((-0.02, 0.3), (0.5, 0.1), 1),
+        ((-0.02, -0.0), (-0.0, 0.0), -1),
+        ((np.nextafter(-0.02, -1.0), 0.35), (0.5, 0.1), 1),
+        ((0.0, 0.0), (0.2, -0.2), 1),
+        ((0.0, -0.0), (np.nextafter(0.2, 1.0), np.nextafter(-0.2, 0.0)), -1),
+        ((0.0, 0.0), (-0.0, 0.0), 1),
+        ((-0.5, 0.75), (0.5, 0.0), 1),
+        ((0.0, 0.0), (np.nan, 0.1), 1),
+        ((np.nan, 0.0), (0.1, 0.1), 1),
+        ((-0.5, np.nan), (0.1, 0.1), -1),
+        ((0.0, 0.0), (np.inf, -np.inf), 1),
+    ]
+    cases = [(p, g, int(s)) for p, g, s in zip(pos, goal, sides)]
+    cases += [(np.array(p), np.array(g), s) for p, g, s in edges]
+    for p, g, side in cases:
+        got = _point_reach_expert_action(p, g, side)
+        want = _clip_expert_action(p, g, side)
+        assert got.shape == (2,) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), (p, g, side)  # bitwise: NaN and -0.0 included
+    edge = _point_reach_expert_action(np.zeros(2), np.array([0.2, -0.2]), 1)
+    assert edge.tolist() == [0.2, -0.2]
+
+
 def test_expert_always_succeeds():
     # gen_demos drops failed expert episodes with a warning; demand 100/100
     import warnings

@@ -1,6 +1,7 @@
-"""The per-step training and rollout paths call ufuncs and ndarray methods,
-not numpy's Python-level wrappers: on arrays of dmpo's size each wrapper call
-costs a few microseconds more than the ufunc or method giving the same bits.
+"""The per-step training, rollout and demonstration paths call ufuncs and
+ndarray methods, not numpy's Python-level wrappers: on arrays of dmpo's size
+each wrapper call costs a few microseconds more than the ufunc or method
+giving the same bits.
 
 The check reads each function's source tree, nested closures (VJPs)
 included, so a wrapper call that comes back fails here with its function and
@@ -12,7 +13,7 @@ import inspect
 
 import pytest
 
-from dmpo import autodiff, dispersive, kernels, meanflow, nets, ppo, sampler
+from dmpo import autodiff, dispersive, envs, kernels, meanflow, nets, ppo, sampler
 
 WRAPPERS = frozenset({
     "all", "any", "sum", "max", "min", "mean", "clip", "broadcast_to",
@@ -20,13 +21,14 @@ WRAPPERS = frozenset({
 })
 
 # every function that runs at least once per pre-train step, fine-tune
-# minibatch or rollout step
+# minibatch, rollout step or demonstration step
 HOT = {
     autodiff: [
         "Graph.backward", "_check_finite", "_emit", "_output", "custom_op", "weighted_sum",
         "row_sq_mean", "concat", "split_rows", "dense", "_dense_node",
     ],
     dispersive: ["hinge"],
+    envs: ["PointReach.step", "_point_reach_expert_action"],
     meanflow: ["sample_time_pairs", "target_velocity", "mf_loss", "pretrain"],
     nets: ["VelocityNet.encode", "VelocityNet.velocity", "ValueNet.value", "Adam.gather", "Adam.step",
            "clip_grad_norm"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dmpo.cli import main
-from dmpo.envs import gen_demos
+from dmpo.envs import Dataset, gen_demos
 from dmpo.io import (
     CheckpointError,
     load_checkpoint,
@@ -106,6 +106,70 @@ def test_dataset_jsonl_round_trip(tmp_path):
     # format: one JSON object per line with the documented keys
     line = json.loads(path.read_text().splitlines()[0])
     assert set(line) == {"obs", "action", "episode", "t"}
+
+
+def _reference_jsonl(ds) -> str:
+    """The dataset format: ``json.dumps`` of each record, one per line."""
+    return "".join(
+        json.dumps({"obs": ds.obs[i].tolist(), "action": ds.actions[i].tolist(),
+                    "episode": int(ds.episode_ids[i]), "t": int(ds.ts[i])}) + "\n"
+        for i in range(len(ds))
+    )
+
+
+_SPECIAL = np.array([[np.nan, np.inf, -np.inf, -0.0], [5e-324, 1e16, -1e-300, 0.1], [1.0, -2.5, 0.0, 3e300]])
+
+
+@pytest.mark.parametrize("ds", [
+    Dataset(_SPECIAL, _SPECIAL[:, 1:3], np.array([0, 0, 7]), np.array([0, 1, 0])),
+    Dataset(_SPECIAL[:, :1], _SPECIAL[:, 3:], np.arange(3), np.zeros(3)),  # d_obs = 1
+    Dataset(np.array([[0.25, -0.0]]), np.array([[np.nan, 1e16]]), np.array([3]), np.array([0])),  # one row
+    gen_demos("modal-bandit", 16, seed=1),
+    gen_demos("point-reach", 3, seed=4),
+], ids=["specials", "d_obs=1", "one-row", "modal-bandit", "point-reach"])
+def test_dataset_bytes_match_per_record_json_and_round_trip(tmp_path, ds):
+    path = tmp_path / "d.jsonl"
+    save_dataset(path, ds)
+    assert path.read_bytes() == _reference_jsonl(ds).encode("utf-8")
+    back = load_dataset(path)
+    for got, want in ((back.obs, ds.obs), (back.actions, ds.actions), (back.episode_ids, ds.episode_ids),
+                      (back.ts, ds.ts)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bitwise: NaN, -0.0 and 5e-324 survive
+
+
+_REC = '{"obs": [0.1, 0.2], "action": [0.3, 0.4], "episode": 0, "t": 0}'
+
+
+@pytest.mark.parametrize("text, line, what", [
+    (_REC + "\n" + '{"obs": [0.1, \n', 2, "malformed JSON"),
+    (_REC + "\n\n" + _REC + " 5\n", 3, "trailing data"),
+    (_REC + "\n" + _REC + _REC + "\n", 2, "trailing data"),
+    # one record split over two lines, then a complete one
+    ('{"obs": [0.1, 0.2], "action": [0.3, 0.4],\n"episode": 0, "t": 0}\n' + _REC + "\n", 1, "malformed JSON"),
+    (_REC + "\n" + "[0.1, 0.2]\n", 2, "expected a JSON object"),
+    (_REC + "\n" + '{"action": [0.3, 0.4], "episode": 0, "t": 0}\n', 2, "missing key 'obs'"),
+    (_REC + "\n" + '{"obs": [0.1, 0.2], "action": [0.3, 0.4], "episode": 0}\n', 2, "missing key 't'"),
+    (_REC + "\n\n" + _REC + "\n" + _REC.replace("[0.1, 0.2]", "[0.1, 0.2, 0.5]") + "\n", 4,
+     r"'obs' has shape \(3,\), the first record's \(2,\)"),
+    (_REC + "\n" + _REC.replace("[0.3, 0.4]", "[0.3]") + "\n", 2, r"'action' has shape \(1,\)"),
+    (_REC.replace("[0.3, 0.4]", "[0.3, [0.4]]") + "\n" + _REC + "\n", 1, "'action' is a ragged list"),
+], ids=["malformed", "trailing", "two-records", "split-record", "non-object", "missing-obs", "missing-t",
+        "ragged-obs", "ragged-action", "ragged-first"])
+def test_load_dataset_names_the_bad_line(tmp_path, text, line, what):
+    path = tmp_path / "d.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"d.jsonl line {line}: {what}"):
+        load_dataset(path)
+
+
+def test_cli_names_the_bad_dataset_line(tmp_path, capsys):
+    path = tmp_path / "d.jsonl"
+    path.write_text(_REC + "\n" + '{"action": [0.3, 0.4], "episode": 0, "t": 0}\n', encoding="utf-8")
+    cfg = tmp_path / "s1.json"
+    cfg.write_text("{}")
+    assert main(["pretrain", "--config", str(cfg), "--data", str(path), "--out", str(tmp_path / "ck.json")]) == 1
+    assert capsys.readouterr().err == f"error: ValueError: {path} line 2: missing key 'obs'\n"
 
 
 def test_metrics_csv_header_and_values(tmp_path):
