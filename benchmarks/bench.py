@@ -3,13 +3,17 @@
 For each workload in ``BENCHMARK.json`` this runs ``pipeline_bench/run.py``
 as a subprocess, one run at a time: ``--trace 0`` once per seed, then
 ``--trace 1`` once on the first seed, each for 20 s. It also runs
-``benchmarks/fingerprint.py``. The file it writes holds, per workload, the
-median and interquartile range (IQR) of each gated end-to-end metric and of
-each other printed metric (the wall-clock figures), every run's value, the
-traced per-layer metrics, and the failed-op counts; then the fingerprint
-digests, the size and digest of ``src/`` and the stamp of the first run.
+``benchmarks/fingerprint.py`` and the tier-1 test command of ROADMAP.md with
+``--durations=6``, BLAS threads unpinned as tier-1 runs. The file it writes
+holds, per workload, the median and interquartile range (IQR) of each gated
+end-to-end metric and of each other printed metric (the wall-clock figures),
+every run's value, the traced per-layer metrics, and the failed-op counts;
+then the fingerprint digests; the tier-1 passed and failed counts, failed
+test ids, wall time and the durations of the three slow acceptance tests;
+the size and digest of ``src/``, with code lines per module; and the stamp
+of the first run.
 
-Run it from anywhere; it takes about 7 minutes and writes the first
+Run it from anywhere; it takes about 9 minutes and writes the first
 ``BENCH_<n>.json`` in the repository root that does not exist yet:
 
     python3 benchmarks/bench.py
@@ -26,8 +30,11 @@ import ast
 import hashlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
+import time
 import tokenize
 from pathlib import Path
 
@@ -38,6 +45,8 @@ RUN = ROOT / "pipeline_bench" / "run.py"
 FINGERPRINT = ROOT / "benchmarks" / "fingerprint.py"
 SEEDS = [1, 2, 3, 4, 5]  # untraced runs per workload; the first seed is also traced
 SECONDS = 20.0  # measuring time per run, the benchmark's own
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=6"]
+SLOW_TESTS = ("test_c11", "test_c12a", "test_c12b")  # most of tier-1's time
 _SKIP_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
                 tokenize.ENCODING, tokenize.ENDMARKER}
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -91,6 +100,29 @@ def fingerprint() -> dict:
     return dict(line.split() for line in out.strip().splitlines())
 
 
+def tier1() -> dict:
+    """One tier-1 run: outcome counts, failed test ids, wall time and the
+    call durations of ``SLOW_TESTS``. A failing test does not stop it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True, text=True).stdout
+    wall = time.perf_counter() - t0
+    lines = out.strip().splitlines()
+    durations = {}
+    for line in lines:
+        m = re.match(r"([\d.]+)s call +\S+::((test_c\d+[a-z]?)_\w+)", line)
+        if m and m.group(3) in SLOW_TESTS:
+            durations[m.group(2)] = float(m.group(1))
+    return {
+        "command": ["python", *TIER1],
+        "counts": {k: int(n) for n, k in re.findall(r"(\d+) (\w+)", lines[-1].split(" in ")[0])},
+        "failed_tests": [line.split()[1] for line in lines if line.startswith("FAILED ")],
+        "wall_s": wall,
+        "durations_s": durations,
+    }
+
+
 def code_lines(source: str) -> int:
     """Lines holding code: not blank, not only a comment, not in a docstring."""
     lines = set()
@@ -107,9 +139,11 @@ def code_lines(source: str) -> int:
 def src_size() -> dict:
     """Line counts of ``src/dmpo``, and a digest that names its exact text
     (the stamp's git rev does not cover uncommitted edits)."""
-    sources = [p.read_text() for p in sorted((ROOT / "src" / "dmpo").glob("*.py"))]
-    return {"wc_lines": sum(s.count("\n") for s in sources), "code_lines": sum(map(code_lines, sources)),
-            "sha256": hashlib.sha256("".join(sources).encode()).hexdigest()}
+    paths = sorted((ROOT / "src" / "dmpo").glob("*.py"))
+    sources = [p.read_text() for p in paths]
+    modules = {p.name: code_lines(s) for p, s in zip(paths, sources)}
+    return {"wc_lines": sum(s.count("\n") for s in sources), "code_lines": sum(modules.values()),
+            "module_code_lines": modules, "sha256": hashlib.sha256("".join(sources).encode()).hexdigest()}
 
 
 def next_path() -> Path:
@@ -132,6 +166,7 @@ def main() -> int:
         "seconds": SECONDS,
         "workloads": entries,
         "fingerprint": fingerprint(),
+        "tier1": tier1(),
         "src": src_size(),
     }
     out = next_path()

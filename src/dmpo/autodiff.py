@@ -83,30 +83,12 @@ def _check_finite(a: Array, op: str) -> None:
 _ACTIVE: list["Graph"] = []
 
 
-class Tensor:
-    """A float64 value. ``requires_grad`` marks trainable leaves."""
+class _Ops:
+    """Operator sugar shared by ``Tensor`` and ``DualTensor``: each operator
+    calls the module op of that name, which dispatches on the operand types."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ()
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
-        self.requires_grad = requires_grad
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; definitions below once the op functions exist
     def __add__(self, other):
         return add(self, other)
 
@@ -151,7 +133,31 @@ class Tensor:
         return transpose(self)
 
 
-class DualTensor:
+class Tensor(_Ops):
+    """A float64 value. ``requires_grad`` marks trainable leaves."""
+
+    __slots__ = ("data", "requires_grad")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
+        self.requires_grad = requires_grad
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def ndim(self):
+        return self.data.ndim
+
+    def item(self) -> float:
+        return float(self.data)
+
+    def __repr__(self):
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class DualTensor(_Ops):
     """Forward-mode pair: a ``Tensor`` primal (an array-like is wrapped in
     one) and an array tangent of identical shape."""
 
@@ -171,21 +177,6 @@ class DualTensor:
 
     def __repr__(self):
         return f"DualTensor(shape={self.primal.shape})"
-
-    __add__ = Tensor.__add__
-    __radd__ = Tensor.__radd__
-    __sub__ = Tensor.__sub__
-    __rsub__ = Tensor.__rsub__
-    __mul__ = Tensor.__mul__
-    __rmul__ = Tensor.__rmul__
-    __truediv__ = Tensor.__truediv__
-    __rtruediv__ = Tensor.__rtruediv__
-    __neg__ = Tensor.__neg__
-    __matmul__ = Tensor.__matmul__
-    sum = Tensor.sum
-    mean = Tensor.mean
-    reshape = Tensor.reshape
-    T = Tensor.T
 
 
 class _Node:
@@ -429,24 +420,37 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 # binary ops
 
 
-def add(a, b):
+def _binary(a, b, fn, tangent, fwd, da, db, op: str):
+    """The elementwise binary op ``fn``: ``fwd`` of the operand data, and
+    the VJP ``da(g, x, y)``, ``db(g, x, y)`` for operands of data ``x`` and
+    ``y``, each summed back to its operand's shape. A dual operand makes
+    the output a DualTensor with the tangent ``tangent(out, xs, ts)``."""
     if _any_dual((a, b)):
-        return _dual_op(add, (a, b), _add_tangent)
+        return _dual_op(fn, (a, b), tangent)
     a, b = as_tensor(a), as_tensor(b)
+    x, y = a.data, b.data
     try:
-        data = a.data + b.data
+        data = fwd(x, y)
     except ValueError as e:
         raise ShapeError(str(e)) from None
 
     def vjp(g):
         out = []
         if a.requires_grad:
-            out.append((a, _unbroadcast(g, a.data.shape)))
+            out.append((a, _unbroadcast(da(g, x, y), x.shape)))
         if b.requires_grad:
-            out.append((b, _unbroadcast(g, b.data.shape)))
+            out.append((b, _unbroadcast(db(g, x, y), y.shape)))
         return out
 
-    return _emit(data, (a, b), vjp, "add")
+    return _emit(data, (a, b), vjp, op)
+
+
+def _pass(g, x, y):
+    return g
+
+
+def add(a, b):
+    return _binary(a, b, add, _add_tangent, np.add, _pass, _pass, "add")
 
 
 def sub(a, b):
@@ -454,52 +458,17 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if _any_dual((a, b)):
-        return _dual_op(mul, (a, b), _mul_tangent)
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError as e:
-        raise ShapeError(str(e)) from None
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(g * bd, ad.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(g * ad, bd.shape)))
-        return out
-
-    return _emit(data, (a, b), vjp, "mul")
+    return _binary(a, b, mul, _mul_tangent, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
 
 
 def div(a, b):
-    if _any_dual((a, b)):
-        return _dual_op(div, (a, b), _div_tangent)
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data / b.data
-    except ValueError as e:
-        raise ShapeError(str(e)) from None
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, _unbroadcast(g / bd, ad.shape)))
-        if b.requires_grad:
-            out.append((b, _unbroadcast(-g * ad / (bd * bd), bd.shape)))
-        return out
-
-    return _emit(data, (a, b), vjp, "div")
+    return _binary(
+        a, b, div, _div_tangent, np.true_divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y), "div"
+    )
 
 
 def neg(a):
-    if isinstance(a, DualTensor):
-        return _dual_op(neg, (a,), lambda y, xs, ts: -ts[0])
-    a = as_tensor(a)
-    return _emit(-a.data, (a,), lambda g: [(a, -g)], "neg")
+    return _unary(a, np.negative, lambda x, y: -1.0, "neg")
 
 
 def matmul(a, b):
@@ -752,11 +721,7 @@ def _reduce(a, np_fn, scale_fn, axis, op):
     scale = scale_fn(shape, axis)
 
     def vjp(g):
-        if axis is None:
-            full = np.broadcast_to(g, shape) * scale
-        else:
-            full = np.broadcast_to(np.expand_dims(g, axis), shape) * scale
-        return [(a, full.copy())]
+        return [(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape) * scale)]
 
     return _emit(data, (a,), vjp, op)
 

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 from dataclasses import fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -170,24 +171,42 @@ def _shape(x):
         return None
 
 
-def _ragged_column(path, key: str, col: list) -> ValueError:
+def _ragged_column(path, key: str, col: list, lines: list) -> ValueError:
     """The error for a column whose records differ in shape. It names the
     first record that is ragged itself or differs from the first record."""
     first = _shape(col[0])
     i = 0 if first is None else next(i for i, x in enumerate(col) if _shape(x) != first)
-    with open(path, encoding="utf-8") as f:
-        n = [n for n, line in enumerate(f, 1) if line.strip()][i]
     shape = _shape(col[i])
     what = "is a ragged list" if shape is None else f"has shape {shape}, the first record's {first}"
-    return ValueError(f"{path} line {n}: {key!r} {what}")
+    return ValueError(f"{path} line {lines[i]}: {key!r} {what}")
+
+
+# the types ``json`` decodes each column's entries to: ``obs`` and ``action``
+# hold JSON numbers, ``episode`` and ``t`` JSON integers (a bool is neither)
+_ENTRY_TYPES = {"obs": {float, int}, "action": {float, int}, "episode": {int}, "t": {int}}
+
+
+def _check_entries(path, key: str, col: list, flat: bool, lines: list) -> None:
+    """Raise for the first record holding an entry of the wrong JSON type;
+    ``flat`` means each record is a list of entries, not one entry."""
+    types = _ENTRY_TYPES[key]
+    if types.issuperset(map(type, chain.from_iterable(col) if flat else col)):
+        return
+    for n, x in zip(lines, col):
+        for v in x if flat else (x,):
+            if type(v) not in types:
+                kind = "number" if float in types else "integer"
+                raise ValueError(f"{path} line {n}: {key!r} holds {json.dumps(v)}, not a JSON {kind}")
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset line by line. Each non-blank line must hold exactly one
     JSON object with the four keys, and its ``obs`` and ``action`` must have
-    the shapes of the first record's; a bad line is a ``ValueError`` naming
-    the file and the line's 1-based number."""
+    the shapes of the first record's, their entries JSON numbers, and its
+    ``episode`` and ``t`` JSON integers; a bad line is a ``ValueError``
+    naming the file and the line's 1-based number."""
     obs, act, ep, ts = cols = [], [], [], []
+    lines = []  # each record's line number
     decode = _DECODER.raw_decode
     with open(path, encoding="utf-8") as f:
         for n, line in enumerate(f, 1):
@@ -206,6 +225,7 @@ def load_dataset(path) -> Dataset:
                 o, a, e, t = rec["obs"], rec["action"], rec["episode"], rec["t"]
             except KeyError as err:
                 raise ValueError(f"{path} line {n}: missing key {err}") from None
+            lines.append(n)
             obs.append(o)
             act.append(a)
             ep.append(e)
@@ -213,9 +233,11 @@ def load_dataset(path) -> Dataset:
     arrays = []
     for key, col in zip(_DATASET_KEYS, cols):
         try:
-            arrays.append(np.array(col))
+            arr = np.array(col)
         except ValueError:
-            raise _ragged_column(path, key, col) from None
+            raise _ragged_column(path, key, col, lines) from None
+        _check_entries(path, key, col, arr.ndim > 1 and key in ("obs", "action"), lines)
+        arrays.append(arr)
     return Dataset(*arrays)
 
 

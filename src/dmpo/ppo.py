@@ -257,8 +257,6 @@ def bc_schedule(n: int, config: Stage2Config) -> float:
     """Linear decay from lam_bc_init to lam_bc_final over [bc_decay_start, bc_decay_end)."""
     if n < 0:
         raise ValueError("iteration index must be >= 0")
-    if config.bc_decay_start >= config.bc_decay_end:
-        raise ValueError("bc_decay_start must be < bc_decay_end")
     if n < config.bc_decay_start:
         return config.lam_bc_init
     if n >= config.bc_decay_end:
@@ -365,7 +363,6 @@ class RolloutBatch:
     obs: np.ndarray  # (N, d_obs)
     next_obs: np.ndarray  # (N, d_obs), pre-reset at episode ends
     states: np.ndarray  # (N, K+1, d_a)
-    actions: np.ndarray  # (N, d_a) executed (post-clamp)
     rewards: np.ndarray  # (N,)
     terminals: np.ndarray  # (N,) true termination (bootstrap 0)
     dones: np.ndarray  # (N,) segment ends (termination or truncation)
@@ -397,15 +394,12 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
     obs_buf = np.empty((E, T, d_obs))
     next_buf = np.empty((E, T, d_obs))
     states_buf = np.empty((E, T, config.K + 1, d_a))
-    act_buf = np.empty((E, T, d_a))
     rew_buf = np.empty((E, T))
     term_buf = np.zeros((E, T))
     done_buf = np.zeros((E, T))
     lp_buf = np.empty((E, T))
     finished = []  # (return, success) per completed episode
 
-    low = np.stack([env.action_low for env in envs_list])
-    high = np.stack([env.action_high for env in envs_list])
     # the current observations stay one (E, d_obs) array across the window
     # and go back into ``obs_cur`` at its end
     obs_mat = np.stack(obs_cur)
@@ -414,7 +408,6 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
         actions = states[:, -1]
         obs_buf[:, t] = obs_mat
         states_buf[:, t] = states
-        np.minimum(np.maximum(actions, low), high, out=act_buf[:, t])
         lp_buf[:, t] = logprobs
         next_t, rew_t = next_buf[:, t], rew_buf[:, t]
         resets = []
@@ -444,7 +437,6 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
         obs=obs_rows,
         next_obs=next_buf.reshape(N, d_obs),
         states=states_buf.reshape(N, config.K + 1, d_a),
-        actions=act_buf.reshape(N, d_a),
         rewards=rew_buf.reshape(N),
         terminals=term_buf.reshape(N),
         dones=done_buf.reshape(N),
@@ -543,8 +535,8 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                 rows = slice(lo, lo + config.minibatch_size)
                 idx = order[rows]
                 mb = MiniBatch(
-                    obs=np.ascontiguousarray(batch.obs[idx]),
-                    states=np.ascontiguousarray(batch.states[idx]),
+                    obs=batch.obs[idx],
+                    states=batch.states[idx],
                     old_logprobs=batch.old_logprobs[idx],
                     advantages=adv[idx],
                     returns=batch.returns[idx],

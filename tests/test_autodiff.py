@@ -107,6 +107,85 @@ def test_binary_gradcheck(name, fn, sa, sb):
     assert rel_err(grads[b], fb) < 1e-4
 
 
+# Each shape pair with the sums that take an output cotangent back to the
+# first and the second operand's shape (leading axes, then kept size-1 axes).
+BROADCAST_PAIRS = [
+    ((3, 4), (4,), lambda g: g, lambda g: g.sum(axis=0)),
+    ((3, 1), (1, 4), lambda g: g.sum(axis=1, keepdims=True), lambda g: g.sum(axis=0, keepdims=True)),
+    ((), (3, 4), lambda g: g.sum(axis=0).sum(axis=0), lambda g: g),
+]
+
+# op -> (value, VJP of each operand before its sum, tangent) as numpy
+# expressions of the data x, y, the cotangent g and the tangents tx, ty
+ELEMENTWISE = {
+    "add": (lambda x, y: x + y, lambda g, x, y: (g, g), lambda x, y, tx, ty: tx + ty),
+    "sub": (lambda x, y: x - y, lambda g, x, y: (g, -g), lambda x, y, tx, ty: tx - ty),
+    "mul": (lambda x, y: x * y, lambda g, x, y: (g * y, g * x), lambda x, y, tx, ty: tx * y + x * ty),
+    "div": (lambda x, y: x / y, lambda g, x, y: (g / y, -g * x / (y * y)),
+            lambda x, y, tx, ty: (tx * y - x * ty) / (y * y)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTWISE))
+@pytest.mark.parametrize("sa, sb, sum_a, sum_b", BROADCAST_PAIRS, ids=["row", "outer", "scalar"])
+def test_elementwise_ops_equal_numpy_bit_for_bit(name, sa, sb, sum_a, sum_b):
+    # the finite-difference checks above allow a tolerance; these see any
+    # change of rounding in a value, cotangent or tangent
+    op = getattr(ad, name)
+    value, vjp, tangent = ELEMENTWISE[name]
+    rng = np.random.default_rng(12)
+    x, tx = _rand(rng, *sa), _rand(rng, *sa)
+    y, ty = rng.uniform(0.5, 2.0, size=sb) * rng.choice([-1.0, 1.0], size=sb), _rand(rng, *sb)
+    want = value(x, y)
+    g = _rand(rng, *want.shape)
+
+    a, b = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+    with Graph() as graph:
+        out = op(a, b)
+    grads = graph.backward(out, g)
+    ga, gb = vjp(g, x, y)
+    np.testing.assert_array_equal(out.data, want, strict=True)
+    np.testing.assert_array_equal(grads[a], sum_a(ga), strict=True)
+    np.testing.assert_array_equal(grads[b], sum_b(gb), strict=True)
+
+    both = op(DualTensor(x, tx), DualTensor(y, ty))
+    np.testing.assert_array_equal(both.primal.data, want, strict=True)
+    np.testing.assert_array_equal(both.tangent, tangent(x, y, tx, ty), strict=True)
+    # a plain operand's tangent is zero
+    zero_a, zero_b = np.zeros(sa), np.zeros(sb)
+    first, second = op(DualTensor(x, tx), y), op(x, DualTensor(y, ty))
+    for dual, t in ((first, tangent(x, y, tx, zero_b)), (second, tangent(x, y, zero_a, ty))):
+        np.testing.assert_array_equal(dual.tangent, np.broadcast_to(t, want.shape), strict=True)
+
+
+def test_neg_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(14)
+    x, t, g = _rand(rng, 3, 4), _rand(rng, 3, 4), _rand(rng, 3, 4)
+    a = Tensor(x, requires_grad=True)
+    with Graph() as graph:
+        out = ad.neg(a)
+    np.testing.assert_array_equal(out.data, -x, strict=True)
+    np.testing.assert_array_equal(graph.backward(out, g)[a], -g, strict=True)
+    np.testing.assert_array_equal(ad.neg(DualTensor(x, t)).tangent, -t, strict=True)
+    # exact zeros keep their sign through the negation
+    assert np.signbit(ad.neg(Tensor(0.0)).data)
+    assert not np.signbit(ad.neg(Tensor(-0.0)).data)
+
+
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+             "__rtruediv__", "__neg__", "__matmul__", "sum", "mean", "reshape", "T")
+
+
+def test_tensor_and_dual_tensor_share_one_operator_set():
+    def own(cls):
+        # the names a type adds to object's, less its fields
+        return set(dir(cls)) - set(dir(object)) - {"__module__", "__slots__", *cls.__slots__}
+
+    assert own(Tensor) - {"shape", "ndim", "item"} == own(DualTensor) - {"shape"} == set(OPERATORS)
+    for name in OPERATORS:
+        assert getattr(Tensor, name) is getattr(DualTensor, name), name
+
+
 @pytest.mark.parametrize("axis", [None, 0, 1])
 @pytest.mark.parametrize("red", ["sum", "mean"])
 def test_reduction_gradcheck(red, axis):

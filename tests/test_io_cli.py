@@ -163,6 +163,28 @@ def test_load_dataset_names_the_bad_line(tmp_path, text, line, what):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("old, new, what", [
+    ('"episode": 0', '"episode": 1.5', "'episode' holds 1.5, not a JSON integer"),
+    ('"episode": 0', '"episode": false', "'episode' holds false, not a JSON integer"),
+    ('"t": 0', '"t": true', "'t' holds true, not a JSON integer"),
+    ('"t": 0', '"t": 2.0', "'t' holds 2.0, not a JSON integer"),
+    ("[0.1, 0.2]", '["a", 0.2]', "'obs' holds \"a\", not a JSON number"),
+    ("[0.1, 0.2]", "[true, 0.2]", "'obs' holds true, not a JSON number"),
+    ("[0.3, 0.4]", "[0.3, null]", "'action' holds null, not a JSON number"),
+], ids=["episode-float", "episode-bool", "t-bool", "t-float", "obs-string", "obs-bool", "action-null"])
+def test_load_dataset_rejects_entries_of_the_wrong_json_type(tmp_path, old, new, what):
+    # the bad record on line 3 follows a good record and a blank line
+    path = tmp_path / "d.jsonl"
+    path.write_text(_REC + "\n\n" + _REC.replace(old, new) + "\n" + _REC + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"d.jsonl line 3: {what}"):
+        load_dataset(path)
+    # every record the same: numpy builds a column of one dtype, which is
+    # still the wrong JSON type
+    path.write_text((_REC.replace(old, new) + "\n") * 2, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"d.jsonl line 1: {what}"):
+        load_dataset(path)
+
+
 def test_cli_names_the_bad_dataset_line(tmp_path, capsys):
     path = tmp_path / "d.jsonl"
     path.write_text(_REC + "\n" + '{"action": [0.3, 0.4], "episode": 0, "t": 0}\n', encoding="utf-8")

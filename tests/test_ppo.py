@@ -162,7 +162,6 @@ def test_compute_advantages_one_pass_matches_per_segment_reference(monkeypatch):
         obs=rng.normal(size=(N, d_obs)),
         next_obs=rng.normal(size=(N, d_obs)),
         states=np.zeros((N, K + 1, d_a)),
-        actions=np.zeros((N, d_a)),
         rewards=rng.normal(size=N),
         terminals=terminals,
         dones=dones,
