@@ -48,6 +48,8 @@ class Dataset:
         self.actions = np.asarray(self.actions, dtype=np.float64)
         self.episode_ids = np.asarray(self.episode_ids, dtype=np.int64)
         self.ts = np.asarray(self.ts, dtype=np.int64)
+        if self.obs.ndim != 2 or self.actions.ndim != 2:
+            raise ValueError(f"obs and actions must be 2-D, got shapes {self.obs.shape} and {self.actions.shape}")
         n = self.obs.shape[0]
         if n == 0:
             raise ValueError("dataset must be nonempty")

@@ -3,7 +3,8 @@
 Checkpoints are a JSON envelope: named parameter tensors as base64-encoded
 little-endian IEEE-754 binary64 payloads, plus dims, a format version, an
 arbitrary JSON-safe state blob (config snapshot, rng state, optimizer
-state), and a sha256 content hash verified on load. Round trips are
+state), and a sha256 content hash verified on load, where each net's dims
+and parameter names must also be exactly its kind's. Round trips are
 bit-identical. Datasets are JSON Lines with full round-trip float precision,
 read strictly line by line; metrics are plain CSV with a fixed header.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import base64
 import csv
 import hashlib
+import inspect
 import json
 from dataclasses import fields, is_dataclass
 from itertools import chain
@@ -78,11 +80,24 @@ def _net_kind(net) -> str:
     raise CheckpointError(f"cannot checkpoint object of type {type(net).__name__}")
 
 
-def _rebuild_net(kind: str, dims: dict, arrays: dict):
+def _rebuild_net(name: str, kind: str, dims: dict, params: dict):
+    """Net ``name`` from its saved kind, dims and encoded arrays; the dims
+    must be the init's arguments and the arrays the kind's ``param_names``,
+    no more."""
     if kind not in _NET_KINDS:
         raise CheckpointError(f"unknown net kind {kind!r}")
-    net = _NET_KINDS[kind][1](0, **dims)
-    net.load_arrays(arrays)
+    cls, init = _NET_KINDS[kind]
+    for what, saved, wanted in (("dim", dims, list(inspect.signature(init).parameters)[1:]),
+                                ("parameter", params, cls.param_names)):
+        odd = sorted(set(saved) ^ set(wanted))
+        if odd:
+            state = "missing" if odd[0] in wanted else "unexpected"
+            raise CheckpointError(f"net {name!r}: {what} {odd[0]!r} is {state}")
+    try:
+        net = init(0, **dims)
+        net.load_arrays({n: _decode_array(d) for n, d in params.items()})
+    except (TypeError, ValueError) as err:  # a dim of the wrong type or value, a parameter of the wrong shape
+        raise CheckpointError(f"net {name!r}: {err}") from None
     return net
 
 
@@ -124,10 +139,7 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"checkpoint format version {envelope.get('format_version')} != {FORMAT_VERSION}"
         )
-    nets = {}
-    for name, entry in envelope["nets"].items():
-        arrays = {n: _decode_array(d) for n, d in entry["params"].items()}
-        nets[name] = _rebuild_net(entry["kind"], entry["dims"], arrays)
+    nets = {name: _rebuild_net(name, e["kind"], e["dims"], e["params"]) for name, e in envelope["nets"].items()}
     return nets, _from_jsonable(envelope.get("state", {}))
 
 
@@ -135,20 +147,16 @@ def load_checkpoint(path):
 # dataset JSONL
 
 
-_DATASET_KEYS = ("obs", "action", "episode", "t")
 _DECODER = json.JSONDecoder()
 
 
 def _row_texts(col: np.ndarray) -> list[str]:
-    """``json.dumps(row)`` for each row of ``col``.
+    """``json.dumps(row)`` for each row of the 2-D ``col``.
 
-    A 2-D column is encoded by one ``json.dumps`` and cut between rows: a
+    The column is encoded by one ``json.dumps`` and cut between rows: a
     number's text (``NaN`` and ``Infinity`` included) holds no bracket, so
     ``"], ["`` occurs only there."""
-    rows = col.tolist()
-    if col.ndim != 2:
-        return [json.dumps(r) for r in rows]
-    return json.dumps(rows)[1:-1].replace("], [", "]\n[").split("\n")
+    return json.dumps(col.tolist())[1:-1].replace("], [", "]\n[").split("\n")
 
 
 def save_dataset(path, ds: Dataset) -> None:
@@ -171,7 +179,7 @@ def _shape(x):
         return None
 
 
-def _ragged_column(path, key: str, col: list, lines: list) -> ValueError:
+def _ragged_column(path, key: str, col: tuple, lines: tuple) -> ValueError:
     """The error for a column whose records differ in shape. It names the
     first record that is ragged itself or differs from the first record."""
     first = _shape(col[0])
@@ -181,32 +189,52 @@ def _ragged_column(path, key: str, col: list, lines: list) -> ValueError:
     return ValueError(f"{path} line {lines[i]}: {key!r} {what}")
 
 
-# the types ``json`` decodes each column's entries to: ``obs`` and ``action``
-# hold JSON numbers, ``episode`` and ``t`` JSON integers (a bool is neither)
-_ENTRY_TYPES = {"obs": {float, int}, "action": {float, int}, "episode": {int}, "t": {int}}
+# per column, in a record's key order: the JSON type its entries must be, the
+# Python types ``json`` decodes that to (a bool is neither), the integers the
+# column's dtype holds (``float()`` of a larger one overflows), and the dtype
+_NUMBER = ("number", {float, int}, range(2**970 - 2**1024 + 1, 2**1024 - 2**970), "float64")
+_INTEGER = ("integer", {int}, range(-(2**63), 2**63), "int64")
+_COLUMNS = {"obs": _NUMBER, "action": _NUMBER, "episode": _INTEGER, "t": _INTEGER}
 
 
-def _check_entries(path, key: str, col: list, flat: bool, lines: list) -> None:
-    """Raise for the first record holding an entry of the wrong JSON type;
-    ``flat`` means each record is a list of entries, not one entry."""
-    types = _ENTRY_TYPES[key]
-    if types.issuperset(map(type, chain.from_iterable(col) if flat else col)):
-        return
+def _bad_entry(path, n: int, key: str, v, what: str) -> ValueError:
+    text = json.dumps(v)
+    text = text if len(text) <= 40 else text[:20] + "..."
+    return ValueError(f"{path} line {n}: {key!r} holds {text}, {what}")
+
+
+def _checked_column(path, key: str, col: tuple, lines: tuple) -> np.ndarray:
+    """``col`` as an array, or a ``ValueError`` naming the first bad record:
+    ``obs`` and ``action`` must be JSON arrays of one shape holding numbers
+    that fit a float64, ``episode`` and ``t`` JSON integers that fit an int64."""
+    try:
+        arr = np.array(col)
+    except ValueError:
+        raise _ragged_column(path, key, col, lines) from None
+    kind, types, fits, dtype = _COLUMNS[key]
+    arrays = kind == "number"  # each record is an array of entries
+    if arrays and arr.ndim == 1:  # scalar records (a list among them is ragged)
+        raise _bad_entry(path, lines[0], key, col[0], "not a JSON array")
+    entries = chain.from_iterable(col) if arrays else col
+    if types.issuperset(map(type, entries)) and arr.dtype in (dtype, np.int64):
+        return arr
     for n, x in zip(lines, col):
-        for v in x if flat else (x,):
+        for v in x if arrays else (x,):
             if type(v) not in types:
-                kind = "number" if float in types else "integer"
-                raise ValueError(f"{path} line {n}: {key!r} holds {json.dumps(v)}, not a JSON {kind}")
+                raise _bad_entry(path, n, key, v, f"not a JSON {kind}")
+            if type(v) is int and v not in fits:
+                raise _bad_entry(path, n, key, v, f"outside {dtype}")
+    return arr  # a number column with integers past int64 that fit a float64
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset line by line. Each non-blank line must hold exactly one
-    JSON object with the four keys, and its ``obs`` and ``action`` must have
-    the shapes of the first record's, their entries JSON numbers, and its
-    ``episode`` and ``t`` JSON integers; a bad line is a ``ValueError``
-    naming the file and the line's 1-based number."""
-    obs, act, ep, ts = cols = [], [], [], []
-    lines = []  # each record's line number
+    JSON object with the four keys, and its ``obs`` and ``action`` must be
+    JSON arrays of numbers with the shapes of the first record's, and its
+    ``episode`` and ``t`` JSON integers, each in its column's float64 or
+    int64 range; a bad line is a ``ValueError`` naming the file and the
+    line's 1-based number."""
+    recs = []  # (line number, obs, action, episode, t) of each record
     decode = _DECODER.raw_decode
     with open(path, encoding="utf-8") as f:
         for n, line in enumerate(f, 1):
@@ -217,28 +245,20 @@ def load_dataset(path) -> Dataset:
                 rec, end = decode(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path} line {n}: malformed JSON: {err.msg} (column {err.colno})") from None
+            except ValueError as err:  # an integer past Python's digit limit
+                raise ValueError(f"{path} line {n}: {err}") from None
             if end != len(line):
                 raise ValueError(f"{path} line {n}: trailing data after the record (column {end + 1})")
             if type(rec) is not dict:
                 raise ValueError(f"{path} line {n}: expected a JSON object, got {type(rec).__name__}")
             try:
-                o, a, e, t = rec["obs"], rec["action"], rec["episode"], rec["t"]
+                recs.append((n, rec["obs"], rec["action"], rec["episode"], rec["t"]))
             except KeyError as err:
                 raise ValueError(f"{path} line {n}: missing key {err}") from None
-            lines.append(n)
-            obs.append(o)
-            act.append(a)
-            ep.append(e)
-            ts.append(t)
-    arrays = []
-    for key, col in zip(_DATASET_KEYS, cols):
-        try:
-            arr = np.array(col)
-        except ValueError:
-            raise _ragged_column(path, key, col, lines) from None
-        _check_entries(path, key, col, arr.ndim > 1 and key in ("obs", "action"), lines)
-        arrays.append(arr)
-    return Dataset(*arrays)
+    if not recs:
+        raise ValueError(f"{path}: no records")
+    lines, *cols = zip(*recs)
+    return Dataset(*(_checked_column(path, key, col, lines) for key, col in zip(_COLUMNS, cols)))
 
 
 # ---------------------------------------------------------------------------

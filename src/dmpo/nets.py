@@ -27,21 +27,24 @@ from . import kernels
 from .autodiff import Tensor, as_tensor, concat, dense, value_of
 
 
-def _uniform_fan_in(rng: np.random.Generator, fan_in: int, fan_out: int):
-    bound = 1.0 / np.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    b = rng.uniform(-bound, bound, size=fan_out)
-    return np.ascontiguousarray(w), np.ascontiguousarray(b)
-
-
 class _MLPBase:
-    """Named-parameter container with cloning and checksum support."""
+    """Named-parameter container with cloning and checksum support.
 
+    A subclass lists its layers, input to output, in ``layers``. Layer ``l``
+    holds the parameters ``l_w`` and ``l_b``, and ``param_names`` lists them
+    in that order. Each ``dims`` entry is also a plain attribute (``net.d_obs``).
+    """
+
+    layers: tuple[str, ...]
     param_names: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls.param_names = tuple(f"{layer}_{p}" for layer in cls.layers for p in ("w", "b"))
 
     def __init__(self, params: dict[str, Tensor], dims: dict[str, int]):
         self.params = params
         self.dims = dims
+        self.__dict__.update(dims)
 
     def parameters(self) -> list[Tensor]:
         return [self.params[n] for n in self.param_names]
@@ -64,24 +67,7 @@ class _MLPBase:
 class VelocityNet(_MLPBase):
     """u(z, r, tau, obs): conditional-embedding encoder + time-conditioned trunk."""
 
-    def __init__(self, params: dict[str, Tensor], dims: dict[str, int]):
-        names = [f"enc{i}_{p}" for i in range(2) for p in ("w", "b")]
-        names += [f"trunk{i}_{p}" for i in range(2) for p in ("w", "b")]
-        names += ["out_w", "out_b"]
-        self.param_names = tuple(names)
-        super().__init__(params, dims)
-
-    @property
-    def d_obs(self):
-        return self.dims["d_obs"]
-
-    @property
-    def d_a(self):
-        return self.dims["d_a"]
-
-    @property
-    def d_h(self):
-        return self.dims["d_h"]
+    layers = ("enc0", "enc1", "trunk0", "trunk1", "out")
 
     def encode(self, obs):
         """(B, d_obs) -> conditional embeddings (B, d_h), post-activation."""
@@ -139,15 +125,28 @@ class VelocityNet(_MLPBase):
 class ValueNet(_MLPBase):
     """V(obs): 2-hidden-layer tanh MLP to a scalar."""
 
-    def __init__(self, params: dict[str, Tensor], dims: dict[str, int]):
-        self.param_names = ("l0_w", "l0_b", "l1_w", "l1_b", "out_w", "out_b")
-        super().__init__(params, dims)
+    layers = ("l0", "l1", "out")
 
     def value(self, obs):
         p = self.params
         x = dense(obs, p["l0_w"], p["l0_b"])
         x = dense(x, p["l1_w"], p["l1_b"])
         return dense(x, p["out_w"], p["out_b"], False).reshape((-1,))
+
+
+def _init_net(cls, seed: int, dims: dict[str, int], sizes: list[tuple[int, int]]):
+    """A ``cls`` net whose layers, in ``cls.layers`` order, have the
+    ``(fan_in, fan_out)`` of ``sizes``; each draws W, then b, uniform in
+    +-1/sqrt(fan_in) from one rng seeded with ``seed``."""
+    if min(dims.values()) < 1:
+        raise ValueError(f"all dims must be positive: {dims}")
+    rng = np.random.default_rng(seed)
+    params = {}
+    for layer, (fan_in, fan_out) in zip(cls.layers, sizes):
+        bound = 1.0 / math.sqrt(fan_in)
+        params[f"{layer}_w"] = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
+        params[f"{layer}_b"] = Tensor(rng.uniform(-bound, bound, size=fan_out), requires_grad=True)
+    return cls(params, dims)
 
 
 def init_velocity_net(
@@ -160,33 +159,14 @@ def init_velocity_net(
 ) -> VelocityNet:
     """Seeded uniform fan-in init; identical seeds give bit-identical nets."""
     dims = {"d_obs": d_obs, "d_a": d_a, "d_h": d_h, "enc_width": enc_width, "trunk_width": trunk_width}
-    if min(dims.values()) < 1:
-        raise ValueError(f"all dims must be positive: {dims}")
-    rng = np.random.default_rng(seed)
-    arrays: dict[str, np.ndarray] = {}
-    sizes = [(d_obs, enc_width), (enc_width, d_h)]
-    for i, (fi, fo) in enumerate(sizes):
-        arrays[f"enc{i}_w"], arrays[f"enc{i}_b"] = _uniform_fan_in(rng, fi, fo)
-    d_in = d_a + d_h + 2
-    sizes = [(d_in, trunk_width), (trunk_width, trunk_width)]
-    for i, (fi, fo) in enumerate(sizes):
-        arrays[f"trunk{i}_w"], arrays[f"trunk{i}_b"] = _uniform_fan_in(rng, fi, fo)
-    arrays["out_w"], arrays["out_b"] = _uniform_fan_in(rng, trunk_width, d_a)
-    params = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
-    return VelocityNet(params, dims)
+    sizes = [(d_obs, enc_width), (enc_width, d_h), (d_a + d_h + 2, trunk_width), (trunk_width, trunk_width),
+             (trunk_width, d_a)]
+    return _init_net(VelocityNet, seed, dims, sizes)
 
 
 def init_value_net(seed: int, d_obs: int, width: int = 64) -> ValueNet:
-    dims = {"d_obs": d_obs, "width": width}
-    if min(dims.values()) < 1:
-        raise ValueError(f"all dims must be positive: {dims}")
-    rng = np.random.default_rng(seed)
-    arrays: dict[str, np.ndarray] = {}
-    for i, (fi, fo) in enumerate([(d_obs, width), (width, width)]):
-        arrays[f"l{i}_w"], arrays[f"l{i}_b"] = _uniform_fan_in(rng, fi, fo)
-    arrays["out_w"], arrays["out_b"] = _uniform_fan_in(rng, width, 1)
-    params = {n: Tensor(a, requires_grad=True) for n, a in arrays.items()}
-    return ValueNet(params, dims)
+    sizes = [(d_obs, width), (width, width), (width, 1)]
+    return _init_net(ValueNet, seed, {"d_obs": d_obs, "width": width}, sizes)
 
 
 # module-level wrappers matching the operation contracts ------------------------

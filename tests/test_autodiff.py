@@ -218,6 +218,31 @@ def test_shape_ops_gradcheck():
     assert rel_err(grads[x], fd_grad(f, x0.copy())) < 1e-4
 
 
+# op -> numpy expression of an array; each dual op's value and tangent
+# must be that expression of the primal and of the tangent
+_SHAPE_AND_REDUCTION_OPS = {
+    "reshape": (lambda a: a.reshape((2, 6)), lambda x: x.reshape((2, 6))),
+    "transpose": (lambda a: a.T, lambda x: x.T),
+    "sum": (lambda a: a.sum(), lambda x: np.sum(x)),
+    "sum-axis0": (lambda a: a.sum(0), lambda x: np.sum(x, axis=0)),
+    "sum-axis1": (lambda a: a.sum(1), lambda x: np.sum(x, axis=1)),
+    "mean": (lambda a: a.mean(), lambda x: np.mean(x)),
+    "mean-axis0": (lambda a: a.mean(0), lambda x: np.mean(x, axis=0)),
+    "mean-axis1": (lambda a: a.mean(1), lambda x: np.mean(x, axis=1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHAPE_AND_REDUCTION_OPS))
+def test_dual_shape_and_reduction_ops_equal_numpy_bit_for_bit(name):
+    op, expr = _SHAPE_AND_REDUCTION_OPS[name]
+    rng = np.random.default_rng(23)
+    x, t = _rand(rng, 3, 4), _rand(rng, 3, 4)
+    out = op(DualTensor(x, t))
+    assert isinstance(out, DualTensor)
+    np.testing.assert_array_equal(out.primal.data, expr(x), strict=True)
+    np.testing.assert_array_equal(out.tangent, expr(t), strict=True)
+
+
 def test_concat_gradcheck():
     rng = np.random.default_rng(19)
     a0, b0 = _rand(rng, 3, 2), _rand(rng, 3, 3)

@@ -318,6 +318,14 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(3), np.zeros(3))
 
 
+def test_dataset_rejects_columns_that_are_not_2d():
+    # save_dataset writes one line per row of a 2-D column
+    with pytest.raises(ValueError, match=r"obs and actions must be 2-D, got shapes \(3,\) and \(3, 2\)"):
+        Dataset(np.zeros(3), np.zeros((3, 2)), np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError, match=r"got shapes \(3, 2\) and \(3, 2, 1\)"):
+        Dataset(np.zeros((3, 2)), np.zeros((3, 2, 1)), np.zeros(3), np.zeros(3))
+
+
 def test_demo_sides_are_mixed():
     ds = gen_demos("point-reach", 40, seed=0)
     # episode-level side: sign of the y-target in the first action

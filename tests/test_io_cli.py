@@ -90,6 +90,43 @@ def test_checkpoint_rejects_unknown_net_kind_and_non_nets(tmp_path):
         load_checkpoint(path)
 
 
+def _edited_checkpoint(path, edit):
+    """Rewrite the checkpoint at ``path`` after ``edit(envelope)``, with its
+    checksum recomputed so only the edit is wrong."""
+    import hashlib
+
+    env = json.loads(path.read_text())
+    env.pop("checksum")
+    edit(env)
+    env["checksum"] = hashlib.sha256(json.dumps(env, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    path.write_text(json.dumps(env))
+
+
+def _stray_param(env):
+    env["nets"]["value"]["params"]["stray_w"] = env["nets"]["value"]["params"]["out_w"]
+
+
+def _shrunk_out_b(env):
+    env["nets"]["policy"]["params"]["out_b"] = env["nets"]["policy"]["params"]["enc0_b"]
+
+
+@pytest.mark.parametrize("edit, what", [
+    (lambda env: env["nets"]["policy"]["params"].pop("out_b"), "net 'policy': parameter 'out_b' is missing"),
+    (_stray_param, "net 'value': parameter 'stray_w' is unexpected"),
+    (lambda env: env["nets"]["policy"]["dims"].pop("d_h"), "net 'policy': dim 'd_h' is missing"),
+    (lambda env: env["nets"]["value"]["dims"].update(d_h=8), "net 'value': dim 'd_h' is unexpected"),
+    (lambda env: env["nets"]["value"].update(kind="velocity"), "net 'value': dim 'd_a' is missing"),
+    (_shrunk_out_b, r"net 'policy': parameter out_b: shape \(64,\) != \(2,\)"),
+    (lambda env: env["nets"]["value"]["dims"].update(width=1.5), "net 'value': "),
+], ids=["missing-param", "stray-param", "missing-dim", "unknown-dim", "wrong-kind", "wrong-shape", "float-dim"])
+def test_checkpoint_rejects_nets_that_do_not_match_their_kind(tmp_path, edit, what):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, {"policy": init_velocity_net(3, 4, 2), "value": init_value_net(3, 4)})
+    _edited_checkpoint(path, edit)
+    with pytest.raises(CheckpointError, match=what):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # datasets and metrics
 
@@ -154,8 +191,13 @@ _REC = '{"obs": [0.1, 0.2], "action": [0.3, 0.4], "episode": 0, "t": 0}'
      r"'obs' has shape \(3,\), the first record's \(2,\)"),
     (_REC + "\n" + _REC.replace("[0.3, 0.4]", "[0.3]") + "\n", 2, r"'action' has shape \(1,\)"),
     (_REC.replace("[0.3, 0.4]", "[0.3, [0.4]]") + "\n" + _REC + "\n", 1, "'action' is a ragged list"),
+    # records whose obs is a number, not an array, used to load as a 1-D column
+    ((_REC.replace("[0.1, 0.2]", "0.5") + "\n") * 2, 1, "'obs' holds 0.5, not a JSON array"),
+    ((_REC.replace("[0.3, 0.4]", '"up"') + "\n") * 2, 1, "'action' holds \"up\", not a JSON array"),
+    # an integer past Python's digit limit fails inside the JSON decoder
+    (_REC + "\n" + _REC.replace('"t": 0', '"t": ' + "1" * 5000) + "\n", 2, "(Exceeds the limit|'t' holds)"),
 ], ids=["malformed", "trailing", "two-records", "split-record", "non-object", "missing-obs", "missing-t",
-        "ragged-obs", "ragged-action", "ragged-first"])
+        "ragged-obs", "ragged-action", "ragged-first", "scalar-obs", "scalar-action", "digit-limit"])
 def test_load_dataset_names_the_bad_line(tmp_path, text, line, what):
     path = tmp_path / "d.jsonl"
     path.write_text(text, encoding="utf-8")
@@ -171,7 +213,13 @@ def test_load_dataset_names_the_bad_line(tmp_path, text, line, what):
     ("[0.1, 0.2]", '["a", 0.2]', "'obs' holds \"a\", not a JSON number"),
     ("[0.1, 0.2]", "[true, 0.2]", "'obs' holds true, not a JSON number"),
     ("[0.3, 0.4]", "[0.3, null]", "'action' holds null, not a JSON number"),
-], ids=["episode-float", "episode-bool", "t-bool", "t-float", "obs-string", "obs-bool", "action-null"])
+    # integers past the column's dtype used to overflow inside numpy or wrap
+    ('"episode": 0', '"episode": 100000000000000000000', "'episode' holds 100000000000000000000, outside int64"),
+    ('"t": 0', '"t": 9223372036854775808', "'t' holds 9223372036854775808, outside int64"),
+    ('"t": 0', '"t": -9223372036854775809', "'t' holds -9223372036854775809, outside int64"),
+    ("[0.1, 0.2]", "[0.1, 1" + "0" * 400 + "]", r"'obs' holds 10000000000000000000\.\.\., outside float64"),
+], ids=["episode-float", "episode-bool", "t-bool", "t-float", "obs-string", "obs-bool", "action-null",
+        "episode-past-int64", "t-past-int64", "t-below-int64", "obs-past-float64"])
 def test_load_dataset_rejects_entries_of_the_wrong_json_type(tmp_path, old, new, what):
     # the bad record on line 3 follows a good record and a blank line
     path = tmp_path / "d.jsonl"
@@ -182,6 +230,23 @@ def test_load_dataset_rejects_entries_of_the_wrong_json_type(tmp_path, old, new,
     # still the wrong JSON type
     path.write_text((_REC.replace(old, new) + "\n") * 2, encoding="utf-8")
     with pytest.raises(ValueError, match=f"d.jsonl line 1: {what}"):
+        load_dataset(path)
+
+
+def test_load_dataset_accepts_integers_that_fit_float64_and_int64(tmp_path):
+    big = 10**30  # past int64, so numpy builds an object column; a float64 holds it
+    path = tmp_path / "d.jsonl"
+    path.write_text(_REC + "\n" + _REC.replace("[0.1, 0.2]", f"[{big}, -3]").replace('"t": 0', f'"t": {2**63 - 1}')
+                    + "\n", encoding="utf-8")
+    ds = load_dataset(path)
+    np.testing.assert_array_equal(ds.obs, [[0.1, 0.2], [1e30, -3.0]], strict=True)
+    np.testing.assert_array_equal(ds.ts, np.array([0, 2**63 - 1]), strict=True)
+
+
+def test_load_dataset_rejects_a_file_without_records(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n  \n", encoding="utf-8")
+    with pytest.raises(ValueError, match="d.jsonl: no records"):
         load_dataset(path)
 
 

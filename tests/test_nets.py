@@ -117,6 +117,29 @@ def test_init_checksums():
     assert param_checksum(a) != param_checksum(c)
 
 
+def test_init_matches_pinned_names_and_checksums():
+    # the names, their order and every drawn value, as first released; a
+    # reordered draw or a renamed parameter changes a checksum
+    net = init_velocity_net(7, d_obs=3, d_a=2)
+    vnet = init_value_net(7, d_obs=3)
+    assert net.param_names == ("enc0_w", "enc0_b", "enc1_w", "enc1_b", "trunk0_w", "trunk0_b",
+                               "trunk1_w", "trunk1_b", "out_w", "out_b")
+    assert vnet.param_names == ("l0_w", "l0_b", "l1_w", "l1_b", "out_w", "out_b")
+    assert param_checksum(net) == "8772f3213e179446be4cad36a67f3bb22ef52e29fe8c1368caf19a44d3f25236"
+    assert param_checksum(vnet) == "f2013042b118c71eaad8413a51490576bdbeb173b69e13ec9db2a947a40b67f9"
+
+
+def test_dims_are_attributes_and_survive_clone():
+    net = init_velocity_net(7, d_obs=3, d_a=2, d_h=5, enc_width=6, trunk_width=7)
+    vnet = init_value_net(7, d_obs=3, width=9)
+    for n in (net, net.clone()):
+        assert (n.d_obs, n.d_a, n.d_h, n.enc_width, n.trunk_width) == (3, 2, 5, 6, 7)
+        assert n.dims == {"d_obs": 3, "d_a": 2, "d_h": 5, "enc_width": 6, "trunk_width": 7}
+    assert (vnet.clone().d_obs, vnet.clone().width) == (3, 9)
+    assert net.params["trunk0_w"].data.shape == (2 + 5 + 2, 7)
+    assert vnet.params["out_w"].data.shape == (9, 1)
+
+
 def test_init_rejects_zero_width():
     with pytest.raises(ValueError):
         init_velocity_net(0, d_obs=3, d_a=2, d_h=0)

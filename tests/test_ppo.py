@@ -797,6 +797,61 @@ def test_collect_rollouts_one_value_call_rounds_within_tolerance_at_3_envs():
     np.testing.assert_allclose(batch.values, want, rtol=0, atol=1e-15)
 
 
+class _FixedHorizonEnv:
+    """Every episode ends at step 3, with reward t at step t: by reaching
+    its goal (a true terminal) or by a time limit (a truncation)."""
+
+    d_obs, d_a = 4, 2
+
+    def __init__(self, terminates: bool):
+        self.terminates = terminates
+
+    def reset(self, seed=None):
+        self.t, self.terminated, self.success, self.episode_return = 0, False, False, 0.0
+        return self._obs()
+
+    def _obs(self):
+        return np.array([float(self.t), 0.5 * self.t, 1.0, -1.0])
+
+    def step(self, action):
+        self.t += 1
+        done = self.t == 3
+        self.terminated = self.success = done and self.terminates
+        return self._obs(), float(self.t), done
+
+
+def test_collect_rollouts_records_true_terminals_and_compute_advantages_bootstraps_zero_there():
+    net = init_velocity_net(28, 4, 2)
+    nets = Stage2Nets(policy=net, value=init_value_net(28, 4), frozen=net.clone())
+    cfg = Stage2Config(rollout_steps=10, n_envs=2, minibatch_size=10)
+    envs_list = [_FixedHorizonEnv(terminates=True), _FixedHorizonEnv(terminates=False)]
+    env_rngs = [np.random.default_rng(e) for e in range(2)]
+    obs_cur = [env.reset() for env in envs_list]
+    batch, finished = collect_rollouts(nets, envs_list, env_rngs, obs_cur, cfg)
+    # env 0 reaches its goal on its third step, env 1 is cut there; both reset
+    np.testing.assert_array_equal(batch.terminals, [0, 0, 1, 0, 0, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(batch.dones, [0, 0, 1, 0, 0, 0, 0, 1, 0, 0])
+    np.testing.assert_array_equal(batch.rewards, [1, 2, 3, 1, 2] * 2)
+    assert finished == [(6.0, True), (6.0, False)]
+    # the ended rows keep their pre-reset next observation; the rows after
+    # them start from the reset one
+    for end in (2, 7):
+        np.testing.assert_array_equal(batch.next_obs[end], [3.0, 1.5, 1.0, -1.0])
+        np.testing.assert_array_equal(batch.obs[end + 1], [0.0, 0.0, 1.0, -1.0])
+
+    vnet = _RowValueNet()
+    compute_advantages(batch, vnet, cfg)
+    want_adv, want_ret = _per_segment_advantages(batch, vnet, cfg.gamma, cfg.lam_gae)
+    np.testing.assert_array_equal(batch.advantages, want_adv)
+    np.testing.assert_array_equal(batch.returns, want_ret)
+    # at a cut row the return is the reward plus the bootstrap: 0 at the
+    # terminal, gamma * V(next_obs) at the truncation, which is not 0 here
+    boot = cfg.gamma * vnet.value(batch.next_obs[7:8])[0]
+    assert abs(boot) > 1.0
+    assert batch.returns[2] == pytest.approx(3.0, abs=1e-12)
+    assert batch.returns[7] == pytest.approx(3.0 + boot, abs=1e-12)
+
+
 @pytest.mark.parametrize("short", ["envs_list", "env_rngs", "obs_cur"])
 def test_collect_rollouts_rejects_counts_other_than_n_envs(short):
     # three envs under n_envs=4 used to collect 63 of 64 rows without a word
