@@ -18,6 +18,9 @@ Run it from anywhere; it takes about 9 minutes and writes the first
 
     python3 benchmarks/bench.py
 
+``--skip-tier1`` leaves out the tier-1 run (about 2 of the 9 minutes); the
+file then holds ``"tier1": null``.
+
 Two files from the same tree have equal fingerprint digests. Their gated
 medians differ by host drift: two runs of one tree minutes apart put half
 the ``*_cost_ref`` and ``peak_rss_mb`` medians outside the other run's IQR,
@@ -26,6 +29,7 @@ the ``*_cost_ref`` and ``peak_rss_mb`` medians outside the other run's IQR,
 
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
 import io
@@ -154,6 +158,9 @@ def next_path() -> Path:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--skip-tier1", action="store_true", help="leave out the tier-1 test run")
+    args = parser.parse_args()
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     entries, stamp = {}, None
     for w in workloads:
@@ -166,7 +173,7 @@ def main() -> int:
         "seconds": SECONDS,
         "workloads": entries,
         "fingerprint": fingerprint(),
-        "tier1": tier1(),
+        "tier1": None if args.skip_tier1 else tier1(),
         "src": src_size(),
     }
     out = next_path()

@@ -23,9 +23,10 @@ a hand-written VJP as a single tape node; :func:`weighted_sum` (a weighted
 total of losses) is one, and :func:`row_sq_mean` gives the loss heads built
 that way their squared-distance arithmetic. :func:`dense`, the network
 layer, is one node in reverse mode and on a dual input alike; there one
-tanh slope ``1 - y*y`` serves both the tangent and the node's VJP. On
-ndarray input it runs plain-array kernels. An op hands the tape
-its VJP ``vjp(g) -> [(parent, cotangent), ...]`` directly.
+tanh slope ``1 - y*y`` serves both the tangent and the node's VJP. It
+takes no plain-array path: each net's array branch calls the ``kernels``
+layers itself. An op hands the tape its VJP
+``vjp(g) -> [(parent, cotangent), ...]`` directly.
 
 There is no indexing op: a head that needs part of a value works on
 ``.data`` inside a ``custom_op``. :func:`split_rows`, the inverse of a
@@ -45,8 +46,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from . import kernels
 
 Array = np.ndarray
 
@@ -524,35 +523,21 @@ def dense(x, W, b, tanh: bool = True):
 
     ``W`` and ``b`` are the layer's parameter Tensors. ``x`` decides the path:
 
-    * an ndarray of rank 1 (one unbatched row, a matrix-vector product taken
-      with ``ndarray.dot``) or rank 2 (a product taken with ``@``, which is
-      faster than ``.dot`` from a few hundred rows) runs the plain-array
-      kernels and returns an ndarray of the same rank, untraced and
-      unchecked (inference);
-    * a Tensor gives one tape node whose VJP is written out, with one finite
-      check on the pre-activation (tanh of a finite value is finite);
+    * a Tensor (an array-like is wrapped as a constant one) gives one tape
+      node whose VJP is written out, with one finite check on the
+      pre-activation (tanh of a finite value is finite);
     * a DualTensor is the same one node over its primal, recorded as the
-      Tensor path would be, and carries the tangent ``(t @ W) * (1 - y*y)``;
-      the slope ``1 - y*y`` is computed once and serves both that tangent
-      and the node's VJP.
+      Tensor path would be, and returns a DualTensor carrying the tangent
+      ``(t @ W) * (1 - y*y)``; the slope ``1 - y*y`` is computed once and
+      serves both that tangent and the node's VJP.
 
-    Every path runs the ops of ``matmul`` -> ``add`` -> ``tanh`` in their
+    Both paths run the ops of ``matmul`` -> ``add`` -> ``tanh`` in their
     order, so values, cotangents and tangents equal that chain's bit for bit
-    (IEEE multiplication commutes).
+    (IEEE multiplication commutes). Plain-array inference does not come
+    here: each net's array branch calls ``kernels.affine_tanh`` and
+    ``kernels.affine``, which run the same ops untraced.
     """
-    if type(x) is np.ndarray:
-        if tanh:
-            return kernels.affine_tanh(x, W.data, b.data)
-        return kernels.affine(x, W.data, b.data)
-    if isinstance(x, DualTensor):
-        return _dense_node(x.primal, W, b, tanh, x.tangent)
-    return _dense_node(as_tensor(x), W, b, tanh)
-
-
-def _dense_node(x: Tensor, W: Tensor, b: Tensor, tanh: bool, t: Array | None = None):
-    # kept out of ``dense``: the VJP closure would turn that function's
-    # arguments into cells and slow its plain-array path. Given the tangent
-    # ``t`` of ``x``, returns a DualTensor.
+    x, t = (x.primal, x.tangent) if isinstance(x, DualTensor) else (as_tensor(x), None)
     xd, Wd = x.data, W.data
     if xd.ndim != 2 or xd.shape[1] != Wd.shape[0]:
         raise ShapeError(f"dense input {xd.shape} does not fit weight {Wd.shape}")

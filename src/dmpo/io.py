@@ -41,10 +41,23 @@ def _encode_array(a: np.ndarray) -> dict:
     }
 
 
-def _decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return a.reshape(d["shape"])
+def _field(d: dict, key: str, typ: type, where: str):
+    """``d[key]``, which must be exactly a ``typ`` as ``json.loads`` builds
+    it (so a bool is no int); else a ``CheckpointError`` naming ``where``
+    and the field."""
+    if type(d.get(key)) is not typ:
+        got = type(d[key]).__name__ if key in d else "missing"
+        raise CheckpointError(f"{where}: field {key!r} is {got}; expected {typ.__name__}")
+    return d[key]
+
+
+def _decode_array(d: dict, where: str) -> np.ndarray:
+    data, shape = _field(d, "data", str, where), _field(d, "shape", list, where)
+    try:
+        return np.frombuffer(base64.b64decode(data), dtype="<f8").astype(np.float64).reshape(shape)
+    except (TypeError, ValueError) as err:
+        # bad base64, a shape entry that is no integer, a payload that does not fill its shape
+        raise CheckpointError(f"{where}: {err}") from None
 
 
 def _to_jsonable(x):
@@ -59,13 +72,13 @@ def _to_jsonable(x):
     return x
 
 
-def _from_jsonable(x):
+def _from_jsonable(x, where: str):
     if isinstance(x, dict):
         if x.get("__ndarray__"):
-            return _decode_array(x)
-        return {k: _from_jsonable(v) for k, v in x.items()}
+            return _decode_array(x, where)
+        return {k: _from_jsonable(v, f"{where}.{k}") for k, v in x.items()}
     if isinstance(x, list):
-        return [_from_jsonable(v) for v in x]
+        return [_from_jsonable(v, f"{where}[{i}]") for i, v in enumerate(x)]
     return x
 
 
@@ -80,24 +93,28 @@ def _net_kind(net) -> str:
     raise CheckpointError(f"cannot checkpoint object of type {type(net).__name__}")
 
 
-def _rebuild_net(name: str, kind: str, dims: dict, params: dict):
-    """Net ``name`` from its saved kind, dims and encoded arrays; the dims
-    must be the init's arguments and the arrays the kind's ``param_names``,
-    no more."""
+def _rebuild_net(where: str, entry: dict):
+    """The net saved as ``entry`` (its kind, integer dims and encoded
+    arrays) in the checkpoint part ``where``; the dims must be the init's
+    arguments and the arrays the kind's ``param_names``, no more."""
+    kind, dims, params = (_field(entry, k, t, where) for k, t in (("kind", str), ("dims", dict), ("params", dict)))
     if kind not in _NET_KINDS:
-        raise CheckpointError(f"unknown net kind {kind!r}")
+        raise CheckpointError(f"{where}: unknown net kind {kind!r}")
     cls, init = _NET_KINDS[kind]
-    for what, saved, wanted in (("dim", dims, list(inspect.signature(init).parameters)[1:]),
-                                ("parameter", params, cls.param_names)):
+    for what, saved, wanted, typ in (("dim", dims, list(inspect.signature(init).parameters)[1:], int),
+                                     ("parameter", params, cls.param_names, dict)):
         odd = sorted(set(saved) ^ set(wanted))
         if odd:
             state = "missing" if odd[0] in wanted else "unexpected"
-            raise CheckpointError(f"net {name!r}: {what} {odd[0]!r} is {state}")
+            raise CheckpointError(f"{where}: {what} {odd[0]!r} is {state}")
+        for k in saved:
+            _field(saved, k, typ, f"{where}: {what}s")
+    arrays = {n: _decode_array(d, f"{where}: parameter {n!r}") for n, d in params.items()}
     try:
         net = init(0, **dims)
-        net.load_arrays({n: _decode_array(d) for n, d in params.items()})
-    except (TypeError, ValueError) as err:  # a dim of the wrong type or value, a parameter of the wrong shape
-        raise CheckpointError(f"net {name!r}: {err}") from None
+        net.load_arrays(arrays)
+    except ValueError as err:  # a dim below 1, a parameter of the wrong shape
+        raise CheckpointError(f"{where}: {err}") from None
     return net
 
 
@@ -135,12 +152,12 @@ def load_checkpoint(path):
     actual = hashlib.sha256(_canonical(envelope)).hexdigest()
     if stored != actual:
         raise CheckpointError(f"checksum mismatch in {path}: file is corrupted")
-    if envelope.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format version {envelope.get('format_version')} != {FORMAT_VERSION}"
-        )
-    nets = {name: _rebuild_net(name, e["kind"], e["dims"], e["params"]) for name, e in envelope["nets"].items()}
-    return nets, _from_jsonable(envelope.get("state", {}))
+    where = f"checkpoint {path}"
+    if _field(envelope, "format_version", int, where) != FORMAT_VERSION:
+        raise CheckpointError(f"{where}: format_version {envelope['format_version']} != {FORMAT_VERSION}")
+    saved = _field(envelope, "nets", dict, where)
+    nets = {n: _rebuild_net(f"{where}: net {n!r}", _field(saved, n, dict, f"{where}: nets")) for n in saved}
+    return nets, _from_jsonable(_field(envelope, "state", dict, where), f"{where}: state")
 
 
 # ---------------------------------------------------------------------------

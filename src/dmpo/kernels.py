@@ -1,5 +1,7 @@
-"""The numpy kernels: the affine layers behind ``autodiff.dense``'s plain-array
-path, the Adam update over one flat buffer, and the GAE recursion.
+"""The numpy kernels: the affine layers of every net's plain-array forward
+(``VelocityNet.encode``, ``VelocityNet.velocity`` and ``ValueNet.value`` on
+ndarrays call ``affine_tanh`` and ``affine`` once per layer), the Adam
+update over one flat buffer, and the GAE recursion.
 
 Each kernel works in place where it can, with the operations of the plain
 numpy expression in the same order, so its results are bit-identical to it.

@@ -6,12 +6,15 @@ concat(z, h, r, tau), with the two flow times raw, to an action-space
 velocity. The encoder output is what the dispersive regularizers act on;
 trunk parameters never influence ``encode``.
 
-Each net has one forward, built from ``autodiff.dense`` layers. The same
-method runs traced (reverse mode), on duals (forward mode; under a graph the
-primal is taped as the traced forward would be, so one pass gives a taped
-forward and its directional derivative), or on plain arrays, where it
-records nothing and returns arrays (``velocity`` then takes float times,
-and one unbatched row runs as 1-D arrays).
+Each net has one forward method with two branches. On Tensors it is built
+from ``autodiff.dense`` layers and runs traced (reverse mode) or on duals
+(forward mode; under a graph the primal is taped as the traced forward
+would be, so one pass gives a taped forward and its directional
+derivative). On plain arrays it calls ``kernels.affine_tanh`` and
+``kernels.affine`` itself, one written-out call per layer, records nothing
+and returns arrays (``velocity`` then takes float times, and one unbatched
+row runs as 1-D arrays); the layers' ops and their order are those of
+``dense``, so both branches give the same bits.
 ``Adam.gather`` flattens a tape's gradients into one array, which
 ``clip_grad_norm`` rescales in place and ``Adam.step`` consumes.
 """
@@ -72,6 +75,9 @@ class VelocityNet(_MLPBase):
     def encode(self, obs):
         """(B, d_obs) -> conditional embeddings (B, d_h), post-activation."""
         p = self.params
+        if type(obs) is np.ndarray:
+            x = kernels.affine_tanh(obs, p["enc0_w"].data, p["enc0_b"].data)
+            return kernels.affine_tanh(x, p["enc1_w"].data, p["enc1_b"].data)
         return dense(dense(obs, p["enc0_w"], p["enc0_b"]), p["enc1_w"], p["enc1_b"])
 
     def velocity(self, z, r, tau, h=None, obs=None):
@@ -93,26 +99,28 @@ class VelocityNet(_MLPBase):
         # directional-derivative target at the exact (r=0, tau=1) corner
         # one-step sampling queries; a raw time input keeps the
         # time-derivative pathway identified everywhere.
-        if arrays and z.ndim == 1:
-            d_a = z.shape[0]
-            x = np.empty(d_a + h.shape[0] + 2)
-            x[:d_a] = z
-            x[d_a:-2] = h
-            x[-2] = r
-            x[-1] = tau
-        elif arrays:
-            # [z, h, r, tau] filled in place: the values and C layout of the
-            # traced ``concat``, so the trunk's matmuls match it
-            B, d_a = z.shape
-            x = np.empty((B, d_a + h.shape[1] + 2))
-            x[:, :d_a] = z
-            x[:, d_a:-2] = h
-            x[:, -2] = r
-            x[:, -1] = tau
-        else:
-            x = concat([z, h, r, tau], axis=1)
         p = self.params
-        x = dense(x, p["trunk0_w"], p["trunk0_b"])
+        if arrays:
+            if z.ndim == 1:
+                d_a = z.shape[0]
+                x = np.empty(d_a + h.shape[0] + 2)
+                x[:d_a] = z
+                x[d_a:-2] = h
+                x[-2] = r
+                x[-1] = tau
+            else:
+                # [z, h, r, tau] filled in place: the values and C layout of
+                # the traced ``concat``, so the trunk's matmuls match it
+                B, d_a = z.shape
+                x = np.empty((B, d_a + h.shape[1] + 2))
+                x[:, :d_a] = z
+                x[:, d_a:-2] = h
+                x[:, -2] = r
+                x[:, -1] = tau
+            x = kernels.affine_tanh(x, p["trunk0_w"].data, p["trunk0_b"].data)
+            x = kernels.affine_tanh(x, p["trunk1_w"].data, p["trunk1_b"].data)
+            return kernels.affine(x, p["out_w"].data, p["out_b"].data)
+        x = dense(concat([z, h, r, tau], axis=1), p["trunk0_w"], p["trunk0_b"])
         x = dense(x, p["trunk1_w"], p["trunk1_b"])
         return dense(x, p["out_w"], p["out_b"], False)
 
@@ -129,8 +137,11 @@ class ValueNet(_MLPBase):
 
     def value(self, obs):
         p = self.params
-        x = dense(obs, p["l0_w"], p["l0_b"])
-        x = dense(x, p["l1_w"], p["l1_b"])
+        if type(obs) is np.ndarray:
+            x = kernels.affine_tanh(obs, p["l0_w"].data, p["l0_b"].data)
+            x = kernels.affine_tanh(x, p["l1_w"].data, p["l1_b"].data)
+            return kernels.affine(x, p["out_w"].data, p["out_b"].data).reshape((-1,))
+        x = dense(dense(obs, p["l0_w"], p["l0_b"]), p["l1_w"], p["l1_b"])
         return dense(x, p["out_w"], p["out_b"], False).reshape((-1,))
 
 

@@ -7,7 +7,8 @@ as one unbatched row, 1-D arrays end to end, so every layer is a
 matrix-vector product, taken with ``ndarray.dot`` (``kernels``); NumPy
 computes a (1, d) row's ``@`` product with the same matrix-vector routine,
 so the action is bit-identical to the walk on (1, d) rows. At K = 1 the
-Euler step is ``z - u`` with no multiply, since dt is exactly 1.0.
+action is one velocity call and ``z - u`` in place, with no loop and no
+multiply, since dt is exactly 1.0.
 Stochastic sampling wraps each step in a
 Gaussian of scale sigma and records everything needed to recompute the
 chain's log-probability bit-for-bit later (the PPO old-log-prob contract).
@@ -148,9 +149,10 @@ def sample_deterministic(net, obs: np.ndarray, K: int, rng: np.random.Generator)
     each layer is a matrix-vector product, bit-identical to the same walk on
     ``(1, d)`` rows. The times are Python floats (K - k) / K: one correctly
     rounded division of two exact integers, equal to
-    ``make_schedule(K).taus[k]``. Each step scales the fresh velocity in
-    place, ``u *= dt`` (IEEE multiplication commutes), skipped at K = 1
-    where dt is 1.0."""
+    ``make_schedule(K).taus[k]``. Each step is ``z -= u * dt`` (IEEE
+    multiplication commutes, so this is the Euler step ``z - dt * u``).
+    K = 1, where dt is 1.0 and the times are (0, 1), is one velocity call
+    and one in-place ``z -= u``, with no loop."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     obs = np.asarray(obs, dtype=np.float64)
@@ -160,12 +162,11 @@ def sample_deterministic(net, obs: np.ndarray, K: int, rng: np.random.Generator)
         obs = obs.reshape(-1)
     h = net.encode_arrays(obs)
     z = rng.standard_normal(net.d_a)
-    dt = 1.0 / K
+    if K == 1:
+        z -= net.velocity_arrays(z, 0.0, 1.0, h)
+        return z, 1
     for k in range(K):
-        u = net.velocity_arrays(z, (K - k - 1) / K, (K - k) / K, h)
-        if K > 1:
-            u *= dt
-        z -= u
+        z -= net.velocity_arrays(z, (K - k - 1) / K, (K - k) / K, h) * (1.0 / K)
     return z, K
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dmpo.autodiff as ad
+from dmpo import kernels
 from dmpo.autodiff import (
     DualTensor,
     Graph,
@@ -771,29 +772,34 @@ def test_dense_bit_identical_to_op_chain(tanh):
         for got, want, ref in zip(got_g, want_g, traced[4 - len(got_g):]):
             assert np.array_equal(got, want) and np.array_equal(got, ref)
 
-    # the plain-array path returns an array, not a Tensor, and records nothing
+    # the plain-array layer each net's array branch calls returns an array,
+    # not a Tensor, and records nothing
     W, b = Tensor(W0), Tensor(b0)
     with Graph() as g:
-        plain = ad.dense(x0, Tensor(W0, requires_grad=True), Tensor(b0, requires_grad=True), tanh)
+        plain = _kernel(tanh)(x0, W0, b0)
     assert type(plain) is np.ndarray and not g.nodes
     np.testing.assert_array_equal(plain, _op_chain(Tensor(x0), W, b, tanh).data)
 
 
+def _kernel(tanh):
+    return kernels.affine_tanh if tanh else kernels.affine
+
+
 @pytest.mark.parametrize("tanh", [True, False])
 @pytest.mark.parametrize("B", [1, 8])
-def test_dense_plain_array_path_leaves_inputs_and_returns_fresh_array(B, tanh):
-    # the plain-array path works in place on a fresh product: the same ops in
-    # the same order as the out-of-place numpy expression, inputs untouched
+def test_affine_kernels_leave_inputs_and_return_fresh_array(B, tanh):
+    # the plain-array layers work in place on a fresh product: the same ops
+    # in the same order as the out-of-place numpy expression, inputs untouched
     rng = np.random.default_rng(B)
     x = rng.normal(size=(B, 5))
-    W = Tensor(rng.normal(size=(5, 7)))
-    b = Tensor(rng.normal(size=7))
-    before = [a.copy() for a in (x, W.data, b.data)]
-    y = ad.dense(x, W, b, tanh)
-    for a, a0 in zip((x, W.data, b.data), before):
+    W = rng.normal(size=(5, 7))
+    b = rng.normal(size=7)
+    before = [a.copy() for a in (x, W, b)]
+    y = _kernel(tanh)(x, W, b)
+    for a, a0 in zip((x, W, b), before):
         np.testing.assert_array_equal(a, a0)
         assert not np.shares_memory(y, a)
-    np.testing.assert_array_equal(y, _dense_np(x, W.data, b.data, tanh))
+    np.testing.assert_array_equal(y, _dense_np(x, W, b, tanh))
 
 
 def test_dense_checks_the_pre_activation():

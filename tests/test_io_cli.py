@@ -127,6 +127,76 @@ def test_checkpoint_rejects_nets_that_do_not_match_their_kind(tmp_path, edit, wh
         load_checkpoint(path)
 
 
+def _set(*keys_and_value):
+    """An edit that sets ``env[k0][k1]...[kn] = value``."""
+    *keys, value = keys_and_value
+
+    def edit(env):
+        for k in keys[:-1]:
+            env = env[k]
+        env[keys[-1]] = value
+    return edit
+
+
+def _drop(*keys):
+    """An edit that deletes ``env[k0][k1]...[kn]``."""
+    def edit(env):
+        for k in keys[:-1]:
+            env = env[k]
+        del env[keys[-1]]
+    return edit
+
+
+_VALUE_L0 = ("nets", "value", "params", "l0_w")
+_STATE_ARR = ("state", "arr")
+
+# (edit, the part and field the error must name); every checksum is
+# recomputed, so only the structure is wrong
+STRUCTURE_FAULTS = {
+    "drop-nets": (_drop("nets"), "field 'nets' is missing"),
+    "drop-state": (_drop("state"), "field 'state' is missing"),
+    "drop-format-version": (_drop("format_version"), "field 'format_version' is missing"),
+    "drop-kind": (_drop("nets", "value", "kind"), "net 'value': field 'kind' is missing"),
+    "drop-dims": (_drop("nets", "policy", "dims"), "net 'policy': field 'dims' is missing"),
+    "drop-params": (_drop("nets", "value", "params"), "net 'value': field 'params' is missing"),
+    "drop-param-data": (_drop(*_VALUE_L0, "data"), "net 'value': parameter 'l0_w': field 'data' is missing"),
+    "drop-param-shape": (_drop(*_VALUE_L0, "shape"), "net 'value': parameter 'l0_w': field 'shape' is missing"),
+    "drop-state-array-data": (_drop(*_STATE_ARR, "data"), "state.arr: field 'data' is missing"),
+    "type-format-version": (_set("format_version", "1"), "field 'format_version' is str; expected int"),
+    "type-kind": (_set("nets", "value", "kind", 3), "net 'value': field 'kind' is int; expected str"),
+    "type-dim-str": (_set("nets", "value", "dims", "d_obs", "3"), "net 'value': dims: field 'd_obs' is str"),
+    "type-dim-bool": (_set("nets", "policy", "dims", "d_a", True), "net 'policy': dims: field 'd_a' is bool"),
+    "type-param-data": (_set(*_VALUE_L0, "data", 5), "parameter 'l0_w': field 'data' is int; expected str"),
+    "type-param-shape": (_set(*_VALUE_L0, "shape", "3,64"), "parameter 'l0_w': field 'shape' is str; expected list"),
+    "type-param-shape-entry": (_set(*_VALUE_L0, "shape", [4, "64"]), "net 'value': parameter 'l0_w': "),
+    "type-net": (_set("nets", "value", "value"), "nets: field 'value' is str; expected dict"),
+    "list-nets": (_set("nets", []), "field 'nets' is list; expected dict"),
+    "list-state": (_set("state", []), "field 'state' is list; expected dict"),
+    "list-net": (_set("nets", "value", []), "nets: field 'value' is list; expected dict"),
+    "list-dims": (_set("nets", "policy", "dims", []), "net 'policy': field 'dims' is list; expected dict"),
+    "list-params": (_set("nets", "value", "params", []), "net 'value': field 'params' is list; expected dict"),
+    "list-param": (_set(*_VALUE_L0, []), "net 'value': parameters: field 'l0_w' is list; expected dict"),
+    "dict-param-shape": (_set(*_VALUE_L0, "shape", {}), "parameter 'l0_w': field 'shape' is dict; expected list"),
+    "short-param-payload": (_set(*_VALUE_L0, "shape", [5, 64]), "net 'value': parameter 'l0_w': "),
+    "short-state-payload": (_set(*_STATE_ARR, "shape", [4]), "state.arr: "),
+    "nested-state-array": (_drop("state", "log", 1, "w", "shape"), "state.log[1].w: field 'shape' is missing"),
+}
+
+
+@pytest.mark.parametrize("fault", list(STRUCTURE_FAULTS))
+def test_checkpoint_structure_faults_name_file_and_field(tmp_path, fault):
+    edit, field = STRUCTURE_FAULTS[fault]
+    path = tmp_path / "ck.json"
+    state = {"arr": np.arange(3.0), "log": [{"w": np.ones(2)}, {"w": np.zeros(2)}]}
+    save_checkpoint(path, {"policy": init_velocity_net(3, 4, 2), "value": init_value_net(3, 4)}, state=state)
+    load_checkpoint(path)  # intact, it loads
+    _edited_checkpoint(path, edit)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    assert field in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # datasets and metrics
 
