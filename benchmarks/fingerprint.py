@@ -21,8 +21,12 @@ Stage-2 results depend on the BLAS thread count, so the script pins
 OpenBLAS to one thread before numpy is imported. Run it from anywhere:
 
     python3 benchmarks/fingerprint.py
+    python3 benchmarks/fingerprint.py --expect BENCH_4.json
 
-It imports dmpo from the ``src`` directory next to this script.
+With ``--expect`` it also compares each digest with the ``fingerprint``
+entry of that ``benchmarks/bench.py`` output file, names every block that
+differs and exits with status 1 if any does. It imports dmpo from the
+``src`` directory next to this script.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -116,15 +122,28 @@ def data_block():
     return _digest(items)
 
 
-def main() -> None:
+def digests() -> dict[str, str]:
     demos = gen_demos("point-reach", 40, seed=0)
     digest, net = pretrain_block(demos)
-    print(f"pretrain  {digest}")
-    print(f"finetune  {finetune_block(net)}")
-    print(f"serve     {serve_block(net, demos)}")
-    print(f"evaluate  {evaluate_block(net)}")
-    print(f"data      {data_block()}")
+    return {"pretrain": digest, "finetune": finetune_block(net), "serve": serve_block(net, demos),
+            "evaluate": evaluate_block(net), "data": data_block()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", type=Path, help="a BENCH_<n>.json whose fingerprint the digests must equal")
+    args = parser.parse_args()
+    got = digests()
+    for block, digest in got.items():
+        print(f"{block:<9} {digest}")
+    if args.expect is None:
+        return 0
+    want = json.loads(args.expect.read_text())["fingerprint"]
+    differ = [block for block in got if got[block] != want.get(block)]
+    for block in differ:
+        print(f"{block}: digest differs from {args.expect} ({want.get(block)})", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

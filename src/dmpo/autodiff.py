@@ -8,25 +8,38 @@ Three pieces:
 * ``Graph`` — an explicit tape: ordered node list recorded during a forward
   pass, walked in reverse by :meth:`Graph.backward`.
 * ``DualTensor`` — a ``Tensor`` primal with an array tangent, for one-pass
-  directional derivatives. Each dual op computes the primal with the
-  ordinary Tensor op, so it is recorded on the active graph exactly as that
-  op would be, and computes the tangent from the primal data as a constant
-  that no node touches: under a graph one pass yields a taped prediction
-  and its (untaped) directional derivative. :func:`jvp` runs its pass under
-  :func:`no_record` and records nothing. Non-dual operands (parameters,
-  constants) have a zero tangent, so their tangent products are skipped.
+  directional derivatives. Non-dual operands (parameters, constants) have
+  a zero tangent, so their tangent products are skipped.
 
 Every op output is checked for NaN/Inf and raises ``NonFiniteError`` rather
 than propagating silently. Supported rank is <= 2; broadcasting follows
-numpy within that limit. :func:`custom_op` records a fused computation with
-a hand-written VJP as a single tape node; :func:`weighted_sum` (a weighted
-total of losses) is one, and :func:`row_sq_mean` gives the loss heads built
-that way their squared-distance arithmetic. :func:`dense`, the network
-layer, is one node in reverse mode and on a dual input alike; there one
-tanh slope ``1 - y*y`` serves both the tangent and the node's VJP. It
-takes no plain-array path: each net's array branch calls the ``kernels``
-layers itself. An op hands the tape its VJP
-``vjp(g) -> [(parent, cotangent), ...]`` directly.
+numpy within that limit. The ops stand on three shared rules, each holding
+its ops' dispatch, node and VJP once:
+
+* ``_binary``: ``add``, ``mul``, ``div`` and ``matmul`` (a shape mismatch
+  is a ``ShapeError`` with numpy's message; each cotangent is summed back
+  to its operand's shape);
+* ``_unary``: the elementwise ops, ``neg`` included, with a local
+  derivative ``dydx(x, y)``;
+* ``_linear``: ``reshape``, ``transpose``, ``sum_`` and ``mean_``, whose
+  tangent is the op of the tangent.
+
+Every dual op but :func:`dense` goes through ``_dual_op``: the primal is the
+Tensor op on the primal operands, recorded as usual, and the tangent a
+constant computed from the operand data and tangents, so under a graph one
+pass yields a taped prediction and its (untaped) directional derivative;
+``concat``'s dual tangent is the parts' tangents concatenated, zeros for a
+non-dual part. :func:`jvp` runs its pass under :func:`no_record` and records
+nothing. Outside the three rules only :func:`dense`, :func:`split_rows`,
+``concat`` on Tensors and :func:`custom_op` build their own nodes.
+:func:`dense`, the network layer, is one node in reverse mode and on a dual
+input alike; there one tanh slope ``1 - y*y`` serves both the tangent and
+the node's VJP. It takes no plain-array path: each net's array branch calls
+the ``kernels`` layers itself. :func:`custom_op` records a fused computation
+with a hand-written VJP as a single tape node; :func:`weighted_sum` (a
+weighted total of losses) is one, and :func:`row_sq_mean` gives the loss
+heads built that way their squared-distance arithmetic. An op hands the tape
+its VJP ``vjp(g) -> [(parent, cotangent), ...]`` directly.
 
 There is no indexing op: a head that needs part of a value works on
 ``.data`` inside a ``custom_op``. :func:`split_rows`, the inverse of a
@@ -420,10 +433,10 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 def _binary(a, b, fn, tangent, fwd, da, db, op: str):
-    """The elementwise binary op ``fn``: ``fwd`` of the operand data, and
-    the VJP ``da(g, x, y)``, ``db(g, x, y)`` for operands of data ``x`` and
-    ``y``, each summed back to its operand's shape. A dual operand makes
-    the output a DualTensor with the tangent ``tangent(out, xs, ts)``."""
+    """The binary op ``fn``: ``fwd`` of the operand data, and the VJP
+    ``da(g, x, y)``, ``db(g, x, y)`` for operands of data ``x`` and ``y``,
+    each summed back to its operand's shape. A dual operand makes the
+    output a DualTensor with the tangent ``tangent(out, xs, ts)``."""
     if _any_dual((a, b)):
         return _dual_op(fn, (a, b), tangent)
     a, b = as_tensor(a), as_tensor(b)
@@ -470,32 +483,17 @@ def neg(a):
     return _unary(a, np.negative, lambda x, y: -1.0, "neg")
 
 
+def _matmul_da(g, x, y):
+    if x.ndim == 1 and y.ndim == 2:
+        return y @ g
+    return np.outer(g, y) if x.ndim == 2 and y.ndim == 1 else g @ y.T
+
+
 def matmul(a, b):
-    if _any_dual((a, b)):
-        return _dual_op(matmul, (a, b), _matmul_tangent)
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ShapeError("matmul requires rank >= 1 operands")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul inner dims {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        out = []
-        if a.requires_grad:
-            if ad.ndim == 1 and bd.ndim == 2:
-                ga = bd @ g
-            elif ad.ndim == 2 and bd.ndim == 1:
-                ga = np.outer(g, bd)
-            else:
-                ga = g @ bd.T
-            out.append((a, ga))
-        if b.requires_grad:
-            out.append((b, np.outer(ad, g) if ad.ndim == 1 and bd.ndim == 2 else ad.T @ g))
-        return out
-
-    return _emit(data, (a, b), vjp, "matmul")
+    return _binary(
+        a, b, matmul, _matmul_tangent, np.matmul, _matmul_da,
+        lambda g, x, y: np.outer(x, g) if x.ndim == 1 and y.ndim == 2 else x.T @ g, "matmul",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -620,58 +618,56 @@ def square(a):
 # shape / reduction ops
 
 
-def reshape(a, shape):
+def _linear(a, fwd, back, op: str):
+    """The linear op ``fwd`` of one operand's data: a dual operand's tangent
+    is ``fwd`` of its tangent, and the VJP of an operand of shape ``s`` is
+    ``back(g, s)``."""
     if isinstance(a, DualTensor):
-        return _dual_op(lambda x: reshape(x, shape), (a,), lambda y, xs, ts: ts[0].reshape(shape))
+        return _dual_op(lambda x: _linear(x, fwd, back, op), (a,), lambda y, xs, ts: fwd(ts[0]))
     a = as_tensor(a)
-    old = a.data.shape
-    return _emit(a.data.reshape(shape), (a,), lambda g: [(a, g.reshape(old))], "reshape")
+    shape = a.data.shape
+    return _emit(fwd(a.data), (a,), lambda g: [(a, back(g, shape))], op)
+
+
+def reshape(a, shape):
+    return _linear(a, lambda x: x.reshape(shape), lambda g, s: g.reshape(s), "reshape")
 
 
 def transpose(a):
-    if isinstance(a, DualTensor):
-        return _dual_op(transpose, (a,), lambda y, xs, ts: ts[0].T)
-    a = as_tensor(a)
-    return _emit(a.data.T.copy(), (a,), lambda g: [(a, g.T)], "transpose")
+    return _linear(a, lambda x: x.T.copy(), lambda g, s: g.T, "transpose")
+
+
+def _blocks(xs: Sequence[Array], axis: int) -> list[tuple]:
+    """The index of each array of ``xs`` in their concatenation along ``axis``."""
+    sl, lo, out = [slice(None)] * xs[0].ndim, 0, []
+    for x in xs:
+        sl[axis] = slice(lo, lo + x.shape[axis])
+        lo += x.shape[axis]
+        out.append(tuple(sl))
+    return out
 
 
 def concat(parts: Sequence, axis: int = 1):
     parts = list(parts)
     if _any_dual(parts):
-        # the primal through the Tensor path; the tangent written by slices
-        # into one zeroed buffer (a non-dual part's tangent is zero)
-        primals = [p.primal if isinstance(p, DualTensor) else as_tensor(p) for p in parts]
-        out = concat(primals, axis)
-        tangent = np.zeros(out.data.shape)
-        sl = [slice(None)] * tangent.ndim
-        lo = 0
-        for p, q in zip(parts, primals):
-            hi = lo + q.data.shape[axis]
-            if isinstance(p, DualTensor):
-                sl[axis] = slice(lo, hi)
-                tangent[tuple(sl)] = p.tangent
-            lo = hi
-        return DualTensor(out, tangent)
+
+        def tangent(y, xs, ts):
+            # a non-dual part's block stays zero
+            out = np.zeros(y.shape)
+            for block, t in zip(_blocks(xs, axis), ts):
+                if t is not None:
+                    out[block] = t
+            return out
+
+        return _dual_op(lambda *ps: concat(ps, axis), parts, tangent)
     ts = [as_tensor(p) for p in parts]
     try:
         data = np.concatenate([t.data for t in ts], axis=axis)
     except ValueError as e:
         raise ShapeError(str(e)) from None
-    spans = []
-    lo = 0
-    for t in ts:
-        hi = lo + t.data.shape[axis]
-        spans.append((t, lo, hi))
-        lo = hi
 
     def vjp(g):
-        out = []
-        sl = [slice(None)] * g.ndim
-        for t, lo, hi in spans:
-            if t.requires_grad:
-                sl[axis] = slice(lo, hi)
-                out.append((t, g[tuple(sl)]))
-        return out
+        return [(t, g[block]) for t, block in zip(ts, _blocks([t.data for t in ts], axis)) if t.requires_grad]
 
     return _emit(data, tuple(ts), vjp, "concat")
 
@@ -695,32 +691,21 @@ def split_rows(a, n: int):
     return outs
 
 
-def _reduce(a, np_fn, scale_fn, axis, op):
-    if isinstance(a, DualTensor):
-        return _dual_op(
-            lambda x: _reduce(x, np_fn, scale_fn, axis, op), (a,), lambda y, xs, ts: np_fn(ts[0], axis=axis)
-        )
-    a = as_tensor(a)
-    data = np_fn(a.data, axis=axis)
-    shape = a.data.shape
-    scale = scale_fn(shape, axis)
+def _reduce(a, np_fn, scale, axis, op):
+    # the VJP spreads g over the reduced entries, times ``scale(n)`` of their count
+    def back(g, shape):
+        n = np.prod(shape) if axis is None else shape[axis]
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape) * scale(n)
 
-    def vjp(g):
-        return [(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape) * scale)]
-
-    return _emit(data, (a,), vjp, op)
+    return _linear(a, lambda x: np_fn(x, axis=axis), back, op)
 
 
 def sum_(a, axis=None):
-    return _reduce(a, np.sum, lambda shape, ax: 1.0, axis, "sum")
+    return _reduce(a, np.sum, lambda n: 1.0, axis, "sum")
 
 
 def mean_(a, axis=None):
-    def scale(shape, ax):
-        n = np.prod(shape) if ax is None else shape[ax]
-        return 1.0 / float(n)
-
-    return _reduce(a, np.mean, scale, axis, "mean")
+    return _reduce(a, np.mean, lambda n: 1.0 / float(n), axis, "mean")
 
 
 # ---------------------------------------------------------------------------

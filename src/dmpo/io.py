@@ -4,9 +4,10 @@ Checkpoints are a JSON envelope: named parameter tensors as base64-encoded
 little-endian IEEE-754 binary64 payloads, plus dims, a format version, an
 arbitrary JSON-safe state blob (config snapshot, rng state, optimizer
 state), and a sha256 content hash verified on load, where each net's dims
-and parameter names must also be exactly its kind's. Round trips are
-bit-identical. Datasets are JSON Lines with full round-trip float precision,
-read strictly line by line; metrics are plain CSV with a fixed header.
+and parameter names must also be exactly its kind's and each parameter's
+shape the one its dims give. Round trips are bit-identical. Datasets are
+JSON Lines with full round-trip float precision, read strictly line by
+line; metrics are plain CSV with a fixed header.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .envs import Dataset
-from .nets import ValueNet, VelocityNet, init_value_net, init_velocity_net
+from .nets import ValueNet, VelocityNet
 
 FORMAT_VERSION = 1
 
@@ -82,12 +83,12 @@ def _from_jsonable(x, where: str):
     return x
 
 
-# checkpoint kind -> (net class, seeded init the saved arrays are loaded into)
-_NET_KINDS = {"velocity": (VelocityNet, init_velocity_net), "value": (ValueNet, init_value_net)}
+# checkpoint kind -> net class
+_NET_KINDS = {"velocity": VelocityNet, "value": ValueNet}
 
 
 def _net_kind(net) -> str:
-    for kind, (cls, _) in _NET_KINDS.items():
+    for kind, cls in _NET_KINDS.items():
         if isinstance(net, cls):
             return kind
     raise CheckpointError(f"cannot checkpoint object of type {type(net).__name__}")
@@ -95,13 +96,17 @@ def _net_kind(net) -> str:
 
 def _rebuild_net(where: str, entry: dict):
     """The net saved as ``entry`` (its kind, integer dims and encoded
-    arrays) in the checkpoint part ``where``; the dims must be the init's
-    arguments and the arrays the kind's ``param_names``, no more."""
+    arrays) in the checkpoint part ``where``; the dims must be the
+    arguments of the kind's ``fans`` rule and the arrays its
+    ``param_names``, no more, each of the shape the dims give. The arrays
+    are checked against those shapes before the net is built, so no dims
+    allocate more than the payloads hold."""
     kind, dims, params = (_field(entry, k, t, where) for k, t in (("kind", str), ("dims", dict), ("params", dict)))
     if kind not in _NET_KINDS:
         raise CheckpointError(f"{where}: unknown net kind {kind!r}")
-    cls, init = _NET_KINDS[kind]
-    for what, saved, wanted, typ in (("dim", dims, list(inspect.signature(init).parameters)[1:], int),
+    cls = _NET_KINDS[kind]
+    names = list(inspect.signature(cls.fans).parameters)
+    for what, saved, wanted, typ in (("dim", dims, names, int),
                                      ("parameter", params, cls.param_names, dict)):
         odd = sorted(set(saved) ^ set(wanted))
         if odd:
@@ -111,11 +116,9 @@ def _rebuild_net(where: str, entry: dict):
             _field(saved, k, typ, f"{where}: {what}s")
     arrays = {n: _decode_array(d, f"{where}: parameter {n!r}") for n, d in params.items()}
     try:
-        net = init(0, **dims)
-        net.load_arrays(arrays)
+        return cls.from_arrays(arrays, {k: dims[k] for k in names})
     except ValueError as err:  # a dim below 1, a parameter of the wrong shape
         raise CheckpointError(f"{where}: {err}") from None
-    return net
 
 
 def _canonical(envelope: dict) -> bytes:

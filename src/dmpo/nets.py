@@ -33,9 +33,11 @@ from .autodiff import Tensor, as_tensor, concat, dense, value_of
 class _MLPBase:
     """Named-parameter container with cloning and checksum support.
 
-    A subclass lists its layers, input to output, in ``layers``. Layer ``l``
-    holds the parameters ``l_w`` and ``l_b``, and ``param_names`` lists them
-    in that order. Each ``dims`` entry is also a plain attribute (``net.d_obs``).
+    A subclass lists its layers, input to output, in ``layers``, and gives
+    each layer's ``(fan_in, fan_out)``, in that order, as ``fans(**dims)``.
+    Layer ``l`` holds the parameters ``l_w`` of that shape and ``l_b`` of
+    ``(fan_out,)``, and ``param_names`` lists them in layer order. Each
+    ``dims`` entry is also a plain attribute (``net.d_obs``).
     """
 
     layers: tuple[str, ...]
@@ -49,6 +51,28 @@ class _MLPBase:
         self.dims = dims
         self.__dict__.update(dims)
 
+    @classmethod
+    def param_shapes(cls, dims: dict[str, int]) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape in a net of ``dims``, in ``param_names``
+        order; computed from the dims alone, so nothing is allocated."""
+        if min(dims.values()) < 1:
+            raise ValueError(f"all dims must be positive: {dims}")
+        shapes = {}
+        for layer, (fan_in, fan_out) in zip(cls.layers, cls.fans(**dims)):
+            shapes[f"{layer}_w"], shapes[f"{layer}_b"] = (fan_in, fan_out), (fan_out,)
+        return shapes
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], dims: dict[str, int]):
+        """A net of ``dims`` holding copies of ``arrays`` (name -> array-like);
+        every shape is compared with ``param_shapes(dims)`` before any copy."""
+        shapes = cls.param_shapes(dims)
+        arrays = {n: np.asarray(arrays[n], dtype=np.float64) for n in shapes}
+        for n, shape in shapes.items():
+            if arrays[n].shape != shape:
+                raise ValueError(f"parameter {n}: shape {arrays[n].shape} != {shape}")
+        return cls({n: Tensor(a.copy(), requires_grad=True) for n, a in arrays.items()}, dict(dims))
+
     def parameters(self) -> list[Tensor]:
         return [self.params[n] for n in self.param_names]
 
@@ -56,21 +80,23 @@ class _MLPBase:
         return {n: self.params[n].data for n in self.param_names}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for n in self.param_names:
-            a = np.ascontiguousarray(np.asarray(arrays[n], dtype=np.float64))
-            if a.shape != self.params[n].data.shape:
-                raise ValueError(f"parameter {n}: shape {a.shape} != {self.params[n].data.shape}")
-            self.params[n].data[...] = a
+        """Copy ``arrays`` into the parameters' own buffers, in place."""
+        for n, p in self.from_arrays(arrays, self.dims).params.items():
+            self.params[n].data[...] = p.data
 
     def clone(self):
-        params = {n: Tensor(self.params[n].data.copy(), requires_grad=True) for n in self.param_names}
-        return type(self)(params, dict(self.dims))
+        return self.from_arrays(self.param_arrays(), self.dims)
 
 
 class VelocityNet(_MLPBase):
     """u(z, r, tau, obs): conditional-embedding encoder + time-conditioned trunk."""
 
     layers = ("enc0", "enc1", "trunk0", "trunk1", "out")
+
+    @staticmethod
+    def fans(d_obs, d_a, d_h, enc_width, trunk_width):
+        return [(d_obs, enc_width), (enc_width, d_h), (d_a + d_h + 2, trunk_width), (trunk_width, trunk_width),
+                (trunk_width, d_a)]
 
     def encode(self, obs):
         """(B, d_obs) -> conditional embeddings (B, d_h), post-activation."""
@@ -135,6 +161,10 @@ class ValueNet(_MLPBase):
 
     layers = ("l0", "l1", "out")
 
+    @staticmethod
+    def fans(d_obs, width):
+        return [(d_obs, width), (width, width), (width, 1)]
+
     def value(self, obs):
         p = self.params
         if type(obs) is np.ndarray:
@@ -145,18 +175,17 @@ class ValueNet(_MLPBase):
         return dense(x, p["out_w"], p["out_b"], False).reshape((-1,))
 
 
-def _init_net(cls, seed: int, dims: dict[str, int], sizes: list[tuple[int, int]]):
-    """A ``cls`` net whose layers, in ``cls.layers`` order, have the
-    ``(fan_in, fan_out)`` of ``sizes``; each draws W, then b, uniform in
-    +-1/sqrt(fan_in) from one rng seeded with ``seed``."""
-    if min(dims.values()) < 1:
-        raise ValueError(f"all dims must be positive: {dims}")
+def _init_net(cls, seed: int, dims: dict[str, int]):
+    """A ``cls`` net of ``dims``; each layer, in ``cls.layers`` order, draws
+    W, then b, uniform in +-1/sqrt(fan_in) from one rng seeded with ``seed``."""
+    shapes = cls.param_shapes(dims)
     rng = np.random.default_rng(seed)
     params = {}
-    for layer, (fan_in, fan_out) in zip(cls.layers, sizes):
-        bound = 1.0 / math.sqrt(fan_in)
-        params[f"{layer}_w"] = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-        params[f"{layer}_b"] = Tensor(rng.uniform(-bound, bound, size=fan_out), requires_grad=True)
+    for layer in cls.layers:
+        w, b = f"{layer}_w", f"{layer}_b"
+        bound = 1.0 / math.sqrt(shapes[w][0])
+        params[w] = Tensor(rng.uniform(-bound, bound, size=shapes[w]), requires_grad=True)
+        params[b] = Tensor(rng.uniform(-bound, bound, size=shapes[b]), requires_grad=True)
     return cls(params, dims)
 
 
@@ -170,14 +199,11 @@ def init_velocity_net(
 ) -> VelocityNet:
     """Seeded uniform fan-in init; identical seeds give bit-identical nets."""
     dims = {"d_obs": d_obs, "d_a": d_a, "d_h": d_h, "enc_width": enc_width, "trunk_width": trunk_width}
-    sizes = [(d_obs, enc_width), (enc_width, d_h), (d_a + d_h + 2, trunk_width), (trunk_width, trunk_width),
-             (trunk_width, d_a)]
-    return _init_net(VelocityNet, seed, dims, sizes)
+    return _init_net(VelocityNet, seed, dims)
 
 
 def init_value_net(seed: int, d_obs: int, width: int = 64) -> ValueNet:
-    sizes = [(d_obs, width), (width, width), (width, 1)]
-    return _init_net(ValueNet, seed, {"d_obs": d_obs, "width": width}, sizes)
+    return _init_net(ValueNet, seed, {"d_obs": d_obs, "width": width})
 
 
 # module-level wrappers matching the operation contracts ------------------------

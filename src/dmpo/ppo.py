@@ -53,7 +53,7 @@ from .autodiff import (
 )
 from .io import write_metrics_csv
 from .nets import Adam, clip_grad_norm, init_value_net
-from .sampler import LOG_2PI, chain_logprob_traced, sample_chain_batch, step_entropy
+from .sampler import LOG_2PI, chain_logprob_traced, check_K, sample_chain_batch, step_entropy
 
 METRIC_COLUMNS = (
     "iter",
@@ -108,8 +108,9 @@ class Stage2Config:
             raise ValueError("loss coefficients must be >= 0")
         if self.bc_decay_start >= self.bc_decay_end:
             raise ValueError("bc_decay_start must be < bc_decay_end")
-        if self.K < 1 or not self.sigma > 0:
-            raise ValueError("need K >= 1 and sigma > 0")
+        check_K(self.K)
+        if not self.sigma > 0:
+            raise ValueError("sigma must be > 0")
         if min(self.iterations, self.epochs) < 0:
             raise ValueError("loop sizes must be nonnegative")
         if self.n_envs < 1 or self.minibatch_size < 1:

@@ -30,7 +30,8 @@ M = 1 (a matrix-vector product), round differently. So the two agree exactly
 when both batches are multiples of 4 rows (``n_envs`` and the minibatch size
 in stage 2), and to rounding error otherwise.
 
-Exactly K velocity-network evaluations happen per generated action.
+Exactly K velocity-network evaluations happen per generated action. K must
+be an integer >= 1 (``check_K``): a bool or a float K is a ``ValueError``.
 Code on the rollout and minibatch paths calls ufuncs and ndarray methods,
 not numpy's Python-level wrappers (each costs a measured 0.6-4 us more per
 call at these sizes). Every sigma must be > 0; the check tests that, so a
@@ -61,9 +62,15 @@ class Schedule:
         return 1.0 / self.K
 
 
+def check_K(K) -> None:
+    """Raise a ``ValueError`` naming K unless it is an integer >= 1: a
+    Python or numpy integer, not a bool or a float."""
+    if not isinstance(K, (int, np.integer)) or isinstance(K, bool) or K < 1:
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
+
+
 def make_schedule(K: int) -> Schedule:
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    check_K(K)
     taus = (K - np.arange(K + 1, dtype=np.float64)) / float(K)
     return Schedule(K=K, taus=taus)
 
@@ -135,8 +142,7 @@ def step_entropy(d_a: int, sigma) -> float:
 
 def policy_entropy(K: int, d_a: int, sigma) -> float:
     """Total chain entropy: K conditional Gaussian transitions."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    check_K(K)
     return K * step_entropy(d_a, sigma)
 
 
@@ -153,8 +159,8 @@ def sample_deterministic(net, obs: np.ndarray, K: int, rng: np.random.Generator)
     multiplication commutes, so this is the Euler step ``z - dt * u``).
     K = 1, where dt is 1.0 and the times are (0, 1), is one velocity call
     and one in-place ``z -= u``, with no loop."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    if type(K) is not int or K < 1:  # one type test for a Python int K
+        check_K(K)
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (net.d_obs,):
         if obs.shape != (1, net.d_obs):
@@ -217,8 +223,7 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
     results are independent of batching. Exactly K velocity evaluations
     cover the whole batch, at the float times of ``sample_deterministic``.
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    check_K(K)
     E = len(rngs)
     if obs.shape != (E, net.d_obs):
         raise ValueError(
@@ -277,8 +282,7 @@ def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K
     Outside a ``Graph`` this records nothing. It repeats the arithmetic of
     ``sample_chain_batch``, so on the rows that call sampled, at the same
     parameters, it returns their totals exactly."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    check_K(K)
     M = states.shape[0]
     if h is None:
         h = policy.encode(Tensor(obs))

@@ -159,6 +159,37 @@ def test_elementwise_ops_equal_numpy_bit_for_bit(name, sa, sb, sum_a, sum_b):
         np.testing.assert_array_equal(dual.tangent, np.broadcast_to(t, want.shape), strict=True)
 
 
+# (x shape, y shape, cotangent of x, cotangent of y) as numpy expressions of
+# the data x, y and the output cotangent g
+MATMUL_CASES = [
+    ((3, 4), (4, 2), lambda g, x, y: g @ y.T, lambda g, x, y: x.T @ g),
+    ((4,), (4, 2), lambda g, x, y: y @ g, lambda g, x, y: np.outer(x, g)),
+    ((3, 4), (4,), lambda g, x, y: np.outer(g, y), lambda g, x, y: x.T @ g),
+]
+
+
+@pytest.mark.parametrize("sa, sb, ga_of, gb_of", MATMUL_CASES, ids=["matmat", "vecmat", "matvec"])
+def test_matmul_equals_numpy_bit_for_bit(sa, sb, ga_of, gb_of):
+    rng = np.random.default_rng(15)
+    x, tx, y, ty = _rand(rng, *sa), _rand(rng, *sa), _rand(rng, *sb), _rand(rng, *sb)
+    want = x @ y
+    g = _rand(rng, *want.shape)
+    a, b = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+    with Graph() as graph:
+        out = a @ b
+    assert [n.op for n in graph.nodes] == ["matmul"]
+    grads = graph.backward(out, g)
+    np.testing.assert_array_equal(out.data, want, strict=True)
+    np.testing.assert_array_equal(grads[a], ga_of(g, x, y), strict=True)
+    np.testing.assert_array_equal(grads[b], gb_of(g, x, y), strict=True)
+    both = DualTensor(x, tx) @ DualTensor(y, ty)
+    np.testing.assert_array_equal(both.primal.data, want, strict=True)
+    np.testing.assert_array_equal(both.tangent, tx @ y + x @ ty, strict=True)
+    # a plain operand's tangent is zero, so its product is skipped
+    np.testing.assert_array_equal(ad.matmul(DualTensor(x, tx), y).tangent, tx @ y, strict=True)
+    np.testing.assert_array_equal(ad.matmul(x, DualTensor(y, ty)).tangent, x @ ty, strict=True)
+
+
 def test_neg_equals_numpy_bit_for_bit():
     rng = np.random.default_rng(14)
     x, t, g = _rand(rng, 3, 4), _rand(rng, 3, 4), _rand(rng, 3, 4)
@@ -273,6 +304,26 @@ def test_dual_concat_tangent_is_the_concatenated_tangents(axis):
     np.testing.assert_array_equal(out.primal.data, np.concatenate([a0, b0, c0, a0], axis=axis))
     zero = np.zeros((3, 2))
     np.testing.assert_array_equal(out.tangent, np.concatenate([ta, zero, tc, zero], axis=axis))
+
+
+def test_dual_concat_of_velocity_inputs_equals_numpy_bit_for_bit():
+    # the trunk input [z, h, r, tau] of a JVP pass: dual z and times, a
+    # traced embedding; the tangent is the parts' tangents concatenated, a
+    # zero block for h, in a fresh array that aliases no part's tangent
+    rng = np.random.default_rng(21)
+    z, tz, h = _rand(rng, 5, 2), _rand(rng, 5, 2), _rand(rng, 5, 3)
+    r, tau = rng.uniform(0.0, 0.5, (5, 1)), rng.uniform(0.5, 1.0, (5, 1))
+    parts = [DualTensor(z, tz), Tensor(h, requires_grad=True), DualTensor(r, np.zeros((5, 1))),
+             DualTensor(tau, np.ones((5, 1)))]
+    with Graph() as g:
+        out = concat(parts, axis=1)
+    assert [n.op for n in g.nodes] == ["concat"]
+    np.testing.assert_array_equal(out.primal.data, np.concatenate([z, h, r, tau], axis=1), strict=True)
+    want = np.concatenate([tz, np.zeros((5, 3)), np.zeros((5, 1)), np.ones((5, 1))], axis=1)
+    np.testing.assert_array_equal(out.tangent, want, strict=True)
+    assert out.tangent.flags.c_contiguous
+    out.tangent[...] = 7.0
+    assert not (tz == 7.0).any() and not (parts[3].tangent == 7.0).any()
 
 
 def test_split_rows_inverts_concat_and_gradcheck():

@@ -27,8 +27,8 @@ WRAPPERS = frozenset({
 # minibatch, rollout step or demonstration step
 HOT = {
     autodiff: [
-        "Graph.backward", "_check_finite", "_emit", "_output", "custom_op", "weighted_sum",
-        "row_sq_mean", "concat", "split_rows", "dense",
+        "Graph.backward", "_check_finite", "_dual_op", "_emit", "_output", "custom_op", "weighted_sum",
+        "row_sq_mean", "_linear", "reshape", "_blocks", "concat", "split_rows", "dense",
     ],
     dispersive: ["hinge"],
     envs: ["PointReach.step", "_point_reach_expert_action"],

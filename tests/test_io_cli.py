@@ -127,6 +127,27 @@ def test_checkpoint_rejects_nets_that_do_not_match_their_kind(tmp_path, edit, wh
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("net, dim, what", [
+    ("policy", "d_obs", r"net 'policy': parameter enc0_w: shape \(4, 64\) != \(1000000000, 64\)"),
+    ("value", "width", r"net 'value': parameter l0_w: shape \(4, 64\) != \(4, 1000000000\)"),
+], ids=["velocity-d_obs", "value-width"])
+def test_checkpoint_huge_dims_are_rejected_before_anything_is_allocated(tmp_path, monkeypatch, net, dim, what):
+    # the saved shapes are compared with the dims' shapes before any net is
+    # built; an init reached with these dims would allocate a 1e9-row weight
+    import dmpo.nets
+
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, {"policy": init_velocity_net(3, 4, 2), "value": init_value_net(3, 4)})
+    _edited_checkpoint(path, lambda env: env["nets"][net]["dims"].update({dim: 10**9}))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a net was initialised from the checkpoint's dims")
+
+    monkeypatch.setattr(dmpo.nets, "_init_net", unreachable)
+    with pytest.raises(CheckpointError, match=what):
+        load_checkpoint(path)
+
+
 def _set(*keys_and_value):
     """An edit that sets ``env[k0][k1]...[kn] = value``."""
     *keys, value = keys_and_value

@@ -5,6 +5,7 @@ from dmpo.autodiff import Tensor
 from dmpo.envs import gen_demos
 from dmpo.meanflow import Stage1Config, pretrain
 from dmpo.nets import init_velocity_net
+from dmpo.ppo import Stage2Config
 from dmpo.sampler import (
     LOG_2PI,
     DenoiseChain,
@@ -412,3 +413,33 @@ def test_chain_batch_draws_match_per_step_draws(K, sigma):
     # each generator is left where the per-step draws leave it: the next env
     # reset seed is the same
     assert [r.integers(2**63) for r in rngs] == [r.integers(2**63) for r in ref_rngs]
+
+
+def _K_entry_points(K):
+    net = init_velocity_net(12, 3, 2)
+    obs = np.zeros((2, 3))
+    rngs = [np.random.default_rng(e) for e in range(2)]
+    states = np.zeros((2, 3, 2))
+    sigma = Tensor(np.full(2, 0.1))
+    return {
+        "sample_deterministic": lambda: sample_deterministic(net, obs[0], K, np.random.default_rng(0)),
+        "sample_chain_batch": lambda: sample_chain_batch(net, obs, K, 0.1, rngs),
+        "chain_logprob_traced": lambda: chain_logprob_traced(net, states, obs, sigma, K),
+        "make_schedule": lambda: make_schedule(K),
+        "Stage2Config": lambda: Stage2Config(K=K),
+    }
+
+
+@pytest.mark.parametrize("K", [True, 1.0, 2.0, 0, -1], ids=repr)
+@pytest.mark.parametrize("entry", list(_K_entry_points(1)))
+def test_K_must_be_an_integer_of_at_least_one(entry, K):
+    # a bool or a float K used to return an action (True, 1.0) or fail
+    # inside ``range`` with a bare TypeError (2.0)
+    with pytest.raises(ValueError, match=f"K must be an integer >= 1, got {K!r}"):
+        _K_entry_points(K)[entry]()
+
+
+@pytest.mark.parametrize("K", [np.int64(2), np.int32(1), 2])
+@pytest.mark.parametrize("entry", list(_K_entry_points(1)))
+def test_K_accepts_python_and_numpy_integers(entry, K):
+    _K_entry_points(K)[entry]()
