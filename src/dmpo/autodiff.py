@@ -97,9 +97,12 @@ _ACTIVE: list["Graph"] = []
 
 class _Ops:
     """Operator sugar shared by ``Tensor`` and ``DualTensor``: each operator
-    calls the module op of that name, which dispatches on the operand types."""
+    calls the module op of that name, which dispatches on the operand types.
+    numpy defers to the reflected operator, so an ndarray on the left (``x @
+    t``, ``x + t``) is one op too."""
 
     __slots__ = ()
+    __array_ufunc__ = None
 
     def __add__(self, other):
         return add(self, other)
@@ -130,6 +133,9 @@ class _Ops:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     def sum(self, axis=None):
         return sum_(self, axis)

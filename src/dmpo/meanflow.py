@@ -5,12 +5,18 @@ training loop combining it with dispersive regularization.
 The target for the regression is self-consistent: it contains the network's
 own directional derivative along (v, 0, 1) but is treated as a constant
 (stop-gradient), so optimization only flows through the prediction branch.
-A training step runs one forward: the encoder once, then one dual-number
+``mf_loss`` on a traced embedding runs one forward: one dual-number
 velocity pass over recorded Tensors that yields the taped prediction and,
-as a constant, its derivative in tau (MeanFlow's ``u, dudt = jvp(...)``).
-The squared distance to the target and the total ``mf + alpha * disp`` are
-one tape node each, with the arithmetic of the op chains they replace, so a
-hinge step tapes 9 nodes.
+as a constant, its derivative in tau (MeanFlow's ``u, dudt = jvp(...)``);
+the squared distance to the target is one tape node with the arithmetic of
+the op chain it replaces.
+
+A training step (``stage1_step``) computes the same values and gradients,
+bit for bit, on plain arrays: the encoder once, the same JVP pass (the nets'
+array branches), the distance, and the backward through both nets with the
+VJPs that ``nets`` keeps beside each forward, written straight into Adam's
+gradient buffer. Only the dispersive term is taped, on the embedding as a
+leaf, so a hinge step tapes 1 node.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DualTensor, Graph, Tensor, custom_op, no_record, row_sq_mean, weighted_sum
+from .autodiff import DualTensor, Graph, Tensor, _check_finite, custom_op, no_record, row_sq_mean, weighted_sum
 from .dispersive import DISP_KINDS, dispersive_loss, effective_rank
 from .io import write_metrics_csv
 from .nets import Adam, VelocityNet, init_velocity_net
@@ -156,11 +162,14 @@ def target_velocity(net, z, r, tau, obs, v, h=None):
             h = net.encode(Tensor(_rows(obs)))
             u = net.velocity(DualTensor(z, v), Tensor(r_col), DualTensor(tau_col, ones), h=h)
         return v - (tau_col - r_col) * u.tangent
+    if type(h) is np.ndarray:
+        u, dudtau, acts = net.velocity((z, v), r_col, tau_col, h=h)
+        return u, v - (tau_col - r_col) * dudtau, acts
     u = net.velocity(DualTensor(z, v), Tensor(r_col), DualTensor(tau_col, ones), h=h)
     return u.primal, v - (tau_col - r_col) * u.tangent
 
 
-def mf_loss(net: VelocityNet, batch: Stage1Batch, h=None, u_tgt: np.ndarray | None = None) -> Tensor:
+def mf_loss(net: VelocityNet, batch: Stage1Batch, h=None, u_tgt: np.ndarray | None = None) -> Tensor | tuple:
     """Mean over the batch of || u(z, r, tau, obs) - sg(u_tgt) ||^2.
 
     ``h`` is the batch embedding (encoded here when not given). Unless the
@@ -168,17 +177,54 @@ def mf_loss(net: VelocityNet, batch: Stage1Batch, h=None, u_tgt: np.ndarray | No
     prediction and the target; the returned scalar is differentiable
     through the prediction branch only. The squared distance
     ``square(u - sg(u_tgt)).sum(1).mean()`` is one tape node.
+
+    An ndarray ``h`` (a training step on plain arrays, ``stage1_step``)
+    records nothing and returns ``(loss, g_u, acts)``: the loss value, the
+    cotangent of u for a loss cotangent of 1, and the trunk activations
+    ``velocity_vjp`` reads; the target is always computed there.
     """
     z = interpolate(batch.actions, batch.noise, batch.tau[:, None])
+    v = batch.noise - batch.actions
     if h is None:
         h = net.encode(Tensor(batch.obs))
+    if type(h) is np.ndarray:
+        u, u_tgt, acts = target_velocity(net, z, batch.r, batch.tau, batch.obs, v, h=h)
+        loss, grad = row_sq_mean(u + -u_tgt)
+        _check_finite(loss, "mf_dist")
+        return loss, grad(1.0), acts
     if u_tgt is None:
-        v = batch.noise - batch.actions
         u, u_tgt = target_velocity(net, z, batch.r, batch.tau, batch.obs, v, h=h)
     else:
         u = net.velocity(Tensor(z), Tensor(batch.r[:, None]), Tensor(batch.tau[:, None]), h=h)
     loss, grad = row_sq_mean(u.data + -u_tgt)
     return custom_op(loss, (u,), lambda g: (grad(g),), "mf_dist")
+
+
+def stage1_step(net: VelocityNet, grads: dict, batch: Stage1Batch, config: Stage1Config):
+    """One pre-train step on plain arrays: the gradient of ``mf + alpha *
+    disp`` written into ``grads`` (parameter name -> array), and ``(mf,
+    disp, total)`` as floats.
+
+    These are the values and gradients of the taped step (``mf_loss`` on a
+    traced ``h``, ``dispersive_loss``, ``weighted_sum`` and one backward),
+    bit for bit: every op keeps its arithmetic and order. Only the
+    dispersive term is taped, on ``h`` as a leaf; the embedding's cotangent
+    is its part plus the trunk's, as the tape sums them.
+    """
+    h, enc = net.encode(batch.obs, keep=True)
+    mf, g_u, trunk = mf_loss(net, batch, h=h)
+    g_h = net.velocity_vjp(g_u, trunk, grads)
+    mf = total = float(mf)
+    disp = 0.0
+    if config.alpha_disp > 0.0 and config.disp_kind != "none" and h.shape[0] >= 2:
+        with Graph() as g:
+            H = Tensor(h, requires_grad=True)
+            disp = dispersive_loss(H, config)
+        g_h = g.backward(disp, seed=config.alpha_disp)[H] + g_h
+        total = weighted_sum([mf, disp], [1.0, config.alpha_disp], "stage1_total").item()
+        disp = disp.item()
+    net.encode_vjp(g_h, enc, grads)
+    return mf, disp, total
 
 
 def pretrain(dataset, config: Stage1Config, metrics_path=None):
@@ -190,14 +236,19 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
     if n < 1:
         raise ValueError("dataset is empty")
     d_obs, d_a = obs_all.shape[1], act_all.shape[1]
+    # a data fault, named here rather than as a divergence of the first step
+    for name, col in (("obs", obs_all), ("actions", act_all)):
+        bad = np.flatnonzero(~np.isfinite(col).all(axis=1))
+        if bad.size:
+            raise ValueError(f"dataset row {bad[0]} has a non-finite value in column '{name}'")
 
     net = init_velocity_net(
         config.seed, d_obs, d_a, d_h=config.d_h,
         enc_width=config.enc_width, trunk_width=config.trunk_width,
     )
     opt = Adam(net.parameters(), lr=config.lr)
+    grads = dict(zip(net.param_names, opt.grads))
     rng = np.random.default_rng(config.seed)
-    use_disp = config.alpha_disp > 0.0 and config.disp_kind != "none"
     probe = obs_all[: min(256, n)]
 
     metrics = []
@@ -220,26 +271,16 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
             batch = Stage1Batch(obs, act, eps, r_arr, tau_arr)
 
             try:
-                with Graph() as g:
-                    h = net.encode(Tensor(obs))
-                    mf = mf_loss(net, batch, h=h)
-                    if use_disp and B >= 2:
-                        disp = dispersive_loss(h, config)
-                        total = weighted_sum([mf, disp], [1.0, config.alpha_disp], "stage1_total")
-                        disp_val = disp.item()
-                    else:
-                        total = mf
-                        disp_val = 0.0
-                grads = g.backward(total)
+                mf, disp, total = stage1_step(net, grads, batch, config)
             except FloatingPointError as e:
                 raise RuntimeError(
                     f"pre-training diverged at epoch {epoch} step {step}: {e}"
                 ) from e
-            opt.step(opt.gather(grads))
+            opt.step(opt._g)
 
-            mf_sum += mf.item()
-            disp_sum += disp_val
-            total_sum += total.item()
+            mf_sum += mf
+            disp_sum += disp
+            total_sum += total
             batches += 1
             step += 1
 

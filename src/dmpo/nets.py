@@ -15,7 +15,16 @@ derivative). On plain arrays it calls ``kernels.affine_tanh`` and
 and returns arrays (``velocity`` then takes float times, and one unbatched
 row runs as 1-D arrays); the layers' ops and their order are those of
 ``dense``, so both branches give the same bits.
-``Adam.gather`` flattens a tape's gradients into one array, which
+
+A pre-train step runs off the tape too: ``encode(obs, keep=True)`` and
+``velocity((z, v), r, tau, h=h)`` (the JVP along (v, 0, 1), the dual pass
+``meanflow.target_velocity`` makes on Tensors) give the values of the taped
+forward with ``dense``'s finite check on each pre-activation, plus the
+activations that ``encode_vjp`` and ``velocity_vjp`` read. Those two
+backward passes sit beside their forwards, one written-out ``dense`` VJP
+per layer, and write each parameter's gradient straight into a view of
+Adam's gradient buffer (``Adam.grads``).
+``Adam.gather`` flattens a tape's gradients into that buffer instead, which
 ``clip_grad_norm`` rescales in place and ``Adam.step`` consumes.
 """
 
@@ -27,7 +36,29 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .autodiff import Tensor, as_tensor, concat, dense, value_of
+from .autodiff import Tensor, _check_finite, as_tensor, concat, dense, value_of
+
+
+def _checked(x, W, b, tanh=True):
+    # ``dense`` on arrays: its ops in order and its pre-activation check; a
+    # tanh layer also returns its slope 1 - y*y, computed as ``dense`` does
+    y = x @ W
+    y += b
+    _check_finite(y, "dense")
+    if not tanh:
+        return y
+    np.tanh(y, out=y)
+    s = y * y
+    np.subtract(1.0, s, out=s)
+    return y, s
+
+
+def _layer_vjp(x, gp, W, gW, gb):
+    # ``dense``'s VJP for the pre-activation cotangent gp: W's and b's
+    # gradients into gW and gb, and x's cotangent unless W is None
+    np.matmul(x.T, gp, out=gW)
+    gp.sum(axis=0, out=gb)
+    return None if W is None else gp @ W.T
 
 
 class _MLPBase:
@@ -98,20 +129,42 @@ class VelocityNet(_MLPBase):
         return [(d_obs, enc_width), (enc_width, d_h), (d_a + d_h + 2, trunk_width), (trunk_width, trunk_width),
                 (trunk_width, d_a)]
 
-    def encode(self, obs):
-        """(B, d_obs) -> conditional embeddings (B, d_h), post-activation."""
+    def encode(self, obs, keep=False):
+        """(B, d_obs) -> conditional embeddings (B, d_h), post-activation.
+
+        On arrays with ``keep`` (a training step) each layer's pre-activation
+        gets ``dense``'s finite check and ``(h, acts)`` is returned, ``acts``
+        being what ``encode_vjp`` reads."""
         p = self.params
         if type(obs) is np.ndarray:
-            x = kernels.affine_tanh(obs, p["enc0_w"].data, p["enc0_b"].data)
-            return kernels.affine_tanh(x, p["enc1_w"].data, p["enc1_b"].data)
+            if not keep:
+                x = kernels.affine_tanh(obs, p["enc0_w"].data, p["enc0_b"].data)
+                return kernels.affine_tanh(x, p["enc1_w"].data, p["enc1_b"].data)
+            x, sx = _checked(obs, p["enc0_w"].data, p["enc0_b"].data)
+            h, sh = _checked(x, p["enc1_w"].data, p["enc1_b"].data)
+            return h, (obs, x, sx, sh)
         return dense(dense(obs, p["enc0_w"], p["enc0_b"]), p["enc1_w"], p["enc1_b"])
+
+    def encode_vjp(self, g, acts, grads):
+        """Backward of ``encode(obs, keep=True)`` for the cotangent ``g`` of
+        h: ``dense``'s VJP ops per layer, each parameter's gradient written
+        into ``grads[name]``."""
+        obs, x, sx, sh = acts
+        gp = _layer_vjp(x, sh * g, self.params["enc1_w"].data, grads["enc1_w"], grads["enc1_b"])
+        gp *= sx
+        _layer_vjp(obs, gp, None, grads["enc0_w"], grads["enc0_b"])
 
     def velocity(self, z, r, tau, h=None, obs=None):
         """Average-velocity prediction; requires r <= tau (a NaN time fails
         it). r and tau are (B, 1) columns, or floats shared across rows when
         ``z`` is an ndarray (the array path), which may be one unbatched row
         ``(d_a,)`` with ``h`` ``(d_h,)``, or ``(B, d_a)``. ``h``, if given, is
-        the embedding of ``obs``."""
+        the embedding of ``obs``.
+
+        A pair of arrays ``z = (z, v)`` with an array ``h`` and columns r, tau
+        is a training step's JVP along (v, 0, 1) in (z, r, tau): each layer's
+        pre-activation gets ``dense``'s finite check, and it returns ``(u,
+        du/dtau, acts)``, ``acts`` being what ``velocity_vjp`` reads."""
         arrays = type(z) is np.ndarray
         if not (r <= tau) if arrays else not (value_of(r) <= value_of(tau)).all():
             raise ValueError("flow interval start r exceeds end tau")
@@ -146,9 +199,38 @@ class VelocityNet(_MLPBase):
             x = kernels.affine_tanh(x, p["trunk0_w"].data, p["trunk0_b"].data)
             x = kernels.affine_tanh(x, p["trunk1_w"].data, p["trunk1_b"].data)
             return kernels.affine(x, p["out_w"].data, p["out_b"].data)
+        if type(z) is tuple:
+            # the values of the dual ``concat`` and of ``dense`` on duals
+            z, v = z
+            x = np.concatenate((z, h, r, tau), axis=1)
+            _check_finite(x, "concat")
+            t = np.zeros(x.shape)
+            t[:, : z.shape[1]] = v
+            t[:, -1] = 1.0
+            a1, s1 = _checked(x, p["trunk0_w"].data, p["trunk0_b"].data)
+            t = t @ p["trunk0_w"].data
+            t *= s1
+            a2, s2 = _checked(a1, p["trunk1_w"].data, p["trunk1_b"].data)
+            t = t @ p["trunk1_w"].data
+            t *= s2
+            u = _checked(a2, p["out_w"].data, p["out_b"].data, False)
+            return u, t @ p["out_w"].data, (x, a1, s1, a2, s2)
         x = dense(concat([z, h, r, tau], axis=1), p["trunk0_w"], p["trunk0_b"])
         x = dense(x, p["trunk1_w"], p["trunk1_b"])
         return dense(x, p["out_w"], p["out_b"], False)
+
+    def velocity_vjp(self, g, acts, grads):
+        """Backward of the JVP pass ``velocity((z, v), ...)`` for the
+        cotangent ``g`` of u: ``dense``'s VJP ops per layer, each parameter's
+        gradient written into ``grads[name]``; returns the cotangent of h."""
+        x, a1, s1, a2, s2 = acts
+        p = self.params
+        g = _layer_vjp(a2, g, p["out_w"].data, grads["out_w"], grads["out_b"])
+        g *= s2
+        g = _layer_vjp(a1, g, p["trunk1_w"].data, grads["trunk1_w"], grads["trunk1_b"])
+        g *= s1
+        g = _layer_vjp(x, g, p["trunk0_w"].data, grads["trunk0_w"], grads["trunk0_b"])
+        return g[:, self.d_a : self.d_a + self.d_h]
 
     # The names the samplers call on arrays (pipeline_bench times and counts
     # calls to them by these names).
@@ -251,7 +333,9 @@ class Adam:
     moments, the gradient buffer and the update's two scratch rows are
     arrays of the same size, allocated once. A step is ``step(gather(grads))``:
     one concatenate into that buffer (which ``clip_grad_norm`` may rescale in
-    between), then one in-place ``kernels.adam_update`` call.
+    between), then one in-place ``kernels.adam_update`` call. ``grads`` holds
+    one view of the gradient buffer per parameter, shaped like it, so a
+    backward pass can write there and skip the gather.
     """
 
     def __init__(
@@ -269,14 +353,16 @@ class Adam:
         self.eps = eps
         self.t = 0
         self.flat = np.concatenate([p.data.ravel() for p in self.params])
+        self._g = np.empty(self.flat.size)
+        self.grads = []
         lo = 0
         for p in self.params:
             n = p.data.size
             p.data = self.flat[lo : lo + n].reshape(p.data.shape)
+            self.grads.append(self._g[lo : lo + n].reshape(p.data.shape))
             lo += n
         self._m = np.zeros(self.flat.size)
         self._v = np.zeros(self.flat.size)
-        self._g = np.empty(self.flat.size)
         self._work = np.empty((2, self.flat.size))
 
     def gather(self, grads: dict[Tensor, np.ndarray]) -> np.ndarray:

@@ -205,7 +205,32 @@ def test_neg_equals_numpy_bit_for_bit():
 
 
 OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
-             "__rtruediv__", "__neg__", "__matmul__", "sum", "mean", "reshape", "T")
+             "__rtruediv__", "__neg__", "__matmul__", "__rmatmul__", "__array_ufunc__", "sum", "mean",
+             "reshape", "T")
+
+
+@pytest.mark.parametrize("op", ["+", "*", "@"])
+def test_ndarray_on_the_left_is_one_op_equal_to_the_tensor_first_form(op):
+    # numpy defers to the reflected operator: one node, not one per entry
+    apply = {"+": lambda a, b: a + b, "*": lambda a, b: a * b, "@": lambda a, b: a @ b}[op]
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(3, 2))
+    y = rng.normal(size=(3, 2) if op != "@" else (2, 4))
+    seed = rng.normal(size=apply(x, y).shape)
+    outs = []
+    for left in (x, Tensor(x)):
+        t = Tensor(y, requires_grad=True)
+        with Graph() as g:
+            out = apply(left, t)
+        assert type(out) is Tensor and len(g.nodes) == 1
+        outs.append((out.data, g.backward(out, seed)[t]))
+    for a, b in zip(*outs):
+        np.testing.assert_array_equal(a, b, strict=True)
+    tangent = rng.normal(size=y.shape)
+    duals = [apply(left, DualTensor(y, tangent)) for left in (x, Tensor(x))]
+    assert all(type(d) is DualTensor for d in duals)
+    np.testing.assert_array_equal(duals[0].primal.data, duals[1].primal.data, strict=True)
+    np.testing.assert_array_equal(duals[0].tangent, duals[1].tangent, strict=True)
 
 
 def test_tensor_and_dual_tensor_share_one_operator_set():

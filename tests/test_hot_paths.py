@@ -32,9 +32,9 @@ HOT = {
     ],
     dispersive: ["hinge"],
     envs: ["PointReach.step", "_point_reach_expert_action"],
-    meanflow: ["sample_time_pairs", "target_velocity", "mf_loss", "pretrain"],
-    nets: ["VelocityNet.encode", "VelocityNet.velocity", "ValueNet.value", "Adam.gather", "Adam.step",
-           "clip_grad_norm"],
+    meanflow: ["sample_time_pairs", "target_velocity", "mf_loss", "stage1_step", "pretrain"],
+    nets: ["_checked", "_layer_vjp", "VelocityNet.encode", "VelocityNet.encode_vjp", "VelocityNet.velocity",
+           "VelocityNet.velocity_vjp", "ValueNet.value", "Adam.gather", "Adam.step", "clip_grad_norm"],
     kernels: ["adam_update", "affine", "affine_tanh"],
     ppo: ["ppo_ratio", "clipped_pg_loss", "value_loss", "bc_target", "bc_loss", "stage2_loss",
           "collect_rollouts", "finetune"],
