@@ -37,9 +37,11 @@ input alike; there one tanh slope ``1 - y*y`` serves both the tangent and
 the node's VJP. It takes no plain-array path: each net's array branch calls
 the ``kernels`` layers itself. :func:`custom_op` records a fused computation
 with a hand-written VJP as a single tape node; :func:`weighted_sum` (a
-weighted total of losses) is one, and :func:`row_sq_mean` gives the loss
-heads built that way their squared-distance arithmetic. An op hands the tape
-its VJP ``vjp(g) -> [(parent, cotangent), ...]`` directly.
+weighted total of losses) is one, :func:`row_sq_mean` gives the loss
+heads built that way their squared-distance arithmetic, and
+:func:`loss_head` gives a head's one value and VJP either as that node or,
+for a training step on plain arrays, untaped as ``(value, vjp)``. An op
+hands the tape its VJP ``vjp(g) -> [(parent, cotangent), ...]`` directly.
 
 There is no indexing op: a head that needs part of a value works on
 ``.data`` inside a ``custom_op``. :func:`split_rows`, the inverse of a
@@ -387,6 +389,17 @@ def custom_op(data, parents: Sequence, vjp: Callable, op: str) -> Tensor:
         return [(p, gp) for p, gp in zip(parents, vjp(g)) if p.requires_grad]
 
     return _emit(_as_array(data), parents, node_vjp, op)
+
+
+def loss_head(data, parents: Sequence, vjp: Callable, op: str, taped: bool = True):
+    """A loss head's output: ``custom_op(data, parents, vjp, op)`` when
+    ``taped``; otherwise (a step on plain arrays) ``(data, vjp)`` after the
+    same finite check, recording nothing, so both forms share one value and
+    one VJP."""
+    if taped:
+        return custom_op(data, parents, vjp, op)
+    _check_finite(data, op)
+    return data, vjp
 
 
 def weighted_sum(terms: Sequence, weights: Sequence[float], op: str) -> Tensor:

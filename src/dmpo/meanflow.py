@@ -284,7 +284,18 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
             batches += 1
             step += 1
 
-        d_eff = effective_rank(net.encode_arrays(probe)) if probe.shape[0] >= 2 else 0
+        d_eff = 0
+        if probe.shape[0] >= 2:
+            # the parameters after the epoch's last step: a NaN there would
+            # otherwise surface as the eigensolver's error
+            emb = net.encode_arrays(probe)
+            try:
+                _check_finite(emb, "dense")
+            except FloatingPointError as e:
+                raise RuntimeError(
+                    f"pre-training diverged at epoch {epoch} step {step - 1}: {e} (epoch-end rank probe)"
+                ) from e
+            d_eff = effective_rank(emb)
         wall_ms = (time.perf_counter() - t0) * 1e3
         metrics.append(
             {

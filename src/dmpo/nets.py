@@ -16,16 +16,17 @@ and returns arrays (``velocity`` then takes float times, and one unbatched
 row runs as 1-D arrays); the layers' ops and their order are those of
 ``dense``, so both branches give the same bits.
 
-A pre-train step runs off the tape too: ``encode(obs, keep=True)`` and
-``velocity((z, v), r, tau, h=h)`` (the JVP along (v, 0, 1), the dual pass
-``meanflow.target_velocity`` makes on Tensors) give the values of the taped
-forward with ``dense``'s finite check on each pre-activation, plus the
-activations that ``encode_vjp`` and ``velocity_vjp`` read. Those two
-backward passes sit beside their forwards, one written-out ``dense`` VJP
-per layer, and write each parameter's gradient straight into a view of
-Adam's gradient buffer (``Adam.grads``).
-``Adam.gather`` flattens a tape's gradients into that buffer instead, which
-``clip_grad_norm`` rescales in place and ``Adam.step`` consumes.
+The training steps run off the tape too: ``encode(obs, keep=True)``,
+``velocity((z, v), r, tau, h=h)`` (``v`` None: the trunk pass alone; an
+array ``v``: the JVP along (v, 0, 1), the dual pass
+``meanflow.target_velocity`` makes on Tensors) and ``ValueNet.value(obs,
+keep=True)`` give the values of the taped forward with ``dense``'s finite
+check on each pre-activation, plus the activations that ``encode_vjp``,
+``velocity_vjp`` and ``value_vjp`` read. Those backward passes sit beside
+their forwards, one written-out ``dense`` VJP per layer, and write each
+parameter's gradient straight into a view of Adam's gradient buffer
+(``Adam.grads``), which ``clip_grad_norm`` rescales in place and
+``Adam.step`` consumes.
 """
 
 from __future__ import annotations
@@ -161,10 +162,12 @@ class VelocityNet(_MLPBase):
         ``(d_a,)`` with ``h`` ``(d_h,)``, or ``(B, d_a)``. ``h``, if given, is
         the embedding of ``obs``.
 
-        A pair of arrays ``z = (z, v)`` with an array ``h`` and columns r, tau
-        is a training step's JVP along (v, 0, 1) in (z, r, tau): each layer's
-        pre-activation gets ``dense``'s finite check, and it returns ``(u,
-        du/dtau, acts)``, ``acts`` being what ``velocity_vjp`` reads."""
+        A pair ``z = (z, v)`` with an array ``h`` and columns r, tau is a
+        training step's pass: the trunk input gets the traced ``concat``'s
+        finite check and each layer's pre-activation ``dense``'s. It returns
+        ``(u, acts)``, ``acts`` being what ``velocity_vjp`` reads, for ``v``
+        None (no tangent), and ``(u, du/dtau, acts)``, the JVP along (v, 0,
+        1) in (z, r, tau), for an array ``v``."""
         arrays = type(z) is np.ndarray
         if not (r <= tau) if arrays else not (value_of(r) <= value_of(tau)).all():
             raise ValueError("flow interval start r exceeds end tau")
@@ -200,29 +203,32 @@ class VelocityNet(_MLPBase):
             x = kernels.affine_tanh(x, p["trunk1_w"].data, p["trunk1_b"].data)
             return kernels.affine(x, p["out_w"].data, p["out_b"].data)
         if type(z) is tuple:
-            # the values of the dual ``concat`` and of ``dense`` on duals
+            # the values of the traced (or dual) ``concat`` and ``dense``
             z, v = z
             x = np.concatenate((z, h, r, tau), axis=1)
             _check_finite(x, "concat")
+            a1, s1 = _checked(x, p["trunk0_w"].data, p["trunk0_b"].data)
+            a2, s2 = _checked(a1, p["trunk1_w"].data, p["trunk1_b"].data)
+            u = _checked(a2, p["out_w"].data, p["out_b"].data, False)
+            acts = (x, a1, s1, a2, s2)
+            if v is None:
+                return u, acts
             t = np.zeros(x.shape)
             t[:, : z.shape[1]] = v
             t[:, -1] = 1.0
-            a1, s1 = _checked(x, p["trunk0_w"].data, p["trunk0_b"].data)
             t = t @ p["trunk0_w"].data
             t *= s1
-            a2, s2 = _checked(a1, p["trunk1_w"].data, p["trunk1_b"].data)
             t = t @ p["trunk1_w"].data
             t *= s2
-            u = _checked(a2, p["out_w"].data, p["out_b"].data, False)
-            return u, t @ p["out_w"].data, (x, a1, s1, a2, s2)
+            return u, t @ p["out_w"].data, acts
         x = dense(concat([z, h, r, tau], axis=1), p["trunk0_w"], p["trunk0_b"])
         x = dense(x, p["trunk1_w"], p["trunk1_b"])
         return dense(x, p["out_w"], p["out_b"], False)
 
     def velocity_vjp(self, g, acts, grads):
-        """Backward of the JVP pass ``velocity((z, v), ...)`` for the
-        cotangent ``g`` of u: ``dense``'s VJP ops per layer, each parameter's
-        gradient written into ``grads[name]``; returns the cotangent of h."""
+        """Backward of the pass ``velocity((z, v), ...)`` for the cotangent
+        ``g`` of u: ``dense``'s VJP ops per layer, each parameter's gradient
+        written into ``grads[name]``; returns the cotangent of h."""
         x, a1, s1, a2, s2 = acts
         p = self.params
         g = _layer_vjp(a2, g, p["out_w"].data, grads["out_w"], grads["out_b"])
@@ -231,6 +237,16 @@ class VelocityNet(_MLPBase):
         g *= s1
         g = _layer_vjp(x, g, p["trunk0_w"].data, grads["trunk0_w"], grads["trunk0_b"])
         return g[:, self.d_a : self.d_a + self.d_h]
+
+    def add_velocity_vjp(self, g, acts, grads):
+        """``velocity_vjp`` with each parameter's gradient added to
+        ``grads[name]``, which already holds a later pass's: that sum plus
+        this one, as ``Graph.backward`` adds an earlier node's cotangent."""
+        part = {n: np.empty(grads[n].shape) for n in self.param_names[4:]}  # the trunk's
+        g_h = self.velocity_vjp(g, acts, part)
+        for n, a in part.items():
+            grads[n] += a
+        return g_h
 
     # The names the samplers call on arrays (pipeline_bench times and counts
     # calls to them by these names).
@@ -247,14 +263,34 @@ class ValueNet(_MLPBase):
     def fans(d_obs, width):
         return [(d_obs, width), (width, width), (width, 1)]
 
-    def value(self, obs):
+    def value(self, obs, keep=False):
+        """(B, d_obs) -> values (B,). On arrays with ``keep`` (a training
+        step) each layer's pre-activation gets ``dense``'s finite check and
+        ``(v, acts)`` is returned, ``acts`` being what ``value_vjp`` reads."""
         p = self.params
         if type(obs) is np.ndarray:
-            x = kernels.affine_tanh(obs, p["l0_w"].data, p["l0_b"].data)
-            x = kernels.affine_tanh(x, p["l1_w"].data, p["l1_b"].data)
-            return kernels.affine(x, p["out_w"].data, p["out_b"].data).reshape((-1,))
+            if not keep:
+                x = kernels.affine_tanh(obs, p["l0_w"].data, p["l0_b"].data)
+                x = kernels.affine_tanh(x, p["l1_w"].data, p["l1_b"].data)
+                return kernels.affine(x, p["out_w"].data, p["out_b"].data).reshape((-1,))
+            x, sx = _checked(obs, p["l0_w"].data, p["l0_b"].data)
+            y, sy = _checked(x, p["l1_w"].data, p["l1_b"].data)
+            v = _checked(y, p["out_w"].data, p["out_b"].data, False)
+            return v.reshape((-1,)), (obs, x, sx, y, sy)
         x = dense(dense(obs, p["l0_w"], p["l0_b"]), p["l1_w"], p["l1_b"])
         return dense(x, p["out_w"], p["out_b"], False).reshape((-1,))
+
+    def value_vjp(self, g, acts, grads):
+        """Backward of ``value(obs, keep=True)`` for the cotangent ``g`` of
+        the values: the ``reshape``'s, then ``dense``'s VJP ops per layer,
+        each parameter's gradient written into ``grads[name]``."""
+        obs, x, sx, y, sy = acts
+        p = self.params
+        gp = _layer_vjp(y, g.reshape((-1, 1)), p["out_w"].data, grads["out_w"], grads["out_b"])
+        gp *= sy
+        gp = _layer_vjp(x, gp, p["l1_w"].data, grads["l1_w"], grads["l1_b"])
+        gp *= sx
+        _layer_vjp(obs, gp, None, grads["l0_w"], grads["l0_b"])
 
 
 def _init_net(cls, seed: int, dims: dict[str, int]):
@@ -331,11 +367,11 @@ class Adam:
     ``flat`` and points each ``Tensor.data`` at its slice, so writes through
     the tensors (``load_arrays``) and the update see the same memory. The
     moments, the gradient buffer and the update's two scratch rows are
-    arrays of the same size, allocated once. A step is ``step(gather(grads))``:
-    one concatenate into that buffer (which ``clip_grad_norm`` may rescale in
-    between), then one in-place ``kernels.adam_update`` call. ``grads`` holds
-    one view of the gradient buffer per parameter, shaped like it, so a
-    backward pass can write there and skip the gather.
+    arrays of the same size, allocated once. ``grads`` holds one view of the
+    gradient buffer per parameter, shaped like it: a backward pass writes
+    each gradient there, ``clip_grad_norm`` may rescale the buffer in place,
+    and ``step(g)`` with that buffer is one in-place ``kernels.adam_update``
+    call.
     """
 
     def __init__(
@@ -365,12 +401,6 @@ class Adam:
         self._v = np.zeros(self.flat.size)
         self._work = np.empty((2, self.flat.size))
 
-    def gather(self, grads: dict[Tensor, np.ndarray]) -> np.ndarray:
-        """The gradients of ``params``, in that order, concatenated into the
-        buffer Adam owns (overwritten by the next gather); ``grads`` is only
-        read."""
-        return np.concatenate([grads[p].ravel() for p in self.params], out=self._g)
-
     def step(self, g: np.ndarray) -> None:
         """One update from the flat gradient ``g``, laid out as ``flat``."""
         self.t += 1
@@ -386,7 +416,7 @@ def clip_grad_norm(g: np.ndarray, max_norm: float) -> float:
     and return the norm before clipping: one dot product, and one multiply
     when the norm exceeds the cap. The dot's rounding depends on the order
     of the entries, so ``finetune`` lists its parameters in the order the
-    tape first uses them."""
+    taped loss first uses them."""
     norm = math.sqrt(g @ g)
     if norm > max_norm and norm > 0.0:
         g *= max_norm / norm

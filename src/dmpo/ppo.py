@@ -3,36 +3,41 @@ value and entropy terms, behavior-cloning regularization with linear decay,
 and the full collect/update loop.
 
 The chain's transition log-probability sum (prior excluded; it cancels in
-the ratio) is recomputed under the tape each epoch by
-``sampler.chain_logprob_traced``, which repeats the sampler's arithmetic,
-so the ratio is 1 at theta_old. One advantage per environment step credits
-every denoising transition that produced the executed action. With fixed
-sigma the entropy term is a constant reported for the breakdown; an
-optional learnable per-dimension log-sigma head makes it (and the ratio)
-sigma-differentiable.
+the ratio) is recomputed each epoch by ``sampler.chain_logprob_traced``,
+which repeats the sampler's arithmetic, so the ratio is 1 at theta_old. One
+advantage per environment step credits every denoising transition that
+produced the executed action. With fixed sigma the entropy term is a
+constant reported for the breakdown; an optional learnable per-dimension
+log-sigma head makes it (and the ratio) sigma-differentiable.
 
-Per minibatch the policy encoder runs once, traced, and its embedding feeds
-both the chain log-prob and the BC term. The policy trunk runs once too,
-over the chain's first step (for K=1 its only one) and the BC rows stacked,
-and ``autodiff.split_rows`` hands each head its own rows; the trunk-weight
-gradients then sum over both row sets in one matmul, which rounds
-differently from two passes. The frozen BC reference runs on the
-plain-array forward and adds nothing to the tape: ``finetune`` embeds the
-rollout rows once per iteration and computes each epoch's targets in one
-pass. With ``n_envs`` and the minibatch size multiples of 4, the stacked
-chain rows and the per-epoch targets equal per-minibatch passes bit for bit
-(rows in full blocks of 4 round alike; sampler module docstring), so the
-ratio is exactly 1 at theta_old. Around the MLP layers every loss head is a
-single tape node with a hand-written VJP (``autodiff.custom_op``): each
-transition's Gaussian log-density, the ratio, the clipped surrogate, the
-value loss, the BC distance and the weighted total, so a K=1 fixed-sigma
-minibatch tapes 18 nodes. Each fused head repeats the arithmetic of the op
-chain it replaces, in the same order, so values and gradients equal that
-chain's bit for bit. Rollouts are collected as stacked arrays, one
-``[:, t]`` row per step across environments, with one value-net call over
-the whole window, and GAE runs as one backward pass over the whole batch.
-Each optimizer step gathers the gradients once (``Adam.gather``); clipping
-and the Adam update work on that one array. The loss heads and the
+Per minibatch the policy encoder runs once and its embedding feeds both the
+chain log-prob and the BC term. The policy trunk runs once too, over the
+chain's first step (for K=1 its only one) and the BC rows stacked, and each
+head gets its own rows; the trunk-weight gradients then sum over both row
+sets in one matmul, which rounds differently from two passes. The frozen BC
+reference runs on the plain-array forward: ``finetune`` embeds the rollout
+rows once per iteration and computes each epoch's targets in one pass. With
+``n_envs`` and the minibatch size multiples of 4, the stacked chain rows and
+the per-epoch targets equal per-minibatch passes bit for bit (rows in full
+blocks of 4 round alike; sampler module docstring), so the ratio is exactly
+1 at theta_old.
+
+Each loss head (each transition's Gaussian log-density, the ratio, the
+clipped surrogate, the value loss, the BC distance, the learnable-sigma
+entropy) has one definition, a value and a hand-written VJP that repeat the
+arithmetic of the op chain it replaces, in the same order, so both equal
+that chain's bit for bit. ``stage2_loss`` is the taped form: around the MLP
+layers every head is one tape node (``autodiff.custom_op``), and so is the
+weighted total, so a K=1 fixed-sigma minibatch tapes 18 nodes. ``finetune``
+runs each minibatch on plain arrays instead (``stage2_step``): the nets'
+array forwards, every head untaped (``taped=False``, or an ndarray ``u`` or
+``h``) giving its value and VJP, one taped node for the weighted total over
+the head values, and the backward through heads and nets, written straight
+into Adam's gradient buffer; it equals the taped loss and one
+``Graph.backward`` bit for bit. Clipping and the Adam update work on that
+buffer. Rollouts are collected as stacked arrays, one ``[:, t]`` row per step
+across environments, with one value-net call over the whole window, and GAE
+runs as one backward pass over the whole batch. The loss heads and the
 per-minibatch statistics call ufuncs and ndarray methods (``np.clip`` as
 ``np.minimum(np.maximum(...))``, a mean as ``x.sum() / x.size``), not
 numpy's Python-level wrappers, which cost a measured 0.6-4 us more per call at
@@ -41,19 +46,21 @@ these sizes for the same bits.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .autodiff import (
-    Graph, Tensor, as_tensor, concat, custom_op, exp, log, row_sq_mean, split_rows, value_of, weighted_sum
+    Graph, Tensor, _check_finite, concat, exp, loss_head, row_sq_mean, split_rows, value_of, weighted_sum
 )
 from .io import write_metrics_csv
 from .nets import Adam, clip_grad_norm, init_value_net
-from .sampler import LOG_2PI, chain_logprob_traced, check_K, sample_chain_batch, step_entropy
+from .sampler import LOG_2PI, chain_logprob_traced, check_K, policy_entropy, sample_chain_batch
 
 METRIC_COLUMNS = (
     "iter",
@@ -66,6 +73,7 @@ METRIC_COLUMNS = (
     "lambda_bc",
     "clip_frac",
     "approx_kl",
+    "grad_norm",
 )
 
 
@@ -155,31 +163,32 @@ def gae(rewards, values, dones, gamma, lam):
 
 
 # ---------------------------------------------------------------------------
-# surrogate pieces (single nodes: usable plain or under a tape)
+# surrogate pieces: one tape node each, or on plain arrays (``taped=False``,
+# an ndarray ``u``) the node's value and VJP (``autodiff.loss_head``)
 
 
-def ppo_ratio(new_logprob, old_logprob):
+def ppo_ratio(new_logprob, old_logprob, taped=True):
     """exp(new - old) as one tape node; raises OverflowError with
     diagnostics instead of inf.
 
     The difference is ``new + (-old)`` and the VJP ``g * rho``, as the op
     chain ``exp(new - old)`` computes them; equal log-probs give exactly 1.
     """
-    new = as_tensor(new_logprob)
+    new = value_of(new_logprob)
     old = value_of(old_logprob)
-    if not (np.isfinite(new.data).all() and np.isfinite(old).all()):
+    if not (np.isfinite(new).all() and np.isfinite(old).all()):
         raise ValueError("log-probabilities must be finite")
-    diff = new.data + -old
+    diff = new + -old
     if diff.shape != new.shape:
         raise ValueError(f"old log-probs {old.shape} do not match new {new.shape}")
     diff_max = float(diff.max())
     if diff_max > 700.0:
         raise OverflowError(f"probability ratio overflow: max log-prob difference {diff_max:.3f}")
     rho = np.exp(diff)
-    return custom_op(rho, (new,), lambda g: (g * rho,), "ppo_ratio")
+    return loss_head(rho, (new_logprob,), lambda g: (g * rho,), "ppo_ratio", taped)
 
 
-def clipped_pg_loss(rho, adv, clip_eps: float):
+def clipped_pg_loss(rho, adv, clip_eps: float, taped=True):
     """mean over the batch of max(-A * rho, -A * clip(rho, 1-eps, 1+eps)).
 
     One tape node. The gradient of a row follows the unclipped branch unless
@@ -187,9 +196,8 @@ def clipped_pg_loss(rho, adv, clip_eps: float):
     band, where the two coincide) and at theta == theta_old the gradient is
     the plain policy gradient.
     """
-    rho_t = as_tensor(rho)
     a = value_of(adv)
-    r = rho_t.data
+    r = value_of(rho)
     lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
     unclipped = -a * r
     clipped = -a * np.minimum(np.maximum(r, lo), hi)  # np.clip's values, NaN included
@@ -202,14 +210,14 @@ def clipped_pg_loss(rho, adv, clip_eps: float):
 
     rows = np.maximum(unclipped, clipped)
     # ``mean`` is the sum divided by the count
-    return custom_op(rows.sum() / rows.size, (rho_t,), vjp, "clipped_pg")
+    return loss_head(rows.sum() / rows.size, (rho,), vjp, "clipped_pg", taped)
 
 
-def value_loss(v_pred, returns):
+def value_loss(v_pred, returns, taped=True):
     """0.5 * mean squared error between predictions and returns, as one tape
     node with the arithmetic of ``0.5 * square(v - returns).mean()``."""
-    v = as_tensor(v_pred)
-    d = v.data + -value_of(returns)
+    v = value_of(v_pred)
+    d = v + -value_of(returns)
     if d.shape != v.shape:
         raise ValueError(f"returns do not match predictions {v.shape}")
 
@@ -217,7 +225,7 @@ def value_loss(v_pred, returns):
         # every entry of the broadcast ``(g * 0.5) * (1/n)`` is that one product
         return (((g * 0.5) * (1.0 / d.size)) * (2.0 * d),)
 
-    return custom_op(0.5 * (np.square(d).sum() / d.size), (v,), vjp, "value_loss")
+    return loss_head(0.5 * (np.square(d).sum() / d.size), (v_pred,), vjp, "value_loss", taped)
 
 
 def bc_target(frozen_net, z1: np.ndarray, h_frozen: np.ndarray) -> np.ndarray:
@@ -235,7 +243,8 @@ def bc_loss(frozen_net, current_net, obs_batch, shared_noise, h=None, u=None, ta
     velocity at (z1, r=0, tau=1), when the caller has already traced them;
     ``target`` is ``bc_target`` of the frozen net when the caller has
     computed it (``finetune`` does, once per epoch). The distance head
-    ``square((z1 - u) - target).sum(1).mean()`` is one tape node.
+    ``square((z1 - u) - target).sum(1).mean()`` is one tape node; an ndarray
+    ``u`` gives its value and VJP instead.
     """
     obs = np.asarray(obs_batch, dtype=np.float64)
     z1 = np.asarray(shared_noise, dtype=np.float64)
@@ -250,8 +259,8 @@ def bc_loss(frozen_net, current_net, obs_batch, shared_noise, h=None, u=None, ta
         if h is None:
             h = current_net.encode(Tensor(obs))
         u = current_net.velocity(Tensor(z1), Tensor(np.zeros((B, 1))), Tensor(np.ones((B, 1))), h=h)
-    dist, grad = row_sq_mean((z1 + -u.data) + -target)
-    return custom_op(dist, (u,), lambda g: (-grad(g),), "bc_dist")
+    dist, grad = row_sq_mean((z1 + -value_of(u)) + -target)
+    return loss_head(dist, (u,), lambda g: (-grad(g),), "bc_dist", type(u) is not np.ndarray)
 
 
 def bc_schedule(n: int, config: Stage2Config) -> float:
@@ -274,7 +283,21 @@ def bc_schedule(n: int, config: Stage2Config) -> float:
 def _fixed_sigma_entropy(K: int, d_a: int, sigma: float) -> float:
     """The entropy term with fixed sigma: a constant, computed once per
     (K, d_a, sigma) rather than once per minibatch."""
-    return -float(K) * step_entropy(d_a, sigma)
+    return -policy_entropy(K, d_a, sigma)
+
+
+def _learned_sigma_entropy(sigma_t, K: int, taped=True):
+    """The entropy term with a learnable sigma, as one tape node (or, not
+    ``taped``, its value and VJP): per step the closed form H = sum_d 0.5
+    (1 + ln 2pi + 2 log sigma_d), computed as the op chain ``-float(K) *
+    ((0.5 * (1 + ln 2pi) * d_a) + log(sigma).sum())`` computes it, and that
+    chain's VJP (``g * -K``, passed through the add and the sum, times
+    ``1 / sigma``)."""
+    sig = value_of(sigma_t)
+    log_sig = np.log(sig)
+    _check_finite(log_sig, "log")
+    ent = -float(K) * ((0.5 * (1.0 + LOG_2PI) * sig.size) + log_sig.sum())
+    return loss_head(ent, (sigma_t,), lambda g: ((g * -float(K)) * (1.0 / sig),), "entropy", taped)
 
 
 def _sigma_tensor(nets, config):
@@ -303,11 +326,43 @@ class MiniBatch:
     bc_target: np.ndarray | None = None  # (M, d_a) bc_target of the frozen net; computed when None
 
 
-def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int):
+class Stage2Grads(NamedTuple):
+    """The views of Adam's gradient buffer ``stage2_step`` writes."""
+
+    policy: dict  # parameter name -> array
+    value: dict  # parameter name -> array
+    log_sigma: np.ndarray | None  # None with fixed sigma
+
+
+def stage2_optimizer(nets: Stage2Nets, lr: float):
+    """``(opt, grads)``: Adam over the stage-2 parameters and its gradient
+    views as ``Stage2Grads``. The parameters are listed in the order the
+    taped loss first uses them (log-sigma, the policy's, the value net's),
+    so the clipping norm sums the gradient in the tape's leaf order and
+    rounds as it would over the tape's gradients."""
+    first = [] if nets.log_sigma is None else [nets.log_sigma]
+    opt = Adam(first + nets.policy.parameters() + nets.value.parameters(), lr=lr)
+    views = opt.grads[len(first) :]
+    n_policy = len(nets.policy.param_names)
+    grads = Stage2Grads(
+        dict(zip(nets.policy.param_names, views[:n_policy])),
+        dict(zip(nets.value.param_names, views[n_policy:])),
+        opt.grads[0] if first else None,
+    )
+    return opt, grads
+
+
+def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int, grads=None):
     """Total fine-tuning loss and its component breakdown.
 
     total = L_PG + lam_value * L_V + lam_entropy * L_ent + lam_bc(n) * L_BC
+
+    Given ``grads`` (``stage2_optimizer``'s views) the minibatch runs on
+    plain arrays instead (``stage2_step``): the gradient is written there
+    and the total comes back as a float.
     """
+    if grads is not None:
+        return stage2_step(batch, nets, config, n, grads)
     M, K = batch.states.shape[0], batch.states.shape[1] - 1
     d_a = nets.policy.d_a
     sigma_t = _sigma_tensor(nets, config)
@@ -331,9 +386,7 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     v = value_loss(v_pred, batch.returns)
 
     if nets.log_sigma is not None:
-        # differentiable closed form: H = sum_d 0.5 (1 + ln 2pi + 2 log sigma_d) per step
-        ent_per_step = (0.5 * (1.0 + LOG_2PI) * d_a) + log(sigma_t).sum()
-        ent = -float(K) * ent_per_step
+        ent = _learned_sigma_entropy(sigma_t, K)
     else:
         ent = Tensor(_fixed_sigma_entropy(K, d_a, config.sigma))
 
@@ -353,6 +406,81 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
         "rho": rho.data,
     }
     return total, parts
+
+
+def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int, grads: Stage2Grads):
+    """One fine-tune minibatch on plain arrays: the gradient of the stage-2
+    total written into ``grads``, and ``(total, parts)`` as ``stage2_loss``
+    gives them, the total a float.
+
+    These are the values and gradients of the taped loss and one
+    ``Graph.backward``, bit for bit: the same passes (one encoder pass, one
+    trunk pass over the stacked first-step and BC rows, K-1 more chain
+    passes) and heads, each head untaped, giving its value and its VJP. Only
+    the weighted total is taped, over the head values as leaf scalars; its
+    cotangents ``g * w_i`` seed the heads' VJPs. Where two cotangents meet,
+    they are summed in the tape's reverse node order: sigma's entropy part
+    before its transitions', the trunk weights and h over the chain's later
+    steps (last first) before the stacked pass, and h's two stacked halves
+    in order.
+    """
+    policy = nets.policy
+    M, K = batch.states.shape[0], batch.states.shape[1] - 1
+    learnable = nets.log_sigma is not None
+    if learnable:
+        sig = np.exp(nets.log_sigma.data)
+        _check_finite(sig, "exp")
+    else:
+        sig = np.full(policy.d_a, config.sigma)
+    sigma_t = Tensor(sig, requires_grad=learnable)
+
+    h, enc = policy.encode(batch.obs, keep=True)
+    r = np.zeros((2 * M, 1))
+    r[:M] = (K - 1) / K
+    z = np.concatenate([batch.states[:, 0], batch.bc_noise])
+    u, trunk = policy.velocity((z, None), r, np.ones((2 * M, 1)), h=np.concatenate((h, h)))
+    new_lp, lp_vjp = chain_logprob_traced(policy, batch.states, batch.obs, sigma_t, K, h=h, u0=u[:M])
+    rho, rho_vjp = ppo_ratio(new_lp, batch.old_logprobs, taped=False)
+    pg, pg_vjp = clipped_pg_loss(rho, batch.advantages, config.clip_eps, taped=False)
+    v_pred, value_acts = nets.value.value(batch.obs, keep=True)
+    v, v_vjp = value_loss(v_pred, batch.returns, taped=False)
+    if learnable:
+        ent, ent_vjp = _learned_sigma_entropy(sigma_t, K, taped=False)
+    else:
+        ent = _fixed_sigma_entropy(K, policy.d_a, config.sigma)
+    bc, bc_vjp = bc_loss(nets.frozen, policy, batch.obs, batch.bc_noise, u=u[M:], target=batch.bc_target)
+    lam_bc = bc_schedule(n, config)
+
+    with Graph() as g:
+        heads = [Tensor(x, requires_grad=True) for x in (pg, v, ent, bc)]
+        total = weighted_sum(heads, [1.0, config.lam_value, config.lam_entropy, lam_bc], "stage2_total")
+    c_pg, c_v, c_ent, c_bc = g.backward(total).values()
+
+    g_bc = bc_vjp(c_bc)[0]
+    g_sigma = ent_vjp(c_ent)[0] if learnable else None
+    nets.value.value_vjp(v_vjp(c_v)[0], value_acts, grads.value)
+    g_lp = rho_vjp(pg_vjp(c_pg)[0])[0]
+    g_u0, g_h, g_sigma = lp_vjp(g_lp, grads.policy, g_sigma)
+    g_u = np.concatenate((g_u0, g_bc))
+    # at K > 1 the chain's own passes have written the trunk's gradients
+    trunk_vjp = policy.velocity_vjp if K == 1 else policy.add_velocity_vjp
+    g_hh = trunk_vjp(g_u, trunk, grads.policy)
+    g_h = g_hh[:M] if g_h is None else g_h + g_hh[:M]
+    policy.encode_vjp(g_h + g_hh[M:], enc, grads.policy)
+    if learnable:
+        # exp's VJP: g * exp(log_sigma)
+        np.multiply(g_sigma, sig, out=grads.log_sigma)
+
+    parts = {
+        "pg": float(pg),
+        "v": float(v),
+        "ent": float(ent),
+        "bc": float(bc),
+        "lambda_bc": lam_bc,
+        "total": total.item(),
+        "rho": rho,
+    }
+    return parts["total"], parts
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +615,7 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
         log_sigma = Tensor(np.full(pretrained_net.d_a, np.log(config.sigma)), requires_grad=True)
     nets = Stage2Nets(policy=policy, value=value_net, frozen=frozen, log_sigma=log_sigma)
 
-    # in the order the loss first uses them, so the clipping norm sums the
-    # gathered gradient in the tape's leaf order and rounds as over the tape's
-    params = ([] if log_sigma is None else [log_sigma]) + policy.parameters() + value_net.parameters()
-    opt = Adam(params, lr=config.lr)
+    opt, grads = stage2_optimizer(nets, config.lr)
 
     ss = np.random.SeedSequence(config.seed)
     children = ss.spawn(config.n_envs + 1)
@@ -521,6 +646,7 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
         parts_acc = {"pg": 0.0, "v": 0.0, "ent": 0.0, "bc": 0.0}
         clip_hits = 0
         kl_sum = 0.0
+        norm_sum = 0.0
         n_rows = 0
         n_mb = 0
         for _ in range(config.epochs):
@@ -545,17 +671,16 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                     bc_target=targets[rows],
                 )
                 try:
-                    with Graph() as g:
-                        total, parts = stage2_loss(mb, nets, config, n)
-                    grads = g.backward(total)
+                    _, parts = stage2_loss(mb, nets, config, n, grads)
                 except FloatingPointError as e:
                     raise RuntimeError(
                         f"fine-tuning diverged at iteration {n} minibatch {n_mb}: {e}"
                     ) from e
-                flat_grad = opt.gather(grads)
                 if config.grad_clip > 0:
-                    clip_grad_norm(flat_grad, config.grad_clip)
-                opt.step(flat_grad)
+                    norm_sum += clip_grad_norm(opt._g, config.grad_clip)
+                else:
+                    norm_sum += math.sqrt(opt._g @ opt._g)
+                opt.step(opt._g)
                 rho = parts.pop("rho")
                 clip_hits += int((np.abs(rho - 1.0) > config.clip_eps).sum())
                 kl_sum += float(((rho - 1.0) - np.log(np.maximum(rho, 1e-300))).sum())
@@ -577,6 +702,7 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                 "lambda_bc": lam_bc,
                 "clip_frac": clip_hits / max(n_rows, 1),
                 "approx_kl": kl_sum / max(n_rows, 1),
+                "grad_norm": norm_sum / max(n_mb, 1),
             }
         )
 

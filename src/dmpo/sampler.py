@@ -21,7 +21,9 @@ cancels in probability ratios.
 
 There is one chain log-probability: ``chain_logprob_traced`` walks recorded
 chains with the autodiff ops, one tape node per transition, and serves both
-the PPO update and ``chain_logprob``. Sampled terms and that node share one
+the PPO update and ``chain_logprob``; on a plain-array embedding it runs
+the same walk untaped and returns the total with its VJP, for the PPO
+update's array step. Sampled terms and that node share one
 log-density formula and one summation order, so at unchanged parameters the
 recomputed log-prob equals the sampled one up to how the matrix products
 round each row. With OpenBLAS, a row that falls in a full block of 4 rows
@@ -45,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, custom_op
+from .autodiff import Tensor, _check_finite, loss_head
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -259,9 +261,13 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
 
 def _transition_logpdf(u, a_k: np.ndarray, a_next: np.ndarray, sigma_t, dt: float):
     """ln N(a_next | a_k - dt * u, diag(sigma^2)) per row, as one tape node
-    over ``u`` (M, d_a) and ``sigma_t`` (d_a,)."""
+    over ``u`` (M, d_a) and ``sigma_t`` (d_a,). On an ndarray ``u`` it
+    records nothing and returns the log-densities and that node's VJP
+    (``autodiff.loss_head``); the VJP gives sigma's cotangent only when
+    ``sigma_t`` (a Tensor either way) requires grad."""
+    taped = type(u) is not np.ndarray
     sig = sigma_t.data
-    diff = (a_next - (a_k - dt * u.data)) / sig
+    diff = (a_next - (a_k - dt * (u.data if taped else u))) / sig
 
     def vjp(g):
         g_col = g[:, None]
@@ -269,7 +275,7 @@ def _transition_logpdf(u, a_k: np.ndarray, a_next: np.ndarray, sigma_t, dt: floa
         g_sig = (g_col * (diff * diff - 1.0)).sum(axis=0) / sig if sigma_t.requires_grad else None
         return g_u, g_sig
 
-    return custom_op(_logpdf_rows(diff, _log_norm(sig)), (u, sigma_t), vjp, "gauss_logpdf")
+    return loss_head(_logpdf_rows(diff, _log_norm(sig)), (u, sigma_t), vjp, "gauss_logpdf", taped)
 
 
 def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K: int, h=None, u0=None):
@@ -281,24 +287,66 @@ def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K
 
     Outside a ``Graph`` this records nothing. It repeats the arithmetic of
     ``sample_chain_batch``, so on the rows that call sampled, at the same
-    parameters, it returns their totals exactly."""
+    parameters, it returns their totals exactly.
+
+    An ndarray ``h`` (a training step on plain arrays; ``u0`` an array too)
+    gives the same values and records nothing: it returns ``(total, vjp)``,
+    and ``vjp(g, grads, g_sigma=None)`` maps the cotangent ``g`` of the total
+    to ``(g_u0, g_h, g_sigma)``. It writes into ``grads`` (parameter name ->
+    array) the trunk gradients of the passes run here, for the steps after
+    the first, summed as ``Graph.backward`` sums them, the last step first;
+    ``g_h`` is their cotangent of h (None at K = 1), and ``g_sigma`` is the
+    given cotangent of sigma plus each step's, in that order, when
+    ``sigma_t`` requires grad."""
     check_K(K)
     M = states.shape[0]
     if h is None:
         h = policy.encode(Tensor(obs))
+    taped = type(h) is not np.ndarray
     dt = 1.0 / K
     total = None
+    steps = []  # (the step's VJP, its trunk pass's activations) off the tape
     for k in range(K):
         a_k = np.ascontiguousarray(states[:, k, :])
+        acts = None
         if k == 0 and u0 is not None:
             u = u0
         else:
-            r_col = Tensor(np.full((M, 1), (K - k - 1) / K))
-            tau_col = Tensor(np.full((M, 1), (K - k) / K))
-            u = policy.velocity(Tensor(a_k), r_col, tau_col, h=h)
+            r_col = np.full((M, 1), (K - k - 1) / K)
+            tau_col = np.full((M, 1), (K - k) / K)
+            if taped:
+                u = policy.velocity(Tensor(a_k), Tensor(r_col), Tensor(tau_col), h=h)
+            else:
+                u, acts = policy.velocity((a_k, None), r_col, tau_col, h=h)
         term = _transition_logpdf(u, a_k, states[:, k + 1, :], sigma_t, dt)
-        total = term if total is None else total + term
-    return total
+        if not taped:
+            term, step_vjp = term
+            steps.append((step_vjp, acts))
+        if total is None:
+            total = term
+        else:
+            total = total + term
+            if not taped:
+                _check_finite(total, "add")
+    if taped:
+        return total
+
+    def vjp(g, grads, g_sigma=None):
+        # the sum's VJP hands every step g; steps in reverse tape order
+        g_u0 = g_h = None
+        for step_vjp, acts in reversed(steps):
+            g_u, g_s = step_vjp(g)
+            if g_s is not None:
+                g_sigma = g_s if g_sigma is None else g_sigma + g_s
+            if acts is None:
+                g_u0 = g_u
+            elif g_h is None:
+                g_h = policy.velocity_vjp(g_u, acts, grads)
+            else:
+                g_h = g_h + policy.add_velocity_vjp(g_u, acts, grads)
+        return g_u0, g_h, g_sigma
+
+    return total, vjp
 
 
 def chain_logprob(net, chain: DenoiseChain, obs: np.ndarray, sigma) -> float:

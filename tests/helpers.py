@@ -34,3 +34,10 @@ def fd_directional(f, xs, ts, eps=1e-5):
     hi = f(*[x + eps * t for x, t in zip(xs, ts)])
     lo = f(*[x - eps * t for x, t in zip(xs, ts)])
     return (np.asarray(hi) - np.asarray(lo)) / (2.0 * eps)
+
+
+def into_adam(opt, grads):
+    """A tape's gradients (``Graph.backward``'s dict) concatenated into
+    ``opt``'s gradient buffer in its parameter order, where a training step
+    writes them through ``opt.grads``; returns that buffer."""
+    return np.concatenate([grads[p].ravel() for p in opt.params], out=opt._g)

@@ -28,16 +28,17 @@ WRAPPERS = frozenset({
 HOT = {
     autodiff: [
         "Graph.backward", "_check_finite", "_dual_op", "_emit", "_output", "custom_op", "weighted_sum",
-        "row_sq_mean", "_linear", "reshape", "_blocks", "concat", "split_rows", "dense",
+        "loss_head", "row_sq_mean", "_linear", "reshape", "_blocks", "concat", "split_rows", "dense",
     ],
     dispersive: ["hinge"],
     envs: ["PointReach.step", "_point_reach_expert_action"],
     meanflow: ["sample_time_pairs", "target_velocity", "mf_loss", "stage1_step", "pretrain"],
     nets: ["_checked", "_layer_vjp", "VelocityNet.encode", "VelocityNet.encode_vjp", "VelocityNet.velocity",
-           "VelocityNet.velocity_vjp", "ValueNet.value", "Adam.gather", "Adam.step", "clip_grad_norm"],
+           "VelocityNet.velocity_vjp", "VelocityNet.add_velocity_vjp", "ValueNet.value", "ValueNet.value_vjp",
+           "Adam.step", "clip_grad_norm"],
     kernels: ["adam_update", "affine", "affine_tanh"],
-    ppo: ["ppo_ratio", "clipped_pg_loss", "value_loss", "bc_target", "bc_loss", "stage2_loss",
-          "collect_rollouts", "finetune"],
+    ppo: ["ppo_ratio", "clipped_pg_loss", "value_loss", "bc_target", "bc_loss", "_learned_sigma_entropy",
+          "stage2_loss", "stage2_step", "collect_rollouts", "finetune"],
     sampler: ["_sigma_vector", "_log_norm", "_logpdf_rows", "sample_deterministic", "sample_chain_batch",
               "_transition_logpdf", "chain_logprob_traced"],
 }

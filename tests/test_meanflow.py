@@ -384,6 +384,24 @@ def test_pretrain_non_finite_parameter_names_epoch_step_and_op(monkeypatch, name
         pretrain(ds, Stage1Config(epochs=3, batch_size=4, seed=0))
 
 
+def test_pretrain_rank_probe_names_epoch_step_and_op(monkeypatch):
+    # one step per epoch, so a parameter the step leaves non-finite meets the
+    # epoch-end rank probe before any later step; it is named as a
+    # divergence, not as the eigensolver's LinAlgError
+    import dmpo.meanflow as mfmod
+
+    class PoisonAfterFirstStep(mfmod.Adam):
+        def step(self, g):
+            super().step(g)
+            self.params[0].data[0, 0] = np.nan  # enc0_w
+
+    monkeypatch.setattr(mfmod, "Adam", PoisonAfterFirstStep)
+    ds = _tiny_dataset(np.random.default_rng(65))
+    match = r"pre-training diverged at epoch 0 step 0: .*op 'dense'.*rank probe"
+    with pytest.raises(RuntimeError, match=match):
+        pretrain(ds, Stage1Config(epochs=3, batch_size=8, seed=0))
+
+
 @pytest.mark.parametrize("column, bad", [("obs", np.nan), ("actions", np.inf), ("actions", -np.inf)])
 def test_pretrain_names_the_first_non_finite_dataset_row_and_column(monkeypatch, column, bad):
     # a data fault is reported before any step, not as a training divergence

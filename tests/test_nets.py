@@ -13,6 +13,8 @@ from dmpo.nets import (
     predict_velocity,
 )
 
+from helpers import into_adam
+
 
 def _zeroed(net):
     for p in net.parameters():
@@ -239,7 +241,7 @@ def test_adam_minimizes_quadratic():
     for _ in range(500):
         with Graph() as g:
             loss = ((p - Tensor(target)) * (p - Tensor(target))).sum()
-        opt.step(opt.gather(g.backward(loss)))
+        opt.step(into_adam(opt, g.backward(loss)))
     np.testing.assert_allclose(p.data, target, atol=1e-3)
 
 
@@ -250,7 +252,7 @@ def test_adam_deterministic():
         for _ in range(50):
             with Graph() as g:
                 loss = (p * p).sum()
-            opt.step(opt.gather(g.backward(loss)))
+            opt.step(into_adam(opt, g.backward(loss)))
         return p.data.copy()
 
     np.testing.assert_array_equal(run(), run())
@@ -275,7 +277,7 @@ def test_adam_one_buffer_matches_per_tensor_reference():
         np.testing.assert_array_equal(p.data, want)
     for t in range(1, 21):
         grads = {p: rng.normal(size=s) for p, s in zip(params, shapes)}
-        opt.step(opt.gather(grads))
+        opt.step(into_adam(opt, grads))
         for p, r, m, v in zip(params, ref, ms, vs):
             _adam_reference(r, grads[p], m, v, t, 0.01)
     for p, r in zip(params, ref):
@@ -292,11 +294,11 @@ def test_adam_in_place_step_matches_out_of_place_expression_and_scratch_stays_ap
     want = opt.flat.copy()
     m = np.zeros(want.size)
     v = np.zeros(want.size)
-    buffers = {"m": opt._m, "v": opt._v, "gather": opt._g, "work0": opt._work[0], "work1": opt._work[1]}
+    buffers = {"m": opt._m, "v": opt._v, "grads": opt._g, "work0": opt._work[0], "work1": opt._work[1]}
     for t in range(1, 8):
         grads = {p: rng.normal(size=p.data.shape) for p in params}
         given = {p: g.copy() for p, g in grads.items()}
-        opt.step(opt.gather(grads))
+        opt.step(into_adam(opt, grads))
         g = np.concatenate([given[p].ravel() for p in params])
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
@@ -339,7 +341,7 @@ def test_adam_sees_load_arrays_after_construction():
     net.load_arrays(loaded)
     rng = np.random.default_rng(22)
     grads = {p: rng.normal(size=p.data.shape) for p in net.parameters()}
-    opt.step(opt.gather(grads))
+    opt.step(into_adam(opt, grads))
     for n, p in net.params.items():
         want = loaded[n].copy()
         _adam_reference(want, grads[p], np.zeros(want.shape), np.zeros(want.shape), 1, 0.05)
@@ -394,14 +396,14 @@ def test_clip_grad_norm_all_zero_and_empty():
 
 
 def test_clip_grad_norm_leaves_tensor_grad_unchanged():
-    # clipping scales Adam's gathered copy; the arrays Graph.backward
-    # returned are not written
+    # clipping scales the copy in Adam's gradient buffer; the arrays
+    # Graph.backward returned are not written
     x = Tensor(np.array([3.0, 4.0]), requires_grad=True)
     with Graph() as g:
         loss = (x * x).sum()
     grads = g.backward(loss)
     returned = grads[x]
-    flat = Adam([x]).gather(grads)
+    flat = into_adam(Adam([x]), grads)
     assert clip_grad_norm(flat, 1.0) == pytest.approx(10.0, rel=1e-15)
     np.testing.assert_array_equal(returned, [6.0, 8.0])
     np.testing.assert_allclose(flat, [0.6, 0.8], rtol=1e-15)

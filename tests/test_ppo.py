@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -946,9 +948,11 @@ def test_stage2_config_rejects_rollout_steps_not_a_multiple_of_envs():
     assert Stage2Config(rollout_steps=96, n_envs=8).rollout_steps == 96
 
 
-def test_c12a_config_minibatch_tape_has_18_nodes(monkeypatch):
-    # K=1, fixed sigma: every MLP layer is one dense node, every loss head one
-    # fused node, and one trunk pass over stacked rows serves the chain and BC
+def test_c12a_config_minibatch_tapes_only_the_weighted_total(monkeypatch):
+    # K=1, fixed sigma: each minibatch runs on plain arrays and tapes one
+    # node, the weighted total over the head values; the taped reference
+    # stage2_loss still tapes every MLP layer as one dense node, every loss
+    # head as one fused node, and one trunk pass over stacked rows
     net = _pretrained()
     tapes = []
     backward = Graph.backward
@@ -959,16 +963,19 @@ def test_c12a_config_minibatch_tape_has_18_nodes(monkeypatch):
 
     monkeypatch.setattr(Graph, "backward", counted)
     cfg = Stage2Config(iterations=1, seed=0, lam_bc_init=0.1, lam_bc_final=0.1, bc_decay_start=0, bc_decay_end=1)
-    finetune(net, lambda: make_env("point-reach-shifted"), cfg)
-    assert len(tapes) == cfg.epochs * cfg.rollout_steps // cfg.minibatch_size
+    mbs = _captured_minibatches(monkeypatch, net, cfg)
+    assert len(tapes) == len(mbs) == cfg.epochs * cfg.rollout_steps // cfg.minibatch_size
+    assert all(t == ["stage2_total"] for t in tapes)
+    nets = Stage2Nets(policy=net, value=init_value_net(0, net.d_obs), frozen=net.clone())
+    with Graph() as g:
+        stage2_loss(mbs[0], nets, cfg, n=0)
     ops = (
         ["dense", "dense", "concat", "concat", "dense", "dense", "dense", "split_rows"]
         + ["gauss_logpdf", "ppo_ratio", "clipped_pg"]
         + ["dense", "dense", "dense", "reshape", "value_loss"]
         + ["bc_dist", "stage2_total"]
     )
-    assert len(ops) == 18
-    assert all(t == ops for t in tapes)
+    assert [n.op for n in g.nodes] == ops and len(ops) == 18
 
 
 def test_finetune_nan_parameter_names_iteration_minibatch_and_op(monkeypatch):
@@ -984,24 +991,145 @@ def test_finetune_nan_parameter_names_iteration_minibatch_and_op(monkeypatch):
 
 
 @pytest.mark.parametrize("sigma_learnable", [False, True])
-def test_finetune_gathers_gradients_in_tape_leaf_order(monkeypatch, sigma_learnable):
+def test_finetune_adam_lists_parameters_in_tape_leaf_order(monkeypatch, sigma_learnable):
     # clip_grad_norm's dot product rounds by entry order; Adam listing its
-    # parameters in the order the tape first uses them keeps the clipping
-    # norm equal to the one over the tape's gradients
-    gathered = []
+    # parameters in the order the taped loss first uses them keeps the
+    # clipping norm equal to the one over the taped reference's gradients
+    made, steps = [], []
 
-    class OrderChecked(ppo_mod.Adam):
-        def gather(self, grads):
-            assert list(grads) == self.params
-            gathered.append(len(grads))
-            return super().gather(grads)
+    class Recorded(ppo_mod.Adam):
+        def __init__(self, params, **kwargs):
+            super().__init__(params, **kwargs)
+            made.append(self)
 
-    monkeypatch.setattr(ppo_mod, "Adam", OrderChecked)
+        def step(self, g):
+            assert g is self._g
+            steps.append(self.t)
+            super().step(g)
+
+    monkeypatch.setattr(ppo_mod, "Adam", Recorded)
+    seen = []
+    loss = ppo_mod.stage2_loss
+
+    def spy(mb, nets, config, n, grads=None):
+        seen.append((mb, nets, n))
+        return loss(mb, nets, config, n, grads)
+
+    monkeypatch.setattr(ppo_mod, "stage2_loss", spy)
     cfg = Stage2Config(iterations=1, seed=0, lam_bc_init=0.1, lam_bc_final=0.1, bc_decay_start=0,
                        bc_decay_end=1, sigma_learnable=sigma_learnable)
     finetune(_pretrained(), lambda: make_env("point-reach-shifted"), cfg)
-    n_params = 10 + 6 + sigma_learnable  # policy, value, log-sigma
-    assert gathered == [n_params] * (cfg.epochs * cfg.rollout_steps // cfg.minibatch_size)
+    (opt,) = made
+    assert len(opt.params) == 10 + 6 + sigma_learnable  # policy, value, log-sigma
+    assert steps == list(range(cfg.epochs * cfg.rollout_steps // cfg.minibatch_size))
+    mb, nets, n = seen[-1]
+    with Graph() as g:
+        total, _ = loss(mb, nets, cfg, n)
+    assert list(g.backward(total)) == opt.params
+
+
+def _perturbed_stage2(K, sigma_learnable, M, lam_bc, seed):
+    # chains sampled at theta_old, then every parameter moved so rho != 1
+    net = init_velocity_net(seed, 4, 2)
+    rng = np.random.default_rng(seed)
+    mb = _sampled_minibatch(net, M, K, 0.05, seed)
+    mb.bc_target = ppo_mod.bc_target(net, mb.bc_noise, net.encode_arrays(mb.obs))
+    policy = net.clone()
+    value_net = init_value_net(seed, 4)
+    for p in policy.parameters() + value_net.parameters():
+        p.data[...] += 1e-3 * rng.standard_normal(p.data.shape)
+    log_sigma = np.log(np.array([0.05, 0.04])) + 0.1 * rng.standard_normal(2)
+    log_sigma = Tensor(log_sigma, requires_grad=True) if sigma_learnable else None
+    nets = Stage2Nets(policy=policy, value=value_net, frozen=net, log_sigma=log_sigma)
+    cfg = Stage2Config(K=K, sigma=0.05, sigma_learnable=sigma_learnable, lam_bc_init=lam_bc, lam_bc_final=lam_bc)
+    return mb, nets, cfg
+
+
+@pytest.mark.parametrize("lam_bc", [0.0, 0.1])
+@pytest.mark.parametrize("M", [64, 57])
+@pytest.mark.parametrize("sigma_learnable", [False, True])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_stage2_step_equals_the_taped_step_bit_for_bit(K, sigma_learnable, M, lam_bc):
+    mb, nets, cfg = _perturbed_stage2(K, sigma_learnable, M, lam_bc, seed=10 * K + M)
+    with Graph() as g:
+        total, parts = stage2_loss(mb, nets, cfg, n=0)
+    taped = g.backward(total)
+    opt, grads = ppo_mod.stage2_optimizer(nets, cfg.lr)
+    assert list(taped) == opt.params
+    want = np.concatenate([taped[p].ravel() for p in opt.params])
+    opt._g.fill(np.nan)
+    got_total, got = stage2_loss(mb, nets, cfg, 0, grads)
+    assert type(got_total) is float and got_total == total.item() == got["total"]
+    for k in ("pg", "v", "ent", "bc", "lambda_bc"):
+        assert type(got[k]) is float and got[k] == parts[k], k
+    assert np.array_equal(got["rho"], parts["rho"]) and np.any(got["rho"] != 1.0)
+    assert np.array_equal(opt._g, want)
+    assert got["bc"] != 0.0 and (got["pg"] != 0.0)
+
+
+@pytest.mark.parametrize("name, learnable, op", [
+    ("policy trunk0_w", False, "dense"),
+    ("policy enc0_w", False, "dense"),
+    ("value l1_b", False, "dense"),
+    ("log_sigma", True, "exp"),
+])
+def test_finetune_non_finite_parameter_names_iteration_minibatch_and_op(monkeypatch, name, learnable, op):
+    from dmpo.nets import ValueNet, VelocityNet
+
+    # Adam lists log-sigma (when learnable), the policy's parameters, then the value net's
+    if name == "log_sigma":
+        index = 0
+    else:
+        net, param = name.split()
+        names = VelocityNet.param_names if net == "policy" else ValueNet.param_names
+        index = int(learnable) + (0 if net == "policy" else len(VelocityNet.param_names)) + names.index(param)
+
+    class PoisonAfterFirstStep(ppo_mod.Adam):
+        def step(self, g):
+            super().step(g)
+            if self.t == 1:
+                self.params[index].data.flat[0] = np.nan
+
+    monkeypatch.setattr(ppo_mod, "Adam", PoisonAfterFirstStep)
+    cfg = Stage2Config(iterations=2, seed=0, rollout_steps=64, n_envs=4, minibatch_size=16, sigma_learnable=learnable)
+    with pytest.raises(RuntimeError, match=rf"fine-tuning diverged at iteration 0 minibatch 1: .*op '{op}'"):
+        finetune(_pretrained(), lambda: make_env("point-reach"), cfg)
+
+
+@pytest.mark.parametrize("grad_clip", [1.0, 0.0])
+def test_finetune_grad_norm_column_is_the_mean_pre_clip_norm(monkeypatch, tmp_path, grad_clip):
+    # with clipping on, the norm clip_grad_norm returns before it scales;
+    # with it off, the same sqrt(g @ g) of the gradient Adam steps with
+    norms = []
+    clip = ppo_mod.clip_grad_norm
+
+    def clip_spy(g, max_norm):
+        norms.append(clip(g, max_norm))
+        return norms[-1]
+
+    class Spied(ppo_mod.Adam):
+        def step(self, g):
+            if not grad_clip:
+                norms.append(float(np.sqrt(g @ g)))
+            super().step(g)
+
+    monkeypatch.setattr(ppo_mod, "clip_grad_norm", clip_spy)
+    monkeypatch.setattr(ppo_mod, "Adam", Spied)
+    cfg = Stage2Config(iterations=2, seed=1, rollout_steps=64, n_envs=4, minibatch_size=16, grad_clip=grad_clip)
+    path = tmp_path / "stage2.csv"
+    _, _, metrics = finetune(_pretrained(), lambda: make_env("point-reach"), cfg, metrics_path=path)
+    per_iter = cfg.epochs * cfg.rollout_steps // cfg.minibatch_size
+    assert len(norms) == 2 * per_iter and min(norms) > 0.0
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
+    assert list(rows[0]) == list(ppo_mod.METRIC_COLUMNS) and ppo_mod.METRIC_COLUMNS[-1] == "grad_norm"
+    for i, row in enumerate(rows):
+        acc = 0.0  # summed in minibatch order, as the other loss columns are
+        for norm in norms[i * per_iter : (i + 1) * per_iter]:
+            acc += norm
+        assert float(row["grad_norm"]) == metrics[i]["grad_norm"] == acc / per_iter
+    if grad_clip:
+        assert max(norms) > grad_clip  # the column is the norm before clipping
 
 
 def test_learnable_sigma_mode():
