@@ -52,6 +52,15 @@ def _read_json(path) -> dict:
         return json.load(f)
 
 
+def _policy(checkpoint) -> VelocityNet:
+    """The policy net saved in ``checkpoint``: a velocity net named
+    ``policy``."""
+    policy = load_checkpoint(checkpoint)[0].get("policy")
+    if not isinstance(policy, VelocityNet):
+        raise ValueError("checkpoint does not contain a policy net")
+    return policy
+
+
 def cmd_gen_data(args) -> int:
     ds = gen_demos(args.env, args.episodes, args.seed)
     save_dataset(args.out, ds)
@@ -86,12 +95,9 @@ def cmd_finetune(args) -> int:
     if env_kind not in ENV_KINDS:
         raise ValueError(f"unknown env_kind {env_kind!r}; expected one of {ENV_KINDS}")
     cfg = parse_config(raw, Stage2Config)
-    nets, _ = load_checkpoint(args.checkpoint)
-    if "policy" not in nets:
-        raise ValueError("checkpoint does not contain a policy net")
     out = Path(args.out)
     policy, value_net, metrics = finetune(
-        nets["policy"], lambda: make_env(env_kind), cfg, metrics_path=str(out) + ".metrics.csv"
+        _policy(args.checkpoint), lambda: make_env(env_kind), cfg, metrics_path=str(out) + ".metrics.csv"
     )
     save_checkpoint(out, {"policy": policy, "value": value_net},
                     state={"stage": "finetune", "env_kind": env_kind, "config": asdict(cfg)})
@@ -105,8 +111,7 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    nets, _ = load_checkpoint(args.checkpoint)
-    res = evaluate(nets["policy"], args.env, args.episodes, args.K, args.seed)
+    res = evaluate(_policy(args.checkpoint), args.env, args.episodes, args.K, args.seed)
     print(f"success_rate={res.success_rate}")
     print(f"mean_return={res.mean_return}")
     print(f"mean_nfe={res.mean_nfe}")
@@ -116,8 +121,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    nets, _ = load_checkpoint(args.checkpoint)
-    net = nets["policy"]
+    net = _policy(args.checkpoint)
     ks = [int(k) for k in args.K.split(",")]
     if any(k < 1 for k in ks):
         raise ValueError("all K must be >= 1")

@@ -294,14 +294,26 @@ def write_metrics_csv(path, columns, rows) -> None:
             w.writerow([row[c] for c in columns])
 
 
+# a config field's declared type -> the JSON type it takes and the Python
+# types ``json`` decodes that to (a bool is neither an integer nor a number)
+_CONFIG_TYPES = {"int": ("integer", {int}), "float": ("number", {int, float}),
+                 "bool": ("boolean", {bool}), "str": ("string", {str})}
+
+
 def parse_config(d: dict, cls):
-    """Build dataclass ``cls`` from dict ``d``; unknown keys are rejected."""
+    """Build dataclass ``cls`` from dict ``d``; unknown keys, and a value
+    that is not of its field's JSON type, are a ``ValueError`` naming the
+    key."""
     if not is_dataclass(cls):
         raise TypeError(f"{cls} is not a dataclass")
-    known = {f.name for f in fields(cls)}
-    unknown = set(d) - known
+    known = {f.name: f.type if isinstance(f.type, str) else f.type.__name__ for f in fields(cls)}
+    unknown = set(d) - set(known)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, v in d.items():
+        kind, types = _CONFIG_TYPES[known[key]]
+        if type(v) not in types:
+            raise ValueError(f"config key {key!r} must be a JSON {kind}, got {type(v).__name__} {v!r}")
     return cls(**d)
 
 

@@ -202,8 +202,8 @@ def mf_loss(net: VelocityNet, batch: Stage1Batch, h=None, u_tgt: np.ndarray | No
 
 def stage1_step(net: VelocityNet, grads: dict, batch: Stage1Batch, config: Stage1Config):
     """One pre-train step on plain arrays: the gradient of ``mf + alpha *
-    disp`` written into ``grads`` (parameter name -> array), and ``(mf,
-    disp, total)`` as floats.
+    disp`` written into ``grads`` (parameter Tensor -> array, as
+    ``Adam.grads``), and ``(mf, disp, total)`` as floats.
 
     These are the values and gradients of the taped step (``mf_loss`` on a
     traced ``h``, ``dispersive_loss``, ``weighted_sum`` and one backward),
@@ -247,7 +247,6 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
         enc_width=config.enc_width, trunk_width=config.trunk_width,
     )
     opt = Adam(net.parameters(), lr=config.lr)
-    grads = dict(zip(net.param_names, opt.grads))
     rng = np.random.default_rng(config.seed)
     probe = obs_all[: min(256, n)]
 
@@ -271,12 +270,12 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
             batch = Stage1Batch(obs, act, eps, r_arr, tau_arr)
 
             try:
-                mf, disp, total = stage1_step(net, grads, batch, config)
+                mf, disp, total = stage1_step(net, opt.grads, batch, config)
             except FloatingPointError as e:
                 raise RuntimeError(
                     f"pre-training diverged at epoch {epoch} step {step}: {e}"
                 ) from e
-            opt.step(opt._g)
+            opt.step()
 
             mf_sum += mf
             disp_sum += disp

@@ -24,9 +24,12 @@ keep=True)`` give the values of the taped forward with ``dense``'s finite
 check on each pre-activation, plus the activations that ``encode_vjp``,
 ``velocity_vjp`` and ``value_vjp`` read. Those backward passes sit beside
 their forwards, one written-out ``dense`` VJP per layer, and write each
-parameter's gradient straight into a view of Adam's gradient buffer
-(``Adam.grads``), which ``clip_grad_norm`` rescales in place and
-``Adam.step`` consumes.
+parameter's gradient into ``grads[param]`` (added there instead, for a
+trunk pass whose gradients sum with a later pass's). ``grads`` is the one
+gradient map of both training steps: ``Adam.grads``, each parameter Tensor
+to its view of Adam's flat gradient buffer, keyed as ``Graph.backward``
+keys its result. ``clip_grad_norm`` rescales that buffer in place and
+``Adam.step`` updates from it.
 """
 
 from __future__ import annotations
@@ -54,12 +57,18 @@ def _checked(x, W, b, tanh=True):
     return y, s
 
 
-def _layer_vjp(x, gp, W, gW, gb):
-    # ``dense``'s VJP for the pre-activation cotangent gp: W's and b's
-    # gradients into gW and gb, and x's cotangent unless W is None
-    np.matmul(x.T, gp, out=gW)
-    gp.sum(axis=0, out=gb)
-    return None if W is None else gp @ W.T
+def _layer_vjp(x, gp, W, b, grads, add=False, x_cot=True):
+    # ``dense``'s VJP for the pre-activation cotangent gp: the gradients of
+    # the parameter Tensors W and b written into ``grads[W]`` and
+    # ``grads[b]`` (added to them with ``add``), and x's cotangent unless
+    # ``x_cot`` is False
+    if add:
+        grads[W] += x.T @ gp
+        grads[b] += gp.sum(axis=0)
+    else:
+        np.matmul(x.T, gp, out=grads[W])
+        gp.sum(axis=0, out=grads[b])
+    return gp @ W.data.T if x_cot else None
 
 
 class _MLPBase:
@@ -149,11 +158,12 @@ class VelocityNet(_MLPBase):
     def encode_vjp(self, g, acts, grads):
         """Backward of ``encode(obs, keep=True)`` for the cotangent ``g`` of
         h: ``dense``'s VJP ops per layer, each parameter's gradient written
-        into ``grads[name]``."""
+        into ``grads[param]``."""
         obs, x, sx, sh = acts
-        gp = _layer_vjp(x, sh * g, self.params["enc1_w"].data, grads["enc1_w"], grads["enc1_b"])
+        p = self.params
+        gp = _layer_vjp(x, sh * g, p["enc1_w"], p["enc1_b"], grads)
         gp *= sx
-        _layer_vjp(obs, gp, None, grads["enc0_w"], grads["enc0_b"])
+        _layer_vjp(obs, gp, p["enc0_w"], p["enc0_b"], grads, x_cot=False)
 
     def velocity(self, z, r, tau, h=None, obs=None):
         """Average-velocity prediction; requires r <= tau (a NaN time fails
@@ -225,28 +235,20 @@ class VelocityNet(_MLPBase):
         x = dense(x, p["trunk1_w"], p["trunk1_b"])
         return dense(x, p["out_w"], p["out_b"], False)
 
-    def velocity_vjp(self, g, acts, grads):
+    def velocity_vjp(self, g, acts, grads, add=False):
         """Backward of the pass ``velocity((z, v), ...)`` for the cotangent
         ``g`` of u: ``dense``'s VJP ops per layer, each parameter's gradient
-        written into ``grads[name]``; returns the cotangent of h."""
+        written into ``grads[param]``; returns the cotangent of h. With
+        ``add`` each gradient is added to what ``grads`` holds (a later
+        pass's), as ``Graph.backward`` adds an earlier node's cotangent."""
         x, a1, s1, a2, s2 = acts
         p = self.params
-        g = _layer_vjp(a2, g, p["out_w"].data, grads["out_w"], grads["out_b"])
+        g = _layer_vjp(a2, g, p["out_w"], p["out_b"], grads, add)
         g *= s2
-        g = _layer_vjp(a1, g, p["trunk1_w"].data, grads["trunk1_w"], grads["trunk1_b"])
+        g = _layer_vjp(a1, g, p["trunk1_w"], p["trunk1_b"], grads, add)
         g *= s1
-        g = _layer_vjp(x, g, p["trunk0_w"].data, grads["trunk0_w"], grads["trunk0_b"])
+        g = _layer_vjp(x, g, p["trunk0_w"], p["trunk0_b"], grads, add)
         return g[:, self.d_a : self.d_a + self.d_h]
-
-    def add_velocity_vjp(self, g, acts, grads):
-        """``velocity_vjp`` with each parameter's gradient added to
-        ``grads[name]``, which already holds a later pass's: that sum plus
-        this one, as ``Graph.backward`` adds an earlier node's cotangent."""
-        part = {n: np.empty(grads[n].shape) for n in self.param_names[4:]}  # the trunk's
-        g_h = self.velocity_vjp(g, acts, part)
-        for n, a in part.items():
-            grads[n] += a
-        return g_h
 
     # The names the samplers call on arrays (pipeline_bench times and counts
     # calls to them by these names).
@@ -283,14 +285,14 @@ class ValueNet(_MLPBase):
     def value_vjp(self, g, acts, grads):
         """Backward of ``value(obs, keep=True)`` for the cotangent ``g`` of
         the values: the ``reshape``'s, then ``dense``'s VJP ops per layer,
-        each parameter's gradient written into ``grads[name]``."""
+        each parameter's gradient written into ``grads[param]``."""
         obs, x, sx, y, sy = acts
         p = self.params
-        gp = _layer_vjp(y, g.reshape((-1, 1)), p["out_w"].data, grads["out_w"], grads["out_b"])
+        gp = _layer_vjp(y, g.reshape((-1, 1)), p["out_w"], p["out_b"], grads)
         gp *= sy
-        gp = _layer_vjp(x, gp, p["l1_w"].data, grads["l1_w"], grads["l1_b"])
+        gp = _layer_vjp(x, gp, p["l1_w"], p["l1_b"], grads)
         gp *= sx
-        _layer_vjp(obs, gp, None, grads["l0_w"], grads["l0_b"])
+        _layer_vjp(obs, gp, p["l0_w"], p["l0_b"], grads, x_cot=False)
 
 
 def _init_net(cls, seed: int, dims: dict[str, int]):
@@ -367,11 +369,11 @@ class Adam:
     ``flat`` and points each ``Tensor.data`` at its slice, so writes through
     the tensors (``load_arrays``) and the update see the same memory. The
     moments, the gradient buffer and the update's two scratch rows are
-    arrays of the same size, allocated once. ``grads`` holds one view of the
-    gradient buffer per parameter, shaped like it: a backward pass writes
-    each gradient there, ``clip_grad_norm`` may rescale the buffer in place,
-    and ``step(g)`` with that buffer is one in-place ``kernels.adam_update``
-    call.
+    arrays of the same size, allocated once. ``grads`` maps each parameter
+    Tensor, in ``params`` order, to its view of the gradient buffer ``_g``,
+    shaped like it (the keys ``Graph.backward`` returns): a backward pass
+    writes each gradient there, ``clip_grad_norm`` may rescale ``_g`` in
+    place, and ``step()`` is one in-place ``kernels.adam_update`` call on it.
     """
 
     def __init__(
@@ -390,24 +392,24 @@ class Adam:
         self.t = 0
         self.flat = np.concatenate([p.data.ravel() for p in self.params])
         self._g = np.empty(self.flat.size)
-        self.grads = []
+        self.grads = {}
         lo = 0
         for p in self.params:
             n = p.data.size
             p.data = self.flat[lo : lo + n].reshape(p.data.shape)
-            self.grads.append(self._g[lo : lo + n].reshape(p.data.shape))
+            self.grads[p] = self._g[lo : lo + n].reshape(p.data.shape)
             lo += n
         self._m = np.zeros(self.flat.size)
         self._v = np.zeros(self.flat.size)
         self._work = np.empty((2, self.flat.size))
 
-    def step(self, g: np.ndarray) -> None:
-        """One update from the flat gradient ``g``, laid out as ``flat``."""
+    def step(self) -> None:
+        """One update from the gradient buffer ``_g``."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         kernels.adam_update(
-            self.flat, g, self._m, self._v, self.lr, self.beta1, self.beta2, self.eps, bc1, bc2, self._work
+            self.flat, self._g, self._m, self._v, self.lr, self.beta1, self.beta2, self.eps, bc1, bc2, self._work
         )
 
 

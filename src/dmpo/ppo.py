@@ -33,10 +33,12 @@ runs each minibatch on plain arrays instead (``stage2_step``): the nets'
 array forwards, every head untaped (``taped=False``, or an ndarray ``u`` or
 ``h``) giving its value and VJP, one taped node for the weighted total over
 the head values, and the backward through heads and nets, written straight
-into Adam's gradient buffer; it equals the taped loss and one
-``Graph.backward`` bit for bit. Clipping and the Adam update work on that
-buffer. Rollouts are collected as stacked arrays, one ``[:, t]`` row per step
-across environments, with one value-net call over the whole window, and GAE
+into ``Adam.grads`` (each parameter Tensor, log-sigma's too, to its view of
+Adam's gradient buffer: the gradient map stage 1 writes as well); it equals
+the taped loss and one ``Graph.backward`` bit for bit. Clipping and the Adam
+update work on that buffer. Rollouts are collected as stacked arrays, one
+``[:, t]`` row per step across environments, with one value-net call over
+the whole window, and GAE
 runs as one backward pass over the whole batch. The loss heads and the
 per-minibatch statistics call ufuncs and ndarray methods (``np.clip`` as
 ``np.minimum(np.maximum(...))``, a mean as ``x.sum() / x.size``), not
@@ -50,7 +52,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -326,30 +327,13 @@ class MiniBatch:
     bc_target: np.ndarray | None = None  # (M, d_a) bc_target of the frozen net; computed when None
 
 
-class Stage2Grads(NamedTuple):
-    """The views of Adam's gradient buffer ``stage2_step`` writes."""
-
-    policy: dict  # parameter name -> array
-    value: dict  # parameter name -> array
-    log_sigma: np.ndarray | None  # None with fixed sigma
-
-
-def stage2_optimizer(nets: Stage2Nets, lr: float):
-    """``(opt, grads)``: Adam over the stage-2 parameters and its gradient
-    views as ``Stage2Grads``. The parameters are listed in the order the
-    taped loss first uses them (log-sigma, the policy's, the value net's),
-    so the clipping norm sums the gradient in the tape's leaf order and
-    rounds as it would over the tape's gradients."""
+def stage2_optimizer(nets: Stage2Nets, lr: float) -> Adam:
+    """Adam over the stage-2 parameters, listed in the order the taped loss
+    first uses them (log-sigma, the policy's, the value net's), so the
+    clipping norm sums the gradient in the tape's leaf order and rounds as
+    it would over the tape's gradients."""
     first = [] if nets.log_sigma is None else [nets.log_sigma]
-    opt = Adam(first + nets.policy.parameters() + nets.value.parameters(), lr=lr)
-    views = opt.grads[len(first) :]
-    n_policy = len(nets.policy.param_names)
-    grads = Stage2Grads(
-        dict(zip(nets.policy.param_names, views[:n_policy])),
-        dict(zip(nets.value.param_names, views[n_policy:])),
-        opt.grads[0] if first else None,
-    )
-    return opt, grads
+    return Adam(first + nets.policy.parameters() + nets.value.parameters(), lr=lr)
 
 
 def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int, grads=None):
@@ -357,9 +341,9 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
 
     total = L_PG + lam_value * L_V + lam_entropy * L_ent + lam_bc(n) * L_BC
 
-    Given ``grads`` (``stage2_optimizer``'s views) the minibatch runs on
-    plain arrays instead (``stage2_step``): the gradient is written there
-    and the total comes back as a float.
+    Given ``grads`` (the ``Adam.grads`` of ``stage2_optimizer``) the
+    minibatch runs on plain arrays instead (``stage2_step``): the gradient
+    is written there and the total comes back as a float.
     """
     if grads is not None:
         return stage2_step(batch, nets, config, n, grads)
@@ -408,10 +392,11 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     return total, parts
 
 
-def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int, grads: Stage2Grads):
+def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int, grads: dict):
     """One fine-tune minibatch on plain arrays: the gradient of the stage-2
-    total written into ``grads``, and ``(total, parts)`` as ``stage2_loss``
-    gives them, the total a float.
+    total written into ``grads`` (parameter Tensor -> array, as
+    ``Adam.grads``), and ``(total, parts)`` as ``stage2_loss`` gives them,
+    the total a float.
 
     These are the values and gradients of the taped loss and one
     ``Graph.backward``, bit for bit: the same passes (one encoder pass, one
@@ -458,18 +443,16 @@ def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
 
     g_bc = bc_vjp(c_bc)[0]
     g_sigma = ent_vjp(c_ent)[0] if learnable else None
-    nets.value.value_vjp(v_vjp(c_v)[0], value_acts, grads.value)
+    nets.value.value_vjp(v_vjp(c_v)[0], value_acts, grads)
     g_lp = rho_vjp(pg_vjp(c_pg)[0])[0]
-    g_u0, g_h, g_sigma = lp_vjp(g_lp, grads.policy, g_sigma)
-    g_u = np.concatenate((g_u0, g_bc))
+    g_u0, g_h, g_sigma = lp_vjp(g_lp, grads, g_sigma)
     # at K > 1 the chain's own passes have written the trunk's gradients
-    trunk_vjp = policy.velocity_vjp if K == 1 else policy.add_velocity_vjp
-    g_hh = trunk_vjp(g_u, trunk, grads.policy)
+    g_hh = policy.velocity_vjp(np.concatenate((g_u0, g_bc)), trunk, grads, add=K > 1)
     g_h = g_hh[:M] if g_h is None else g_h + g_hh[:M]
-    policy.encode_vjp(g_h + g_hh[M:], enc, grads.policy)
+    policy.encode_vjp(g_h + g_hh[M:], enc, grads)
     if learnable:
         # exp's VJP: g * exp(log_sigma)
-        np.multiply(g_sigma, sig, out=grads.log_sigma)
+        np.multiply(g_sigma, sig, out=grads[nets.log_sigma])
 
     parts = {
         "pg": float(pg),
@@ -615,7 +598,7 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
         log_sigma = Tensor(np.full(pretrained_net.d_a, np.log(config.sigma)), requires_grad=True)
     nets = Stage2Nets(policy=policy, value=value_net, frozen=frozen, log_sigma=log_sigma)
 
-    opt, grads = stage2_optimizer(nets, config.lr)
+    opt = stage2_optimizer(nets, config.lr)
 
     ss = np.random.SeedSequence(config.seed)
     children = ss.spawn(config.n_envs + 1)
@@ -671,16 +654,14 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                     bc_target=targets[rows],
                 )
                 try:
-                    _, parts = stage2_loss(mb, nets, config, n, grads)
+                    _, parts = stage2_loss(mb, nets, config, n, opt.grads)
                 except FloatingPointError as e:
                     raise RuntimeError(
                         f"fine-tuning diverged at iteration {n} minibatch {n_mb}: {e}"
                     ) from e
-                if config.grad_clip > 0:
-                    norm_sum += clip_grad_norm(opt._g, config.grad_clip)
-                else:
-                    norm_sum += math.sqrt(opt._g @ opt._g)
-                opt.step(opt._g)
+                # a grad_clip of 0 turns clipping off; the pre-clip norm is logged either way
+                norm_sum += clip_grad_norm(opt._g, config.grad_clip or math.inf)
+                opt.step()
                 rho = parts.pop("rho")
                 clip_hits += int((np.abs(rho - 1.0) > config.clip_eps).sum())
                 kl_sum += float(((rho - 1.0) - np.log(np.maximum(rho, 1e-300))).sum())

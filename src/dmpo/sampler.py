@@ -23,14 +23,17 @@ There is one chain log-probability: ``chain_logprob_traced`` walks recorded
 chains with the autodiff ops, one tape node per transition, and serves both
 the PPO update and ``chain_logprob``; on a plain-array embedding it runs
 the same walk untaped and returns the total with its VJP, for the PPO
-update's array step. Sampled terms and that node share one
-log-density formula and one summation order, so at unchanged parameters the
-recomputed log-prob equals the sampled one up to how the matrix products
-round each row. With OpenBLAS, a row that falls in a full block of 4 rows
-rounds the same whatever the row count M; the last ``M mod 4`` rows, and
-M = 1 (a matrix-vector product), round differently. So the two agree exactly
-when both batches are multiples of 4 rows (``n_envs`` and the minibatch size
-in stage 2), and to rounding error otherwise.
+update's array step; the VJP writes its trunk passes' gradients into the
+gradient map ``Adam.grads`` (parameter Tensor -> view of Adam's gradient
+buffer), each earlier pass's added to the later ones', as the tape sums
+them. Sampled terms and that node share one log-density formula and one
+summation order, so at unchanged parameters the recomputed log-prob equals
+the sampled one up to how the matrix products round each row. With
+OpenBLAS, a row that falls in a full block of 4 rows rounds the same
+whatever the row count M; the last ``M mod 4`` rows, and M = 1 (a
+matrix-vector product), round differently. So the two agree exactly when
+both batches are multiples of 4 rows (``n_envs`` and the minibatch size in
+stage 2), and to rounding error otherwise.
 
 Exactly K velocity-network evaluations happen per generated action. K must
 be an integer >= 1 (``check_K``): a bool or a float K is a ``ValueError``.
@@ -292,9 +295,10 @@ def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K
     An ndarray ``h`` (a training step on plain arrays; ``u0`` an array too)
     gives the same values and records nothing: it returns ``(total, vjp)``,
     and ``vjp(g, grads, g_sigma=None)`` maps the cotangent ``g`` of the total
-    to ``(g_u0, g_h, g_sigma)``. It writes into ``grads`` (parameter name ->
-    array) the trunk gradients of the passes run here, for the steps after
-    the first, summed as ``Graph.backward`` sums them, the last step first;
+    to ``(g_u0, g_h, g_sigma)``. It writes into ``grads`` (parameter Tensor
+    -> array, as ``Adam.grads``) the trunk gradients of the passes run here,
+    for the steps after the first, summed as ``Graph.backward`` sums them,
+    the last step first;
     ``g_h`` is their cotangent of h (None at K = 1), and ``g_sigma`` is the
     given cotangent of sigma plus each step's, in that order, when
     ``sigma_t`` requires grad."""
@@ -340,10 +344,9 @@ def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K
                 g_sigma = g_s if g_sigma is None else g_sigma + g_s
             if acts is None:
                 g_u0 = g_u
-            elif g_h is None:
-                g_h = policy.velocity_vjp(g_u, acts, grads)
             else:
-                g_h = g_h + policy.add_velocity_vjp(g_u, acts, grads)
+                g_hk = policy.velocity_vjp(g_u, acts, grads, add=g_h is not None)
+                g_h = g_hk if g_h is None else g_h + g_hk
         return g_u0, g_h, g_sigma
 
     return total, vjp

@@ -37,7 +37,9 @@ def fd_directional(f, xs, ts, eps=1e-5):
 
 
 def into_adam(opt, grads):
-    """A tape's gradients (``Graph.backward``'s dict) concatenated into
-    ``opt``'s gradient buffer in its parameter order, where a training step
-    writes them through ``opt.grads``; returns that buffer."""
-    return np.concatenate([grads[p].ravel() for p in opt.params], out=opt._g)
+    """A tape's gradients (``Graph.backward``'s dict) copied by key into
+    ``opt.grads``, the views of its gradient buffer a training step writes;
+    returns that buffer."""
+    for p, view in opt.grads.items():
+        view[...] = grads[p]
+    return opt._g

@@ -34,7 +34,7 @@ HOT = {
     envs: ["PointReach.step", "_point_reach_expert_action"],
     meanflow: ["sample_time_pairs", "target_velocity", "mf_loss", "stage1_step", "pretrain"],
     nets: ["_checked", "_layer_vjp", "VelocityNet.encode", "VelocityNet.encode_vjp", "VelocityNet.velocity",
-           "VelocityNet.velocity_vjp", "VelocityNet.add_velocity_vjp", "ValueNet.value", "ValueNet.value_vjp",
+           "VelocityNet.velocity_vjp", "ValueNet.value", "ValueNet.value_vjp",
            "Adam.step", "clip_grad_norm"],
     kernels: ["adam_update", "affine", "affine_tanh"],
     ppo: ["ppo_ratio", "clipped_pg_loss", "value_loss", "bc_target", "bc_loss", "_learned_sigma_entropy",

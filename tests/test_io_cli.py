@@ -16,6 +16,7 @@ from dmpo.io import (
     write_metrics_csv,
 )
 from dmpo.meanflow import Stage1Config
+from dmpo.ppo import Stage2Config
 from dmpo.nets import init_value_net, init_velocity_net, param_checksum
 
 
@@ -366,6 +367,43 @@ def test_parse_config_rejects_unknown_keys():
     assert cfg.epochs == 3 and cfg.alpha_disp == 0.1  # defaults filled
 
 
+_BAD_TYPES = [
+    ({"epochs": True}, Stage1Config, "'epochs' must be a JSON integer, got bool True"),
+    ({"epochs": 2.5}, Stage1Config, "'epochs' must be a JSON integer, got float 2.5"),
+    ({"lr": False}, Stage1Config, "'lr' must be a JSON number, got bool False"),
+    ({"disp_kind": 1}, Stage1Config, "'disp_kind' must be a JSON string, got int 1"),
+    ({"n_envs": 8.0}, Stage2Config, "'n_envs' must be a JSON integer, got float 8.0"),
+    ({"sigma_learnable": 1}, Stage2Config, "'sigma_learnable' must be a JSON boolean, got int 1"),
+]
+
+
+@pytest.mark.parametrize("d, cls, msg", _BAD_TYPES)
+def test_parse_config_rejects_a_value_of_the_wrong_type(d, cls, msg):
+    with pytest.raises(ValueError) as err:
+        parse_config(d, cls)
+    assert str(err.value) == "config key " + msg
+
+
+def test_parse_config_takes_an_integer_for_a_float_field():
+    cfg = parse_config({"lr": 1, "sigma": 0.5, "sigma_learnable": True, "K": 2}, Stage2Config)
+    assert (cfg.lr, cfg.sigma, cfg.sigma_learnable, cfg.K) == (1, 0.5, True, 2)
+
+
+@pytest.mark.parametrize("d, cls, msg", [_BAD_TYPES[0], _BAD_TYPES[1], _BAD_TYPES[4]])
+def test_cli_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, d, cls, msg):
+    data, cfg, out = tmp_path / "d.jsonl", tmp_path / "cfg.json", tmp_path / "out.json"
+    if cls is Stage1Config:
+        save_dataset(data, gen_demos("point-reach", 2, 0))
+        cfg.write_text(json.dumps(d))
+        args = ["pretrain", "--config", str(cfg), "--data", str(data), "--out", str(out)]
+    else:
+        cfg.write_text(json.dumps({"env_kind": "point-reach", **d}))
+        args = ["finetune", "--config", str(cfg), "--checkpoint", str(tmp_path / "none.json"), "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"error: ValueError: config key {msg}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 
@@ -461,6 +499,19 @@ def test_cli_eval_rejects_no_episodes(pipeline, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ValueError: n_episodes must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("name", ["value", "policy"])  # a value net saved as "policy" is no policy either
+@pytest.mark.parametrize("command", ["finetune", "eval", "bench"])
+def test_cli_names_a_checkpoint_without_a_policy_net(tmp_path, capsys, command, name):
+    ck = tmp_path / "value.json"
+    save_checkpoint(ck, {name: init_value_net(0, 4)})
+    cfg = tmp_path / "s2.json"
+    cfg.write_text(json.dumps({"env_kind": "point-reach", "iterations": 1}))
+    args = {"finetune": ["--config", str(cfg), "--out", str(tmp_path / "ft.json")],
+            "eval": ["--env", "point-reach"], "bench": ["-K", "1", "--samples", "1"]}[command]
+    assert main([command, "--checkpoint", str(ck), *args]) == 1
+    assert capsys.readouterr() == ("", "error: ValueError: checkpoint does not contain a policy net\n")
 
 
 def test_cli_runtime_failure_exit_code(capsys):

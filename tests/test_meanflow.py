@@ -352,8 +352,8 @@ def test_pretrain_nan_parameter_names_epoch_step_and_op(monkeypatch):
     import dmpo.meanflow as mfmod
 
     class PoisonAfterFirstStep(mfmod.Adam):
-        def step(self, g):
-            super().step(g)
+        def step(self):
+            super().step()
             self.params[4].data[0, 0] = np.nan  # trunk0_w: the first layer of the dual pass
 
     monkeypatch.setattr(mfmod, "Adam", PoisonAfterFirstStep)
@@ -373,8 +373,8 @@ def test_pretrain_non_finite_parameter_names_epoch_step_and_op(monkeypatch, name
     class PoisonAfterFirstStep(mfmod.Adam):
         # two steps per epoch, so the poisoned net meets the second step
         # before the end-of-epoch rank probe
-        def step(self, g):
-            super().step(g)
+        def step(self):
+            super().step()
             if self.t == 1:
                 self.params[index].data.flat[0] = bad
 
@@ -391,8 +391,8 @@ def test_pretrain_rank_probe_names_epoch_step_and_op(monkeypatch):
     import dmpo.meanflow as mfmod
 
     class PoisonAfterFirstStep(mfmod.Adam):
-        def step(self, g):
-            super().step(g)
+        def step(self):
+            super().step()
             self.params[0].data[0, 0] = np.nan  # enc0_w
 
     monkeypatch.setattr(mfmod, "Adam", PoisonAfterFirstStep)
@@ -443,7 +443,7 @@ def test_stage1_step_equals_the_taped_step_bit_for_bit(kind, B, alpha):
     batch = Stage1Batch(obs, act, rng.standard_normal((B, 2)), r, tau)
     opt = Adam(net.parameters())
     opt._g.fill(np.nan)  # every entry must be written
-    losses = stage1_step(net, dict(zip(net.param_names, opt.grads)), batch, cfg)
+    losses = stage1_step(net, opt.grads, batch, cfg)
     want_losses, want_grad = _taped_step(net, batch, cfg)
     assert all(type(x) is float for x in losses)
     assert losses == want_losses

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -980,8 +981,8 @@ def test_c12a_config_minibatch_tapes_only_the_weighted_total(monkeypatch):
 
 def test_finetune_nan_parameter_names_iteration_minibatch_and_op(monkeypatch):
     class PoisonAfterFirstStep(ppo_mod.Adam):
-        def step(self, g):
-            super().step(g)
+        def step(self):
+            super().step()
             self.params[4].data[0, 0] = np.nan  # policy trunk0_w: the chain pass's first trunk layer
 
     monkeypatch.setattr(ppo_mod, "Adam", PoisonAfterFirstStep)
@@ -1002,10 +1003,9 @@ def test_finetune_adam_lists_parameters_in_tape_leaf_order(monkeypatch, sigma_le
             super().__init__(params, **kwargs)
             made.append(self)
 
-        def step(self, g):
-            assert g is self._g
+        def step(self):
             steps.append(self.t)
-            super().step(g)
+            super().step()
 
     monkeypatch.setattr(ppo_mod, "Adam", Recorded)
     seen = []
@@ -1045,6 +1045,26 @@ def _perturbed_stage2(K, sigma_learnable, M, lam_bc, seed):
     return mb, nets, cfg
 
 
+@pytest.mark.parametrize("sigma_learnable", [False, True])
+def test_stage2_adam_grads_map_the_tape_leaves_to_views_of_the_gradient_buffer(sigma_learnable):
+    # one gradient map for every step: Adam.grads has the keys Graph.backward
+    # returns for the taped loss, in Adam.params order, each value that
+    # parameter's slice of the flat buffer in the parameter's shape
+    mb, nets, cfg = _perturbed_stage2(2, sigma_learnable, 16, 0.1, seed=5)
+    with Graph() as g:
+        total, _ = stage2_loss(mb, nets, cfg, n=0)
+    taped = g.backward(total)
+    opt = ppo_mod.stage2_optimizer(nets, cfg.lr)
+    assert list(opt.grads) == opt.params == list(taped)
+    opt._g[...] = np.arange(opt._g.size)
+    lo = 0
+    for p, view in opt.grads.items():
+        assert view.shape == p.data.shape == taped[p].shape
+        assert np.shares_memory(view, opt._g) and np.array_equal(view.ravel(), np.arange(lo, lo + view.size))
+        lo += view.size
+    assert lo == opt._g.size == opt.flat.size
+
+
 @pytest.mark.parametrize("lam_bc", [0.0, 0.1])
 @pytest.mark.parametrize("M", [64, 57])
 @pytest.mark.parametrize("sigma_learnable", [False, True])
@@ -1054,11 +1074,11 @@ def test_stage2_step_equals_the_taped_step_bit_for_bit(K, sigma_learnable, M, la
     with Graph() as g:
         total, parts = stage2_loss(mb, nets, cfg, n=0)
     taped = g.backward(total)
-    opt, grads = ppo_mod.stage2_optimizer(nets, cfg.lr)
+    opt = ppo_mod.stage2_optimizer(nets, cfg.lr)
     assert list(taped) == opt.params
     want = np.concatenate([taped[p].ravel() for p in opt.params])
     opt._g.fill(np.nan)
-    got_total, got = stage2_loss(mb, nets, cfg, 0, grads)
+    got_total, got = stage2_loss(mb, nets, cfg, 0, opt.grads)
     assert type(got_total) is float and got_total == total.item() == got["total"]
     for k in ("pg", "v", "ent", "bc", "lambda_bc"):
         assert type(got[k]) is float and got[k] == parts[k], k
@@ -1085,8 +1105,8 @@ def test_finetune_non_finite_parameter_names_iteration_minibatch_and_op(monkeypa
         index = int(learnable) + (0 if net == "policy" else len(VelocityNet.param_names)) + names.index(param)
 
     class PoisonAfterFirstStep(ppo_mod.Adam):
-        def step(self, g):
-            super().step(g)
+        def step(self):
+            super().step()
             if self.t == 1:
                 self.params[index].data.flat[0] = np.nan
 
@@ -1098,23 +1118,17 @@ def test_finetune_non_finite_parameter_names_iteration_minibatch_and_op(monkeypa
 
 @pytest.mark.parametrize("grad_clip", [1.0, 0.0])
 def test_finetune_grad_norm_column_is_the_mean_pre_clip_norm(monkeypatch, tmp_path, grad_clip):
-    # with clipping on, the norm clip_grad_norm returns before it scales;
-    # with it off, the same sqrt(g @ g) of the gradient Adam steps with
+    # the norm clip_grad_norm returns before it scales; with clipping off
+    # (a cap of inf) it is the norm of the gradient Adam steps with
     norms = []
     clip = ppo_mod.clip_grad_norm
 
     def clip_spy(g, max_norm):
+        assert max_norm == (grad_clip or math.inf)
         norms.append(clip(g, max_norm))
         return norms[-1]
 
-    class Spied(ppo_mod.Adam):
-        def step(self, g):
-            if not grad_clip:
-                norms.append(float(np.sqrt(g @ g)))
-            super().step(g)
-
     monkeypatch.setattr(ppo_mod, "clip_grad_norm", clip_spy)
-    monkeypatch.setattr(ppo_mod, "Adam", Spied)
     cfg = Stage2Config(iterations=2, seed=1, rollout_steps=64, n_envs=4, minibatch_size=16, grad_clip=grad_clip)
     path = tmp_path / "stage2.csv"
     _, _, metrics = finetune(_pretrained(), lambda: make_env("point-reach"), cfg, metrics_path=path)
