@@ -24,8 +24,7 @@ keep=True)`` give the values of the taped forward with ``dense``'s finite
 check on each pre-activation, plus the activations that ``encode_vjp``,
 ``velocity_vjp`` and ``value_vjp`` read. Those backward passes sit beside
 their forwards, one written-out ``dense`` VJP per layer, and write each
-parameter's gradient into ``grads[param]`` (added there instead, for a
-trunk pass whose gradients sum with a later pass's). ``grads`` is the one
+parameter's gradient into ``grads[param]``. ``grads`` is the one
 gradient map of both training steps: ``Adam.grads``, each parameter Tensor
 to its view of Adam's flat gradient buffer, keyed as ``Graph.backward``
 keys its result. ``clip_grad_norm`` rescales that buffer in place and
@@ -57,17 +56,12 @@ def _checked(x, W, b, tanh=True):
     return y, s
 
 
-def _layer_vjp(x, gp, W, b, grads, add=False, x_cot=True):
+def _layer_vjp(x, gp, W, b, grads, x_cot=True):
     # ``dense``'s VJP for the pre-activation cotangent gp: the gradients of
     # the parameter Tensors W and b written into ``grads[W]`` and
-    # ``grads[b]`` (added to them with ``add``), and x's cotangent unless
-    # ``x_cot`` is False
-    if add:
-        grads[W] += x.T @ gp
-        grads[b] += gp.sum(axis=0)
-    else:
-        np.matmul(x.T, gp, out=grads[W])
-        gp.sum(axis=0, out=grads[b])
+    # ``grads[b]``, and x's cotangent unless ``x_cot`` is False
+    np.matmul(x.T, gp, out=grads[W])
+    gp.sum(axis=0, out=grads[b])
     return gp @ W.data.T if x_cot else None
 
 
@@ -235,19 +229,17 @@ class VelocityNet(_MLPBase):
         x = dense(x, p["trunk1_w"], p["trunk1_b"])
         return dense(x, p["out_w"], p["out_b"], False)
 
-    def velocity_vjp(self, g, acts, grads, add=False):
+    def velocity_vjp(self, g, acts, grads):
         """Backward of the pass ``velocity((z, v), ...)`` for the cotangent
         ``g`` of u: ``dense``'s VJP ops per layer, each parameter's gradient
-        written into ``grads[param]``; returns the cotangent of h. With
-        ``add`` each gradient is added to what ``grads`` holds (a later
-        pass's), as ``Graph.backward`` adds an earlier node's cotangent."""
+        written into ``grads[param]``; returns the cotangent of h."""
         x, a1, s1, a2, s2 = acts
         p = self.params
-        g = _layer_vjp(a2, g, p["out_w"], p["out_b"], grads, add)
+        g = _layer_vjp(a2, g, p["out_w"], p["out_b"], grads)
         g *= s2
-        g = _layer_vjp(a1, g, p["trunk1_w"], p["trunk1_b"], grads, add)
+        g = _layer_vjp(a1, g, p["trunk1_w"], p["trunk1_b"], grads)
         g *= s1
-        g = _layer_vjp(x, g, p["trunk0_w"], p["trunk0_b"], grads, add)
+        g = _layer_vjp(x, g, p["trunk0_w"], p["trunk0_b"], grads)
         return g[:, self.d_a : self.d_a + self.d_h]
 
     # The names the samplers call on arrays (pipeline_bench times and counts

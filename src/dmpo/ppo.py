@@ -11,27 +11,29 @@ constant reported for the breakdown; an optional learnable per-dimension
 log-sigma head makes it (and the ratio) sigma-differentiable.
 
 Per minibatch the policy encoder runs once and its embedding feeds both the
-chain log-prob and the BC term. The policy trunk runs once too, over the
-chain's first step (for K=1 its only one) and the BC rows stacked, and each
-head gets its own rows; the trunk-weight gradients then sum over both row
-sets in one matmul, which rounds differently from two passes. The frozen BC
-reference runs on the plain-array forward: ``finetune`` embeds the rollout
-rows once per iteration and computes each epoch's targets in one pass. With
-``n_envs`` and the minibatch size multiples of 4, the stacked chain rows and
-the per-epoch targets equal per-minibatch passes bit for bit (rows in full
+chain log-prob and the BC term. The policy trunk runs once too, over stacked
+rows (``_trunk_rows``): the chain's K steps, one block per step, then the BC
+rows; the chain head reads the K step blocks and the BC head the last one.
+The trunk-weight gradients then sum over all (K+1) M rows in one matmul,
+which rounds differently from separate passes. The frozen BC reference runs
+on the plain-array forward: ``finetune`` embeds the rollout rows once per
+iteration and computes each epoch's targets in one pass. With ``n_envs`` and
+the minibatch size multiples of 4, the stacked chain rows and the per-epoch
+targets equal per-step and per-minibatch passes bit for bit (rows in full
 blocks of 4 round alike; sampler module docstring), so the ratio is exactly
 1 at theta_old.
 
-Each loss head (each transition's Gaussian log-density, the ratio, the
+Each loss head (the chain's summed Gaussian log-density, the ratio, the
 clipped surrogate, the value loss, the BC distance, the learnable-sigma
-entropy) has one definition, a value and a hand-written VJP that repeat the
-arithmetic of the op chain it replaces, in the same order, so both equal
-that chain's bit for bit. ``stage2_loss`` is the taped form: around the MLP
+entropy) has one definition, a value and a hand-written VJP. Past the chain
+head, whose value repeats the sampler's sum, each repeats the arithmetic
+of the op chain it replaces, in the same order, so both equal that chain's
+bit for bit. ``stage2_loss`` is the taped form: around the MLP
 layers every head is one tape node (``autodiff.custom_op``), and so is the
 weighted total, so a K=1 fixed-sigma minibatch tapes 18 nodes. ``finetune``
 runs each minibatch on plain arrays instead (``stage2_step``): the nets'
-array forwards, every head untaped (``taped=False``, or an ndarray ``u`` or
-``h``) giving its value and VJP, one taped node for the weighted total over
+array forwards, every head untaped (``taped=False``, or an ndarray ``u``)
+giving its value and VJP, one taped node for the weighted total over
 the head values, and the backward through heads and nets, written straight
 into ``Adam.grads`` (each parameter Tensor, log-sigma's too, to its view of
 Adam's gradient buffer: the gradient map stage 1 writes as well); it equals
@@ -327,6 +329,20 @@ class MiniBatch:
     bc_target: np.ndarray | None = None  # (M, d_a) bc_target of the frozen net; computed when None
 
 
+def _trunk_rows(batch: MiniBatch):
+    """The policy trunk's stacked input ``(z, r, tau)`` for one minibatch:
+    the chain's K steps, one M-row block per step (block k holds a^k at
+    r = (K-k-1)/K, tau = (K-k)/K), then the BC rows z1 at (0, 1)."""
+    M, K = batch.states.shape[0], batch.states.shape[1] - 1
+    z = np.concatenate([*batch.states[:, :K].swapaxes(0, 1), batch.bc_noise])
+    r = np.zeros(((K + 1) * M, 1))
+    tau = np.ones(((K + 1) * M, 1))
+    for k in range(K):
+        r[k * M : (k + 1) * M] = (K - k - 1) / K
+        tau[k * M : (k + 1) * M] = (K - k) / K
+    return z, r, tau
+
+
 def stage2_optimizer(nets: Stage2Nets, lr: float) -> Adam:
     """Adam over the stage-2 parameters, listed in the order the taped loss
     first uses them (log-sigma, the policy's, the value net's), so the
@@ -351,18 +367,15 @@ def stage2_loss(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     d_a = nets.policy.d_a
     sigma_t = _sigma_tensor(nets, config)
 
-    # One traced encoder pass serves the chain log-prob and the BC term, and
-    # one trunk pass over stacked rows serves the chain's first step
-    # (a^0, r=(K-1)/K, tau=1) and the BC rows (z1, r=0, tau=1). A row in a
-    # full block of 4 rounds as in an M-row pass (sampler module docstring),
-    # so at M % 4 == 0 the chain rows equal a separate pass's bit for bit.
+    # One traced encoder pass and one trunk pass over stacked rows serve the
+    # chain's K steps and the BC rows (``_trunk_rows``). A row in a full
+    # block of 4 rounds as in an M-row pass (sampler module docstring), so
+    # at M % 4 == 0 the chain rows equal per-step passes bit for bit.
     h = nets.policy.encode(Tensor(batch.obs))
-    r = np.zeros((2 * M, 1))
-    r[:M] = (K - 1) / K
-    z = np.concatenate([batch.states[:, 0], batch.bc_noise])
-    u = nets.policy.velocity(Tensor(z), Tensor(r), Tensor(np.ones((2 * M, 1))), h=concat([h, h], axis=0))
-    u0, u_bc = split_rows(u, M)
-    new_lp = chain_logprob_traced(nets.policy, batch.states, batch.obs, sigma_t, K, h=h, u0=u0)
+    z, r, tau = _trunk_rows(batch)
+    u = nets.policy.velocity(Tensor(z), Tensor(r), Tensor(tau), h=concat([h] * (K + 1), axis=0))
+    u_chain, u_bc = split_rows(u, K * M)
+    new_lp = chain_logprob_traced(nets.policy, batch.states, batch.obs, sigma_t, K, u=u_chain)
     rho = ppo_ratio(new_lp, batch.old_logprobs)
     pg = clipped_pg_loss(rho, batch.advantages, config.clip_eps)
 
@@ -399,15 +412,13 @@ def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     the total a float.
 
     These are the values and gradients of the taped loss and one
-    ``Graph.backward``, bit for bit: the same passes (one encoder pass, one
-    trunk pass over the stacked first-step and BC rows, K-1 more chain
-    passes) and heads, each head untaped, giving its value and its VJP. Only
-    the weighted total is taped, over the head values as leaf scalars; its
-    cotangents ``g * w_i`` seed the heads' VJPs. Where two cotangents meet,
-    they are summed in the tape's reverse node order: sigma's entropy part
-    before its transitions', the trunk weights and h over the chain's later
-    steps (last first) before the stacked pass, and h's two stacked halves
-    in order.
+    ``Graph.backward``, bit for bit: the same passes (one encoder pass and
+    one trunk pass over ``_trunk_rows``) and heads, each head untaped,
+    giving its value and its VJP. Only the weighted total is taped, over the
+    head values as leaf scalars; its cotangents ``g * w_i`` seed the heads'
+    VJPs. Where two cotangents meet, they are summed in the tape's reverse
+    node order: sigma's entropy part before the chain head's, and h's K+1
+    stacked blocks in order, as the taped ``concat``'s VJP sums them.
     """
     policy = nets.policy
     M, K = batch.states.shape[0], batch.states.shape[1] - 1
@@ -420,11 +431,9 @@ def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     sigma_t = Tensor(sig, requires_grad=learnable)
 
     h, enc = policy.encode(batch.obs, keep=True)
-    r = np.zeros((2 * M, 1))
-    r[:M] = (K - 1) / K
-    z = np.concatenate([batch.states[:, 0], batch.bc_noise])
-    u, trunk = policy.velocity((z, None), r, np.ones((2 * M, 1)), h=np.concatenate((h, h)))
-    new_lp, lp_vjp = chain_logprob_traced(policy, batch.states, batch.obs, sigma_t, K, h=h, u0=u[:M])
+    z, r, tau = _trunk_rows(batch)
+    u, trunk = policy.velocity((z, None), r, tau, h=np.concatenate([h] * (K + 1)))
+    new_lp, lp_vjp = chain_logprob_traced(policy, batch.states, batch.obs, sigma_t, K, u=u[: K * M])
     rho, rho_vjp = ppo_ratio(new_lp, batch.old_logprobs, taped=False)
     pg, pg_vjp = clipped_pg_loss(rho, batch.advantages, config.clip_eps, taped=False)
     v_pred, value_acts = nets.value.value(batch.obs, keep=True)
@@ -433,7 +442,7 @@ def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
         ent, ent_vjp = _learned_sigma_entropy(sigma_t, K, taped=False)
     else:
         ent = _fixed_sigma_entropy(K, policy.d_a, config.sigma)
-    bc, bc_vjp = bc_loss(nets.frozen, policy, batch.obs, batch.bc_noise, u=u[M:], target=batch.bc_target)
+    bc, bc_vjp = bc_loss(nets.frozen, policy, batch.obs, batch.bc_noise, u=u[K * M :], target=batch.bc_target)
     lam_bc = bc_schedule(n, config)
 
     with Graph() as g:
@@ -442,17 +451,16 @@ def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     c_pg, c_v, c_ent, c_bc = g.backward(total).values()
 
     g_bc = bc_vjp(c_bc)[0]
-    g_sigma = ent_vjp(c_ent)[0] if learnable else None
     nets.value.value_vjp(v_vjp(c_v)[0], value_acts, grads)
-    g_lp = rho_vjp(pg_vjp(c_pg)[0])[0]
-    g_u0, g_h, g_sigma = lp_vjp(g_lp, grads, g_sigma)
-    # at K > 1 the chain's own passes have written the trunk's gradients
-    g_hh = policy.velocity_vjp(np.concatenate((g_u0, g_bc)), trunk, grads, add=K > 1)
-    g_h = g_hh[:M] if g_h is None else g_h + g_hh[:M]
-    policy.encode_vjp(g_h + g_hh[M:], enc, grads)
+    g_u, g_sigma = lp_vjp(rho_vjp(pg_vjp(c_pg)[0])[0])
+    g_hh = policy.velocity_vjp(np.concatenate((g_u, g_bc)), trunk, grads)
+    g_h = g_hh[:M]
+    for k in range(1, K + 1):
+        g_h = g_h + g_hh[k * M : (k + 1) * M]
+    policy.encode_vjp(g_h, enc, grads)
     if learnable:
-        # exp's VJP: g * exp(log_sigma)
-        np.multiply(g_sigma, sig, out=grads[nets.log_sigma])
+        # exp's VJP of the summed cotangent: g * exp(log_sigma)
+        np.multiply(ent_vjp(c_ent)[0] + g_sigma, sig, out=grads[nets.log_sigma])
 
     parts = {
         "pg": float(pg),

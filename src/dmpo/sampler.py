@@ -19,14 +19,14 @@ a ``DenoiseChain``, which alone also stores the prior term ln p0(a^0). That
 term is kept out of the transition sum: it has no parameter dependence and
 cancels in probability ratios.
 
-There is one chain log-probability: ``chain_logprob_traced`` walks recorded
-chains with the autodiff ops, one tape node per transition, and serves both
-the PPO update and ``chain_logprob``; on a plain-array embedding it runs
-the same walk untaped and returns the total with its VJP, for the PPO
-update's array step; the VJP writes its trunk passes' gradients into the
-gradient map ``Adam.grads`` (parameter Tensor -> view of Adam's gradient
-buffer), each earlier pass's added to the later ones', as the tape sums
-them. Sampled terms and that node share one log-density formula and one
+There is one chain log-probability: ``chain_logprob_traced`` scores
+recorded chains with one head, ``_chain_logpdf``, one tape node over the K
+steps' velocities stacked as M-row blocks. The PPO update hands in those
+velocities from its one stacked trunk pass; ``chain_logprob`` and any other
+caller without them get one M-row pass per step. On plain-array velocities
+(the PPO update's array step) the head records nothing and returns the
+total with its VJP, the cotangents of the velocities and of sigma.
+Sampled terms and that node share one log-density formula and one
 summation order, so at unchanged parameters the recomputed log-prob equals
 the sampled one up to how the matrix products round each row. With
 OpenBLAS, a row that falls in a full block of 4 rows rounds the same
@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, _check_finite, loss_head
+from .autodiff import Tensor, concat, loss_head
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -262,94 +262,64 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
     return ChainBatch(states, means, terms, total)
 
 
-def _transition_logpdf(u, a_k: np.ndarray, a_next: np.ndarray, sigma_t, dt: float):
-    """ln N(a_next | a_k - dt * u, diag(sigma^2)) per row, as one tape node
-    over ``u`` (M, d_a) and ``sigma_t`` (d_a,). On an ndarray ``u`` it
-    records nothing and returns the log-densities and that node's VJP
+def _chain_logpdf(u, states: np.ndarray, sigma_t, K: int, taped: bool):
+    """The chain's transition log-density sum per row, as one tape node over
+    ``u`` (K M, d_a) and ``sigma_t`` (d_a,): ``u``'s block k (rows k M to
+    (k+1) M) is the velocity at step k, and step k's term is ln N(a^{k+1} |
+    a^k - dt * u_k, diag(sigma^2)). The K terms are summed left to right, as
+    ``sample_chain_batch`` sums them. Not ``taped`` (``u`` an ndarray) it
+    records nothing and returns the sums and the node's VJP
     (``autodiff.loss_head``); the VJP gives sigma's cotangent only when
     ``sigma_t`` (a Tensor either way) requires grad."""
-    taped = type(u) is not np.ndarray
+    M, d_a = states.shape[0], states.shape[2]
+    dt = 1.0 / K
     sig = sigma_t.data
-    diff = (a_next - (a_k - dt * (u.data if taped else u))) / sig
+    steps = states.swapaxes(0, 1)  # a^k of every row, step-major
+    a_k = steps[:K].reshape(K * M, d_a)
+    diff = (steps[1 : K + 1].reshape(K * M, d_a) - (a_k - dt * (u.data if taped else u))) / sig
+    terms = _logpdf_rows(diff, _log_norm(sig)).reshape(K, M)
+    total = terms[0].copy()
+    for k in range(1, K):
+        total += terms[k]
 
     def vjp(g):
-        g_col = g[:, None]
+        # the sum hands every step g
+        g_col = np.concatenate([g] * K)[:, None]
         g_u = -g_col * diff * (dt / sig)
         g_sig = (g_col * (diff * diff - 1.0)).sum(axis=0) / sig if sigma_t.requires_grad else None
         return g_u, g_sig
 
-    return loss_head(_logpdf_rows(diff, _log_norm(sig)), (u, sigma_t), vjp, "gauss_logpdf", taped)
+    return loss_head(total, (u, sigma_t), vjp, "gauss_logpdf", taped)
 
 
-def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K: int, h=None, u0=None):
+def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K: int, h=None, u=None):
     """Sum of the K transition log-densities, differentiable in theta (and
     sigma when traced). ``states`` is (M, K+1, d_a); recorded states are
-    constants, only the means depend on parameters. ``h`` is the policy's
-    embedding of ``obs``, and ``u0`` its velocity at the first step
-    (a^0, r = (K-1)/K, tau = 1), when the caller has already traced them.
+    constants, only the means depend on parameters. ``u`` is the policy's
+    velocity at every step, the K steps' M-row blocks stacked (block k at
+    a^k, r = (K-k-1)/K, tau = (K-k)/K), when the caller has already traced
+    it; otherwise each step runs its own M-row pass on ``h``, the policy's
+    embedding of ``obs`` (encoded here when None).
 
     Outside a ``Graph`` this records nothing. It repeats the arithmetic of
     ``sample_chain_batch``, so on the rows that call sampled, at the same
     parameters, it returns their totals exactly.
 
-    An ndarray ``h`` (a training step on plain arrays; ``u0`` an array too)
-    gives the same values and records nothing: it returns ``(total, vjp)``,
-    and ``vjp(g, grads, g_sigma=None)`` maps the cotangent ``g`` of the total
-    to ``(g_u0, g_h, g_sigma)``. It writes into ``grads`` (parameter Tensor
-    -> array, as ``Adam.grads``) the trunk gradients of the passes run here,
-    for the steps after the first, summed as ``Graph.backward`` sums them,
-    the last step first;
-    ``g_h`` is their cotangent of h (None at K = 1), and ``g_sigma`` is the
-    given cotangent of sigma plus each step's, in that order, when
-    ``sigma_t`` requires grad."""
+    An ndarray ``u`` (a training step on plain arrays) gives the same values
+    and records nothing: it returns ``(total, vjp)``, and ``vjp(g)`` maps
+    the cotangent ``g`` of the total to ``(g_u, g_sigma)``, ``g_sigma``
+    None unless ``sigma_t`` requires grad."""
     check_K(K)
-    M = states.shape[0]
-    if h is None:
-        h = policy.encode(Tensor(obs))
-    taped = type(h) is not np.ndarray
-    dt = 1.0 / K
-    total = None
-    steps = []  # (the step's VJP, its trunk pass's activations) off the tape
-    for k in range(K):
-        a_k = np.ascontiguousarray(states[:, k, :])
-        acts = None
-        if k == 0 and u0 is not None:
-            u = u0
-        else:
-            r_col = np.full((M, 1), (K - k - 1) / K)
-            tau_col = np.full((M, 1), (K - k) / K)
-            if taped:
-                u = policy.velocity(Tensor(a_k), Tensor(r_col), Tensor(tau_col), h=h)
-            else:
-                u, acts = policy.velocity((a_k, None), r_col, tau_col, h=h)
-        term = _transition_logpdf(u, a_k, states[:, k + 1, :], sigma_t, dt)
-        if not taped:
-            term, step_vjp = term
-            steps.append((step_vjp, acts))
-        if total is None:
-            total = term
-        else:
-            total = total + term
-            if not taped:
-                _check_finite(total, "add")
-    if taped:
-        return total
-
-    def vjp(g, grads, g_sigma=None):
-        # the sum's VJP hands every step g; steps in reverse tape order
-        g_u0 = g_h = None
-        for step_vjp, acts in reversed(steps):
-            g_u, g_s = step_vjp(g)
-            if g_s is not None:
-                g_sigma = g_s if g_sigma is None else g_sigma + g_s
-            if acts is None:
-                g_u0 = g_u
-            else:
-                g_hk = policy.velocity_vjp(g_u, acts, grads, add=g_h is not None)
-                g_h = g_hk if g_h is None else g_h + g_hk
-        return g_u0, g_h, g_sigma
-
-    return total, vjp
+    if u is None:
+        if h is None:
+            h = policy.encode(Tensor(obs))
+        M = states.shape[0]
+        u = concat([
+            policy.velocity(Tensor(states[:, k]), Tensor(np.full((M, 1), (K - k - 1) / K)),
+                            Tensor(np.full((M, 1), (K - k) / K)), h=h)
+            for k in range(K)
+        ], axis=0)
+    return _chain_logpdf(u, states, sigma_t, K, type(u) is not np.ndarray)
 
 
 def chain_logprob(net, chain: DenoiseChain, obs: np.ndarray, sigma) -> float:

@@ -38,9 +38,9 @@ HOT = {
            "Adam.step", "clip_grad_norm"],
     kernels: ["adam_update", "affine", "affine_tanh"],
     ppo: ["ppo_ratio", "clipped_pg_loss", "value_loss", "bc_target", "bc_loss", "_learned_sigma_entropy",
-          "stage2_loss", "stage2_step", "collect_rollouts", "finetune"],
+          "_trunk_rows", "stage2_loss", "stage2_step", "collect_rollouts", "finetune"],
     sampler: ["_sigma_vector", "_log_norm", "_logpdf_rows", "sample_deterministic", "sample_chain_batch",
-              "_transition_logpdf", "chain_logprob_traced"],
+              "_chain_logpdf", "chain_logprob_traced"],
 }
 
 

@@ -499,14 +499,16 @@ def test_stage2_gradients_match_finite_differences():
 # the full loop
 
 
-def _stacked_first_step_and_bc_rows(policy, mb, h):
-    # one trunk pass over the chain's first step and the BC rows, as
-    # stage2_loss makes it
+def _stacked_trunk_pass(policy, mb, h):
+    # one trunk pass over the chain's K steps and the BC rows, as stage2_loss
+    # makes it: block k holds a^k at ((K-k-1)/K, (K-k)/K), the BC block z1
+    # at (0, 1)
     M, K = mb.states.shape[0], mb.states.shape[1] - 1
-    r = np.concatenate([np.full((M, 1), (K - 1) / K), np.zeros((M, 1))])
-    z = np.concatenate([mb.states[:, 0], mb.bc_noise])
-    u = policy.velocity(Tensor(z), Tensor(r), Tensor(np.ones((2 * M, 1))), h=concat([h, h], axis=0))
-    return ad.split_rows(u, M)
+    z = np.concatenate([mb.states[:, k] for k in range(K)] + [mb.bc_noise])
+    r = np.concatenate([np.full((M, 1), (K - k - 1) / K) for k in range(K)] + [np.zeros((M, 1))])
+    tau = np.concatenate([np.full((M, 1), (K - k) / K) for k in range(K)] + [np.ones((M, 1))])
+    u = policy.velocity(Tensor(z), Tensor(r), Tensor(tau), h=concat([h] * (K + 1), axis=0))
+    return ad.split_rows(u, K * M)
 
 
 def _stage2_loss_op_chain(mb, nets, cfg, n):
@@ -515,8 +517,8 @@ def _stage2_loss_op_chain(mb, nets, cfg, n):
     K = mb.states.shape[1] - 1
     sigma_t = ad.exp(nets.log_sigma)
     h = nets.policy.encode(Tensor(mb.obs))
-    u0, u_bc = _stacked_first_step_and_bc_rows(nets.policy, mb, h)
-    new_lp = chain_logprob_traced(nets.policy, mb.states, mb.obs, sigma_t, K, h=h, u0=u0)
+    u_chain, u_bc = _stacked_trunk_pass(nets.policy, mb, h)
+    new_lp = chain_logprob_traced(nets.policy, mb.states, mb.obs, sigma_t, K, u=u_chain)
     pg = clipped_pg_loss(ad.exp(new_lp - Tensor(mb.old_logprobs)), mb.advantages, cfg.clip_eps)
     v = 0.5 * ad.square(nets.value.value(Tensor(mb.obs)) - Tensor(mb.returns)).mean()
     ent = -float(K) * ((0.5 * (1.0 + LOG_2PI) * nets.policy.d_a) + ad.log(sigma_t).sum())
@@ -558,11 +560,12 @@ def _sampled_minibatch(net, M, K, sigma, seed):
     )
 
 
-@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("K", [1, 2, 3])
 def test_stacked_trunk_pass_rows_equal_separate_passes_and_rho_is_one_at_theta_old(monkeypatch, K):
     # rows in full blocks of 4 round alike whatever the matmul's row count, so
     # at M % 4 == 0 the stacked pass's chain and BC rows equal separate M-row
-    # passes bit for bit, and the ratio at unchanged parameters is exactly 1
+    # passes (one per chain step, one for BC) bit for bit, and the ratio at
+    # unchanged parameters is exactly 1
     net = init_velocity_net(31, 3, 2)
     nets = Stage2Nets(policy=net, value=init_value_net(31, 3), frozen=net.clone())
     cfg = Stage2Config(K=K, sigma=0.01)
@@ -571,7 +574,7 @@ def test_stacked_trunk_pass_rows_equal_separate_passes_and_rho_is_one_at_theta_o
     chain_logprob, bc = ppo_mod.chain_logprob_traced, ppo_mod.bc_loss
 
     def chain_spy(*args, **kwargs):
-        seen["u0"] = kwargs["u0"].data
+        seen["u"] = kwargs["u"].data
         return chain_logprob(*args, **kwargs)
 
     def bc_spy(*args, **kwargs):
@@ -585,9 +588,12 @@ def test_stacked_trunk_pass_rows_equal_separate_passes_and_rho_is_one_at_theta_o
     M = mb.obs.shape[0]
     h = net.encode(Tensor(mb.obs))
     ones = Tensor(np.ones((M, 1)))
-    first = net.velocity(Tensor(mb.states[:, 0]), Tensor(np.full((M, 1), (K - 1) / K)), ones, h=h)
+    for k in range(K):
+        r, tau = Tensor(np.full((M, 1), (K - k - 1) / K)), Tensor(np.full((M, 1), (K - k) / K))
+        step = net.velocity(Tensor(mb.states[:, k]), r, tau, h=h)
+        assert np.array_equal(seen["u"][k * M : (k + 1) * M], step.data), k
+    assert seen["u"].shape == (K * M, net.d_a)
     bc_rows = net.velocity(Tensor(mb.bc_noise), Tensor(np.zeros((M, 1))), ones, h=h)
-    assert np.array_equal(seen["u0"], first.data)
     assert np.array_equal(seen["u_bc"], bc_rows.data)
     assert np.all(parts["rho"] == 1.0) and parts["bc"] == 0.0
 
