@@ -407,11 +407,13 @@ class Adam:
 
 def clip_grad_norm(g: np.ndarray, max_norm: float) -> float:
     """Scale the flat gradient ``g`` in place so its L2 norm is <= max_norm
-    and return the norm before clipping: one dot product, and one multiply
-    when the norm exceeds the cap. The dot's rounding depends on the order
-    of the entries, so ``finetune`` lists its parameters in the order the
-    taped loss first uses them."""
-    norm = math.sqrt(g @ g)
+    and return the norm before clipping: one sum of squares, and one
+    multiply when the norm exceeds the cap. The sum is ``np.einsum``'s, whose
+    order numpy's code fixes; BLAS's ``g @ g`` splits a long vector across
+    threads, so its last bit would depend on the thread count. The rounding
+    still depends on the order of the entries, so ``finetune`` lists its
+    parameters in the order the taped loss first uses them."""
+    norm = math.sqrt(np.einsum("i,i->", g, g))
     if norm > max_norm and norm > 0.0:
         g *= max_norm / norm
     return norm

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -999,7 +1003,7 @@ def test_finetune_nan_parameter_names_iteration_minibatch_and_op(monkeypatch):
 
 @pytest.mark.parametrize("sigma_learnable", [False, True])
 def test_finetune_adam_lists_parameters_in_tape_leaf_order(monkeypatch, sigma_learnable):
-    # clip_grad_norm's dot product rounds by entry order; Adam listing its
+    # clip_grad_norm's sum of squares rounds by entry order; Adam listing its
     # parameters in the order the taped loss first uses them keeps the
     # clipping norm equal to the one over the taped reference's gradients
     made, steps = [], []
@@ -1120,6 +1124,36 @@ def test_finetune_non_finite_parameter_names_iteration_minibatch_and_op(monkeypa
     cfg = Stage2Config(iterations=2, seed=0, rollout_steps=64, n_envs=4, minibatch_size=16, sigma_learnable=learnable)
     with pytest.raises(RuntimeError, match=rf"fine-tuning diverged at iteration 0 minibatch 1: .*op '{op}'"):
         finetune(_pretrained(), lambda: make_env("point-reach"), cfg)
+
+
+_THREADED_FINETUNE = """
+from dmpo import Stage1Config, Stage2Config, finetune, gen_demos, make_env, pretrain
+from dmpo.nets import param_checksum
+
+net = pretrain(gen_demos("point-reach", 6, seed=0), Stage1Config(epochs=5, seed=0))[0]
+for K, learnable in ((1, False), (3, True)):
+    cfg = Stage2Config(iterations=2, seed=1, K=K, sigma_learnable=learnable, rollout_steps=64, n_envs=4,
+                       minibatch_size=16)
+    policy, value, _ = finetune(net, lambda: make_env("point-reach"), cfg)
+    print(K, param_checksum(policy), param_checksum(value))
+"""
+
+
+def test_finetune_checksums_do_not_depend_on_the_blas_thread_count():
+    # the clipping norm's sum of squares has an order numpy's code fixes;
+    # BLAS's ``g @ g`` splits the ~13.6k-entry gradient across threads, and
+    # with it both runs here gave different checksums at 1 and 2 threads.
+    # K=3 also runs the stacked (K+1) M-row trunk GEMMs.
+    import dmpo
+
+    env = dict(os.environ, PYTHONPATH=str(Path(dmpo.__file__).resolve().parent.parent))
+    out = []
+    for threads in ("1", "2"):
+        run = subprocess.run([sys.executable, "-c", _THREADED_FINETUNE], env={**env, "OPENBLAS_NUM_THREADS": threads},
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout.split())
+    assert len(out[0]) == 6 and out[0] == out[1]
 
 
 @pytest.mark.parametrize("grad_clip", [1.0, 0.0])
