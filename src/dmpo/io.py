@@ -285,13 +285,28 @@ def load_dataset(path) -> Dataset:
 # metrics CSV and config echo
 
 
-def write_metrics_csv(path, columns, rows) -> None:
-    """Fixed-column CSV with a header row; values via repr round-trip."""
+def metrics_csv(path, columns):
+    """Start a fixed-column CSV at ``path`` (values via repr round-trip):
+    write its header row now and return ``add(row)``, which appends one row
+    and closes the file again, so a run that stops early keeps every row it
+    finished. ``path`` None writes nothing."""
+    if path is None:
+        return lambda row: None
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([row[c] for c in columns])
+        csv.writer(f).writerow(columns)
+
+    def add(row):
+        with open(path, "a", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerow([row[c] for c in columns])
+
+    return add
+
+
+def write_metrics_csv(path, columns, rows) -> None:
+    """``metrics_csv`` with every row known up front."""
+    add = metrics_csv(path, columns)
+    for row in rows:
+        add(row)
 
 
 # a config field's declared type -> the JSON type it takes and the Python

@@ -28,7 +28,7 @@ import numpy as np
 
 from .autodiff import DualTensor, Graph, Tensor, _check_finite, custom_op, no_record, row_sq_mean, weighted_sum
 from .dispersive import DISP_KINDS, dispersive_loss, effective_rank
-from .io import write_metrics_csv
+from .io import metrics_csv
 from .nets import Adam, VelocityNet, init_velocity_net
 
 METRIC_COLUMNS = ("epoch", "step", "mf_loss", "disp_loss", "total_loss", "d_eff", "wall_ms")
@@ -229,7 +229,8 @@ def stage1_step(net: VelocityNet, grads: dict, batch: Stage1Batch, config: Stage
 
 def pretrain(dataset, config: Stage1Config, metrics_path=None):
     """Minibatch descent on L_MF + alpha * L_disp (Algorithm: per-epoch shuffle,
-    fresh noise and time pairs every step). Returns (net, metrics rows)."""
+    fresh noise and time pairs every step). Returns (net, metrics rows);
+    each row is also appended to ``metrics_path`` as its epoch ends."""
     obs_all = np.asarray(dataset.obs, dtype=np.float64)
     act_all = np.asarray(dataset.actions, dtype=np.float64)
     n = obs_all.shape[0]
@@ -251,6 +252,7 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
     probe = obs_all[: min(256, n)]
 
     metrics = []
+    add_row = metrics_csv(metrics_path, METRIC_COLUMNS)
     step = 0
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -307,7 +309,5 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
                 "wall_ms": wall_ms,
             }
         )
-
-    if metrics_path is not None:
-        write_metrics_csv(metrics_path, METRIC_COLUMNS, metrics)
+        add_row(metrics[-1])
     return net, metrics

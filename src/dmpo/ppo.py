@@ -61,7 +61,7 @@ from . import kernels
 from .autodiff import (
     Graph, Tensor, _check_finite, concat, exp, loss_head, row_sq_mean, split_rows, value_of, weighted_sum
 )
-from .io import write_metrics_csv
+from .io import metrics_csv
 from .nets import Adam, clip_grad_norm, init_value_net
 from .sampler import LOG_2PI, chain_logprob_traced, check_K, policy_entropy, sample_chain_batch
 
@@ -593,7 +593,8 @@ def _mean_or_zero(xs) -> float:
 
 def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=None):
     """Full Algorithm: iterate collect -> GAE -> minibatch epochs on the
-    joint loss. Returns (policy, value_net, metrics rows). The frozen BC
+    joint loss. Returns (policy, value_net, metrics rows); each row is also
+    appended to ``metrics_path`` as its iteration ends. The frozen BC
     reference is a clone of the input and is never updated. A non-finite op
     in a minibatch's loss or backward raises ``RuntimeError`` naming the
     iteration, the minibatch (counted across the iteration's epochs) and
@@ -619,6 +620,7 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
     recent_returns: deque = deque(maxlen=20)
     recent_success: deque = deque(maxlen=20)
     metrics = []
+    add_row = metrics_csv(metrics_path, METRIC_COLUMNS)
 
     for n in range(config.iterations):
         batch, finished = collect_rollouts(nets, envs_list, env_rngs, obs_cur, config)
@@ -694,7 +696,5 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                 "grad_norm": norm_sum / max(n_mb, 1),
             }
         )
-
-    if metrics_path is not None:
-        write_metrics_csv(metrics_path, METRIC_COLUMNS, metrics)
+        add_row(metrics[-1])
     return policy, value_net, metrics

@@ -1,4 +1,7 @@
-"""Shared finite-difference oracles for gradient and JVP checks."""
+"""Shared finite-difference oracles for gradient and JVP checks, and other
+references the tests share."""
+
+import csv
 
 import numpy as np
 
@@ -43,3 +46,14 @@ def into_adam(opt, grads):
     for p, view in opt.grads.items():
         view[...] = grads[p]
     return opt._g
+
+
+def one_pass_metrics_csv(path, columns, rows):
+    """The metrics file written in one pass after a run: the header, then
+    every row; a finished run's streamed file must equal it byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(columns)
+        for row in rows:
+            w.writerow([row[c] for c in columns])
+    return path.read_bytes()

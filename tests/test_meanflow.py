@@ -17,7 +17,7 @@ from dmpo.meanflow import (
 )
 from dmpo.nets import Adam, init_velocity_net, param_checksum
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, one_pass_metrics_csv, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +413,39 @@ def test_pretrain_names_the_first_non_finite_dataset_row_and_column(monkeypatch,
     monkeypatch.setattr(mfmod, "stage1_step", None)
     with pytest.raises(ValueError, match=rf"^dataset row 5 has a non-finite value in column '{column}'$"):
         pretrain(ds, Stage1Config(epochs=1, batch_size=8, seed=0))
+
+
+def test_pretrain_metrics_csv_streams_the_one_pass_file(tmp_path):
+    from dmpo.meanflow import METRIC_COLUMNS
+
+    path = tmp_path / "stage1.csv"
+    _, rows = pretrain(_tiny_dataset(np.random.default_rng(68)), Stage1Config(epochs=4, batch_size=4, seed=0),
+                       metrics_path=path)
+    assert len(rows) == 4
+    assert path.read_bytes() == one_pass_metrics_csv(tmp_path / "ref.csv", METRIC_COLUMNS, rows)
+
+
+def test_diverged_pretrain_keeps_the_rows_of_its_finished_epochs(monkeypatch, tmp_path):
+    # two steps per epoch; the first step of epoch 3 fails
+    import dmpo.meanflow as mfmod
+
+    calls = []
+    step = mfmod.stage1_step
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 7:
+            raise FloatingPointError("non-finite values produced by op 'dense'")
+        return step(*args)
+
+    monkeypatch.setattr(mfmod, "stage1_step", failing)
+    path = tmp_path / "stage1.csv"
+    with pytest.raises(RuntimeError, match=r"pre-training diverged at epoch 3 step 6: .*op 'dense'"):
+        pretrain(_tiny_dataset(np.random.default_rng(69)), Stage1Config(epochs=5, batch_size=4, seed=0),
+                 metrics_path=path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(mfmod.METRIC_COLUMNS)
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0", "2"], ["1", "4"], ["2", "6"]]
 
 
 def _taped_step(net, batch, cfg):

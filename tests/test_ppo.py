@@ -34,7 +34,7 @@ from dmpo.ppo import (
 )
 from dmpo.sampler import LOG_2PI, sample_chain_batch, sample_stochastic
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, one_pass_metrics_csv, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -1184,6 +1184,33 @@ def test_finetune_grad_norm_column_is_the_mean_pre_clip_norm(monkeypatch, tmp_pa
         assert float(row["grad_norm"]) == metrics[i]["grad_norm"] == acc / per_iter
     if grad_clip:
         assert max(norms) > grad_clip  # the column is the norm before clipping
+
+
+def test_finetune_metrics_csv_streams_the_one_pass_file(tmp_path):
+    cfg = Stage2Config(iterations=3, seed=1, rollout_steps=64, n_envs=4, minibatch_size=16)
+    path = tmp_path / "stage2.csv"
+    _, _, rows = finetune(_pretrained(), lambda: make_env("point-reach"), cfg, metrics_path=path)
+    assert len(rows) == 3
+    assert path.read_bytes() == one_pass_metrics_csv(tmp_path / "ref.csv", ppo_mod.METRIC_COLUMNS, rows)
+
+
+def test_diverged_finetune_keeps_the_rows_of_its_finished_iterations(monkeypatch, tmp_path):
+    loss = ppo_mod.stage2_loss
+
+    def failing(mb, nets, config, n, grads=None):
+        if n == 1:
+            raise FloatingPointError("non-finite values produced by op 'dense'")
+        return loss(mb, nets, config, n, grads)
+
+    monkeypatch.setattr(ppo_mod, "stage2_loss", failing)
+    cfg = Stage2Config(iterations=3, seed=1, rollout_steps=64, n_envs=4, minibatch_size=16)
+    path = tmp_path / "stage2.csv"
+    with pytest.raises(RuntimeError, match=r"fine-tuning diverged at iteration 1 minibatch 0: .*op 'dense'"):
+        finetune(_pretrained(), lambda: make_env("point-reach"), cfg, metrics_path=path)
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
+    assert list(rows[0]) == list(ppo_mod.METRIC_COLUMNS)
+    assert [row["iter"] for row in rows] == ["0"]
 
 
 def test_learnable_sigma_mode():
