@@ -1,0 +1,80 @@
+"""Property tests over drawn shapes: the fine-tune minibatch on plain arrays
+against the taped loss, and recomputed chain log-probs against the sampled
+ones. Each runs a fixed, derandomized set of examples, so a failure
+reproduces."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dmpo.ppo as ppo_mod
+from dmpo.autodiff import Graph, Tensor
+from dmpo.nets import init_value_net, init_velocity_net
+from dmpo.ppo import MiniBatch, Stage2Config, Stage2Nets, stage2_loss
+from dmpo.sampler import chain_logprob_traced, sample_chain_batch
+
+FIXED = settings(derandomize=True, database=None, deadline=None)
+
+
+def _sampled(net, M, K, sigma, seed):
+    # M chains sampled in one call, each on its own generator
+    rng = np.random.default_rng(seed)
+    obs = rng.normal(size=(M, net.d_obs))
+    chains = sample_chain_batch(net, obs, K, sigma, [np.random.default_rng([seed, i]) for i in range(M)])
+    return obs, chains, rng
+
+
+@settings(FIXED, max_examples=100)
+@given(K=st.integers(1, 6), M=st.integers(1, 70), learnable=st.booleans(),
+       lam_bc=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2**16))
+def test_stage2_step_equals_the_taped_loss_and_one_backward(K, M, learnable, lam_bc, seed):
+    net = init_velocity_net(seed, 4, 2)
+    obs, chains, rng = _sampled(net, M, K, 0.05, seed)
+    mb = MiniBatch(obs=obs, states=chains.states, old_logprobs=chains.total_logprobs,
+                   advantages=rng.normal(size=M), returns=rng.normal(size=M),
+                   bc_noise=rng.standard_normal((M, net.d_a)))
+    mb.bc_target = ppo_mod.bc_target(net, mb.bc_noise, net.encode_arrays(obs))
+    # every parameter moved off theta_old, so no head sits at a special point
+    policy, value_net = net.clone(), init_value_net(seed, 4)
+    for p in policy.parameters() + value_net.parameters():
+        p.data[...] += 1e-3 * rng.standard_normal(p.data.shape)
+    log_sigma = None
+    if learnable:
+        log_sigma = Tensor(np.log([0.05, 0.04]) + 0.1 * rng.standard_normal(2), requires_grad=True)
+    nets = Stage2Nets(policy=policy, value=value_net, frozen=net, log_sigma=log_sigma)
+    cfg = Stage2Config(K=K, sigma=0.05, sigma_learnable=learnable, lam_bc_init=lam_bc, lam_bc_final=lam_bc)
+
+    with Graph() as g:
+        total, parts = stage2_loss(mb, nets, cfg, n=0)
+    taped = g.backward(total)
+    opt = ppo_mod.stage2_optimizer(nets, cfg.lr)
+    assert list(taped) == opt.params
+    opt._g.fill(np.nan)
+    got_total, got = stage2_loss(mb, nets, cfg, 0, opt.grads)
+    assert got_total == total.item()
+    assert all(got[k] == parts[k] for k in ("pg", "v", "ent", "bc", "lambda_bc"))
+    assert np.array_equal(got["rho"], parts["rho"])
+    assert np.array_equal(opt._g, np.concatenate([taped[p].ravel() for p in opt.params]))
+
+
+@settings(FIXED, max_examples=100)
+@given(K=st.integers(1, 6), blocks=st.integers(1, 16), per_dim=st.booleans(), seed=st.integers(0, 2**16))
+def test_chain_logprob_recomputes_sampled_chains_exactly(K, blocks, per_dim, seed):
+    # rows in full blocks of 4 round alike whatever the matmul's row count,
+    # so at M % 4 == 0 both the per-step M-row passes and the training
+    # step's one stacked pass give back the sampled totals bit for bit
+    M = 4 * blocks
+    net = init_velocity_net(seed, 4, 2)
+    sigma = np.array([0.05, 0.02]) if per_dim else 0.05
+    obs, chains, rng = _sampled(net, M, K, sigma, seed)
+    sigma_t = Tensor(np.broadcast_to(sigma, (2,)).copy())
+    per_step = chain_logprob_traced(net, chains.states, obs, sigma_t, K)
+    assert np.array_equal(per_step.data, chains.total_logprobs)
+
+    mb = MiniBatch(obs=obs, states=chains.states, old_logprobs=chains.total_logprobs,
+                   advantages=np.zeros(M), returns=np.zeros(M), bc_noise=rng.standard_normal((M, 2)))
+    h, _ = net.encode(obs, keep=True)
+    z, r, tau = ppo_mod._trunk_rows(mb)
+    u, _ = net.velocity((z, None), r, tau, h=np.concatenate([h] * (K + 1)))
+    stacked, _ = chain_logprob_traced(net, chains.states, obs, sigma_t, K, u=u[: K * M])
+    assert np.array_equal(stacked, chains.total_logprobs)
