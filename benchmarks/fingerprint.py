@@ -19,11 +19,14 @@ gave bit-identical results:
 * ``data``: the JSON Lines bytes ``save_dataset`` writes for point-reach
   and modal-bandit demos, and the arrays ``load_dataset`` reads back.
 
-Stage-2 results depend on the BLAS thread count, so the script pins
-OpenBLAS to one thread before numpy is imported. Run it from anywhere:
+The digests do not depend on the BLAS thread count (they were checked at
+1 and 2 threads and unpinned, and a tier-1 test compares fine-tune
+checksums at 1 and 2 threads); the script still pins OpenBLAS to one
+thread before numpy is imported, as ``pipeline_bench`` does. Run it from
+anywhere:
 
     python3 benchmarks/fingerprint.py
-    python3 benchmarks/fingerprint.py --expect BENCH_4.json
+    python3 benchmarks/fingerprint.py --expect BENCH_7.json
 
 With ``--expect`` it also compares each digest with the ``fingerprint``
 entry of that ``benchmarks/bench.py`` output file, names every block that

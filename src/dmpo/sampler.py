@@ -255,7 +255,7 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
         means[:, k] = mu
         states[:, k + 1] = a
         terms[:, k] = _logpdf_rows((a - mu) / sig, log_norm)
-    # summed left to right, as the taped walk adds its per-step nodes
+    # summed left to right, as ``_chain_logpdf`` sums them
     total = terms[:, 0].copy()
     for k in range(1, K):
         total += terms[:, k]
