@@ -274,19 +274,19 @@ def _chain_logpdf(u, states: np.ndarray, sigma_t, K: int, taped: bool):
     M, d_a = states.shape[0], states.shape[2]
     dt = 1.0 / K
     sig = sigma_t.data
-    steps = states.swapaxes(0, 1)  # a^k of every row, step-major
-    a_k = steps[:K].reshape(K * M, d_a)
-    diff = (steps[1 : K + 1].reshape(K * M, d_a) - (a_k - dt * (u.data if taped else u))) / sig
-    terms = _logpdf_rows(diff, _log_norm(sig)).reshape(K, M)
-    total = terms[0].copy()
+    steps = states.swapaxes(0, 1)  # a^k of every row, step-major: (K+1, M, d_a)
+    mu = steps[:K] - dt * (u.data if taped else u).reshape(K, M, d_a)
+    diff = (steps[1 : K + 1] - mu) / sig
+    terms = _logpdf_rows(diff, _log_norm(sig))
+    total = terms[0]
     for k in range(1, K):
-        total += terms[k]
+        total = total + terms[k]
 
     def vjp(g):
         # the sum hands every step g
-        g_col = np.concatenate([g] * K)[:, None]
-        g_u = -g_col * diff * (dt / sig)
-        g_sig = (g_col * (diff * diff - 1.0)).sum(axis=0) / sig if sigma_t.requires_grad else None
+        g_col = g[:, None]
+        g_u = (-g_col * diff * (dt / sig)).reshape(K * M, d_a)
+        g_sig = (g_col * (diff * diff - 1.0)).reshape(K * M, d_a).sum(axis=0) / sig if sigma_t.requires_grad else None
         return g_u, g_sig
 
     return loss_head(total, (u, sigma_t), vjp, "gauss_logpdf", taped)
