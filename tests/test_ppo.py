@@ -603,8 +603,8 @@ def test_stacked_trunk_pass_rows_equal_separate_passes_and_rho_is_one_at_theta_o
 
 
 def _stage2_loss_separate_passes(mb, nets, cfg, n):
-    # the reference: stage2_loss with the chain's first step and the BC rows
-    # in two trunk passes over the shared embedding
+    # the reference: stage2_loss with one trunk pass per chain step and one
+    # for the BC rows, over the shared embedding
     K = mb.states.shape[1] - 1
     sigma_t = ppo_mod._sigma_tensor(nets, cfg)
     h = nets.policy.encode(Tensor(mb.obs))
@@ -619,8 +619,8 @@ def _stage2_loss_separate_passes(mb, nets, cfg, n):
 
 @pytest.mark.parametrize("K", [1, 2])
 def test_stacked_trunk_pass_gradients_match_two_separate_passes(K):
-    # the stacked pass sums each trunk weight's gradient over 2M rows in one
-    # matmul where two passes summed two M-row matmuls: rounding only
+    # the stacked pass sums each trunk weight's gradient over (K+1) M rows in
+    # one matmul where separate passes summed K+1 M-row matmuls: rounding only
     net = init_velocity_net(32, 3, 2)
     mb = _sampled_minibatch(net, 64, K, 0.01, seed=32)
     policy = net.clone()
