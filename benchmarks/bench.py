@@ -6,8 +6,10 @@ as a subprocess, one run at a time: ``--trace 0`` once per seed, then
 ``benchmarks/fingerprint.py`` and the tier-1 test command of ROADMAP.md with
 ``--durations=6``, BLAS threads unpinned as tier-1 runs. The file it writes
 holds, per workload, the median and interquartile range (IQR) of each gated
-end-to-end metric and of each other printed metric (the wall-clock figures),
-every run's value, the traced per-layer metrics, and the failed-op counts;
+end-to-end metric, of each other printed metric (the wall-clock figures)
+and of each run's minor page faults (``ru_minflt`` of the run's process,
+set-up and import included), every run's value, the traced per-layer
+metrics, and the failed-op counts;
 then the fingerprint digests; the tier-1 passed and failed counts, failed
 test ids, wall time and the durations of the three slow acceptance tests;
 the size and digest of ``src/``, with code lines per module; and the stamp
@@ -36,6 +38,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -57,10 +60,13 @@ _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def run_once(workload: str, seed: int, trace: int) -> dict:
-    """One benchmark run: its stamp, its printed metrics and its result."""
+    """One benchmark run: its stamp, its printed metrics, its result and its
+    process's minor page faults."""
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = out.strip().splitlines()
     printed = {}
     for line in lines[:-1]:
@@ -68,7 +74,7 @@ def run_once(workload: str, seed: int, trace: int) -> dict:
         if len(parts) == 4 and parts[0] == workload:
             printed[parts[1]] = (float(parts[2]), parts[3])
     stamp = next(json.loads(line[len("stamp "):]) for line in lines if line.startswith("stamp "))
-    return {"stamp": stamp, "printed": printed, "result": json.loads(lines[-1])}
+    return {"stamp": stamp, "printed": printed, "result": json.loads(lines[-1]), "minor_faults": faults}
 
 
 def summary(values: list[float], unit: str) -> dict:
@@ -83,7 +89,8 @@ def bench_workload(workload: str) -> tuple[dict, dict]:
     for seed in SEEDS:
         runs.append(run_once(workload, seed, 0))
         print(f"{workload} seed {seed}: " + ", ".join(
-            f"{k} {m['value']:.6g}" for k, m in runs[-1]["result"]["metrics"].items()), file=sys.stderr)
+            f"{k} {m['value']:.6g}" for k, m in runs[-1]["result"]["metrics"].items())
+            + f", minor_faults {runs[-1]['minor_faults']}", file=sys.stderr)
     traced = run_once(workload, SEEDS[0], 1)
     gated = runs[0]["result"]["metrics"]
     entry = {
@@ -91,6 +98,7 @@ def bench_workload(workload: str) -> tuple[dict, dict]:
                        for k, m in gated.items()},
         "printed": {k: summary([r["printed"][k][0] for r in runs], unit)
                     for k, (_, unit) in runs[0]["printed"].items() if k not in gated},
+        "minor_faults": summary([r["minor_faults"] for r in runs], "count"),
         "per_layer": traced["result"]["metrics"],
         "correct": all(r["result"]["correct"] for r in runs + [traced]),
         "attempted": [r["result"]["attempted"] for r in runs + [traced]],

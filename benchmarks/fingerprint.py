@@ -26,7 +26,7 @@ thread before numpy is imported, as ``pipeline_bench`` does. Run it from
 anywhere:
 
     python3 benchmarks/fingerprint.py
-    python3 benchmarks/fingerprint.py --expect BENCH_7.json
+    python3 benchmarks/fingerprint.py --expect BENCH_8.json
 
 With ``--expect`` it also compares each digest with the ``fingerprint``
 entry of that ``benchmarks/bench.py`` output file, names every block that

@@ -16,7 +16,8 @@ Two environments cover the two training stages' failure modes:
 fraction of the cost of numpy calls on 2-vectors, and stay bitwise equal to
 the ``np.clip`` and ``np.linalg.norm`` arithmetic: ``step``'s distances
 come from ``_fma``, an exact fused multiply-add that rounds as numpy's
-2-element dot.
+2-element dot (for any finite or non-finite operands: outside TwoProduct's
+exact domain it takes numpy's dot itself).
 """
 
 from __future__ import annotations
@@ -64,20 +65,32 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant for doubles
 
 
 def _fma(a: float, b: float, c: float) -> float:
-    """``a * b + c`` with one rounding, on Python floats.
+    """``a * b + c`` with one rounding, on Python floats, as numpy's
+    2-element dot ``[c, a] . [1, b]`` rounds it.
 
     Dekker's TwoProduct writes ``a * b`` exactly as ``p + e``, and
-    ``math.fsum`` rounds the exact sum ``p + e + c`` once. Exact for finite
-    operands whose product neither overflows nor underflows."""
+    ``math.fsum`` rounds the exact sum ``p + e + c`` once. That is exact
+    while no step overflows and ``a * b`` is 0 or at least ``2**-960`` in
+    magnitude, above where ``e`` would underflow. Outside that domain (an
+    overflow shows as a non-finite sum or fsum's ``OverflowError``; a tiny
+    or NaN product fails the test) the value is numpy's dot itself."""
     p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return math.fsum((p, e, c))
+    if p >= 2.0**-960 or p <= -2.0**-960 or a == 0.0 or b == 0.0:
+        t = _SPLIT * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        try:
+            s = math.fsum((p, e, c))
+        except OverflowError:
+            s = math.inf
+        if s - s == 0.0:  # finite
+            return s
+    with np.errstate(all="ignore"):
+        return float(np.dot((c, a), (1.0, b)))
 
 
 def _checked_action(action, d_a):

@@ -13,7 +13,10 @@ matrix-vector routine; on a strided weight view they round differently).
 A rank-2 input keeps ``@``: for the five layers of a velocity pass, ``.dot``
 against ``@`` measured -45% at 1 row, -43% at 8, -2% at 64, -3% at 128 and
 +8% at 256 rows (numpy 2.4, OpenBLAS on one thread), so moving batches to
-``.dot`` would slow the large ones.
+``.dot`` would slow the large ones, the B=256 serve call among them. The
+training steps' products in ``nets`` (forwards, VJPs and JVP tangents at up
+to (K+1)*M rows) are another rule: they take ``.dot`` at every row count,
+which measured faster there (``nets`` module docstring).
 
 The kernels run on every training step, so they call ufuncs and ndarray
 methods only, never numpy's Python-level wrappers, each of which costs a

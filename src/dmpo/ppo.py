@@ -46,10 +46,18 @@ per-minibatch statistics call ufuncs and ndarray methods (``np.clip`` as
 ``np.minimum(np.maximum(...))``, a mean as ``x.sum() / x.size``), not
 numpy's Python-level wrappers, which cost a measured 0.6-4 us more per call at
 these sizes for the same bits.
+
+``finetune`` first fixes glibc's heap trim and mmap thresholds
+(``_keep_heap_resident``). Each minibatch allocates and frees a few hundred
+KB of stacked-row activations; at glibc's defaults the freed top of the heap
+goes back to the kernel and the next minibatch faults its pages in again,
+about 2,000 minor faults per iteration of the shipped config at one BLAS
+thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -59,7 +67,8 @@ import numpy as np
 
 from . import kernels
 from .autodiff import (
-    Graph, Tensor, _check_finite, concat, exp, loss_head, row_sq_mean, split_rows, value_of, weighted_sum
+    Graph, NonFiniteError, Tensor, _check_finite, concat, exp, loss_head, row_sq_mean, split_rows, value_of,
+    weighted_sum
 )
 from .io import metrics_csv
 from .nets import Adam, clip_grad_norm, init_value_net
@@ -586,6 +595,49 @@ def compute_advantages(batch: RolloutBatch, value_net, config: Stage2Config) -> 
     batch.advantages, batch.returns = gae(rewards, values, cuts, config.gamma, config.lam_gae)
 
 
+# glibc's ``mallopt`` parameter numbers and the values set: the smallest
+# powers of two that leave a fresh fine-tune process with fewer than 30
+# minor faults in each iteration after its first (0-10 from the third), at
+# 1 and 2 BLAS threads, at K = 1, 5 and 20, K = 3 with learnable sigma, and
+# K = 2 over 160-row minibatches
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_TRIM_BYTES = 8 << 20
+_HEAP_MMAP_BYTES = 1 << 20
+
+
+def _keep_heap_resident() -> bool:
+    """Keep up to ``_HEAP_TRIM_BYTES`` free at the top of the C heap rather
+    than returning it to the kernel, and serve blocks below
+    ``_HEAP_MMAP_BYTES`` from the heap rather than from a fresh mapping;
+    returns whether ``mallopt`` took both settings.
+
+    The settings cover the whole process and outlive the call. A fixed trim
+    threshold alone also stops glibc from raising its mmap threshold as
+    mapped blocks are freed, so larger blocks get mapped and faulted in
+    afresh on every allocation: at 2 BLAS threads it left 50 faults per
+    iteration (blocks between 512 KiB and 1 MiB), where glibc's defaults
+    read 0; hence both. Where the C library has no ``mallopt`` (not glibc)
+    this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    trimmed = mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_BYTES) == 1
+    return mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_BYTES) == 1 and trimmed
+
+
+def _nonfinite_grad(nets: Stage2Nets, grads: dict, norm: float) -> NonFiniteError:
+    """The error for a gradient whose norm is not finite, naming the first
+    parameter, in ``stage2_optimizer`` order, whose gradient is not."""
+    named = [("log_sigma", nets.log_sigma)] if nets.log_sigma is not None else []
+    for net in ("policy", "value"):
+        named += [(f"{net} {n}", p) for n, p in getattr(nets, net).params.items()]
+    bad = next((n for n, p in named if not np.isfinite(grads[p]).all()), None)
+    where = f"the gradient of {bad}" if bad else f"a gradient norm of {norm}"
+    return NonFiniteError(f"non-finite values produced by op 'backward' in {where}")
+
+
 def _mean_or_zero(xs) -> float:
     # ``np.mean``'s value, the sum over the count, or 0.0 for no entries
     return float(np.array(xs).sum() / len(xs)) if xs else 0.0
@@ -598,7 +650,10 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
     reference is a clone of the input and is never updated. A non-finite op
     in a minibatch's loss or backward raises ``RuntimeError`` naming the
     iteration, the minibatch (counted across the iteration's epochs) and
-    the op."""
+    the op; a non-finite gradient norm names op 'backward' and the first
+    parameter whose gradient is not finite. Fixes glibc's heap thresholds
+    for the whole process first (``_keep_heap_resident``)."""
+    _keep_heap_resident()
     policy = pretrained_net.clone()
     frozen = pretrained_net.clone()
     value_net = init_value_net(config.seed, pretrained_net.d_obs, config.value_width)
@@ -665,12 +720,15 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                 )
                 try:
                     _, parts = stage2_loss(mb, nets, config, n, opt.grads)
+                    # a grad_clip of 0 turns clipping off; the pre-clip norm is logged either way
+                    norm = clip_grad_norm(opt._g, config.grad_clip or math.inf)
+                    if not math.isfinite(norm):
+                        raise _nonfinite_grad(nets, opt.grads, norm)
                 except FloatingPointError as e:
                     raise RuntimeError(
                         f"fine-tuning diverged at iteration {n} minibatch {n_mb}: {e}"
                     ) from e
-                # a grad_clip of 0 turns clipping off; the pre-clip norm is logged either way
-                norm_sum += clip_grad_norm(opt._g, config.grad_clip or math.inf)
+                norm_sum += norm
                 opt.step()
                 rho = parts.pop("rho")
                 clip_hits += int((np.abs(rho - 1.0) > config.clip_eps).sum())

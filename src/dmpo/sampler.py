@@ -303,13 +303,16 @@ def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K
 
     Outside a ``Graph`` this records nothing. It repeats the arithmetic of
     ``sample_chain_batch``, so on the rows that call sampled, at the same
-    parameters, it returns their totals exactly.
+    parameters, it returns their totals exactly. ``states`` without K+1
+    steps is a ``ValueError``.
 
     An ndarray ``u`` (a training step on plain arrays) gives the same values
     and records nothing: it returns ``(total, vjp)``, and ``vjp(g)`` maps
     the cotangent ``g`` of the total to ``(g_u, g_sigma)``, ``g_sigma``
     None unless ``sigma_t`` requires grad."""
     check_K(K)
+    if states.shape[1] != K + 1:
+        raise ValueError(f"states must hold K+1 = {K + 1} steps for K={K}, got shape {states.shape}")
     if u is None:
         if h is None:
             h = policy.encode(Tensor(obs))

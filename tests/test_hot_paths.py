@@ -31,7 +31,7 @@ HOT = {
         "loss_head", "row_sq_mean", "_linear", "reshape", "_blocks", "concat", "split_rows", "dense",
     ],
     dispersive: ["hinge"],
-    envs: ["PointReach.step", "_point_reach_expert_action"],
+    envs: ["_fma", "PointReach.step", "_point_reach_expert_action"],
     meanflow: ["sample_time_pairs", "target_velocity", "mf_loss", "stage1_step", "pretrain"],
     nets: ["_checked", "_layer_vjp", "VelocityNet.encode", "VelocityNet.encode_vjp", "VelocityNet.velocity",
            "VelocityNet.velocity_vjp", "ValueNet.value", "ValueNet.value_vjp",

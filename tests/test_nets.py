@@ -400,6 +400,17 @@ def test_clip_grad_norm_all_zero_and_empty():
     assert clip_grad_norm(np.empty(0), 1.0) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_clip_grad_norm_leaves_a_non_finite_gradient_as_it_is(bad):
+    # scaling by max_norm / inf would turn every entry into 0 and the bad
+    # one into NaN; left alone, the caller can name the entry
+    g = _flat_grad(3)
+    g[5] = bad
+    want = g.copy()
+    norm = clip_grad_norm(g, 1.0)
+    assert not np.isfinite(norm) and np.array_equal(g, want, equal_nan=True)
+
+
 def test_clip_grad_norm_leaves_tensor_grad_unchanged():
     # clipping scales the copy in Adam's gradient buffer; the arrays
     # Graph.backward returned are not written

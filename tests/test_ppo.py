@@ -1,6 +1,8 @@
 import csv
+import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -1154,6 +1156,87 @@ def test_finetune_checksums_do_not_depend_on_the_blas_thread_count():
         assert run.returncode == 0, run.stderr
         out.append(run.stdout.split())
     assert len(out[0]) == 6 and out[0] == out[1]
+
+
+@pytest.mark.parametrize("name, learnable", [
+    ("policy trunk0_w", False),
+    ("policy enc0_b", False),
+    ("value l1_w", False),
+    ("log_sigma", True),
+])
+def test_finetune_non_finite_gradient_names_op_backward_and_the_parameter(monkeypatch, name, learnable):
+    # a finite loss with an infinite gradient entry: the norm is inf, and
+    # the run stops at that minibatch rather than one later at a forward op
+    loss = ppo_mod.stage2_loss
+    made = []
+
+    def poisoned(mb, nets, config, n, grads=None):
+        out = loss(mb, nets, config, n, grads)
+        made.append(n)
+        if len(made) == 2:
+            net, _, param = name.partition(" ")
+            p = nets.log_sigma if name == "log_sigma" else getattr(nets, net).params[param]
+            grads[p].flat[-1] = np.inf
+        return out
+
+    monkeypatch.setattr(ppo_mod, "stage2_loss", poisoned)
+    cfg = Stage2Config(iterations=2, seed=0, rollout_steps=64, n_envs=4, minibatch_size=16, sigma_learnable=learnable)
+    match = rf"fine-tuning diverged at iteration 0 minibatch 1: .*op 'backward' in the gradient of {name}$"
+    with pytest.raises(RuntimeError, match=match):
+        finetune(_pretrained(), lambda: make_env("point-reach"), cfg)
+    assert len(made) == 2
+
+
+_FAULTS_PER_ITERATION = """
+import json, resource
+from dmpo import ppo
+from dmpo.envs import make_env
+from dmpo.nets import init_velocity_net
+
+marks = []
+collect = ppo.collect_rollouts
+
+
+def marked(*args, **kwargs):
+    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return collect(*args, **kwargs)
+
+
+ppo.collect_rollouts = marked
+cfg = ppo.Stage2Config(iterations=6, seed=0, n_envs=8, rollout_steps=320, lam_bc_init=0.1, lam_bc_final=0.1,
+                       bc_decay_start=0, bc_decay_end=1)
+ppo.finetune(init_velocity_net(0, 4, 2), lambda: make_env("point-reach-shifted"), cfg)
+marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+print(json.dumps([b - a for a, b in zip(marks, marks[1:])]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_finetune_iterations_after_the_first_take_few_page_faults(threads):
+    # at glibc's defaults each minibatch's freed activations go back to the
+    # kernel, and at one BLAS thread a 320-step iteration of the c12a config
+    # took 1,700-2,200 minor faults re-reading them; at two threads a trim
+    # threshold set alone took 50, where the defaults take 0
+    import dmpo
+
+    env = dict(os.environ, PYTHONPATH=str(Path(dmpo.__file__).resolve().parent.parent), OPENBLAS_NUM_THREADS=threads)
+    run = subprocess.run([sys.executable, "-c", _FAULTS_PER_ITERATION], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    faults = json.loads(run.stdout)
+    assert len(faults) == 6 and max(faults[1:]) < 50, faults
+
+
+def test_keep_heap_resident_is_a_no_op_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ppo_mod.ctypes, "CDLL", lambda name: object())  # a C library without mallopt
+    assert ppo_mod._keep_heap_resident() is False
+
+    def no_library(name):
+        raise OSError("no C library to open")
+
+    monkeypatch.setattr(ppo_mod.ctypes, "CDLL", no_library)
+    assert ppo_mod._keep_heap_resident() is False
 
 
 @pytest.mark.parametrize("grad_clip", [1.0, 0.0])

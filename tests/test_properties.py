@@ -1,14 +1,17 @@
 """Property tests over drawn shapes: the fine-tune minibatch on plain arrays
-against the taped loss, and recomputed chain log-probs against the sampled
-ones. Each runs a fixed, derandomized set of examples, so a failure
-reproduces."""
+against the taped loss, recomputed chain log-probs against the sampled
+ones, and ``envs._fma`` against numpy's 2-element dot. Each runs a fixed,
+derandomized set of examples, so a failure reproduces."""
+
+import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dmpo.ppo as ppo_mod
 from dmpo.autodiff import Graph, Tensor
+from dmpo.envs import _fma
 from dmpo.nets import init_value_net, init_velocity_net
 from dmpo.ppo import MiniBatch, Stage2Config, Stage2Nets, stage2_loss
 from dmpo.sampler import chain_logprob_traced, sample_chain_batch
@@ -78,3 +81,17 @@ def test_chain_logprob_recomputes_sampled_chains_exactly(K, blocks, per_dim, see
     u, _ = net.velocity((z, None), r, tau, h=np.concatenate([h] * (K + 1)))
     stacked, _ = chain_logprob_traced(net, chains.states, obs, sigma_t, K, u=u[: K * M])
     assert np.array_equal(stacked, chains.total_logprobs)
+
+
+@settings(FIXED, max_examples=2000)
+@given(d0=st.floats(allow_nan=False, allow_infinity=False), d1=st.floats(allow_nan=False, allow_infinity=False))
+# TwoProduct overflowed to NaN where the dot is inf, and its error term
+# underflowed where the product is subnormal (one ulp off)
+@example(d0=1.11, d1=5e199)
+@example(d0=1.3318975699894175e-254, d1=9.90444787926477e-155)
+def test_fma_rounds_as_numpys_two_element_dot_on_all_finite_doubles(d0, d1):
+    # subnormals and values near overflow are drawn too
+    with np.errstate(all="ignore"):
+        want = float(np.array([d0, d1]) @ np.array([d0, d1]))
+    got = _fma(d1, d1, d0 * d0)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)

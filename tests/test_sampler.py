@@ -419,7 +419,9 @@ def _K_entry_points(K):
     net = init_velocity_net(12, 3, 2)
     obs = np.zeros((2, 3))
     rngs = [np.random.default_rng(e) for e in range(2)]
-    states = np.zeros((2, 3, 2))
+    # K+1 recorded steps for an integer K; a float K gets any shape, since
+    # the K check comes first
+    states = np.zeros((2, K + 1 if isinstance(K, (int, np.integer)) else 3, 2))
     sigma = Tensor(np.full(2, 0.1))
     return {
         "sample_deterministic": lambda: sample_deterministic(net, obs[0], K, np.random.default_rng(0)),
@@ -443,3 +445,13 @@ def test_K_must_be_an_integer_of_at_least_one(entry, K):
 @pytest.mark.parametrize("entry", list(_K_entry_points(1)))
 def test_K_accepts_python_and_numpy_integers(entry, K):
     _K_entry_points(K)[entry]()
+
+
+@pytest.mark.parametrize("K, steps", [(1, 3), (2, 2), (3, 5)])
+def test_chain_logprob_traced_rejects_states_without_K_plus_1_steps(K, steps):
+    # a K=2 chain scored with K=1 used to score its first transition and
+    # ignore the rest
+    net = init_velocity_net(12, 3, 2)
+    states = np.zeros((2, steps, 2))
+    with pytest.raises(ValueError, match=rf"states must hold K\+1 = {K + 1} steps for K={K}, got shape \(2, {steps}, 2\)"):
+        chain_logprob_traced(net, states, np.zeros((2, 3)), Tensor(np.full(2, 0.1)), K)
