@@ -14,7 +14,7 @@ Three pieces:
 Every op output is checked for NaN/Inf and raises ``NonFiniteError`` rather
 than propagating silently. Supported rank is <= 2; broadcasting follows
 numpy within that limit. The ops stand on three shared rules, each holding
-its ops' dispatch, node and VJP once:
+its ops' forward, node and VJP once:
 
 * ``_binary``: ``add``, ``mul``, ``div`` and ``matmul`` (a shape mismatch
   is a ``ShapeError`` with numpy's message; each cotangent is summed back
@@ -24,24 +24,27 @@ its ops' dispatch, node and VJP once:
 * ``_linear``: ``reshape``, ``transpose``, ``sum_`` and ``mean_``, whose
   tangent is the op of the tangent.
 
-Every dual op but :func:`dense` goes through ``_dual_op``: the primal is the
-Tensor op on the primal operands, recorded as usual, and the tangent a
-constant computed from the operand data and tangents, so under a graph one
-pass yields a taped prediction and its (untaped) directional derivative;
-``concat``'s dual tangent is the parts' tangents concatenated, zeros for a
+Every op that takes a DualTensor, :func:`jvp` included, takes its operands
+apart once with one rule (``_split``): a DualTensor gives its primal and
+tangent, anything else a Tensor and no tangent. The op computes and records
+its Tensor output as it would with no tangent about, and wraps a DualTensor
+only when some operand has a tangent: a constant computed from the operand
+data and tangents, a missing one an exact zero. So under a graph one pass
+yields a taped prediction and its (untaped) directional derivative;
+``concat``'s tangent is the parts' tangents concatenated, zeros for a
 non-dual part. :func:`jvp` runs its pass under :func:`no_record` and records
-nothing. Outside the three rules only :func:`dense`, :func:`split_rows`,
-``concat`` on Tensors and :func:`custom_op` build their own nodes.
-:func:`dense`, the network layer, is one node in reverse mode and on a dual
-input alike; there one tanh slope ``1 - y*y`` serves both the tangent and
-the node's VJP. It takes no plain-array path: each net's array branch calls
-the ``kernels`` layers itself. :func:`custom_op` records a fused computation
-with a hand-written VJP as a single tape node; :func:`weighted_sum` (a
-weighted total of losses) is one, :func:`row_sq_mean` gives the loss
-heads built that way their squared-distance arithmetic, and
-:func:`loss_head` gives a head's one value and VJP either as that node or,
-for a training step on plain arrays, untaped as ``(value, vjp)``. An op
-hands the tape its VJP ``vjp(g) -> [(parent, cotangent), ...]`` directly.
+nothing. Outside the three rules only :func:`concat`, :func:`dense`,
+:func:`split_rows` and :func:`custom_op` build their own nodes.
+:func:`dense`, the network layer, is one node whose tanh slope ``1 - y*y``
+serves its VJP and, on a dual input, the tangent. It takes no plain-array
+path: each net's array branch calls the ``kernels`` layers itself.
+:func:`custom_op` records a fused computation with a hand-written VJP as a
+single tape node; :func:`weighted_sum` (a weighted total of losses) is one,
+:func:`row_sq_mean` gives the loss heads built that way their
+squared-distance arithmetic, and :func:`loss_head` gives a head's one value
+and VJP either as that node or, for a training step on plain arrays, untaped
+as ``(value, vjp)``. An op hands the tape its VJP ``vjp(g) -> [(parent,
+cotangent), ...]`` directly.
 
 There is no indexing op: a head that needs part of a value works on
 ``.data`` inside a ``custom_op``. :func:`split_rows`, the inverse of a
@@ -306,22 +309,12 @@ def value_of(x) -> Array:
     return x.data if isinstance(x, Tensor) else _as_array(x)
 
 
-def _any_dual(args) -> bool:
-    return any(isinstance(a, DualTensor) for a in args)
-
-
-def _dual_op(fn, args, tangent) -> DualTensor:
-    """Apply a dual op: the primal is ``fn`` (the Tensor op, recorded as
-    usual) on the primal operands, the tangent ``tangent(y, xs, ts)`` of the
-    output data, the operand data and the operand tangents (None for
-    non-duals, whose tangent is zero)."""
-    operands, ts = [], []
-    for a in args:
-        p, t = (a.primal, a.tangent) if isinstance(a, DualTensor) else (as_tensor(a), None)
-        operands.append(p)
-        ts.append(t)
-    out = fn(*operands)
-    return DualTensor(out, tangent(out.data, [p.data for p in operands], ts))
+def _split(a):
+    """A DualTensor's primal and tangent, or any other operand as a Tensor
+    and the tangent None (an exact zero)."""
+    if isinstance(a, DualTensor):
+        return a.primal, a.tangent
+    return as_tensor(a), None
 
 
 def _tsum(p, q):
@@ -335,23 +328,20 @@ def _fit(t: Array, shape) -> Array:
     return t if t.shape == shape else np.broadcast_to(t, shape).copy()
 
 
-def _add_tangent(y, xs, ts):
-    return _fit(_tsum(*ts), y.shape)
+def _add_tangent(y, xa, xb, ta, tb):
+    return _fit(_tsum(ta, tb), y.shape)
 
 
-def _mul_tangent(y, xs, ts):
-    (xa, xb), (ta, tb) = xs, ts
+def _mul_tangent(y, xa, xb, ta, tb):
     return _fit(_tsum(None if ta is None else ta * xb, None if tb is None else xa * tb), y.shape)
 
 
-def _div_tangent(y, xs, ts):
-    (xa, xb), (ta, tb) = xs, ts
+def _div_tangent(y, xa, xb, ta, tb):
     num = _tsum(None if ta is None else ta * xb, None if tb is None else -(xa * tb))
     return _fit(num / (xb * xb), y.shape)
 
 
-def _matmul_tangent(y, xs, ts):
-    (xa, xb), (ta, tb) = xs, ts
+def _matmul_tangent(y, xa, xb, ta, tb):
     return _tsum(None if ta is None else ta @ xb, None if tb is None else xa @ tb)
 
 
@@ -451,14 +441,12 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 # binary ops
 
 
-def _binary(a, b, fn, tangent, fwd, da, db, op: str):
-    """The binary op ``fn``: ``fwd`` of the operand data, and the VJP
-    ``da(g, x, y)``, ``db(g, x, y)`` for operands of data ``x`` and ``y``,
-    each summed back to its operand's shape. A dual operand makes the
-    output a DualTensor with the tangent ``tangent(out, xs, ts)``."""
-    if _any_dual((a, b)):
-        return _dual_op(fn, (a, b), tangent)
-    a, b = as_tensor(a), as_tensor(b)
+def _binary(a, b, tangent, fwd, da, db, op: str):
+    """``fwd`` of the operand data, with the VJP ``da(g, x, y)``, ``db(g, x,
+    y)`` for operands of data ``x`` and ``y``, each summed back to its
+    operand's shape. A dual operand makes the output a DualTensor with the
+    tangent ``tangent(out, x, y, tx, ty)``."""
+    (a, ta), (b, tb) = _split(a), _split(b)
     x, y = a.data, b.data
     try:
         data = fwd(x, y)
@@ -473,7 +461,10 @@ def _binary(a, b, fn, tangent, fwd, da, db, op: str):
             out.append((b, _unbroadcast(db(g, x, y), y.shape)))
         return out
 
-    return _emit(data, (a, b), vjp, op)
+    out = _emit(data, (a, b), vjp, op)
+    if ta is None and tb is None:
+        return out
+    return DualTensor(out, tangent(out.data, x, y, ta, tb))
 
 
 def _pass(g, x, y):
@@ -481,7 +472,7 @@ def _pass(g, x, y):
 
 
 def add(a, b):
-    return _binary(a, b, add, _add_tangent, np.add, _pass, _pass, "add")
+    return _binary(a, b, _add_tangent, np.add, _pass, _pass, "add")
 
 
 def sub(a, b):
@@ -489,12 +480,12 @@ def sub(a, b):
 
 
 def mul(a, b):
-    return _binary(a, b, mul, _mul_tangent, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
+    return _binary(a, b, _mul_tangent, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
 
 
 def div(a, b):
     return _binary(
-        a, b, div, _div_tangent, np.true_divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y), "div"
+        a, b, _div_tangent, np.true_divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y), "div"
     )
 
 
@@ -510,7 +501,7 @@ def _matmul_da(g, x, y):
 
 def matmul(a, b):
     return _binary(
-        a, b, matmul, _matmul_tangent, np.matmul, _matmul_da,
+        a, b, _matmul_tangent, np.matmul, _matmul_da,
         lambda g, x, y: np.outer(x, g) if x.ndim == 1 and y.ndim == 2 else x.T @ g, "matmul",
     )
 
@@ -520,15 +511,13 @@ def matmul(a, b):
 
 
 def _unary(a, fwd: Callable[[Array], Array], dydx: Callable[[Array, Array], Array], op: str):
-    """dydx receives (x, y) and returns the local derivative array."""
-    if isinstance(a, DualTensor):
-        return _dual_op(
-            lambda x: _unary(x, fwd, dydx, op), (a,), lambda y, xs, ts: dydx(xs[0], y) * ts[0]
-        )
-    a = as_tensor(a)
-    y = fwd(a.data)
+    """dydx receives (x, y) and returns the local derivative array; a dual
+    operand's tangent is that derivative times its tangent."""
+    a, t = _split(a)
     x = a.data
-    return _emit(y, (a,), lambda g: [(a, g * dydx(x, y))], op)
+    y = fwd(x)
+    out = _emit(y, (a,), lambda g: [(a, g * dydx(x, y))], op)
+    return out if t is None else DualTensor(out, dydx(x, y) * t)
 
 
 def tanh(a):
@@ -538,23 +527,20 @@ def tanh(a):
 def dense(x, W, b, tanh: bool = True):
     """One layer, ``tanh(x @ W + b)``, or ``x @ W + b`` with ``tanh`` off.
 
-    ``W`` and ``b`` are the layer's parameter Tensors. ``x`` decides the path:
+    ``W`` and ``b`` are the layer's parameter Tensors, and ``x`` an operand
+    as any op takes it (an array-like is a constant). The layer is one tape
+    node, with one finite check on the pre-activation (tanh of a finite
+    value is finite). The tanh slope ``1 - y*y`` is computed with the output
+    and serves the node's VJP and, for a dual ``x`` of tangent ``t``, the
+    output's tangent ``(t @ W) * (1 - y*y)``.
 
-    * a Tensor (an array-like is wrapped as a constant one) gives one tape
-      node whose VJP is written out, with one finite check on the
-      pre-activation (tanh of a finite value is finite);
-    * a DualTensor is the same one node over its primal, recorded as the
-      Tensor path would be, and returns a DualTensor carrying the tangent
-      ``(t @ W) * (1 - y*y)``; the slope ``1 - y*y`` is computed once and
-      serves both that tangent and the node's VJP.
-
-    Both paths run the ops of ``matmul`` -> ``add`` -> ``tanh`` in their
-    order, so values, cotangents and tangents equal that chain's bit for bit
-    (IEEE multiplication commutes). Plain-array inference does not come
-    here: each net's array branch calls ``kernels.affine_tanh`` and
+    These are the ops of ``matmul`` -> ``add`` -> ``tanh`` in their order,
+    so values, cotangents and tangents equal that chain's bit for bit (IEEE
+    multiplication commutes). Plain-array inference does not come here:
+    each net's array branch calls ``kernels.affine_tanh`` and
     ``kernels.affine``, which run the same ops untraced.
     """
-    x, t = (x.primal, x.tangent) if isinstance(x, DualTensor) else (as_tensor(x), None)
+    x, t = _split(x)
     xd, Wd = x.data, W.data
     if xd.ndim != 2 or xd.shape[1] != Wd.shape[0]:
         raise ShapeError(f"dense input {xd.shape} does not fit weight {Wd.shape}")
@@ -564,20 +550,11 @@ def dense(x, W, b, tanh: bool = True):
     slope = None
     if tanh:
         np.tanh(y, out=y)
-        if t is not None:
-            slope = y * y
-            np.subtract(1.0, slope, out=slope)
+        slope = y * y
+        np.subtract(1.0, slope, out=slope)
 
     def vjp(g):
-        if slope is not None:
-            gp = slope * g
-        elif tanh:
-            # g * (1 - y*y) without temporaries
-            gp = y * y
-            np.subtract(1.0, gp, out=gp)
-            gp *= g
-        else:
-            gp = g
+        gp = g if slope is None else slope * g
         out = []
         if x.requires_grad:
             out.append((x, gp @ Wd.T))
@@ -641,11 +618,10 @@ def _linear(a, fwd, back, op: str):
     """The linear op ``fwd`` of one operand's data: a dual operand's tangent
     is ``fwd`` of its tangent, and the VJP of an operand of shape ``s`` is
     ``back(g, s)``."""
-    if isinstance(a, DualTensor):
-        return _dual_op(lambda x: _linear(x, fwd, back, op), (a,), lambda y, xs, ts: fwd(ts[0]))
-    a = as_tensor(a)
+    a, t = _split(a)
     shape = a.data.shape
-    return _emit(fwd(a.data), (a,), lambda g: [(a, back(g, shape))], op)
+    out = _emit(fwd(a.data), (a,), lambda g: [(a, back(g, shape))], op)
+    return out if t is None else DualTensor(out, fwd(t))
 
 
 def reshape(a, shape):
@@ -667,28 +643,27 @@ def _blocks(xs: Sequence[Array], axis: int) -> list[tuple]:
 
 
 def concat(parts: Sequence, axis: int = 1):
-    parts = list(parts)
-    if _any_dual(parts):
-
-        def tangent(y, xs, ts):
-            # a non-dual part's block stays zero
-            out = np.zeros(y.shape)
-            for block, t in zip(_blocks(xs, axis), ts):
-                if t is not None:
-                    out[block] = t
-            return out
-
-        return _dual_op(lambda *ps: concat(ps, axis), parts, tangent)
-    ts = [as_tensor(p) for p in parts]
+    """The parts joined along ``axis``; with a dual part, a DualTensor whose
+    tangent is the parts' tangents joined, a non-dual part's block zero."""
+    pairs = [_split(p) for p in parts]
+    ps = tuple([p for p, _ in pairs])
+    xs = [p.data for p in ps]
     try:
-        data = np.concatenate([t.data for t in ts], axis=axis)
+        data = np.concatenate(xs, axis=axis)
     except ValueError as e:
         raise ShapeError(str(e)) from None
 
     def vjp(g):
-        return [(t, g[block]) for t, block in zip(ts, _blocks([t.data for t in ts], axis)) if t.requires_grad]
+        return [(p, g[block]) for p, block in zip(ps, _blocks(xs, axis)) if p.requires_grad]
 
-    return _emit(data, tuple(ts), vjp, "concat")
+    out = _emit(data, ps, vjp, "concat")
+    if all(t is None for _, t in pairs):
+        return out
+    tangent = np.zeros(data.shape)
+    for block, (_, t) in zip(_blocks(xs, axis), pairs):
+        if t is not None:
+            tangent[block] = t
+    return DualTensor(out, tangent)
 
 
 def split_rows(a, n: int):
@@ -741,8 +716,6 @@ def jvp(fn: Callable, inputs: Iterable, tangents: Iterable) -> tuple[Tensor, Ten
     duals = [DualTensor(value_of(x), value_of(t)) for x, t in zip(list(inputs), list(tangents), strict=True)]
     with no_record():
         out = fn(*duals)
-    if not isinstance(out, DualTensor):
-        # function ignored its inputs entirely; tangent is exactly zero
-        out = as_tensor(out)
-        return out, Tensor(np.zeros_like(out.data))
-    return out.primal, Tensor(out.tangent)
+    # a function that ignored its inputs has a tangent of exactly zero
+    out, t = _split(out)
+    return out, Tensor(np.zeros_like(out.data) if t is None else t)

@@ -21,15 +21,18 @@ leaf, so a hinge step tapes 1 node.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DualTensor, Graph, Tensor, _check_finite, custom_op, no_record, row_sq_mean, weighted_sum
+from .autodiff import (
+    DualTensor, Graph, NonFiniteError, Tensor, _check_finite, custom_op, no_record, row_sq_mean, weighted_sum,
+)
 from .dispersive import DISP_KINDS, dispersive_loss, effective_rank
 from .io import metrics_csv
-from .nets import Adam, VelocityNet, init_velocity_net
+from .nets import Adam, VelocityNet, first_nonfinite_grad, init_velocity_net
 
 METRIC_COLUMNS = ("epoch", "step", "mf_loss", "disp_loss", "total_loss", "d_eff", "wall_ms")
 
@@ -230,7 +233,11 @@ def stage1_step(net: VelocityNet, grads: dict, batch: Stage1Batch, config: Stage
 def pretrain(dataset, config: Stage1Config, metrics_path=None):
     """Minibatch descent on L_MF + alpha * L_disp (Algorithm: per-epoch shuffle,
     fresh noise and time pairs every step). Returns (net, metrics rows);
-    each row is also appended to ``metrics_path`` as its epoch ends."""
+    each row is also appended to ``metrics_path`` as its epoch ends. A
+    non-finite op in a step raises ``RuntimeError`` naming the epoch, the
+    step and the op; a non-finite gradient names op 'backward' and the first
+    parameter whose gradient is not finite, before the update reaches the
+    parameters."""
     obs_all = np.asarray(dataset.obs, dtype=np.float64)
     act_all = np.asarray(dataset.actions, dtype=np.float64)
     n = obs_all.shape[0]
@@ -273,6 +280,13 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
 
             try:
                 mf, disp, total = stage1_step(net, opt.grads, batch, config)
+                # ``_check_finite``'s rule: a finite sum of squares proves
+                # every entry finite; else the search decides (a square of a
+                # finite entry may overflow)
+                if not math.isfinite(np.vdot(opt._g, opt._g)):
+                    bad = first_nonfinite_grad(net.params.items(), opt.grads)
+                    if bad:
+                        raise NonFiniteError(f"non-finite values produced by op 'backward' in the gradient of {bad}")
             except FloatingPointError as e:
                 raise RuntimeError(
                     f"pre-training diverged at epoch {epoch} step {step}: {e}"

@@ -414,6 +414,13 @@ class Adam:
         )
 
 
+def first_nonfinite_grad(named, grads: dict) -> str | None:
+    """The name of the first ``(name, Tensor)`` pair in ``named`` whose
+    gradient in ``grads`` (as ``Adam.grads``) has a non-finite entry, or
+    None when every one is finite."""
+    return next((n for n, p in named if not np.isfinite(grads[p]).all()), None)
+
+
 def clip_grad_norm(g: np.ndarray, max_norm: float) -> float:
     """Scale the flat gradient ``g`` in place so its L2 norm is <= max_norm
     and return the norm before clipping: one sum of squares, and one

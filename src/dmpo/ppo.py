@@ -71,7 +71,7 @@ from .autodiff import (
     weighted_sum
 )
 from .io import metrics_csv
-from .nets import Adam, clip_grad_norm, init_value_net
+from .nets import Adam, clip_grad_norm, first_nonfinite_grad, init_value_net
 from .sampler import LOG_2PI, chain_logprob_traced, check_K, policy_entropy, sample_chain_batch
 
 METRIC_COLUMNS = (
@@ -633,7 +633,7 @@ def _nonfinite_grad(nets: Stage2Nets, grads: dict, norm: float) -> NonFiniteErro
     named = [("log_sigma", nets.log_sigma)] if nets.log_sigma is not None else []
     for net in ("policy", "value"):
         named += [(f"{net} {n}", p) for n, p in getattr(nets, net).params.items()]
-    bad = next((n for n, p in named if not np.isfinite(grads[p]).all()), None)
+    bad = first_nonfinite_grad(named, grads)
     where = f"the gradient of {bad}" if bad else f"a gradient norm of {norm}"
     return NonFiniteError(f"non-finite values produced by op 'backward' in {where}")
 

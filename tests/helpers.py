@@ -5,6 +5,10 @@ import csv
 
 import numpy as np
 
+from dmpo.autodiff import Graph, Tensor, weighted_sum
+from dmpo.dispersive import dispersive_loss
+from dmpo.meanflow import mf_loss
+
 
 def rel_err(got, want, floor=1e-8):
     got = np.asarray(got, dtype=np.float64)
@@ -57,3 +61,21 @@ def one_pass_metrics_csv(path, columns, rows):
         for row in rows:
             w.writerow([row[c] for c in columns])
     return path.read_bytes()
+
+
+def _taped_step(net, batch, cfg):
+    """The reference pre-train step, all on one tape: the traced encoder,
+    ``mf_loss`` on the traced h (its dual ``dense``/``concat`` JVP pass),
+    the dispersive term and the weighted total, one backward. Returns
+    ``(mf, disp, total)`` and the flat gradient in ``net.parameters()``
+    order, which ``stage1_step`` must equal bit for bit."""
+    with Graph() as g:
+        h = net.encode(Tensor(batch.obs))
+        mf = mf_loss(net, batch, h=h)
+        disp, total = Tensor(0.0), mf
+        if cfg.alpha_disp > 0.0 and cfg.disp_kind != "none" and batch.obs.shape[0] >= 2:
+            disp = dispersive_loss(h, cfg)
+            total = weighted_sum([mf, disp], [1.0, cfg.alpha_disp], "stage1_total")
+    grads = g.backward(total)
+    flat = np.concatenate([grads[p].ravel() for p in net.parameters()])
+    return (mf.item(), disp.item(), total.item()), flat

@@ -1,5 +1,7 @@
 """Reverse-mode, forward-mode, and graph-recording checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -740,6 +742,53 @@ def test_backward_foreign_output_rejected():
 def test_dual_shape_mismatch():
     with pytest.raises(ShapeError):
         DualTensor(np.ones(3), np.ones(4))
+
+
+def _numpy_message(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return f"^{re.escape(str(info.value))}$"
+
+
+def test_shape_errors_carry_numpys_message_on_duals_and_empty_concat():
+    dual = DualTensor(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ShapeError, match=_numpy_message(np.concatenate, [])):
+        concat([])
+    with pytest.raises(ShapeError, match=_numpy_message(np.add, np.ones((2, 3)), np.ones((2, 4)))):
+        ad.add(dual, np.ones((2, 4)))
+    want = _numpy_message(np.concatenate, [np.ones((2, 3)), np.ones((3, 2))], 1)
+    with pytest.raises(ShapeError, match=want):
+        concat([dual, np.ones((3, 2))], axis=1)
+
+
+# (rule the op is written on, the op on a DualTensor x)
+_DUAL_OPS = {
+    "add": ("_binary", lambda x: ad.add(x, np.ones((3, 2)))),
+    "matmul": ("_binary", lambda x: ad.matmul(x, np.ones((2, 4)))),
+    "tanh": ("_unary", ad.tanh),
+    "sum": ("_linear", lambda x: x.sum(axis=0)),
+    "concat": ("concat", lambda x: ad.concat([x, np.ones((3, 1))], axis=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DUAL_OPS))
+def test_dual_op_runs_its_rule_once_and_records_one_node(monkeypatch, name):
+    # the rule unwraps the dual operand itself: it does not call the public
+    # op again on the primal
+    rule, op = _DUAL_OPS[name]
+    inner, calls = getattr(ad, rule), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(ad, rule, counted)
+    x = DualTensor(Tensor(np.full((3, 2), 0.5), requires_grad=True), np.ones((3, 2)))
+    with Graph() as g:
+        out = op(x)
+    assert len(calls) == 1
+    assert len(g.nodes) == 1
+    assert isinstance(out, DualTensor)
 
 
 # ---------------------------------------------------------------------------

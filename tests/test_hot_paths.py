@@ -27,7 +27,7 @@ WRAPPERS = frozenset({
 # minibatch, rollout step or demonstration step
 HOT = {
     autodiff: [
-        "Graph.backward", "_check_finite", "_dual_op", "_emit", "_output", "custom_op", "weighted_sum",
+        "Graph.backward", "_check_finite", "_split", "_emit", "_output", "custom_op", "weighted_sum",
         "loss_head", "row_sq_mean", "_linear", "reshape", "_blocks", "concat", "split_rows", "dense",
     ],
     dispersive: ["hinge"],

@@ -3,7 +3,7 @@ import pytest
 
 import dmpo.autodiff as ad
 from dmpo.autodiff import Graph, Tensor
-from dmpo.dispersive import DISP_KINDS, dispersive_loss
+from dmpo.dispersive import DISP_KINDS
 from dmpo.envs import Dataset
 from dmpo.meanflow import (
     Stage1Batch,
@@ -17,7 +17,7 @@ from dmpo.meanflow import (
 )
 from dmpo.nets import Adam, init_velocity_net, param_checksum
 
-from helpers import fd_grad, one_pass_metrics_csv, rel_err
+from helpers import _taped_step, fd_grad, one_pass_metrics_csv, rel_err
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +448,28 @@ def test_diverged_pretrain_keeps_the_rows_of_its_finished_epochs(monkeypatch, tm
     assert [line.split(",")[:2] for line in lines[1:]] == [["0", "2"], ["1", "4"], ["2", "6"]]
 
 
-def _taped_step(net, batch, cfg):
-    # the reference step, all on one tape: the traced encoder, mf_loss on
-    # the traced h, the dispersive term and the weighted total, one backward
-    with Graph() as g:
-        h = net.encode(Tensor(batch.obs))
-        mf = mf_loss(net, batch, h=h)
-        disp, total = Tensor(0.0), mf
-        if cfg.alpha_disp > 0.0 and cfg.disp_kind != "none" and batch.obs.shape[0] >= 2:
-            disp = dispersive_loss(h, cfg)
-            total = ad.weighted_sum([mf, disp], [1.0, cfg.alpha_disp], "stage1_total")
-    grads = g.backward(total)
-    flat = np.concatenate([grads[p].ravel() for p in net.parameters()])
-    return (mf.item(), disp.item(), total.item()), flat
+@pytest.mark.parametrize("name, bad", [("enc0_w", np.inf), ("trunk1_b", -np.inf), ("out_w", np.nan)])
+def test_pretrain_non_finite_gradient_names_op_backward_and_the_parameter(monkeypatch, name, bad):
+    # a finite loss with a non-finite gradient entry: the run stops at that
+    # step, before Adam writes it into the parameters, rather than one step
+    # later at a forward op
+    import dmpo.meanflow as mfmod
+
+    calls = []
+    step = mfmod.stage1_step
+
+    def poisoned(net, grads, batch, config):
+        out = step(net, grads, batch, config)
+        calls.append(None)
+        if len(calls) == 3:
+            grads[net.params[name]].flat[-1] = bad
+        return out
+
+    monkeypatch.setattr(mfmod, "stage1_step", poisoned)
+    match = rf"^pre-training diverged at epoch 1 step 2: non-finite values produced by op 'backward' in the gradient of {name}$"
+    with pytest.raises(RuntimeError, match=match):
+        pretrain(_tiny_dataset(np.random.default_rng(70)), Stage1Config(epochs=3, batch_size=4, seed=0))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(

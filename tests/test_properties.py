@@ -1,6 +1,7 @@
-"""Property tests over drawn shapes: the fine-tune minibatch on plain arrays
-against the taped loss, recomputed chain log-probs against the sampled
-ones, and ``envs._fma`` against numpy's 2-element dot. Each runs a fixed,
+"""Property tests over drawn shapes: the pre-train step and the fine-tune
+minibatch on plain arrays against their taped references, recomputed chain
+log-probs against the sampled ones, and ``envs._fma`` against numpy's
+2-element dot. Each runs a fixed,
 derandomized set of examples, so a failure reproduces."""
 
 import math
@@ -11,12 +12,35 @@ from hypothesis import strategies as st
 
 import dmpo.ppo as ppo_mod
 from dmpo.autodiff import Graph, Tensor
+from dmpo.dispersive import DISP_KINDS
 from dmpo.envs import _fma
-from dmpo.nets import init_value_net, init_velocity_net
+from dmpo.meanflow import Stage1Batch, Stage1Config, sample_time_pairs, stage1_step
+from dmpo.nets import Adam, init_value_net, init_velocity_net
 from dmpo.ppo import MiniBatch, Stage2Config, Stage2Nets, stage2_loss
 from dmpo.sampler import chain_logprob_traced, sample_chain_batch
 
+from helpers import _taped_step
+
 FIXED = settings(derandomize=True, database=None, deadline=None)
+
+
+@settings(FIXED, max_examples=200)
+@given(d_obs=st.integers(1, 6), d_a=st.integers(1, 4), d_h=st.integers(1, 70), enc_width=st.integers(1, 70),
+       trunk_width=st.integers(1, 70), B=st.integers(1, 70), kind=st.sampled_from(DISP_KINDS),
+       alpha=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2**16))
+def test_stage1_step_equals_the_taped_step(d_obs, d_a, d_h, enc_width, trunk_width, B, kind, alpha, seed):
+    cfg = Stage1Config(disp_kind=kind, alpha_disp=alpha, d_h=d_h, enc_width=enc_width, trunk_width=trunk_width)
+    net = init_velocity_net(seed, d_obs, d_a, d_h=d_h, enc_width=enc_width, trunk_width=trunk_width)
+    rng = np.random.default_rng(seed)
+    obs, act = rng.normal(size=(B, d_obs)), 0.3 * rng.normal(size=(B, d_a))
+    r, tau = sample_time_pairs(rng, B, cfg.rho_inst, cfg.full_interval_frac)
+    batch = Stage1Batch(obs, act, rng.standard_normal((B, d_a)), r, tau)
+    opt = Adam(net.parameters())
+    opt._g.fill(np.nan)  # every entry must be written
+    losses = stage1_step(net, opt.grads, batch, cfg)
+    want_losses, want_grad = _taped_step(net, batch, cfg)
+    assert losses == want_losses
+    assert np.array_equal(opt._g, want_grad)
 
 
 def _sampled(net, M, K, sigma, seed):
