@@ -33,17 +33,16 @@ data and tangents, a missing one an exact zero. So under a graph one pass
 yields a taped prediction and its (untaped) directional derivative;
 ``concat``'s tangent is the parts' tangents concatenated, zeros for a
 non-dual part. :func:`jvp` runs its pass under :func:`no_record` and records
-nothing. Outside the three rules only :func:`concat`, :func:`dense`,
-:func:`split_rows` and :func:`custom_op` build their own nodes.
-:func:`dense`, the network layer, is one node whose tanh slope ``1 - y*y``
-serves its VJP and, on a dual input, the tangent. It takes no plain-array
-path: each net's array branch calls the ``kernels`` layers itself.
-:func:`custom_op` records a fused computation with a hand-written VJP as a
-single tape node; :func:`weighted_sum` (a weighted total of losses) is one,
-:func:`row_sq_mean` gives the loss heads built that way their
-squared-distance arithmetic, and :func:`loss_head` gives a head's one value
-and VJP either as that node or, for a training step on plain arrays, untaped
-as ``(value, vjp)``. An op hands the tape its VJP ``vjp(g) -> [(parent,
+nothing. Outside the three rules only :func:`concat`, :func:`split_rows`
+and :func:`custom_op` build their own nodes. A network layer is no op of
+its own: the nets' Tensor branches write it as ``matmul`` -> ``add`` ->
+``tanh``, and their array branches call the ``kernels`` layers, which run
+the same ops untraced. :func:`custom_op` records a fused computation with
+a hand-written VJP as a single tape node; :func:`weighted_sum` (a weighted
+total of losses) is one, :func:`row_sq_mean` gives the loss heads built
+that way their squared-distance arithmetic, and :func:`loss_head` gives a
+head's one value and VJP either as that node or, for a training step on
+plain arrays, untaped as ``(value, vjp)``. An op hands the tape its VJP ``vjp(g) -> [(parent,
 cotangent), ...]`` directly.
 
 There is no indexing op: a head that needs part of a value works on
@@ -351,11 +350,6 @@ def _emit(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
     ``vjp(g)`` returns ``(parent, cotangent)`` pairs for the parents that
     require grad."""
     _check_finite(data, op)
-    return _output(data, parents, vjp, op)
-
-
-def _output(data: Array, parents: tuple[Tensor, ...], vjp, op: str) -> Tensor:
-    # ``_emit`` without the finite check, for ops that check another array
     if _ACTIVE:
         traced = [p for p in parents if p.requires_grad]
         if traced:
@@ -522,55 +516,6 @@ def _unary(a, fwd: Callable[[Array], Array], dydx: Callable[[Array, Array], Arra
 
 def tanh(a):
     return _unary(a, np.tanh, lambda x, y: 1.0 - y * y, "tanh")
-
-
-def dense(x, W, b, tanh: bool = True):
-    """One layer, ``tanh(x @ W + b)``, or ``x @ W + b`` with ``tanh`` off.
-
-    ``W`` and ``b`` are the layer's parameter Tensors, and ``x`` an operand
-    as any op takes it (an array-like is a constant). The layer is one tape
-    node, with one finite check on the pre-activation (tanh of a finite
-    value is finite). The tanh slope ``1 - y*y`` is computed with the output
-    and serves the node's VJP and, for a dual ``x`` of tangent ``t``, the
-    output's tangent ``(t @ W) * (1 - y*y)``.
-
-    These are the ops of ``matmul`` -> ``add`` -> ``tanh`` in their order,
-    so values, cotangents and tangents equal that chain's bit for bit (IEEE
-    multiplication commutes). Plain-array inference does not come here:
-    each net's array branch calls ``kernels.affine_tanh`` and
-    ``kernels.affine``, which run the same ops untraced.
-    """
-    x, t = _split(x)
-    xd, Wd = x.data, W.data
-    if xd.ndim != 2 or xd.shape[1] != Wd.shape[0]:
-        raise ShapeError(f"dense input {xd.shape} does not fit weight {Wd.shape}")
-    y = xd @ Wd
-    y += b.data
-    _check_finite(y, "dense")
-    slope = None
-    if tanh:
-        np.tanh(y, out=y)
-        slope = y * y
-        np.subtract(1.0, slope, out=slope)
-
-    def vjp(g):
-        gp = g if slope is None else slope * g
-        out = []
-        if x.requires_grad:
-            out.append((x, gp @ Wd.T))
-        if W.requires_grad:
-            out.append((W, xd.T @ gp))
-        if b.requires_grad:
-            out.append((b, gp.sum(axis=0)))
-        return out
-
-    out = _output(y, (x, W, b), vjp, "dense")
-    if t is None:
-        return out
-    tw = t @ Wd
-    if slope is not None:
-        tw *= slope
-    return DualTensor(out, tw)
 
 
 def relu(a):

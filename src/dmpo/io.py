@@ -5,9 +5,11 @@ little-endian IEEE-754 binary64 payloads, plus dims, a format version, an
 arbitrary JSON-safe state blob (config snapshot, rng state, optimizer
 state), and a sha256 content hash verified on load, where each net's dims
 and parameter names must also be exactly its kind's and each parameter's
-shape the one its dims give. Round trips are bit-identical. Datasets are
-JSON Lines with full round-trip float precision, read strictly line by
-line; metrics are plain CSV with a fixed header.
+shape the one its dims give. Checkpoint round trips are bit-identical.
+Datasets are JSON Lines, read strictly line by line; a round trip gives
+back every double byte for byte except NaN: JSON's ``NaN`` token carries
+neither a sign nor a payload, so every NaN reads back as the one quiet NaN
+(bits ``0x7FF8000000000000``). Metrics are plain CSV with a fixed header.
 """
 
 from __future__ import annotations

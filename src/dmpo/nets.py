@@ -6,29 +6,29 @@ concat(z, h, r, tau), with the two flow times raw, to an action-space
 velocity. The encoder output is what the dispersive regularizers act on;
 trunk parameters never influence ``encode``.
 
-Each net has one forward method with two branches. On Tensors it is built
-from ``autodiff.dense`` layers and runs traced (reverse mode) or on duals
-(forward mode; under a graph the primal is taped as the traced forward
-would be, so one pass gives a taped forward and its directional
-derivative). On plain arrays it calls ``kernels.affine_tanh`` and
-``kernels.affine`` itself, one written-out call per layer, records nothing
-and returns arrays (``velocity`` then takes float times, and one unbatched
-row runs as 1-D arrays); the layers' ops and their order are those of
-``dense``, so both branches give the same bits.
+Each net has one forward method with two branches. On Tensors each layer
+is the autodiff op chain ``tanh(x @ W + b)`` (``x @ W + b`` for an output
+layer) and runs traced (reverse mode) or on duals (forward mode; under a
+graph the primal is taped as the traced forward would be, so one pass gives
+a taped forward and its directional derivative). On plain arrays it calls
+``kernels.affine_tanh`` and ``kernels.affine`` itself, one written-out call
+per layer, records nothing and returns arrays (``velocity`` then takes
+float times, and one unbatched row runs as 1-D arrays); the layers' ops and
+their order are the chain's, so both branches give the same bits.
 
 The training steps run off the tape too: ``encode(obs, keep=True)``,
 ``velocity((z, v), r, tau, h=h)`` (``v`` None: the trunk pass alone; an
 array ``v``: the JVP along (v, 0, 1), the dual pass
 ``meanflow.target_velocity`` makes on Tensors) and ``ValueNet.value(obs,
-keep=True)`` give the values of the taped forward with ``dense``'s finite
-check on each pre-activation, plus the activations that ``encode_vjp``,
-``velocity_vjp`` and ``value_vjp`` read. Those backward passes sit beside
-their forwards, one written-out ``dense`` VJP per layer, and write each
-parameter's gradient into ``grads[param]``. ``grads`` is the one
-gradient map of both training steps: ``Adam.grads``, each parameter Tensor
-to its view of Adam's flat gradient buffer, keyed as ``Graph.backward``
-keys its result. ``clip_grad_norm`` rescales that buffer in place and
-``Adam.step`` updates from it.
+keep=True)`` give the values of the taped forward with one finite check
+(op 'dense') on each pre-activation, plus the activations that
+``encode_vjp``, ``velocity_vjp`` and ``value_vjp`` read. Those backward
+passes sit beside their forwards, one written-out VJP of the chain per
+layer, and write each parameter's gradient into ``grads[param]``.
+``grads`` is the one gradient map of both training steps: ``Adam.grads``,
+each parameter Tensor to its view of Adam's flat gradient buffer, keyed as
+``Graph.backward`` keys its result. ``clip_grad_norm`` rescales that
+buffer in place and ``Adam.step`` updates from it.
 
 The training steps take every product with ``ndarray.dot``: the forward's
 ``x.dot(W)`` (``_checked``), the VJP's ``x.T.dot(gp, out=grads[W])`` and
@@ -48,16 +48,17 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .autodiff import Tensor, _check_finite, as_tensor, concat, dense, value_of
+from .autodiff import Tensor, _check_finite, as_tensor, concat, tanh, value_of
 
 
-def _checked(x, W, b, tanh=True):
-    # ``dense`` on arrays: its ops in order and its pre-activation check; a
-    # tanh layer also returns its slope 1 - y*y, computed as ``dense`` does
+def _checked(x, W, b, hidden=True):
+    # a layer on arrays, the traced chain's ops in order, with one finite
+    # check (named 'dense') on the pre-activation, since tanh of a finite
+    # value is finite; a hidden layer also returns its tanh slope 1 - y*y
     y = x.dot(W)
     y += b
     _check_finite(y, "dense")
-    if not tanh:
+    if not hidden:
         return y
     np.tanh(y, out=y)
     s = y * y
@@ -66,9 +67,9 @@ def _checked(x, W, b, tanh=True):
 
 
 def _layer_vjp(x, gp, W, b, grads, x_cot=True):
-    # ``dense``'s VJP for the pre-activation cotangent gp: the gradients of
-    # the parameter Tensors W and b written into ``grads[W]`` and
-    # ``grads[b]``, and x's cotangent unless ``x_cot`` is False
+    # the VJP of ``matmul`` -> ``add`` for the pre-activation cotangent gp:
+    # the gradients of the parameter Tensors W and b written into grads[W]
+    # and grads[b], and x's cotangent unless ``x_cot`` is False
     x.T.dot(gp, out=grads[W])
     gp.sum(axis=0, out=grads[b])
     return gp.dot(W.data.T) if x_cot else None
@@ -146,8 +147,8 @@ class VelocityNet(_MLPBase):
         """(B, d_obs) -> conditional embeddings (B, d_h), post-activation.
 
         On arrays with ``keep`` (a training step) each layer's pre-activation
-        gets ``dense``'s finite check and ``(h, acts)`` is returned, ``acts``
-        being what ``encode_vjp`` reads."""
+        gets ``_checked``'s finite check and ``(h, acts)`` is returned,
+        ``acts`` being what ``encode_vjp`` reads."""
         p = self.params
         if type(obs) is np.ndarray:
             if not keep:
@@ -156,11 +157,11 @@ class VelocityNet(_MLPBase):
             x, sx = _checked(obs, p["enc0_w"].data, p["enc0_b"].data)
             h, sh = _checked(x, p["enc1_w"].data, p["enc1_b"].data)
             return h, (obs, x, sx, sh)
-        return dense(dense(obs, p["enc0_w"], p["enc0_b"]), p["enc1_w"], p["enc1_b"])
+        return tanh(tanh(obs @ p["enc0_w"] + p["enc0_b"]) @ p["enc1_w"] + p["enc1_b"])
 
     def encode_vjp(self, g, acts, grads):
         """Backward of ``encode(obs, keep=True)`` for the cotangent ``g`` of
-        h: ``dense``'s VJP ops per layer, each parameter's gradient written
+        h: the chain's VJP ops per layer, each parameter's gradient written
         into ``grads[param]``."""
         obs, x, sx, sh = acts
         p = self.params
@@ -177,10 +178,10 @@ class VelocityNet(_MLPBase):
 
         A pair ``z = (z, v)`` with an array ``h`` and columns r, tau is a
         training step's pass: the trunk input gets the traced ``concat``'s
-        finite check and each layer's pre-activation ``dense``'s. It returns
-        ``(u, acts)``, ``acts`` being what ``velocity_vjp`` reads, for ``v``
-        None (no tangent), and ``(u, du/dtau, acts)``, the JVP along (v, 0,
-        1) in (z, r, tau), for an array ``v``."""
+        finite check and each layer's pre-activation ``_checked``'s. It
+        returns ``(u, acts)``, ``acts`` being what ``velocity_vjp`` reads,
+        for ``v`` None (no tangent), and ``(u, du/dtau, acts)``, the JVP
+        along (v, 0, 1) in (z, r, tau), for an array ``v``."""
         arrays = type(z) is np.ndarray
         if not (r <= tau) if arrays else not (value_of(r) <= value_of(tau)).all():
             raise ValueError("flow interval start r exceeds end tau")
@@ -216,7 +217,7 @@ class VelocityNet(_MLPBase):
             x = kernels.affine_tanh(x, p["trunk1_w"].data, p["trunk1_b"].data)
             return kernels.affine(x, p["out_w"].data, p["out_b"].data)
         if type(z) is tuple:
-            # the values of the traced (or dual) ``concat`` and ``dense``
+            # the values of the traced (or dual) ``concat`` and layers
             z, v = z
             x = np.concatenate((z, h, r, tau), axis=1)
             _check_finite(x, "concat")
@@ -234,13 +235,13 @@ class VelocityNet(_MLPBase):
             t = t.dot(p["trunk1_w"].data)
             t *= s2
             return u, t.dot(p["out_w"].data), acts
-        x = dense(concat([z, h, r, tau], axis=1), p["trunk0_w"], p["trunk0_b"])
-        x = dense(x, p["trunk1_w"], p["trunk1_b"])
-        return dense(x, p["out_w"], p["out_b"], False)
+        x = tanh(concat([z, h, r, tau], axis=1) @ p["trunk0_w"] + p["trunk0_b"])
+        x = tanh(x @ p["trunk1_w"] + p["trunk1_b"])
+        return x @ p["out_w"] + p["out_b"]
 
     def velocity_vjp(self, g, acts, grads):
         """Backward of the pass ``velocity((z, v), ...)`` for the cotangent
-        ``g`` of u: ``dense``'s VJP ops per layer, each parameter's gradient
+        ``g`` of u: the chain's VJP ops per layer, each parameter's gradient
         written into ``grads[param]``; returns the cotangent of h."""
         x, a1, s1, a2, s2 = acts
         p = self.params
@@ -268,8 +269,9 @@ class ValueNet(_MLPBase):
 
     def value(self, obs, keep=False):
         """(B, d_obs) -> values (B,). On arrays with ``keep`` (a training
-        step) each layer's pre-activation gets ``dense``'s finite check and
-        ``(v, acts)`` is returned, ``acts`` being what ``value_vjp`` reads."""
+        step) each layer's pre-activation gets ``_checked``'s finite check
+        and ``(v, acts)`` is returned, ``acts`` being what ``value_vjp``
+        reads."""
         p = self.params
         if type(obs) is np.ndarray:
             if not keep:
@@ -280,12 +282,12 @@ class ValueNet(_MLPBase):
             y, sy = _checked(x, p["l1_w"].data, p["l1_b"].data)
             v = _checked(y, p["out_w"].data, p["out_b"].data, False)
             return v.reshape((-1,)), (obs, x, sx, y, sy)
-        x = dense(dense(obs, p["l0_w"], p["l0_b"]), p["l1_w"], p["l1_b"])
-        return dense(x, p["out_w"], p["out_b"], False).reshape((-1,))
+        x = tanh(tanh(obs @ p["l0_w"] + p["l0_b"]) @ p["l1_w"] + p["l1_b"])
+        return (x @ p["out_w"] + p["out_b"]).reshape((-1,))
 
     def value_vjp(self, g, acts, grads):
         """Backward of ``value(obs, keep=True)`` for the cotangent ``g`` of
-        the values: the ``reshape``'s, then ``dense``'s VJP ops per layer,
+        the values: the ``reshape``'s, then the chain's VJP ops per layer,
         each parameter's gradient written into ``grads[param]``."""
         obs, x, sx, y, sy = acts
         p = self.params

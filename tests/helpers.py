@@ -65,7 +65,8 @@ def one_pass_metrics_csv(path, columns, rows):
 
 def _taped_step(net, batch, cfg):
     """The reference pre-train step, all on one tape: the traced encoder,
-    ``mf_loss`` on the traced h (its dual ``dense``/``concat`` JVP pass),
+    ``mf_loss`` on the traced h (its dual JVP pass through the layers'
+    ``matmul``/``add``/``tanh`` ops and the trunk's ``concat``),
     the dispersive term and the weighted total, one backward. Returns
     ``(mf, disp, total)`` and the flat gradient in ``net.parameters()``
     order, which ``stage1_step`` must equal bit for bit."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dmpo.autodiff as ad
-from dmpo import kernels
+from dmpo import kernels, nets
 from dmpo.autodiff import (
     DualTensor,
     Graph,
@@ -792,7 +792,7 @@ def test_dual_op_runs_its_rule_once_and_records_one_node(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
-# the fused dense layer
+# the network layer: the matmul -> add -> tanh chain
 
 
 def _dense_case(seed):
@@ -810,6 +810,10 @@ def _op_chain(x, W, b, tanh):
     return ad.tanh(y) if tanh else y
 
 
+def _chain_ops(tanh):
+    return ["matmul", "add", "tanh"] if tanh else ["matmul", "add"]
+
+
 @pytest.mark.parametrize("tanh", [True, False])
 @pytest.mark.parametrize("x_traced", [True, False])
 def test_dense_gradcheck(tanh, x_traced):
@@ -817,8 +821,8 @@ def test_dense_gradcheck(tanh, x_traced):
     x = Tensor(x0, requires_grad=x_traced)
     W, b = Tensor(W0, requires_grad=True), Tensor(b0, requires_grad=True)
     with Graph() as g:
-        loss = (ad.dense(x, W, b, tanh) * Tensor(w)).sum()
-    assert [n.op for n in g.nodes][0] == "dense"
+        loss = (_op_chain(x, W, b, tanh) * Tensor(w)).sum()
+    assert [n.op for n in g.nodes] == _chain_ops(tanh) + ["mul", "sum"]
     grads = g.backward(loss)
     assert (x in grads) is x_traced
 
@@ -842,13 +846,14 @@ def test_dense_jvp_vs_fd(tanh, x_traced):
     t0 = _rand(np.random.default_rng(44), 5, 4)
     W, b = Tensor(W0, requires_grad=True), Tensor(b0, requires_grad=True)
     if x_traced:
-        # a Tensor primal: the forward is taped as one node, the tangent is not
+        # a Tensor primal: the forward is taped as the traced chain, the
+        # tangent is not
         with Graph() as g:
-            out = ad.dense(DualTensor(Tensor(x0, requires_grad=True), t0), W, b, tanh)
-        assert isinstance(out.primal, Tensor) and [n.op for n in g.nodes] == ["dense"]
+            out = _op_chain(DualTensor(Tensor(x0, requires_grad=True), t0), W, b, tanh)
+        assert isinstance(out.primal, Tensor) and [n.op for n in g.nodes] == _chain_ops(tanh)
         value = out.primal.data
     else:
-        out = ad.dense(DualTensor(x0, t0), W, b, tanh)
+        out = _op_chain(DualTensor(x0, t0), W, b, tanh)
         value = out.primal.data
     np.testing.assert_array_equal(value, _dense_np(x0, W0, b0, tanh))
     want = fd_directional(lambda x: _dense_np(x, W0, b0, tanh), [x0], [t0])
@@ -857,53 +862,50 @@ def test_dense_jvp_vs_fd(tanh, x_traced):
 
 @pytest.mark.parametrize("tanh", [True, False])
 def test_dense_bit_identical_to_op_chain(tanh):
-    # value, every VJP and the tangent equal the matmul -> add -> tanh chain
+    # the array layer of the training steps (``nets._checked``'s forward,
+    # ``nets._layer_vjp``'s VJP and the JVP tangent ``t.dot(W) * slope``)
+    # gives the traced and dual chain's value, cotangents and tangent
     x0, W0, b0, g0 = _dense_case(47)
     t0 = _rand(np.random.default_rng(48), 5, 4)
 
-    def reverse(layer):
+    def reverse():
         x, W, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, W0, b0))
         with Graph() as g:
-            y = layer(x, W, b, tanh)
+            y = _op_chain(x, W, b, tanh)
         grads = g.backward(y, seed=g0)
         return [y.data] + [grads[p] for p in (x, W, b)]
 
-    for got, want in zip(reverse(ad.dense), reverse(_op_chain)):
+    W, b = Tensor(W0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+    y = nets._checked(x0, W.data, b.data, tanh)
+    y, slope = y if tanh else (y, None)
+    grads = {W: np.empty(W0.shape), b: np.empty(b0.shape)}
+    gx = nets._layer_vjp(x0, g0 if slope is None else slope * g0, W, b, grads)
+    traced = reverse()
+    for got, want in zip([y, gx, grads[W], grads[b]], traced):
         np.testing.assert_array_equal(got, want)
 
-    # the dual path: the same values and tangent, and, through the slope it
-    # keeps for its VJP, the traced-only pass's and the chain's cotangents
-    traced = reverse(ad.dense)
-
-    def dual(layer, x_traced):
-        x = Tensor(x0.copy(), requires_grad=True) if x_traced else x0
-        W, b = (Tensor(a.copy(), requires_grad=True) for a in (W0, b0))
-        with Graph() as g:
-            y = layer(DualTensor(x, t0), W, b, tanh)
-        grads = g.backward(y.primal, seed=g0)
-        again = g.backward(y.primal, seed=g0)  # the slope is not consumed
-        leaves = (x, W, b) if x_traced else (W, b)
-        for p in leaves:
-            np.testing.assert_array_equal(again[p], grads[p])
-        return [y.primal.data, y.tangent], [grads[p] for p in leaves]
-
+    # the dual chain: the same values, and, with x traced or not, the traced
+    # pass's cotangents; its tangent is the array layer's
+    tangent = t0.dot(W0) if slope is None else t0.dot(W0) * slope
     for x_traced in (False, True):
-        (got_y, got_t), got_g = dual(ad.dense, x_traced)
-        (want_y, want_t), want_g = dual(_op_chain, x_traced)
-        np.testing.assert_array_equal(got_y, want_y)
-        np.testing.assert_array_equal(got_y, traced[0])
-        np.testing.assert_array_equal(got_t, want_t)
-        assert len(got_g) == len(want_g) == (3 if x_traced else 2)
-        for got, want, ref in zip(got_g, want_g, traced[4 - len(got_g):]):
-            assert np.array_equal(got, want) and np.array_equal(got, ref)
+        x = Tensor(x0.copy(), requires_grad=True) if x_traced else x0
+        Wd, bd = (Tensor(a.copy(), requires_grad=True) for a in (W0, b0))
+        with Graph() as g:
+            out = _op_chain(DualTensor(x, t0), Wd, bd, tanh)
+        dual_grads = g.backward(out.primal, seed=g0)
+        np.testing.assert_array_equal(out.primal.data, y)
+        np.testing.assert_array_equal(out.tangent, tangent)
+        leaves = (x, Wd, bd) if x_traced else (Wd, bd)
+        assert len(dual_grads) == len(leaves)
+        for p, ref in zip(leaves, traced[4 - len(leaves):]):
+            np.testing.assert_array_equal(dual_grads[p], ref)
 
     # the plain-array layer each net's array branch calls returns an array,
     # not a Tensor, and records nothing
-    W, b = Tensor(W0), Tensor(b0)
     with Graph() as g:
         plain = _kernel(tanh)(x0, W0, b0)
     assert type(plain) is np.ndarray and not g.nodes
-    np.testing.assert_array_equal(plain, _op_chain(Tensor(x0), W, b, tanh).data)
+    np.testing.assert_array_equal(plain, _op_chain(Tensor(x0), Tensor(W0), Tensor(b0), tanh).data)
 
 
 def _kernel(tanh):
@@ -928,11 +930,9 @@ def test_affine_kernels_leave_inputs_and_return_fresh_array(B, tanh):
 
 
 def test_dense_checks_the_pre_activation():
-    # tanh(inf) is finite, so the check must see x @ W + b, as the chain's
-    # matmul and add checks did
-    x = Tensor(np.array([[1e308, 1e308]]), requires_grad=True)
-    W = Tensor(np.ones((2, 1)), requires_grad=True)
-    b = Tensor(np.zeros(1), requires_grad=True)
-    with np.errstate(over="ignore"), Graph():
-        with pytest.raises(NonFiniteError, match="dense"):
-            ad.dense(x, W, b)
+    # tanh(inf) is finite, so the training steps' layer checks x @ W + b,
+    # before its tanh, and names the check 'dense'
+    x = np.array([[1e308, 1e308]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="'dense'"):
+            nets._checked(x, np.ones((2, 1)), np.zeros(1))

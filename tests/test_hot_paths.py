@@ -6,7 +6,8 @@ or method giving the same bits.
 The check reads each function's source tree, nested closures (VJPs)
 included, so a wrapper call that comes back fails here with its function and
 line. The plain-array inference path also stays off the tape layer: it
-calls the ``kernels`` layers, never ``autodiff.dense``, and records nothing.
+calls the ``kernels`` layers, makes no autodiff op output (every Tensor op
+makes its output in ``autodiff._emit``) and records nothing.
 """
 
 import ast
@@ -27,20 +28,22 @@ WRAPPERS = frozenset({
 # minibatch, rollout step or demonstration step
 HOT = {
     autodiff: [
-        "Graph.backward", "_check_finite", "_split", "_emit", "_output", "custom_op", "weighted_sum",
-        "loss_head", "row_sq_mean", "_linear", "reshape", "_blocks", "concat", "split_rows", "dense",
+        "Graph.backward", "Graph._record", "_check_finite", "_split", "_emit", "custom_op", "weighted_sum",
+        "loss_head", "row_sq_mean", "_linear", "reshape", "_blocks", "concat", "split_rows",
     ],
     dispersive: ["hinge"],
-    envs: ["_fma", "PointReach.step", "_point_reach_expert_action"],
-    meanflow: ["sample_time_pairs", "target_velocity", "mf_loss", "stage1_step", "pretrain"],
+    envs: ["_fma", "_checked_action", "PointReach.step", "_point_reach_expert_action"],
+    meanflow: ["Stage1Batch.__post_init__", "sample_time_pairs", "interpolate", "target_velocity", "mf_loss",
+               "stage1_step", "pretrain"],
     nets: ["_checked", "_layer_vjp", "VelocityNet.encode", "VelocityNet.encode_vjp", "VelocityNet.velocity",
            "VelocityNet.velocity_vjp", "ValueNet.value", "ValueNet.value_vjp",
            "Adam.step", "clip_grad_norm"],
-    kernels: ["adam_update", "affine", "affine_tanh"],
+    kernels: ["adam_update", "affine", "affine_tanh", "gae_backward"],
     ppo: ["ppo_ratio", "clipped_pg_loss", "value_loss", "bc_target", "bc_loss", "_learned_sigma_entropy",
-          "_trunk_rows", "stage2_loss", "stage2_step", "collect_rollouts", "finetune"],
-    sampler: ["_sigma_vector", "_log_norm", "_logpdf_rows", "sample_deterministic", "sample_chain_batch",
-              "_chain_logpdf", "chain_logprob_traced"],
+          "_trunk_rows", "stage2_loss", "stage2_step", "collect_rollouts", "gae", "compute_advantages",
+          "finetune"],
+    sampler: ["check_K", "_sigma_vector", "_log_norm", "_logpdf_rows", "sample_deterministic",
+              "sample_chain_batch", "_chain_logpdf", "chain_logprob_traced"],
 }
 
 
@@ -98,8 +101,8 @@ def _traced_velocity(net, z, r, tau, h):
     return net.velocity(Tensor(z), Tensor(np.full((B, 1), r)), Tensor(np.full((B, 1), tau)), h=h).data
 
 
-def _dense_called(*args, **kwargs):
-    raise AssertionError("autodiff.dense called on the plain-array path")
+def _emit_called(*args, **kwargs):
+    raise AssertionError("an autodiff op ran on the plain-array path")
 
 
 @pytest.mark.parametrize("B", [1, 8])
@@ -112,8 +115,9 @@ def test_plain_array_path_skips_dense_tapes_nothing_and_equals_traced_forward(mo
     K_chain, sigma = 3, 0.3
     chain_seeds = [100 + e for e in range(B)]
 
-    # the traced forwards, through dense, first: one action per observation
-    # row as a (1, d) walk, and the batched chain, BC target and values
+    # the traced forwards, through the autodiff ops, first: one action per
+    # observation row as a (1, d) walk, and the batched chain, BC target and
+    # values
     h = net.encode(Tensor(obs))
     actions = {}
     for K in (1, 5):
@@ -132,8 +136,7 @@ def test_plain_array_path_skips_dense_tapes_nothing_and_equals_traced_forward(mo
     bc_want = z1 - _traced_velocity(net, z1, 0.0, 1.0, h)
     values_want = value_net.value(Tensor(obs)).data
 
-    monkeypatch.setattr(autodiff, "dense", _dense_called)
-    monkeypatch.setattr(nets, "dense", _dense_called)
+    monkeypatch.setattr(autodiff, "_emit", _emit_called)
     with Graph() as g:
         for (K, i), want in actions.items():
             got, nfe = sampler.sample_deterministic(net, obs[i], K, np.random.default_rng(10 * K + i))

@@ -612,7 +612,8 @@ def test_mf_loss_distance_is_one_node_bit_identical_to_op_chain():
             loss = fn(net.encode(Tensor(batch.obs)))
         runs.append((loss.data, g.backward(loss, seed=seed), [n.op for n in g.nodes]))
     (hv, hg, hops), (cv, cg, _) = runs
-    assert hops == ["dense", "dense", "concat", "dense", "dense", "dense", "mf_dist"]
+    layer = ["matmul", "add", "tanh"]
+    assert hops == layer * 2 + ["concat"] + layer * 2 + ["matmul", "add", "mf_dist"]
     assert np.array_equal(hv, cv)
     assert list(hg) == list(cg) and all(np.array_equal(hg[p], cg[p]) for p in hg)
 

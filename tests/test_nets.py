@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmpo import kernels
-from dmpo.autodiff import Graph, Tensor
+from dmpo.autodiff import Graph, ShapeError, Tensor
 from dmpo.nets import (
     Adam,
     clip_grad_norm,
@@ -226,6 +226,29 @@ def test_fast_paths_bit_identical_to_traced_forward(B, r, tau):
     np.testing.assert_array_equal(net.velocity(z, r, tau, obs=obs), u_ref)  # array path, encoding obs
 
     np.testing.assert_array_equal(vnet.value(obs), vnet.value(Tensor(obs)).data)
+
+
+def test_rank1_tensor_input_runs_as_one_row_and_a_width_mismatch_raises_shape_error():
+    # a taped forward takes one unbatched observation as the array branch
+    # does: the same bits and shapes, and, to rounding, the row of a
+    # one-row batch
+    net = init_velocity_net(16, d_obs=4, d_a=2)
+    vnet = init_value_net(16, d_obs=4)
+    obs = np.random.default_rng(16).normal(size=4)
+    with Graph() as g:
+        h = net.encode(Tensor(obs))
+        v = vnet.value(Tensor(obs))
+        total = h.sum()
+    assert h.shape == (net.d_h,) and v.shape == (1,)
+    np.testing.assert_array_equal(h.data, net.encode_arrays(obs))
+    np.testing.assert_array_equal(v.data, vnet.value(obs))
+    assert np.max(np.abs(h.data - net.encode(Tensor(obs[None])).data[0])) < 1e-12
+    assert set(g.backward(total)) == {net.params[n] for n in ("enc0_w", "enc0_b", "enc1_w", "enc1_b")}
+    for bad in (np.zeros(5), np.zeros((2, 5))):
+        with pytest.raises(ShapeError):
+            net.encode(Tensor(bad))
+        with pytest.raises(ShapeError):
+            vnet.value(Tensor(bad))
 
 
 def test_value_net_scalar_output():

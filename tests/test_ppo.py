@@ -384,7 +384,8 @@ def test_bc_loss_distance_head_is_one_node_bit_identical_to_op_chain():
             loss = fn(frozen, current, obs, noise)
         runs.append((loss.data, g.backward(loss, seed=seed), [n.op for n in g.nodes]))
     (hv, hg, hops), (cv, cg, _) = runs
-    assert hops[-1] == "bc_dist" and hops.count("dense") == 5 and len(hops) == 7
+    layer = ["matmul", "add", "tanh"]
+    assert hops == layer * 2 + ["concat"] + layer * 2 + ["matmul", "add", "bc_dist"]
     assert np.array_equal(hv, cv)
     assert list(hg) == list(cg) and all(np.array_equal(hg[p], cg[p]) for p in hg)
     p = current.params["out_w"]
@@ -964,8 +965,9 @@ def test_stage2_config_rejects_rollout_steps_not_a_multiple_of_envs():
 def test_c12a_config_minibatch_tapes_only_the_weighted_total(monkeypatch):
     # K=1, fixed sigma: each minibatch runs on plain arrays and tapes one
     # node, the weighted total over the head values; the taped reference
-    # stage2_loss still tapes every MLP layer as one dense node, every loss
-    # head as one fused node, and one trunk pass over stacked rows
+    # stage2_loss still tapes every MLP layer as its matmul, add and tanh
+    # nodes, every loss head as one fused node, and one trunk pass over
+    # stacked rows
     net = _pretrained()
     tapes = []
     backward = Graph.backward
@@ -982,13 +984,14 @@ def test_c12a_config_minibatch_tapes_only_the_weighted_total(monkeypatch):
     nets = Stage2Nets(policy=net, value=init_value_net(0, net.d_obs), frozen=net.clone())
     with Graph() as g:
         stage2_loss(mbs[0], nets, cfg, n=0)
+    layer, out = ["matmul", "add", "tanh"], ["matmul", "add"]
     ops = (
-        ["dense", "dense", "concat", "concat", "dense", "dense", "dense", "split_rows"]
+        layer * 2 + ["concat", "concat"] + layer * 2 + out + ["split_rows"]
         + ["gauss_logpdf", "ppo_ratio", "clipped_pg"]
-        + ["dense", "dense", "dense", "reshape", "value_loss"]
+        + layer * 2 + out + ["reshape", "value_loss"]
         + ["bc_dist", "stage2_total"]
     )
-    assert [n.op for n in g.nodes] == ops and len(ops) == 18
+    assert [n.op for n in g.nodes] == ops and len(ops) == 32
 
 
 def test_finetune_nan_parameter_names_iteration_minibatch_and_op(monkeypatch):

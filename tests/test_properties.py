@@ -1,10 +1,13 @@
 """Property tests over drawn shapes: the pre-train step and the fine-tune
-minibatch on plain arrays against their taped references, recomputed chain
-log-probs against the sampled ones, and ``envs._fma`` against numpy's
-2-element dot. Each runs a fixed,
-derandomized set of examples, so a failure reproduces."""
+minibatch on plain arrays against their taped references and against
+central differences, recomputed chain log-probs against the sampled ones,
+``envs._fma`` against numpy's 2-element dot, and checkpoint and dataset
+round trips of drawn float64 bit patterns. Each runs a fixed, derandomized
+set of examples, so a failure reproduces."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -12,14 +15,17 @@ from hypothesis import strategies as st
 
 import dmpo.ppo as ppo_mod
 from dmpo.autodiff import Graph, Tensor
-from dmpo.dispersive import DISP_KINDS
-from dmpo.envs import _fma
-from dmpo.meanflow import Stage1Batch, Stage1Config, sample_time_pairs, stage1_step
-from dmpo.nets import Adam, init_value_net, init_velocity_net
+from dmpo.dispersive import DISP_KINDS, dispersive_loss
+from dmpo.envs import Dataset, _fma
+from dmpo.io import load_checkpoint, load_dataset, save_checkpoint, save_dataset
+from dmpo.meanflow import (
+    Stage1Batch, Stage1Config, interpolate, mf_loss, sample_time_pairs, stage1_step, target_velocity,
+)
+from dmpo.nets import Adam, ValueNet, init_value_net, init_velocity_net
 from dmpo.ppo import MiniBatch, Stage2Config, Stage2Nets, stage2_loss
 from dmpo.sampler import chain_logprob_traced, sample_chain_batch
 
-from helpers import _taped_step
+from helpers import _taped_step, fd_grad, rel_err
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 
@@ -84,6 +90,88 @@ def test_stage2_step_equals_the_taped_loss_and_one_backward(K, M, learnable, lam
     assert np.array_equal(opt._g, np.concatenate([taped[p].ravel() for p in opt.params]))
 
 
+def _fd_params(params, f):
+    # central differences of the scalar f() in every entry of the parameter
+    # Tensors, in ``params`` order, flat as Adam's gradient buffer
+    out = []
+    for p in params:
+        orig = p.data.copy()
+
+        def at(arr, p=p):
+            p.data[...] = arr
+            return f()
+
+        out.append(fd_grad(at, orig.copy()).ravel())
+        p.data[...] = orig
+    return np.concatenate(out)
+
+
+# c02's tolerance; the dims are tiny so that every parameter is differenced
+FD_TOL, FD_FLOOR = 1e-3, 1e-6
+
+
+@settings(FIXED, max_examples=25)
+@given(d_obs=st.integers(1, 4), d_a=st.integers(1, 3), d_h=st.integers(1, 6), enc_width=st.integers(1, 6),
+       trunk_width=st.integers(1, 6), B=st.integers(2, 8), kind=st.sampled_from(["cov", "nce-l2", "none"]),
+       alpha=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2**16))
+def test_stage1_step_gradient_matches_central_differences(d_obs, d_a, d_h, enc_width, trunk_width, B, kind, alpha,
+                                                          seed):
+    # the oracle on the trained path itself: central differences of the
+    # MeanFlow loss with its target held at the unperturbed value (the
+    # stop-gradient, as c02 holds it), plus alpha times a dispersive term
+    # with no kink (hinge and nce-cos have one)
+    cfg = Stage1Config(disp_kind=kind, alpha_disp=alpha, d_h=d_h, enc_width=enc_width, trunk_width=trunk_width)
+    net = init_velocity_net(seed, d_obs, d_a, d_h=d_h, enc_width=enc_width, trunk_width=trunk_width)
+    rng = np.random.default_rng(seed)
+    obs, act = rng.normal(size=(B, d_obs)), 0.3 * rng.normal(size=(B, d_a))
+    r, tau = sample_time_pairs(rng, B, cfg.rho_inst, cfg.full_interval_frac)
+    batch = Stage1Batch(obs, act, rng.standard_normal((B, d_a)), r, tau)
+    opt = Adam(net.parameters())
+    opt._g.fill(np.nan)
+    stage1_step(net, opt.grads, batch, cfg)
+    z = interpolate(act, batch.noise, tau[:, None])
+    u_tgt = target_velocity(net, z, r, tau, obs, batch.noise - act)
+
+    def total():
+        mf = mf_loss(net, batch, u_tgt=u_tgt).item()
+        return mf + alpha * dispersive_loss(net.encode(Tensor(obs)), cfg).item()
+
+    assert rel_err(opt._g, _fd_params(opt.params, total), floor=FD_FLOOR) < FD_TOL
+
+
+@settings(FIXED, max_examples=25)
+@given(d_obs=st.integers(1, 4), d_a=st.integers(1, 3), d_h=st.integers(1, 6), enc_width=st.integers(1, 6),
+       trunk_width=st.integers(1, 6), M=st.integers(2, 8), K=st.integers(1, 3), learnable=st.booleans(),
+       lam_bc=st.sampled_from([0.0, 0.1, 1.0]), seed=st.integers(0, 2**16))
+def test_stage2_step_gradient_matches_central_differences(d_obs, d_a, d_h, enc_width, trunk_width, M, K, learnable,
+                                                          lam_bc, seed):
+    # the oracle on the trained path itself: central differences of the
+    # total that ``stage2_step`` returns, in every parameter it trains
+    net = init_velocity_net(seed, d_obs, d_a, d_h=d_h, enc_width=enc_width, trunk_width=trunk_width)
+    obs, chains, rng = _sampled(net, M, K, 0.05, seed)
+    mb = MiniBatch(obs=obs, states=chains.states, old_logprobs=chains.total_logprobs,
+                   advantages=rng.normal(size=M), returns=rng.normal(size=M),
+                   bc_noise=rng.standard_normal((M, d_a)))
+    mb.bc_target = ppo_mod.bc_target(net, mb.bc_noise, net.encode_arrays(obs))
+    policy, value_net = net.clone(), init_value_net(seed, d_obs, width=trunk_width)
+    for p in policy.parameters() + value_net.parameters():
+        p.data[...] += 1e-3 * rng.standard_normal(p.data.shape)
+    log_sigma = None
+    if learnable:
+        log_sigma = Tensor(math.log(0.05) + 0.1 * rng.standard_normal(d_a), requires_grad=True)
+    nets = Stage2Nets(policy=policy, value=value_net, frozen=net, log_sigma=log_sigma)
+    cfg = Stage2Config(K=K, sigma=0.05, sigma_learnable=learnable, lam_bc_init=lam_bc, lam_bc_final=lam_bc)
+    opt = ppo_mod.stage2_optimizer(nets, cfg.lr)
+    opt._g.fill(np.nan)
+    ppo_mod.stage2_step(mb, nets, cfg, 0, opt.grads)
+    grad = opt._g.copy()
+
+    def total():
+        return ppo_mod.stage2_step(mb, nets, cfg, 0, opt.grads)[0]
+
+    assert rel_err(grad, _fd_params(opt.params, total), floor=FD_FLOOR) < FD_TOL
+
+
 @settings(FIXED, max_examples=100)
 @given(K=st.integers(1, 6), blocks=st.integers(1, 16), per_dim=st.booleans(), seed=st.integers(0, 2**16))
 def test_chain_logprob_recomputes_sampled_chains_exactly(K, blocks, per_dim, seed):
@@ -119,3 +207,61 @@ def test_fma_rounds_as_numpys_two_element_dot_on_all_finite_doubles(d0, d1):
         want = float(np.array([d0, d1]) @ np.array([d0, d1]))
     got = _fma(d1, d1, d0 * d0)
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+# float64 bit patterns: any finite or infinite double (-0.0 and subnormals
+# included), and NaNs of either sign with any payload, quiet or signalling
+_EXP, _FRAC, _QUIET_NAN = 0x7FF << 52, (1 << 52) - 1, 0x7FF8 << 48
+_NAN_BITS = st.builds(lambda sign, payload: sign << 63 | _EXP | payload, st.integers(0, 1), st.integers(1, _FRAC))
+_BITS = st.one_of(
+    st.floats(allow_nan=False, width=64).map(lambda x: int(np.float64(x).view(np.uint64))),
+    st.sampled_from([0, 1 << 63, 1, _FRAC, 1 << 63 | 1, _EXP, 1 << 63 | _EXP, _QUIET_NAN, 1 << 63 | _QUIET_NAN,
+                     _EXP | 1]),
+    _NAN_BITS,
+)
+
+
+def _doubles(bits, shape):
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+
+
+def _bit_array(n):
+    return st.lists(_BITS, min_size=n, max_size=n)
+
+
+@settings(FIXED, max_examples=100)
+@given(d_obs=st.integers(1, 3), width=st.integers(1, 3), data=st.data())
+def test_checkpoint_round_trip_keeps_every_bit(d_obs, width, data):
+    # parameters and a state array come back byte for byte, every NaN's
+    # sign and payload included: the payloads are base64 binary64
+    shapes = ValueNet.param_shapes({"d_obs": d_obs, "width": width})
+    arrays = {n: _doubles(data.draw(_bit_array(math.prod(s))), s) for n, s in shapes.items()}
+    state = _doubles(data.draw(_bit_array(4)), (2, 2))
+    net = ValueNet.from_arrays(arrays, {"d_obs": d_obs, "width": width})
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ck.json"
+        save_checkpoint(path, {"value": net}, state={"m": state})
+        nets, got_state = load_checkpoint(path)
+    for n, a in arrays.items():
+        assert nets["value"].params[n].data.tobytes() == a.tobytes()
+    assert got_state["m"].tobytes() == state.tobytes()
+
+
+@settings(FIXED, max_examples=100)
+@given(N=st.integers(1, 4), d_obs=st.integers(1, 3), d_a=st.integers(1, 2), data=st.data())
+def test_dataset_round_trip_keeps_every_bit_but_a_nans_sign_and_payload(N, d_obs, d_a, data):
+    # JSON's NaN token carries neither a sign nor a payload, so every NaN
+    # reads back as the one quiet NaN; every other double (-0.0, subnormals
+    # and +-inf included) and every int64 comes back byte for byte
+    obs_bits = data.draw(_bit_array(N * d_obs))
+    act_bits = data.draw(_bit_array(N * d_a))
+    ints = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=N, max_size=N)
+    ds = Dataset(_doubles(obs_bits, (N, d_obs)), _doubles(act_bits, (N, d_a)), data.draw(ints), data.draw(ints))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "demos.jsonl"
+        save_dataset(path, ds)
+        got = load_dataset(path)
+    for col, sent, bits in ((got.obs, ds.obs, obs_bits), (got.actions, ds.actions, act_bits)):
+        want = [_QUIET_NAN if b & _EXP == _EXP and b & _FRAC else b for b in bits]
+        assert col.shape == sent.shape and col.view(np.uint64).ravel().tolist() == want
+    assert np.array_equal(got.episode_ids, ds.episode_ids) and np.array_equal(got.ts, ds.ts)
