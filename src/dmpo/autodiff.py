@@ -38,12 +38,13 @@ and :func:`custom_op` build their own nodes. A network layer is no op of
 its own: the nets' Tensor branches write it as ``matmul`` -> ``add`` ->
 ``tanh``, and their array branches call the ``kernels`` layers, which run
 the same ops untraced. :func:`custom_op` records a fused computation with
-a hand-written VJP as a single tape node; :func:`weighted_sum` (a weighted
-total of losses) is one, :func:`row_sq_mean` gives the loss heads built
-that way their squared-distance arithmetic, and :func:`loss_head` gives a
-head's one value and VJP either as that node or, for a training step on
-plain arrays, untaped as ``(value, vjp)``. An op hands the tape its VJP ``vjp(g) -> [(parent,
-cotangent), ...]`` directly.
+a hand-written VJP as a single tape node; :func:`row_sq_mean` gives the
+loss heads built that way their squared-distance arithmetic, and
+:func:`loss_head` gives a head's one value and VJP either as that node or,
+for a training step on plain arrays, untaped as ``(value, vjp)``.
+:func:`weighted_sum` (a weighted total of losses) is such a head, taped in
+the reference losses and untaped in the fine-tune step. An op hands the
+tape its VJP ``vjp(g) -> [(parent, cotangent), ...]`` directly.
 
 There is no indexing op: a head that needs part of a value works on
 ``.data`` inside a ``custom_op``. :func:`split_rows`, the inverse of a
@@ -386,20 +387,27 @@ def loss_head(data, parents: Sequence, vjp: Callable, op: str, taped: bool = Tru
     return data, vjp
 
 
-def weighted_sum(terms: Sequence, weights: Sequence[float], op: str) -> Tensor:
+def weighted_sum(terms: Sequence, weights: Sequence[float], op: str, taped: bool = True):
     """``w0 * t0 + w1 * t1 + ...`` of scalar Tensors, summed left to right,
-    as one node; term i's cotangent is ``g * w_i``.
+    as one node; term i's cotangent is ``g * w_i``. Not ``taped`` (a step on
+    plain arrays), the terms are scalar values and the result is ``(total,
+    vjp)`` after the same finite check, recording nothing, as
+    :func:`loss_head` gives it; ``vjp(g)`` lists the terms' cotangents.
 
     These are the values and cotangents of the op chain, bit for bit; a
     weight of 1.0 multiplies exactly, so ``[t0, t1], [1.0, w]`` is
     ``t0 + w * t1``.
     """
-    terms = [as_tensor(t) for t in terms]
     ws = [float(w) for w in weights]
-    acc = ws[0] * terms[0].data
-    for w, t in zip(ws[1:], terms[1:]):
-        acc = acc + w * t.data
-    return custom_op(acc, terms, lambda g: [g * w for w in ws], op)
+    if taped:
+        terms = [as_tensor(t) for t in terms]
+        xs = [t.data for t in terms]
+    else:
+        xs = terms
+    acc = ws[0] * xs[0]
+    for w, x in zip(ws[1:], xs[1:]):
+        acc = acc + w * x
+    return loss_head(acc, terms, lambda g: [g * w for w in ws], op, taped)
 
 
 def row_sq_mean(e: Array):

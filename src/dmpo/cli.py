@@ -47,9 +47,33 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a ``ValueError``
+    naming it (``json`` would keep the last one)."""
+    d = {}
+    for k, v in pairs:
+        if k in d:
+            raise ValueError(f"repeated key {k!r}")
+        d[k] = v
+    return d
+
+
 def _read_json(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
+    """The JSON object in the config file ``path``. Text that is not UTF-8
+    or not JSON, a repeated key and a top level that is no object are each a
+    ``ValueError`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            d = json.load(f, object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"config {path} is not UTF-8 text: {e}") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"config {path} is not valid JSON: {e}") from None
+    except ValueError as e:  # a repeated key, an integer past Python's digit limit
+        raise ValueError(f"config {path}: {e}") from None
+    if type(d) is not dict:
+        raise ValueError(f"config {path} holds {json.dumps(d)[:40]}, not a JSON object")
+    return d
 
 
 def _policy(checkpoint) -> VelocityNet:

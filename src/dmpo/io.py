@@ -18,6 +18,7 @@ import base64
 import csv
 import hashlib
 import inspect
+import io
 import json
 from dataclasses import fields, is_dataclass
 from itertools import chain
@@ -149,7 +150,7 @@ def load_checkpoint(path):
     """Read (nets dict, state dict); verifies version and content hash."""
     try:
         envelope = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
     if not isinstance(envelope, dict) or "checksum" not in envelope:
         raise CheckpointError(f"malformed checkpoint {path}")
@@ -254,29 +255,36 @@ def load_dataset(path) -> Dataset:
     JSON object with the four keys, and its ``obs`` and ``action`` must be
     JSON arrays of numbers with the shapes of the first record's, and its
     ``episode`` and ``t`` JSON integers, each in its column's float64 or
-    int64 range; a bad line is a ``ValueError`` naming the file and the
-    line's 1-based number."""
+    int64 range; a bad line, a byte that is not UTF-8 among them, is a
+    ``ValueError`` naming the file and the line's 1-based number. Lines end
+    as in text mode: at a ``\n``, ``\r\n`` or ``\r``."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = raw[: err.start]
+        n = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ValueError(f"{path} line {n}: not UTF-8 text: {err}") from None
     recs = []  # (line number, obs, action, episode, t) of each record
     decode = _DECODER.raw_decode
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec, end = decode(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path} line {n}: malformed JSON: {err.msg} (column {err.colno})") from None
-            except ValueError as err:  # an integer past Python's digit limit
-                raise ValueError(f"{path} line {n}: {err}") from None
-            if end != len(line):
-                raise ValueError(f"{path} line {n}: trailing data after the record (column {end + 1})")
-            if type(rec) is not dict:
-                raise ValueError(f"{path} line {n}: expected a JSON object, got {type(rec).__name__}")
-            try:
-                recs.append((n, rec["obs"], rec["action"], rec["episode"], rec["t"]))
-            except KeyError as err:
-                raise ValueError(f"{path} line {n}: missing key {err}") from None
+    for n, line in enumerate(io.StringIO(text, newline=None), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec, end = decode(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path} line {n}: malformed JSON: {err.msg} (column {err.colno})") from None
+        except ValueError as err:  # an integer past Python's digit limit
+            raise ValueError(f"{path} line {n}: {err}") from None
+        if end != len(line):
+            raise ValueError(f"{path} line {n}: trailing data after the record (column {end + 1})")
+        if type(rec) is not dict:
+            raise ValueError(f"{path} line {n}: expected a JSON object, got {type(rec).__name__}")
+        try:
+            recs.append((n, rec["obs"], rec["action"], rec["episode"], rec["t"]))
+        except KeyError as err:
+            raise ValueError(f"{path} line {n}: missing key {err}") from None
     if not recs:
         raise ValueError(f"{path}: no records")
     lines, *cols = zip(*recs)

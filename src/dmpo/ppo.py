@@ -29,19 +29,22 @@ entropy) has one definition, a value and a hand-written VJP. Past the chain
 head, whose value repeats the sampler's sum, each repeats the arithmetic
 of the op chain it replaces, in the same order, so both equal that chain's
 bit for bit. ``stage2_loss`` is the taped form: around the MLP
-layers every head is one tape node (``autodiff.custom_op``), and so is the
-weighted total, so a K=1 fixed-sigma minibatch tapes 18 nodes. ``finetune``
-runs each minibatch on plain arrays instead (``stage2_step``): the nets'
-array forwards, every head untaped (``taped=False``, or an ndarray ``u``)
-giving its value and VJP, one taped node for the weighted total over
-the head values, and the backward through heads and nets, written straight
-into ``Adam.grads`` (each parameter Tensor, log-sigma's too, to its view of
-Adam's gradient buffer: the gradient map stage 1 writes as well); it equals
-the taped loss and one ``Graph.backward`` bit for bit. Clipping and the Adam
-update work on that buffer. Rollouts are collected as stacked arrays, one
-``[:, t]`` row per step across environments, with one value-net call over
-the whole window, and GAE
-runs as one backward pass over the whole batch. The loss heads and the
+layers (each a ``matmul``, ``add`` and, hidden, ``tanh`` node) every head
+is one tape node (``autodiff.custom_op``), and so is the weighted total, so
+a K=1 fixed-sigma minibatch tapes 32 nodes. ``finetune`` runs each
+minibatch on plain arrays instead (``stage2_step``): the nets' array
+forwards, every head and the weighted total untaped (``taped=False``, or an
+ndarray ``u``) giving its value and VJP, and the backward through the total,
+heads and nets, written straight into ``Adam.grads`` (each parameter
+Tensor, log-sigma's too, to its view of Adam's gradient buffer: the
+gradient map stage 1 writes as well). It records no tape and calls no
+``Graph.backward``, and equals the taped loss and one ``Graph.backward``
+bit for bit. Clipping and the Adam update work on that buffer. Each epoch
+gathers its rollout rows once, in the epoch's shuffled order, and each
+minibatch takes contiguous slices of them. Rollouts are collected as
+stacked arrays, one ``[:, t]`` row per step across environments, with one
+value-net call over the whole window, and GAE runs as one backward pass
+over the whole batch. The loss heads and the
 per-minibatch statistics call ufuncs and ndarray methods (``np.clip`` as
 ``np.minimum(np.maximum(...))``, a mean as ``x.sum() / x.size``), not
 numpy's Python-level wrappers, which cost a measured 0.6-4 us more per call at
@@ -67,8 +70,7 @@ import numpy as np
 
 from . import kernels
 from .autodiff import (
-    Graph, NonFiniteError, Tensor, _check_finite, concat, exp, loss_head, row_sq_mean, split_rows, value_of,
-    weighted_sum
+    NonFiniteError, Tensor, _check_finite, concat, exp, loss_head, row_sq_mean, split_rows, value_of, weighted_sum
 )
 from .io import metrics_csv
 from .nets import Adam, clip_grad_norm, first_nonfinite_grad, init_value_net
@@ -211,13 +213,14 @@ def clipped_pg_loss(rho, adv, clip_eps: float, taped=True):
     a = value_of(adv)
     r = value_of(rho)
     lo, hi = 1.0 - clip_eps, 1.0 + clip_eps
-    unclipped = -a * r
-    clipped = -a * np.minimum(np.maximum(r, lo), hi)  # np.clip's values, NaN included
+    neg_a = -a
+    unclipped = neg_a * r
+    clipped = neg_a * np.minimum(np.maximum(r, lo), hi)  # np.clip's values, NaN included
     on_clipped = clipped > unclipped
 
     def vjp(g):
         # the clipped branch passes gradient only where the clip is inactive
-        slope = np.where(on_clipped & ((r <= lo) | (r > hi)), 0.0, -a)
+        slope = np.where(on_clipped & ((r <= lo) | (r > hi)), 0.0, neg_a)
         return (g * slope / r.size,)
 
     rows = np.maximum(unclipped, clipped)
@@ -423,9 +426,11 @@ def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     These are the values and gradients of the taped loss and one
     ``Graph.backward``, bit for bit: the same passes (one encoder pass and
     one trunk pass over ``_trunk_rows``) and heads, each head untaped,
-    giving its value and its VJP. Only the weighted total is taped, over the
-    head values as leaf scalars; its cotangents ``g * w_i`` seed the heads'
-    VJPs. Where two cotangents meet, they are summed in the tape's reverse
+    giving its value and its VJP. The weighted total over the head values
+    is untaped too (``weighted_sum(..., taped=False)``): its VJP at a seed of
+    1.0 gives the cotangents ``w_i`` that seed the heads' VJPs, so no tape
+    is recorded and no ``Graph.backward`` runs. Where two cotangents meet,
+    they are summed in the tape's reverse
     node order: sigma's entropy part before the chain head's, and h's K+1
     stacked blocks in order, as the taped ``concat``'s VJP sums them.
     """
@@ -454,10 +459,10 @@ def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     bc, bc_vjp = bc_loss(nets.frozen, policy, batch.obs, batch.bc_noise, u=u[K * M :], target=batch.bc_target)
     lam_bc = bc_schedule(n, config)
 
-    with Graph() as g:
-        heads = [Tensor(x, requires_grad=True) for x in (pg, v, ent, bc)]
-        total = weighted_sum(heads, [1.0, config.lam_value, config.lam_entropy, lam_bc], "stage2_total")
-    c_pg, c_v, c_ent, c_bc = g.backward(total).values()
+    total, total_vjp = weighted_sum(
+        (pg, v, ent, bc), (1.0, config.lam_value, config.lam_entropy, lam_bc), "stage2_total", taped=False
+    )
+    c_pg, c_v, c_ent, c_bc = total_vjp(1.0)
 
     g_bc = bc_vjp(c_bc)[0]
     nets.value.value_vjp(v_vjp(c_v)[0], value_acts, grads)
@@ -477,7 +482,7 @@ def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
         "ent": float(ent),
         "bc": float(bc),
         "lambda_bc": lam_bc,
-        "total": total.item(),
+        "total": float(total),
         "rho": rho,
     }
     return parts["total"], parts
@@ -706,15 +711,17 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
             # when N and the minibatch size are multiples of 4.
             noise = update_rng.standard_normal((N, policy.d_a))
             targets = bc_target(frozen, noise, h_frozen[order])
+            obs, states, old_lp, adv_e, ret = (
+                x[order] for x in (batch.obs, batch.states, batch.old_logprobs, adv, batch.returns)
+            )
             for lo in range(0, N, config.minibatch_size):
                 rows = slice(lo, lo + config.minibatch_size)
-                idx = order[rows]
                 mb = MiniBatch(
-                    obs=batch.obs[idx],
-                    states=batch.states[idx],
-                    old_logprobs=batch.old_logprobs[idx],
-                    advantages=adv[idx],
-                    returns=batch.returns[idx],
+                    obs=obs[rows],
+                    states=states[rows],
+                    old_logprobs=old_lp[rows],
+                    advantages=adv_e[rows],
+                    returns=ret[rows],
                     bc_noise=noise[rows],
                     bc_target=targets[rows],
                 )
@@ -731,9 +738,10 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                 norm_sum += norm
                 opt.step()
                 rho = parts.pop("rho")
-                clip_hits += int((np.abs(rho - 1.0) > config.clip_eps).sum())
-                kl_sum += float(((rho - 1.0) - np.log(np.maximum(rho, 1e-300))).sum())
-                n_rows += idx.size
+                rho_1 = rho - 1.0
+                clip_hits += int((np.abs(rho_1) > config.clip_eps).sum())
+                kl_sum += float((rho_1 - np.log(np.maximum(rho, 1e-300))).sum())
+                n_rows += rho.size
                 n_mb += 1
                 for k in parts_acc:
                     parts_acc[k] += parts[k]

@@ -703,6 +703,16 @@ def test_weighted_sum_bit_identical_to_op_chain(weights):
         assert np.array_equal(a, b)
     want = fd_grad(lambda v: float(np.dot(weights, v)), vals.copy())
     assert rel_err(np.array(got_g) / seed, want) < 1e-8
+    # untaped, on the plain values: the same total and cotangents, nothing
+    # recorded even under an active graph, and the same finite check
+    with Graph() as g:
+        total, vjp = ad.weighted_sum([x.data for x in xs], weights, "total", taped=False)
+    assert g.nodes == []
+    assert np.array_equal(total, want_v)
+    for a, b in zip(vjp(seed), want_g, strict=True):
+        assert np.array_equal(a, b)
+    with pytest.raises(NonFiniteError, match="op 'total'"):
+        ad.weighted_sum([np.inf] + list(vals[1:]), weights, "total", taped=False)
 
 
 def test_row_sq_mean_head_bit_identical_to_op_chain():

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,17 @@ def test_checkpoint_structure_faults_name_file_and_field(tmp_path, fault):
     assert field in str(info.value)
 
 
+@pytest.mark.parametrize("where", [0, 0.5, -1], ids=["first", "middle", "last"])
+def test_checkpoint_with_a_byte_that_is_not_utf8_names_the_file(tmp_path, where):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, {"policy": init_velocity_net(3, 4, 2)})
+    raw = bytearray(path.read_bytes())
+    raw[int(where * (len(raw) - 1)) if where >= 0 else -1] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"unreadable checkpoint {path}: 'utf-8' codec can't decode byte 0xff"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # datasets and metrics
 
@@ -335,6 +347,21 @@ def test_load_dataset_accepts_integers_that_fit_float64_and_int64(tmp_path):
     np.testing.assert_array_equal(ds.ts, np.array([0, 2**63 - 1]), strict=True)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("line", [1, 2, 300])
+def test_load_dataset_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newline, line):
+    # line 300 lies past the text reader's first read-ahead chunk, and a
+    # blank line sits before it; the byte is the first of the line's "obs"
+    lines = [_REC] * 400
+    lines[4] = ""
+    path = tmp_path / "d.jsonl"
+    raw = bytearray(newline.join(lines).encode())
+    raw[len(newline.join(lines[: line - 1] + [""]).encode()) + 2] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"d.jsonl line {line}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"):
+        load_dataset(path)
+
+
 def test_load_dataset_rejects_a_file_without_records(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("\n  \n", encoding="utf-8")
@@ -401,6 +428,29 @@ def test_cli_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, d, cls, 
         args = ["finetune", "--config", str(cfg), "--checkpoint", str(tmp_path / "none.json"), "--out", str(out)]
     assert main(args) == 1
     assert capsys.readouterr() == ("", f"error: ValueError: config key {msg}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, fault", [
+    (b'{"epochs": \xff3}',
+     r"is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+    (b'{"epochs": 3,}',
+     r"is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 14 \(char 13\)"),
+    (b"5", "holds 5, not a JSON object"),
+    (b"null", "holds null, not a JSON object"),
+    (b'"ab"', 'holds "ab", not a JSON object'),
+    (b"[1, 2]", r"holds \[1, 2\], not a JSON object"),
+    (b'{"epochs": 3, "seed": 0, "epochs": 4}', ": repeated key 'epochs'"),
+], ids=["not-utf8", "not-json", "int", "null", "string", "list", "repeated-key"])
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_cli_names_the_config_file_and_its_fault(tmp_path, capsys, text, fault, command):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg.write_bytes(text)
+    given = ("--data", tmp_path / "d.jsonl") if command == "pretrain" else ("--checkpoint", tmp_path / "c.json")
+    assert main([command, "--config", str(cfg), given[0], str(given[1]), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: ValueError: config {re.escape(str(cfg))} ?{fault}\n", captured.err), captured.err
     assert not out.exists()
 
 
