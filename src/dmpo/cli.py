@@ -65,11 +65,7 @@ def _read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             d = json.load(f, object_pairs_hook=_unique_keys)
-    except UnicodeDecodeError as e:
-        raise ValueError(f"config {path} is not UTF-8 text: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ValueError(f"config {path} is not valid JSON: {e}") from None
-    except ValueError as e:  # a repeated key, an integer past Python's digit limit
+    except ValueError as e:  # not UTF-8, not JSON, a repeated key, past the digit limit
         raise ValueError(f"config {path}: {e}") from None
     if type(d) is not dict:
         raise ValueError(f"config {path} holds {json.dumps(d)[:40]}, not a JSON object")

@@ -18,7 +18,6 @@ import base64
 import csv
 import hashlib
 import inspect
-import io
 import json
 from dataclasses import fields, is_dataclass
 from itertools import chain
@@ -150,7 +149,7 @@ def load_checkpoint(path):
     """Read (nets dict, state dict); verifies version and content hash."""
     try:
         envelope = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON, past the digit limit
         raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
     if not isinstance(envelope, dict) or "checksum" not in envelope:
         raise CheckpointError(f"malformed checkpoint {path}")
@@ -250,6 +249,21 @@ def _checked_column(path, key: str, col: tuple, lines: tuple) -> np.ndarray:
     return arr  # a number column with integers past int64 that fit a float64
 
 
+def _utf8_fault(path) -> ValueError:
+    """The first byte of ``path`` that is not UTF-8, as a ``ValueError``
+    naming its 1-based line, counted as text mode counts lines. The text
+    reader's error places the byte within its read-ahead chunk, so the file
+    is read again as bytes and decoded whole."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = raw[: err.start]
+        n = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ValueError(f"{path} line {n}: not UTF-8 text: {err}")
+    return ValueError(f"{path}: not UTF-8 text")  # the file changed after the first read
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset line by line. Each non-blank line must hold exactly one
     JSON object with the four keys, and its ``obs`` and ``action`` must be
@@ -258,33 +272,30 @@ def load_dataset(path) -> Dataset:
     int64 range; a bad line, a byte that is not UTF-8 among them, is a
     ``ValueError`` naming the file and the line's 1-based number. Lines end
     as in text mode: at a ``\n``, ``\r\n`` or ``\r``."""
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        head = raw[: err.start]
-        n = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise ValueError(f"{path} line {n}: not UTF-8 text: {err}") from None
     recs = []  # (line number, obs, action, episode, t) of each record
     decode = _DECODER.raw_decode
-    for n, line in enumerate(io.StringIO(text, newline=None), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec, end = decode(line)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path} line {n}: malformed JSON: {err.msg} (column {err.colno})") from None
-        except ValueError as err:  # an integer past Python's digit limit
-            raise ValueError(f"{path} line {n}: {err}") from None
-        if end != len(line):
-            raise ValueError(f"{path} line {n}: trailing data after the record (column {end + 1})")
-        if type(rec) is not dict:
-            raise ValueError(f"{path} line {n}: expected a JSON object, got {type(rec).__name__}")
-        try:
-            recs.append((n, rec["obs"], rec["action"], rec["episode"], rec["t"]))
-        except KeyError as err:
-            raise ValueError(f"{path} line {n}: missing key {err}") from None
+    try:
+        with open(path, encoding="utf-8") as f:
+            for n, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec, end = decode(line)
+                except json.JSONDecodeError as err:
+                    raise ValueError(f"{path} line {n}: malformed JSON: {err.msg} (column {err.colno})") from None
+                except ValueError as err:  # an integer past Python's digit limit
+                    raise ValueError(f"{path} line {n}: {err}") from None
+                if end != len(line):
+                    raise ValueError(f"{path} line {n}: trailing data after the record (column {end + 1})")
+                if type(rec) is not dict:
+                    raise ValueError(f"{path} line {n}: expected a JSON object, got {type(rec).__name__}")
+                try:
+                    recs.append((n, rec["obs"], rec["action"], rec["episode"], rec["t"]))
+                except KeyError as err:
+                    raise ValueError(f"{path} line {n}: missing key {err}") from None
+    except UnicodeDecodeError:
+        raise _utf8_fault(path) from None
     if not recs:
         raise ValueError(f"{path}: no records")
     lines, *cols = zip(*recs)

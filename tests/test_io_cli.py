@@ -220,14 +220,20 @@ def test_checkpoint_structure_faults_name_file_and_field(tmp_path, fault):
     assert field in str(info.value)
 
 
-@pytest.mark.parametrize("where", [0, 0.5, -1], ids=["first", "middle", "last"])
-def test_checkpoint_with_a_byte_that_is_not_utf8_names_the_file(tmp_path, where):
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+
+
+@pytest.mark.parametrize("mutate, fault", [
+    (lambda raw: b"\xff" + raw[1:], _NOT_UTF8),
+    (lambda raw: raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 + 1 :], _NOT_UTF8),
+    (lambda raw: raw[:-1] + b"\xff", _NOT_UTF8),
+    (lambda raw: b'{"version": ' + b"1" * 5000 + b"}", r"Exceeds the limit \(4300 digits\)"),
+], ids=["byte-ff-first", "byte-ff-middle", "byte-ff-last", "digit-limit"])
+def test_checkpoint_that_cannot_be_parsed_names_the_file(tmp_path, mutate, fault):
     path = tmp_path / "ck.json"
     save_checkpoint(path, {"policy": init_velocity_net(3, 4, 2)})
-    raw = bytearray(path.read_bytes())
-    raw[int(where * (len(raw) - 1)) if where >= 0 else -1] = 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match=f"unreadable checkpoint {path}: 'utf-8' codec can't decode byte 0xff"):
+    path.write_bytes(mutate(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=f"unreadable checkpoint {path}: {fault}"):
         load_checkpoint(path)
 
 
@@ -432,16 +438,15 @@ def test_cli_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, d, cls, 
 
 
 @pytest.mark.parametrize("text, fault", [
-    (b'{"epochs": \xff3}',
-     r"is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
-    (b'{"epochs": 3,}',
-     r"is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 14 \(char 13\)"),
+    (b'{"epochs": \xff3}', r": 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+    (b'{"epochs": 3,}', r": Expecting property name enclosed in double quotes: line 1 column 14 \(char 13\)"),
+    (b'{"epochs": ' + b"1" * 5000 + b"}", r": Exceeds the limit \(4300 digits\) for integer string conversion.*"),
     (b"5", "holds 5, not a JSON object"),
     (b"null", "holds null, not a JSON object"),
     (b'"ab"', 'holds "ab", not a JSON object'),
     (b"[1, 2]", r"holds \[1, 2\], not a JSON object"),
     (b'{"epochs": 3, "seed": 0, "epochs": 4}', ": repeated key 'epochs'"),
-], ids=["not-utf8", "not-json", "int", "null", "string", "list", "repeated-key"])
+], ids=["not-utf8", "not-json", "digit-limit", "int", "null", "string", "list", "repeated-key"])
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
 def test_cli_names_the_config_file_and_its_fault(tmp_path, capsys, text, fault, command):
     cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
