@@ -17,9 +17,8 @@ from .nets import Adam, ValueNet, VelocityNet, init_value_net, init_velocity_net
 from .ppo import Stage2Config, bc_loss, bc_schedule, clipped_pg_loss, finetune, gae, ppo_ratio, value_loss
 from .sampler import (
     DenoiseChain,
-    Schedule,
     chain_logprob,
-    make_schedule,
+    flow_times,
     policy_entropy,
     sample_deterministic,
     sample_stochastic,

@@ -58,10 +58,13 @@ def _unique_keys(pairs) -> dict:
     return d
 
 
-def _read_json(path) -> dict:
-    """The JSON object in the config file ``path``. Text that is not UTF-8
-    or not JSON, a repeated key and a top level that is no object are each a
-    ``ValueError`` naming the file."""
+def _read_config(path, cls):
+    """The ``cls`` config in the JSON file ``path``, and for a
+    ``Stage2Config`` the env kind its ``env_kind`` key names (else None).
+    Text that is not UTF-8 or not JSON, a repeated key, a top level that is
+    no object, a missing or unknown env kind, an unknown key, a value of the
+    wrong type and one ``cls`` rejects are each a ``ValueError`` naming the
+    file."""
     try:
         with open(path, encoding="utf-8") as f:
             d = json.load(f, object_pairs_hook=_unique_keys)
@@ -69,7 +72,14 @@ def _read_json(path) -> dict:
         raise ValueError(f"config {path}: {e}") from None
     if type(d) is not dict:
         raise ValueError(f"config {path} holds {json.dumps(d)[:40]}, not a JSON object")
-    return d
+    env_kind = d.pop("env_kind", None) if cls is Stage2Config else None
+    try:
+        if cls is Stage2Config and env_kind not in ENV_KINDS:
+            raise ValueError("finetune config must set env_kind" if env_kind is None
+                             else f"unknown env_kind {env_kind!r}; expected one of {ENV_KINDS}")
+        return parse_config(d, cls), env_kind
+    except ValueError as e:  # an unknown key, a wrong type, a value out of range
+        raise ValueError(f"config {path}: {e}") from None
 
 
 def _policy(checkpoint) -> VelocityNet:
@@ -94,7 +104,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    cfg = parse_config(_read_json(args.config), Stage1Config)
+    cfg, _ = _read_config(args.config, Stage1Config)
     ds = load_dataset(args.data)
     out = Path(args.out)
     net, metrics = pretrain(ds, cfg, metrics_path=str(out) + ".metrics.csv")
@@ -108,13 +118,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    raw = _read_json(args.config)
-    env_kind = raw.pop("env_kind", None)
-    if env_kind is None:
-        raise ValueError("finetune config must set env_kind")
-    if env_kind not in ENV_KINDS:
-        raise ValueError(f"unknown env_kind {env_kind!r}; expected one of {ENV_KINDS}")
-    cfg = parse_config(raw, Stage2Config)
+    cfg, env_kind = _read_config(args.config, Stage2Config)
     out = Path(args.out)
     policy, value_net, metrics = finetune(
         _policy(args.checkpoint), lambda: make_env(env_kind), cfg, metrics_path=str(out) + ".metrics.csv"

@@ -94,6 +94,8 @@ class Stage1Config:
             raise ValueError("lr must be > 0")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad optimizer settings")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError("seed must be >= 0")
 
 
 def interpolate(a, eps, tau):
@@ -224,8 +226,8 @@ def stage1_step(net: VelocityNet, grads: dict, batch: Stage1Batch, config: Stage
             H = Tensor(h, requires_grad=True)
             disp = dispersive_loss(H, config)
         g_h = g.backward(disp, seed=config.alpha_disp)[H] + g_h
-        total = weighted_sum([mf, disp], [1.0, config.alpha_disp], "stage1_total").item()
         disp = disp.item()
+        total = weighted_sum([mf, disp], [1.0, config.alpha_disp], "stage1_total", taped=False)[0]
     net.encode_vjp(g_h, enc, grads)
     return mf, disp, total
 

@@ -74,7 +74,7 @@ from .autodiff import (
 )
 from .io import metrics_csv
 from .nets import Adam, clip_grad_norm, first_nonfinite_grad, init_value_net
-from .sampler import LOG_2PI, chain_logprob_traced, check_K, policy_entropy, sample_chain_batch
+from .sampler import LOG_2PI, chain_logprob_traced, check_K, flow_times, policy_entropy, sample_chain_batch
 
 METRIC_COLUMNS = (
     "iter",
@@ -114,8 +114,6 @@ class Stage2Config:
     # stay small for the clipped ratios to remain meaningful
     lr: float = 2e-5
     grad_clip: float = 1.0
-    normalize_advantages: bool = True
-    value_width: int = 64
     seed: int = 0
 
     def __post_init__(self):
@@ -141,6 +139,8 @@ class Stage2Config:
             raise ValueError("lr must be > 0")
         if not self.grad_clip >= 0:
             raise ValueError("grad_clip must be >= 0 (0 turns clipping off)")
+        if self.seed < 0:  # numpy's seed sequences take no negative seed
+            raise ValueError("seed must be >= 0")
         # each env steps rollout_steps // n_envs times per iteration
         if self.rollout_steps < self.n_envs:
             raise ValueError("rollout_steps must be >= n_envs")
@@ -315,11 +315,22 @@ def _learned_sigma_entropy(sigma_t, K: int, taped=True):
     return loss_head(ent, (sigma_t,), lambda g: ((g * -float(K)) * (1.0 / sig),), "entropy", taped)
 
 
+def _sigma(nets, config) -> np.ndarray:
+    """The current transition scale as a (d_a,) array: ``exp(log_sigma)``,
+    checked finite as the taped ``exp`` checks it, when sigma is learnable,
+    else ``config.sigma`` in every entry."""
+    if nets.log_sigma is None:
+        return np.full(nets.policy.d_a, config.sigma)
+    sig = np.exp(nets.log_sigma.data)
+    _check_finite(sig, "exp")
+    return sig
+
+
 def _sigma_tensor(nets, config):
     """Current transition scale: traced tensor if learnable, else constant."""
     if nets.log_sigma is not None:
         return exp(nets.log_sigma)
-    return Tensor(np.full(nets.policy.d_a, config.sigma))
+    return Tensor(_sigma(nets, config))
 
 
 @dataclass
@@ -344,14 +355,14 @@ class MiniBatch:
 def _trunk_rows(batch: MiniBatch):
     """The policy trunk's stacked input ``(z, r, tau)`` for one minibatch:
     the chain's K steps, one M-row block per step (block k holds a^k at
-    r = (K-k-1)/K, tau = (K-k)/K), then the BC rows z1 at (0, 1)."""
+    step k's ``flow_times``), then the BC rows z1 at (0, 1)."""
     M, K = batch.states.shape[0], batch.states.shape[1] - 1
     z = np.concatenate([*batch.states[:, :K].swapaxes(0, 1), batch.bc_noise])
     r = np.zeros(((K + 1) * M, 1))
     tau = np.ones(((K + 1) * M, 1))
-    for k in range(K):
-        r[k * M : (k + 1) * M] = (K - k - 1) / K
-        tau[k * M : (k + 1) * M] = (K - k) / K
+    for k, (r_k, tau_k) in enumerate(flow_times(K)):
+        r[k * M : (k + 1) * M] = r_k
+        tau[k * M : (k + 1) * M] = tau_k
     return z, r, tau
 
 
@@ -437,11 +448,7 @@ def stage2_step(batch: MiniBatch, nets: Stage2Nets, config: Stage2Config, n: int
     policy = nets.policy
     M, K = batch.states.shape[0], batch.states.shape[1] - 1
     learnable = nets.log_sigma is not None
-    if learnable:
-        sig = np.exp(nets.log_sigma.data)
-        _check_finite(sig, "exp")
-    else:
-        sig = np.full(policy.d_a, config.sigma)
+    sig = _sigma(nets, config)
     sigma_t = Tensor(sig, requires_grad=learnable)
 
     h, enc = policy.encode(batch.obs, keep=True)
@@ -523,7 +530,7 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
     N = E * T
     d_obs = nets.policy.d_obs
     d_a = nets.policy.d_a
-    sig = np.exp(nets.log_sigma.data) if nets.log_sigma is not None else np.full(d_a, config.sigma)
+    sig = _sigma(nets, config)
 
     obs_buf = np.empty((E, T, d_obs))
     next_buf = np.empty((E, T, d_obs))
@@ -661,7 +668,7 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
     _keep_heap_resident()
     policy = pretrained_net.clone()
     frozen = pretrained_net.clone()
-    value_net = init_value_net(config.seed, pretrained_net.d_obs, config.value_width)
+    value_net = init_value_net(config.seed, pretrained_net.d_obs)
     log_sigma = None
     if config.sigma_learnable:
         log_sigma = Tensor(np.full(pretrained_net.d_a, np.log(config.sigma)), requires_grad=True)
@@ -690,8 +697,7 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
         compute_advantages(batch, value_net, config)
 
         adv = batch.advantages
-        if config.normalize_advantages:
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
         N = batch.obs.shape[0]
         # the frozen reference's embedding of every rollout row, once per iteration

@@ -1,14 +1,17 @@
 """K-step action generation and its probabilistic bookkeeping.
 
-Deterministic sampling walks the uniform time schedule tau_k = 1 - k/K with
-Euler steps of size exactly 1/K; K = 1 collapses to a single forward pass
-a = z1 - u(z1, 0, 1, obs). ``sample_deterministic`` runs one observation
-as one unbatched row, 1-D arrays end to end, so every layer is a
-matrix-vector product, taken with ``ndarray.dot`` (``kernels``); NumPy
-computes a (1, d) row's ``@`` product with the same matrix-vector routine,
-so the action is bit-identical to the walk on (1, d) rows. At K = 1 the
-action is one velocity call and ``z - u`` in place, with no loop and no
-multiply, since dt is exactly 1.0.
+Every K-step walk steps along one uniform flow-time grid, tau_k = (K-k)/K:
+deterministic and stochastic sampling, the chain log-prob recompute and the
+PPO trunk rows (``ppo._trunk_rows``) all take step k's times (r, tau) =
+(tau_{k+1}, tau_k) from ``flow_times(K)``, Python floats cached per K.
+Deterministic sampling takes Euler steps of size exactly 1/K along it; K = 1
+collapses to a single forward pass a = z1 - u(z1, 0, 1, obs).
+``sample_deterministic`` runs one observation as one unbatched row, 1-D
+arrays end to end, so every layer is a matrix-vector product, taken with
+``ndarray.dot`` (``kernels``); NumPy computes a (1, d) row's ``@`` product
+with the same matrix-vector routine, so the action is bit-identical to the
+walk on (1, d) rows. At K = 1 the action is one velocity call and ``z - u``
+in place, with no loop and no multiply, since dt is exactly 1.0.
 Stochastic sampling wraps each step in a
 Gaussian of scale sigma and records everything needed to recompute the
 chain's log-probability bit-for-bit later (the PPO old-log-prob contract).
@@ -46,6 +49,7 @@ NaN sigma fails it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -55,18 +59,6 @@ from .autodiff import Tensor, concat, loss_head
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Uniform flow-time partition 1 = tau_0 > ... > tau_K = 0."""
-
-    K: int
-    taus: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.K
-
-
 def check_K(K) -> None:
     """Raise a ``ValueError`` naming K unless it is an integer >= 1: a
     Python or numpy integer, not a bool or a float."""
@@ -74,10 +66,22 @@ def check_K(K) -> None:
         raise ValueError(f"K must be an integer >= 1, got {K!r}")
 
 
-def make_schedule(K: int) -> Schedule:
-    check_K(K)
-    taus = (K - np.arange(K + 1, dtype=np.float64)) / float(K)
-    return Schedule(K=K, taus=taus)
+def flow_times(K: int) -> tuple:
+    """Step k's flow times ``(r, tau) = ((K-k-1)/K, (K-k)/K)``, k = 0 .. K-1,
+    as Python floats: the uniform grid 1 = tau_0 > ... > tau_K = 0 that
+    every K-step walk (sampling, the chain log-prob, the PPO trunk rows)
+    steps along. Each time is one correctly rounded division of two exact
+    integers. K is checked before the cached lookup, which would take
+    ``True`` or ``1.0`` for the key 1."""
+    if type(K) is not int or K < 1:  # one type test for a Python int K
+        check_K(K)
+        K = int(K)
+    return _flow_times(K)
+
+
+@lru_cache(maxsize=16)
+def _flow_times(K: int) -> tuple:
+    return tuple(((K - k - 1) / K, (K - k) / K) for k in range(K))
 
 
 @dataclass
@@ -99,11 +103,6 @@ class DenoiseChain:
     @property
     def action(self) -> np.ndarray:
         return self.states[-1]
-
-    @property
-    def joint_logprob(self) -> float:
-        """Full chain log-probability including the prior term."""
-        return self.prior_logprob + self.total_logprob
 
 
 def _sigma_vector(sigma, d_a: int) -> np.ndarray:
@@ -158,10 +157,9 @@ def sample_deterministic(net, obs: np.ndarray, K: int, rng: np.random.Generator)
 
     The observation, its embedding and the action run as one unbatched row:
     each layer is a matrix-vector product, bit-identical to the same walk on
-    ``(1, d)`` rows. The times are Python floats (K - k) / K: one correctly
-    rounded division of two exact integers, equal to
-    ``make_schedule(K).taus[k]``. Each step is ``z -= u * dt`` (IEEE
-    multiplication commutes, so this is the Euler step ``z - dt * u``).
+    ``(1, d)`` rows. The times are ``flow_times(K)``'s Python floats. Each
+    step is ``z -= u * dt`` with dt = 1 / K (IEEE multiplication commutes,
+    so this is the Euler step ``z - dt * u``).
     K = 1, where dt is 1.0 and the times are (0, 1), is one velocity call
     and one in-place ``z -= u``, with no loop."""
     if type(K) is not int or K < 1:  # one type test for a Python int K
@@ -176,8 +174,9 @@ def sample_deterministic(net, obs: np.ndarray, K: int, rng: np.random.Generator)
     if K == 1:
         z -= net.velocity_arrays(z, 0.0, 1.0, h)
         return z, 1
-    for k in range(K):
-        z -= net.velocity_arrays(z, (K - k - 1) / K, (K - k) / K, h) * (1.0 / K)
+    dt = 1.0 / K
+    for r, tau in flow_times(K):
+        z -= net.velocity_arrays(z, r, tau, h) * dt
     return z, K
 
 
@@ -226,7 +225,7 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
     array in order, so this is the same numbers, in the same order, leaving
     the generator in the same state, as K+1 separate draws of d_a, and the
     results are independent of batching. Exactly K velocity evaluations
-    cover the whole batch, at the float times of ``sample_deterministic``.
+    cover the whole batch, at the times of ``flow_times(K)``.
     """
     check_K(K)
     E = len(rngs)
@@ -248,8 +247,8 @@ def sample_chain_batch(net, obs: np.ndarray, K: int, sigma, rngs) -> ChainBatch:
     terms = np.empty((E, K))
     a = states[:, 0]
     dt = 1.0 / K
-    for k in range(K):
-        u = net.velocity_arrays(a, (K - k - 1) / K, (K - k) / K, h)
+    for k, (r, tau) in enumerate(flow_times(K)):
+        u = net.velocity_arrays(a, r, tau, h)
         mu = a - dt * u
         a = mu + sig * states[:, k + 1]
         means[:, k] = mu
@@ -297,7 +296,7 @@ def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K
     sigma when traced). ``states`` is (M, K+1, d_a); recorded states are
     constants, only the means depend on parameters. ``u`` is the policy's
     velocity at every step, the K steps' M-row blocks stacked (block k at
-    a^k, r = (K-k-1)/K, tau = (K-k)/K), when the caller has already traced
+    a^k and step k's ``flow_times``), when the caller has already traced
     it; otherwise each step runs its own M-row pass on ``h``, the policy's
     embedding of ``obs`` (encoded here when None).
 
@@ -318,9 +317,8 @@ def chain_logprob_traced(policy, states: np.ndarray, obs: np.ndarray, sigma_t, K
             h = policy.encode(Tensor(obs))
         M = states.shape[0]
         u = concat([
-            policy.velocity(Tensor(states[:, k]), Tensor(np.full((M, 1), (K - k - 1) / K)),
-                            Tensor(np.full((M, 1), (K - k) / K)), h=h)
-            for k in range(K)
+            policy.velocity(Tensor(states[:, k]), Tensor(np.full((M, 1), r)), Tensor(np.full((M, 1), tau)), h=h)
+            for k, (r, tau) in enumerate(flow_times(K))
         ], axis=0)
     return _chain_logpdf(u, states, sigma_t, K, type(u) is not np.ndarray)
 

@@ -40,10 +40,10 @@ HOT = {
            "Adam.step", "clip_grad_norm"],
     kernels: ["adam_update", "affine", "affine_tanh", "gae_backward"],
     ppo: ["ppo_ratio", "clipped_pg_loss", "value_loss", "bc_target", "bc_loss", "_learned_sigma_entropy",
-          "_trunk_rows", "stage2_loss", "stage2_step", "collect_rollouts", "gae", "compute_advantages",
+          "_sigma", "_trunk_rows", "stage2_loss", "stage2_step", "collect_rollouts", "gae", "compute_advantages",
           "finetune"],
-    sampler: ["check_K", "_sigma_vector", "_log_norm", "_logpdf_rows", "sample_deterministic",
-              "sample_chain_batch", "_chain_logpdf", "chain_logprob_traced"],
+    sampler: ["check_K", "flow_times", "_flow_times", "_sigma_vector", "_log_norm", "_logpdf_rows",
+              "sample_deterministic", "sample_chain_batch", "_chain_logpdf", "chain_logprob_traced"],
 }
 
 

@@ -433,8 +433,42 @@ def test_cli_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, d, cls, 
         cfg.write_text(json.dumps({"env_kind": "point-reach", **d}))
         args = ["finetune", "--config", str(cfg), "--checkpoint", str(tmp_path / "none.json"), "--out", str(out)]
     assert main(args) == 1
-    assert capsys.readouterr() == ("", f"error: ValueError: config key {msg}\n")
+    assert capsys.readouterr() == ("", f"error: ValueError: config {cfg}: config key {msg}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("d, fault", [
+    ({"epocs": 1}, "unknown config keys: ['epocs']"),
+    ({"lr": 0}, "lr must be > 0"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"epochs": 1.5}, "config key 'epochs' must be a JSON integer, got float 1.5"),
+], ids=["unknown-key", "out-of-range", "negative-seed", "wrong-type"])
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_cli_names_the_config_file_of_a_bad_key_or_value(tmp_path, capsys, d, fault, command):
+    # the config is read before the run's other input, which is missing here
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    if command == "finetune":
+        d = {"env_kind": "point-reach", **d}
+    cfg.write_text(json.dumps(d))
+    given = ("--data", tmp_path / "d.jsonl") if command == "pretrain" else ("--checkpoint", tmp_path / "c.json")
+    assert main([command, "--config", str(cfg), given[0], str(given[1]), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: ValueError: config {cfg}: {fault}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, d, fault", [
+    ("pretrain", {"env_kind": "point-reach"}, "unknown config keys: ['env_kind']"),
+    ("finetune", {"iterations": 1}, "finetune config must set env_kind"),
+    ("finetune", {"env_kind": "mars"}, "unknown env_kind 'mars'; expected one of "),
+], ids=["pretrain-given", "finetune-missing", "finetune-unknown"])
+def test_cli_names_the_config_file_of_a_bad_env_kind(tmp_path, capsys, command, d, fault):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(d))
+    given = ("--data", tmp_path / "d.jsonl") if command == "pretrain" else ("--checkpoint", tmp_path / "c.json")
+    assert main([command, "--config", str(cfg), given[0], str(given[1]), "--out", str(tmp_path / "out.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: ValueError: config {cfg}: {fault}"), captured.err
 
 
 @pytest.mark.parametrize("text, fault", [

@@ -626,7 +626,7 @@ def test_pretrain_step_total_bit_identical_to_op_chain(monkeypatch):
     ds = _tiny_dataset(np.random.default_rng(66))
     cfg = Stage1Config(epochs=2, batch_size=8, seed=0, alpha_disp=0.3)
     fused, _ = pretrain(ds, cfg)
-    monkeypatch.setattr(mfmod, "weighted_sum", lambda ts, ws, op: ts[0] + ws[1] * ts[1])
+    monkeypatch.setattr(mfmod, "weighted_sum", lambda ts, ws, op, taped: (ts[0] + ws[1] * ts[1], None))
     chained, _ = pretrain(ds, cfg)
     assert param_checksum(fused) == param_checksum(chained)
 

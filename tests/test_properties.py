@@ -1,10 +1,14 @@
 """Property tests over drawn shapes: the pre-train step and the fine-tune
 minibatch on plain arrays against their taped references and against
 central differences, recomputed chain log-probs against the sampled ones,
-``envs._fma`` against numpy's 2-element dot, and checkpoint and dataset
-round trips of drawn float64 bit patterns. Each runs a fixed, derandomized
-set of examples, so a failure reproduces."""
+``envs._fma`` against numpy's 2-element dot, checkpoint and dataset round
+trips of drawn float64 bit patterns, and drawn byte mutations of a saved
+checkpoint, dataset and config file. Each runs a fixed, derandomized set of
+examples, so a failure reproduces."""
 
+import contextlib
+import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -15,13 +19,14 @@ from hypothesis import strategies as st
 
 import dmpo.ppo as ppo_mod
 from dmpo.autodiff import Graph, Tensor
+from dmpo.cli import main
 from dmpo.dispersive import DISP_KINDS, dispersive_loss
-from dmpo.envs import Dataset, _fma
-from dmpo.io import load_checkpoint, load_dataset, save_checkpoint, save_dataset
+from dmpo.envs import Dataset, _fma, gen_demos
+from dmpo.io import CheckpointError, load_checkpoint, load_dataset, save_checkpoint, save_dataset
 from dmpo.meanflow import (
     Stage1Batch, Stage1Config, interpolate, mf_loss, sample_time_pairs, stage1_step, target_velocity,
 )
-from dmpo.nets import Adam, ValueNet, init_value_net, init_velocity_net
+from dmpo.nets import Adam, ValueNet, init_value_net, init_velocity_net, param_checksum
 from dmpo.ppo import MiniBatch, Stage2Config, Stage2Nets, stage2_loss
 from dmpo.sampler import chain_logprob_traced, sample_chain_batch
 
@@ -265,3 +270,110 @@ def test_dataset_round_trip_keeps_every_bit_but_a_nans_sign_and_payload(N, d_obs
         want = [_QUIET_NAN if b & _EXP == _EXP and b & _FRAC else b for b in bits]
         assert col.shape == sent.shape and col.view(np.uint64).ravel().tolist() == want
     assert np.array_equal(got.episode_ids, ds.episode_ids) and np.array_equal(got.ts, ds.ts)
+
+
+# ---------------------------------------------------------------------------
+# mutated input files: every drawn byte flip, deletion, insertion or
+# truncation of a saved checkpoint, dataset or config file ends in a named
+# error or in a load that is allowed
+
+
+def _mutated(data, raw: bytes) -> bytes:
+    """``raw`` with one drawn mutation: a byte flipped (xor with a nonzero
+    byte), deleted or inserted at a drawn place, or the tail cut off."""
+    kind = data.draw(st.sampled_from(["flip", "delete", "insert", "truncate"]))
+    if kind == "insert":
+        i = data.draw(st.integers(0, len(raw)))
+        return raw[:i] + bytes([data.draw(st.integers(0, 255))]) + raw[i:]
+    i = data.draw(st.integers(0, len(raw) - 1))
+    if kind == "flip":
+        return raw[:i] + bytes([raw[i] ^ data.draw(st.integers(1, 255))]) + raw[i + 1 :]
+    return raw[:i] + raw[i + 1 :] if kind == "delete" else raw[:i]
+
+
+def _saved(save) -> tuple[bytes, object]:
+    """The bytes ``save(path)`` writes, and what it returns."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "saved"
+        made = save(path)
+        return path.read_bytes(), made
+
+
+def _write_mutated(d, name: str, data, raw: bytes) -> Path:
+    path = Path(d) / name
+    path.write_bytes(_mutated(data, raw))
+    return path
+
+
+def _small_checkpoint(path):
+    nets = {"policy": init_velocity_net(0, 2, 2, d_h=2, enc_width=2, trunk_width=2), "value": init_value_net(0, 2, 2)}
+    state = {"stage": "pretrain", "config": {"lr": 0.001, "epochs": 3, "disp_kind": "hinge"}, "m": np.arange(3.0)}
+    save_checkpoint(path, nets, state=state)
+    return load_checkpoint(path)
+
+
+_CHECKPOINT, (_CK_NETS, _CK_STATE) = _saved(_small_checkpoint)
+
+
+@settings(FIXED, max_examples=300)
+@given(data=st.data())
+def test_a_mutated_checkpoint_is_a_named_error_or_loads_unchanged(data):
+    # the checksum covers the canonical JSON, so only an edit it cannot see
+    # (whitespace, a number's spelling) may load, and that load is the original
+    with tempfile.TemporaryDirectory() as d:
+        path = _write_mutated(d, "ck.json", data, _CHECKPOINT)
+        try:
+            nets, state = load_checkpoint(path)
+        except CheckpointError as e:
+            assert str(path) in str(e)
+            return
+    assert list(nets) == list(_CK_NETS)
+    for name, net in nets.items():
+        assert net.dims == _CK_NETS[name].dims
+        assert param_checksum(net) == param_checksum(_CK_NETS[name])
+    assert state.keys() == _CK_STATE.keys() and state["config"] == _CK_STATE["config"]
+    assert state["stage"] == _CK_STATE["stage"] and state["m"].tobytes() == _CK_STATE["m"].tobytes()
+
+
+_DATASET, _ = _saved(lambda path: save_dataset(path, gen_demos("point-reach", 2, 0)))
+
+
+@settings(FIXED, max_examples=300)
+@given(data=st.data())
+def test_a_mutated_dataset_is_a_named_error_or_loads(data):
+    # a dataset has no checksum: an edit that keeps every line a valid
+    # record loads, with the edited values
+    with tempfile.TemporaryDirectory() as d:
+        path = _write_mutated(d, "demos.jsonl", data, _DATASET)
+        try:
+            ds = load_dataset(path)
+        except ValueError as e:
+            assert str(path) in str(e)
+            return
+    assert ds.obs.dtype == ds.actions.dtype == np.float64 and ds.episode_ids.dtype == ds.ts.dtype == np.int64
+    assert ds.obs.ndim == ds.actions.ndim == 2 and len(ds.obs) == len(ds.actions) == len(ds.ts)
+
+
+_CONFIGS = {
+    "pretrain": ({"epochs": 2, "batch_size": 8, "lr": 0.001, "alpha_disp": 0.1, "disp_kind": "hinge", "seed": 0},
+                 "--data", "demos.jsonl"),
+    "finetune": ({"env_kind": "point-reach", "K": 2, "sigma": 0.01, "iterations": 1, "rollout_steps": 16,
+                  "n_envs": 4, "seed": 0}, "--checkpoint", "ck.json"),
+}
+
+
+@settings(FIXED, max_examples=150)
+@given(command=st.sampled_from(list(_CONFIGS)), data=st.data())
+def test_a_mutated_config_is_an_error_naming_the_file_or_is_taken(command, data):
+    # the run's other input is missing, so a config the CLI takes goes on to
+    # fail on that file; any other exit names the config file
+    cfg_dict, flag, missing = _CONFIGS[command]
+    with tempfile.TemporaryDirectory() as d:
+        cfg = _write_mutated(d, "cfg.json", data, json.dumps(cfg_dict).encode())
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(cfg), flag, str(Path(d) / missing), "--out", str(Path(d) / "out")])
+    assert rc == 1
+    msg = err.getvalue()
+    assert msg.startswith("error: ") and msg.count("\n") == 1, msg
+    assert f"config {cfg}" in msg or missing in msg, msg

@@ -11,8 +11,8 @@ from dmpo.sampler import (
     DenoiseChain,
     chain_logprob,
     chain_logprob_traced,
+    flow_times,
     gaussian_logpdf,
-    make_schedule,
     policy_entropy,
     sample_chain_batch,
     sample_deterministic,
@@ -55,14 +55,39 @@ class _AffineNet:
         return z - self.c
 
 
+def _taus(K):
+    """tau_0 .. tau_K as ``flow_times(K)`` gives them: step k's (r, tau) is
+    (tau_{k+1}, tau_k)."""
+    times = flow_times(K)
+    assert all(r == tau for (r, _), (_, tau) in zip(times, times[1:]))
+    return np.array([times[0][1]] + [r for r, _ in times])
+
+
 def test_schedule_endpoints_and_monotonicity():
     for K in (1, 2, 5, 20, 128):
-        s = make_schedule(K)
-        assert s.taus[0] == 1.0
-        assert s.taus[-1] == 0.0
-        assert np.all(np.diff(s.taus) < 0)
+        taus = _taus(K)
+        assert taus[0] == 1.0
+        assert taus[-1] == 0.0
+        assert np.all(np.diff(taus) < 0)
     with pytest.raises(ValueError):
-        make_schedule(0)
+        flow_times(0)
+
+
+def test_flow_times_are_the_uniform_grid():
+    for K in range(1, 129):
+        taus = (K - np.arange(K + 1)) / K  # the grid's formula
+        times = flow_times(K)
+        assert times == tuple(zip(taus[1:].tolist(), taus[:-1].tolist()))
+        assert all(type(t) is float for step in times for t in step)
+        assert flow_times(np.int64(K)) is times  # one cached tuple per K
+
+
+def test_flow_times_checks_K_before_its_cache():
+    # the cache would take True and 1.0 for its key 1
+    assert flow_times(1) == ((0.0, 1.0),)
+    for K in (0, True, 1.0):
+        with pytest.raises(ValueError, match=f"K must be an integer >= 1, got {K!r}"):
+            flow_times(K)
 
 
 def test_constant_velocity_telescoping_exact():
@@ -223,7 +248,7 @@ def test_deterministic_times_equal_schedule():
         net = _TimeLog([0.1, 0.1])
         net.times = []
         sample_deterministic(net, np.zeros(2), K, np.random.default_rng(0))
-        taus = make_schedule(K).taus
+        taus = _taus(K)
         assert net.times == [(taus[k + 1], taus[k]) for k in range(K)]
         # the chain sampler passes the same float times
         net.times = []
@@ -267,11 +292,11 @@ def test_recorded_means_match_recompute():
     obs = np.random.default_rng(2).normal(size=3)
     K = 4
     chain = sample_stochastic(net, obs, K, 0.05, np.random.default_rng(3))
-    sched = make_schedule(K)
+    taus = _taus(K)
     h = net.encode_arrays(obs.reshape(1, -1))
     for k in range(K):
-        u = net.velocity_arrays(chain.states[k].reshape(1, -1), sched.taus[k + 1], sched.taus[k], h)
-        mu = chain.states[k] - sched.dt * u[0]
+        u = net.velocity_arrays(chain.states[k].reshape(1, -1), taus[k + 1], taus[k], h)
+        mu = chain.states[k] - (1.0 / K) * u[0]
         np.testing.assert_array_equal(chain.means[k], mu)
 
 
@@ -324,7 +349,6 @@ def test_fresh_chain_logprob_is_sum_of_terms():
     assert chain.total_logprob == pytest.approx(float(np.sum(chain.logprob_terms)), abs=1e-12)
     recomputed = chain_logprob(net, chain, obs, 0.02)
     assert recomputed == pytest.approx(chain.total_logprob, abs=1e-12)
-    assert chain.joint_logprob == pytest.approx(chain.prior_logprob + chain.total_logprob, abs=1e-12)
 
 
 def test_entropy_closed_forms():
@@ -376,16 +400,16 @@ def test_sampled_logprobs_equal_traced_walk_exactly(K, sigma):
 
 def _chain_batch_per_draw(net, obs, K, sigma, rngs):
     """Reference: a^0, then each xi_k, drawn separately from each env's
-    generator, with the times from ``make_schedule``."""
-    sched = make_schedule(K)
+    generator, with the times from ``flow_times``."""
+    taus = _taus(K)
     d_a = net.d_a
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (d_a,))
     h = net.encode_arrays(obs)
     a = np.stack([rng.standard_normal(d_a) for rng in rngs])
     states, means, terms = [a], [], []
     for k in range(K):
-        u = net.velocity_arrays(a, float(sched.taus[k + 1]), float(sched.taus[k]), h)
-        mu = a - sched.dt * u
+        u = net.velocity_arrays(a, float(taus[k + 1]), float(taus[k]), h)
+        mu = a - (1.0 / K) * u
         xi = np.stack([rng.standard_normal(d_a) for rng in rngs])
         a = mu + sig * xi
         diff = (a - mu) / sig
@@ -427,7 +451,8 @@ def _K_entry_points(K):
         "sample_deterministic": lambda: sample_deterministic(net, obs[0], K, np.random.default_rng(0)),
         "sample_chain_batch": lambda: sample_chain_batch(net, obs, K, 0.1, rngs),
         "chain_logprob_traced": lambda: chain_logprob_traced(net, states, obs, sigma, K),
-        "make_schedule": lambda: make_schedule(K),
+        # the grid, under the name of the builder it replaced, so the test ids stay
+        "make_schedule": lambda: flow_times(K),
         "Stage2Config": lambda: Stage2Config(K=K),
     }
 
