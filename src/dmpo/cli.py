@@ -21,20 +21,20 @@ from pathlib import Path
 import numpy as np
 
 from .dispersive import effective_rank
-from .envs import ENV_KINDS, evaluate, gen_demos, make_env
+from .envs import ENV_KINDS, check_fit, evaluate, gen_demos, make_env
 from .io import (
     load_checkpoint,
     load_dataset,
+    metrics_csv,
     parse_config,
     save_checkpoint,
     save_dataset,
     write_config_echo,
-    write_metrics_csv,
 )
 from .meanflow import Stage1Config, pretrain
 from .nets import VelocityNet
 from .ppo import Stage2Config, finetune
-from .sampler import sample_deterministic
+from .sampler import check_K, sample_deterministic
 
 log = logging.getLogger("dmpo")
 
@@ -82,16 +82,29 @@ def _read_config(path, cls):
         raise ValueError(f"config {path}: {e}") from None
 
 
-def _policy(checkpoint) -> VelocityNet:
+def _policy(checkpoint, env_kind) -> VelocityNet:
     """The policy net saved in ``checkpoint``: a velocity net named
-    ``policy``."""
+    ``policy`` that fits the ``env_kind`` env. A checkpoint without one,
+    or whose policy does not fit, is a ``ValueError`` naming the file."""
     policy = load_checkpoint(checkpoint)[0].get("policy")
-    if not isinstance(policy, VelocityNet):
-        raise ValueError("checkpoint does not contain a policy net")
+    env = make_env(env_kind)
+    try:
+        if not isinstance(policy, VelocityNet):
+            raise ValueError("does not contain a policy net")
+        check_fit(policy, env)
+    except ValueError as e:
+        raise ValueError(f"checkpoint {checkpoint}: {e}") from None
     return policy
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    """A ``ValueError`` naming the flag unless ``value >= low``."""
+    if value < low:
+        raise ValueError(f"--{flag} must be >= {low}, got {value}")
+
+
 def cmd_gen_data(args) -> int:
+    _at_least("seed", args.seed, 0)
     ds = gen_demos(args.env, args.episodes, args.seed)
     save_dataset(args.out, ds)
     write_config_echo(
@@ -121,7 +134,7 @@ def cmd_finetune(args) -> int:
     cfg, env_kind = _read_config(args.config, Stage2Config)
     out = Path(args.out)
     policy, value_net, metrics = finetune(
-        _policy(args.checkpoint), lambda: make_env(env_kind), cfg, metrics_path=str(out) + ".metrics.csv"
+        _policy(args.checkpoint, env_kind), lambda: make_env(env_kind), cfg, metrics_path=str(out) + ".metrics.csv"
     )
     save_checkpoint(out, {"policy": policy, "value": value_net},
                     state={"stage": "finetune", "env_kind": env_kind, "config": asdict(cfg)})
@@ -135,7 +148,9 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    res = evaluate(_policy(args.checkpoint), args.env, args.episodes, args.K, args.seed)
+    net = _policy(args.checkpoint, args.env)
+    _at_least("seed", args.seed, 0)
+    res = evaluate(net, args.env, args.episodes, args.K, args.seed)
     print(f"success_rate={res.success_rate}")
     print(f"mean_return={res.mean_return}")
     print(f"mean_nfe={res.mean_nfe}")
@@ -145,14 +160,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    net = _policy(args.checkpoint)
+    net = _policy(args.checkpoint, args.env)
     ks = [int(k) for k in args.K.split(",")]
-    if any(k < 1 for k in ks):
-        raise ValueError("all K must be >= 1")
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.warmup < 0:
-        raise ValueError(f"--warmup must be >= 0, got {args.warmup}")
+    for K in ks:
+        check_K(K)
+    _at_least("samples", args.samples, 1)
+    _at_least("warmup", args.warmup, 0)
+    _at_least("seed", args.seed, 0)
     env = make_env(args.env)
     obs = env.reset(args.seed)
     rng = np.random.default_rng(args.seed)
@@ -168,12 +182,11 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             _, nfes[j] = sample_deterministic(net, obs, ks[j], rng)
             times[j, i] = time.perf_counter() - t0
-    rows = [{"K": K, "nfe": nfe, "median_ms": float(np.median(t) * 1e3), "samples": args.samples}
-            for K, nfe, t in zip(ks, nfes, times)]
-    for row in rows:
+    add_row = metrics_csv(args.csv or None, BENCH_COLUMNS)
+    for K, nfe, t in zip(ks, nfes, times):
+        row = {"K": K, "nfe": nfe, "median_ms": float(np.median(t) * 1e3), "samples": args.samples}
         print(f"K={row['K']} nfe={row['nfe']} median_ms={row['median_ms']:.4f} samples={row['samples']}")
-    if args.csv:
-        write_metrics_csv(args.csv, BENCH_COLUMNS, rows)
+        add_row(row)
     return 0
 
 

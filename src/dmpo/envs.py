@@ -267,6 +267,16 @@ def make_env(kind: str):
     raise ValueError(f"unknown env kind {kind!r}; expected one of {ENV_KINDS}")
 
 
+def check_fit(net, env) -> None:
+    """A ``ValueError`` unless ``net`` takes ``env``'s observations and
+    gives its actions: ``(d_obs, d_a)`` equal to the env's."""
+    if net.d_obs != env.d_obs or net.d_a != env.d_a:
+        raise ValueError(
+            f"net dims (d_obs={net.d_obs}, d_a={net.d_a}) do not match env {type(env).__name__} "
+            f"({env.d_obs}, {env.d_a})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # scripted experts and demonstration generation
 
@@ -357,11 +367,7 @@ def evaluate(net, env_kind: str, n_episodes: int, K: int, seed: int) -> EvalResu
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     env = make_env(env_kind)
-    if net.d_obs != env.d_obs or net.d_a != env.d_a:
-        raise ValueError(
-            f"net dims (d_obs={net.d_obs}, d_a={net.d_a}) do not match env "
-            f"({env.d_obs}, {env.d_a})"
-        )
+    check_fit(net, env)
     master = np.random.default_rng(seed)
     action_rng = np.random.default_rng(int(master.integers(2**63)))
     returns, successes, modes = [], [], []

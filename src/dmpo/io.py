@@ -323,13 +323,6 @@ def metrics_csv(path, columns):
     return add
 
 
-def write_metrics_csv(path, columns, rows) -> None:
-    """``metrics_csv`` with every row known up front."""
-    add = metrics_csv(path, columns)
-    for row in rows:
-        add(row)
-
-
 # a config field's declared type -> the JSON type it takes and the Python
 # types ``json`` decodes that to (a bool is neither an integer nor a number)
 _CONFIG_TYPES = {"int": ("integer", {int}), "float": ("number", {int, float}),

@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    DualTensor, Graph, NonFiniteError, Tensor, _check_finite, custom_op, no_record, row_sq_mean, weighted_sum,
+    DualTensor, Graph, Tensor, _check_finite, custom_op, no_record, row_sq_mean, weighted_sum,
 )
 from .dispersive import DISP_KINDS, dispersive_loss, effective_rank
 from .io import metrics_csv
-from .nets import Adam, VelocityNet, first_nonfinite_grad, init_velocity_net
+from .nets import Adam, VelocityNet, init_velocity_net, nonfinite_grad
 
 METRIC_COLUMNS = ("epoch", "step", "mf_loss", "disp_loss", "total_loss", "d_eff", "wall_ms")
 
@@ -96,6 +96,9 @@ class Stage1Config:
             raise ValueError("bad optimizer settings")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError("seed must be >= 0")
+        for key in ("d_h", "enc_width", "trunk_width"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
 
 
 def interpolate(a, eps, tau):
@@ -285,10 +288,9 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
                 # ``_check_finite``'s rule: a finite sum of squares proves
                 # every entry finite; else the search decides (a square of a
                 # finite entry may overflow)
-                if not math.isfinite(np.vdot(opt._g, opt._g)):
-                    bad = first_nonfinite_grad(net.params.items(), opt.grads)
-                    if bad:
-                        raise NonFiniteError(f"non-finite values produced by op 'backward' in the gradient of {bad}")
+                g = opt._g
+                if not math.isfinite(np.vdot(g, g)) and (err := nonfinite_grad(net.params.items(), opt.grads)):
+                    raise err
             except FloatingPointError as e:
                 raise RuntimeError(
                     f"pre-training diverged at epoch {epoch} step {step}: {e}"

@@ -28,7 +28,9 @@ layer, and write each parameter's gradient into ``grads[param]``.
 ``grads`` is the one gradient map of both training steps: ``Adam.grads``,
 each parameter Tensor to its view of Adam's flat gradient buffer, keyed as
 ``Graph.backward`` keys its result. ``clip_grad_norm`` rescales that
-buffer in place and ``Adam.step`` updates from it.
+buffer in place and ``Adam.step`` updates from it. Both stages stop on a
+gradient that is not finite with the one error ``nonfinite_grad`` builds,
+naming op 'backward' and the first parameter whose gradient is not.
 
 The training steps take every product with ``ndarray.dot``: the forward's
 ``x.dot(W)`` (``_checked``), the VJP's ``x.T.dot(gp, out=grads[W])`` and
@@ -48,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .autodiff import Tensor, _check_finite, as_tensor, concat, tanh, value_of
+from .autodiff import NonFiniteError, Tensor, _check_finite, as_tensor, concat, tanh, value_of
 
 
 def _checked(x, W, b, hidden=True):
@@ -416,11 +418,17 @@ class Adam:
         )
 
 
-def first_nonfinite_grad(named, grads: dict) -> str | None:
-    """The name of the first ``(name, Tensor)`` pair in ``named`` whose
-    gradient in ``grads`` (as ``Adam.grads``) has a non-finite entry, or
-    None when every one is finite."""
-    return next((n for n, p in named if not np.isfinite(grads[p]).all()), None)
+def nonfinite_grad(named, grads: dict, norm: float | None = None) -> NonFiniteError | None:
+    """The error for a gradient that is not finite, naming op 'backward'
+    and the first ``(name, Tensor)`` pair in ``named`` whose gradient in
+    ``grads`` (as ``Adam.grads``) has a non-finite entry. When every entry
+    is finite: the error naming ``norm`` if one is given (a norm that
+    overflowed over finite entries), else None."""
+    bad = next((n for n, p in named if not np.isfinite(grads[p]).all()), None)
+    if bad is None and norm is None:
+        return None
+    where = f"a gradient norm of {norm}" if bad is None else f"the gradient of {bad}"
+    return NonFiniteError(f"non-finite values produced by op 'backward' in {where}")
 
 
 def clip_grad_norm(g: np.ndarray, max_norm: float) -> float:

@@ -44,7 +44,10 @@ gathers its rollout rows once, in the epoch's shuffled order, and each
 minibatch takes contiguous slices of them. Rollouts are collected as
 stacked arrays, one ``[:, t]`` row per step across environments, with one
 value-net call over the whole window, and GAE runs as one backward pass
-over the whole batch. The loss heads and the
+over the whole batch. That batch is env-major, so each env's window end is
+read from the layout alone: every (N / n_envs)-th row. A non-finite
+clipping norm stops the run with ``nets.nonfinite_grad``'s error, the one
+stage 1 raises too. The loss heads and the
 per-minibatch statistics call ufuncs and ndarray methods (``np.clip`` as
 ``np.minimum(np.maximum(...))``, a mean as ``x.sum() / x.size``), not
 numpy's Python-level wrappers, which cost a measured 0.6-4 us more per call at
@@ -63,17 +66,16 @@ from __future__ import annotations
 import ctypes
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
-from .autodiff import (
-    NonFiniteError, Tensor, _check_finite, concat, exp, loss_head, row_sq_mean, split_rows, value_of, weighted_sum
-)
+from .autodiff import Tensor, _check_finite, concat, exp, loss_head, row_sq_mean, split_rows, value_of, weighted_sum
+from .envs import check_fit
 from .io import metrics_csv
-from .nets import Adam, clip_grad_norm, first_nonfinite_grad, init_value_net
+from .nets import Adam, clip_grad_norm, init_value_net, nonfinite_grad
 from .sampler import LOG_2PI, chain_logprob_traced, check_K, flow_times, policy_entropy, sample_chain_batch
 
 METRIC_COLUMNS = (
@@ -509,9 +511,8 @@ class RolloutBatch:
     dones: np.ndarray  # (N,) segment ends (termination or truncation)
     values: np.ndarray  # (N,)
     old_logprobs: np.ndarray  # (N,)
-    advantages: np.ndarray = field(default=None)
-    returns: np.ndarray = field(default=None)
-    env_slices: list = field(default_factory=list)  # per-env contiguous ranges
+    advantages: np.ndarray = None
+    returns: np.ndarray = None
 
 
 def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Stage2Config):
@@ -583,13 +584,14 @@ def collect_rollouts(nets: Stage2Nets, envs_list, env_rngs, obs_cur, config: Sta
         dones=done_buf.reshape(N),
         values=nets.value.value(obs_rows),
         old_logprobs=lp_buf.reshape(N),
-        env_slices=[(e * T, (e + 1) * T) for e in range(E)],
     )
     return batch, finished
 
 
 def compute_advantages(batch: RolloutBatch, value_net, config: Stage2Config) -> None:
-    """GAE in one backward pass over the env-major batch.
+    """GAE in one backward pass over the env-major batch: ``n_envs``
+    windows of equal length, one after another, as ``collect_rollouts``
+    lays them out; a batch whose rows do not split so is a ``ValueError``.
 
     A row is a cut when it is a done or the last row of its env's window;
     the cuts stop the recursion. A truncated cut (not a true terminal)
@@ -598,7 +600,10 @@ def compute_advantages(batch: RolloutBatch, value_net, config: Stage2Config) -> 
     leave each segment's recursion exactly as a separate per-segment pass.
     """
     cuts = batch.dones > 0.5
-    cuts[[hi - 1 for _, hi in batch.env_slices]] = True
+    N, E = cuts.shape[0], config.n_envs
+    if N < E or N % E:
+        raise ValueError(f"a batch of {N} rows does not split into n_envs={E} windows")
+    cuts.reshape(E, -1)[:, -1] = True
     rewards = batch.rewards.copy()
     trunc = np.flatnonzero(cuts & (batch.terminals < 0.5))
     if trunc.size:
@@ -639,17 +644,6 @@ def _keep_heap_resident() -> bool:
     return mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_BYTES) == 1 and trimmed
 
 
-def _nonfinite_grad(nets: Stage2Nets, grads: dict, norm: float) -> NonFiniteError:
-    """The error for a gradient whose norm is not finite, naming the first
-    parameter, in ``stage2_optimizer`` order, whose gradient is not."""
-    named = [("log_sigma", nets.log_sigma)] if nets.log_sigma is not None else []
-    for net in ("policy", "value"):
-        named += [(f"{net} {n}", p) for n, p in getattr(nets, net).params.items()]
-    bad = first_nonfinite_grad(named, grads)
-    where = f"the gradient of {bad}" if bad else f"a gradient norm of {norm}"
-    return NonFiniteError(f"non-finite values produced by op 'backward' in {where}")
-
-
 def _mean_or_zero(xs) -> float:
     # ``np.mean``'s value, the sum over the count, or 0.0 for no entries
     return float(np.array(xs).sum() / len(xs)) if xs else 0.0
@@ -663,8 +657,10 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
     in a minibatch's loss or backward raises ``RuntimeError`` naming the
     iteration, the minibatch (counted across the iteration's epochs) and
     the op; a non-finite gradient norm names op 'backward' and the first
-    parameter whose gradient is not finite. Fixes glibc's heap thresholds
-    for the whole process first (``_keep_heap_resident``)."""
+    parameter whose gradient is not finite, or the norm when every entry
+    is. A policy whose dims do not fit the envs is a ``ValueError`` before
+    any env is reset. Fixes glibc's heap thresholds for the whole process
+    first (``_keep_heap_resident``)."""
     _keep_heap_resident()
     policy = pretrained_net.clone()
     frozen = pretrained_net.clone()
@@ -675,6 +671,10 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
     nets = Stage2Nets(policy=policy, value=value_net, frozen=frozen, log_sigma=log_sigma)
 
     opt = stage2_optimizer(nets, config.lr)
+    # each parameter's name in a gradient fault, in ``stage2_optimizer`` order
+    named = [("log_sigma", log_sigma)] if log_sigma is not None else []
+    for prefix, net in (("policy", policy), ("value", value_net)):
+        named += [(f"{prefix} {n}", net.params[n]) for n in net.param_names]
 
     ss = np.random.SeedSequence(config.seed)
     children = ss.spawn(config.n_envs + 1)
@@ -682,6 +682,8 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
     update_rng = np.random.default_rng(children[-1])
 
     envs_list = [env_factory() for _ in range(config.n_envs)]
+    for env in envs_list:
+        check_fit(policy, env)
     obs_cur = [env.reset(int(env_rngs[e].integers(2**63))) for e, env in enumerate(envs_list)]
 
     recent_returns: deque = deque(maxlen=20)
@@ -736,7 +738,7 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                     # a grad_clip of 0 turns clipping off; the pre-clip norm is logged either way
                     norm = clip_grad_norm(opt._g, config.grad_clip or math.inf)
                     if not math.isfinite(norm):
-                        raise _nonfinite_grad(nets, opt.grads, norm)
+                        raise nonfinite_grad(named, opt.grads, norm)
                 except FloatingPointError as e:
                     raise RuntimeError(
                         f"fine-tuning diverged at iteration {n} minibatch {n_mb}: {e}"

@@ -11,10 +11,10 @@ from dmpo.io import (
     CheckpointError,
     load_checkpoint,
     load_dataset,
+    metrics_csv,
     parse_config,
     save_checkpoint,
     save_dataset,
-    write_metrics_csv,
 )
 from dmpo.meanflow import Stage1Config
 from dmpo.ppo import Stage2Config
@@ -386,7 +386,9 @@ def test_cli_names_the_bad_dataset_line(tmp_path, capsys):
 
 def test_metrics_csv_header_and_values(tmp_path):
     path = tmp_path / "m.csv"
-    write_metrics_csv(path, ("a", "b"), [{"a": 1, "b": 0.5}, {"a": 2, "b": 1.0 / 3.0}])
+    add = metrics_csv(path, ("a", "b"))
+    for row in ({"a": 1, "b": 0.5}, {"a": 2, "b": 1.0 / 3.0}):
+        add(row)
     with open(path) as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["a", "b"]
@@ -600,7 +602,53 @@ def test_cli_names_a_checkpoint_without_a_policy_net(tmp_path, capsys, command, 
     args = {"finetune": ["--config", str(cfg), "--out", str(tmp_path / "ft.json")],
             "eval": ["--env", "point-reach"], "bench": ["-K", "1", "--samples", "1"]}[command]
     assert main([command, "--checkpoint", str(ck), *args]) == 1
-    assert capsys.readouterr() == ("", "error: ValueError: checkpoint does not contain a policy net\n")
+    assert capsys.readouterr() == ("", f"error: ValueError: checkpoint {ck}: does not contain a policy net\n")
+
+
+@pytest.mark.parametrize("command", ["finetune", "eval", "bench"])
+def test_cli_names_a_checkpoint_whose_policy_does_not_fit_the_env(tmp_path, capsys, command):
+    # a d_obs=2 policy on point-reach (d_obs=4): named before any env step
+    # or output file, not as the sampler's observation-shape error
+    ck, out = tmp_path / "bandit.json", tmp_path / "ft.json"
+    save_checkpoint(ck, {"policy": init_velocity_net(0, 2, 2)})
+    cfg = tmp_path / "s2.json"
+    cfg.write_text(json.dumps({"env_kind": "point-reach", "iterations": 1}))
+    args = {"finetune": ["--config", str(cfg), "--out", str(out)],
+            "eval": ["--env", "point-reach"], "bench": ["-K", "1", "--samples", "1", "--csv", str(out)]}[command]
+    assert main([command, "--checkpoint", str(ck), *args]) == 1
+    fault = "net dims (d_obs=2, d_a=2) do not match env PointReach (4, 2)"
+    assert capsys.readouterr() == ("", f"error: ValueError: checkpoint {ck}: {fault}\n")
+    assert sorted(tmp_path.iterdir()) == sorted([ck, cfg])  # no metrics, CSV or checkpoint written
+
+
+@pytest.mark.parametrize("command", ["gen-data", "eval", "bench"])
+def test_cli_rejects_a_negative_seed(pipeline, tmp_path, capsys, command):
+    root, data, ck = pipeline
+    out = tmp_path / "out.jsonl"
+    args = {"gen-data": ["--env", "point-reach", "--episodes", "1", "--out", str(out)],
+            "eval": ["--checkpoint", str(ck), "--env", "point-reach", "--episodes", "1"],
+            "bench": ["--checkpoint", str(ck), "-K", "1", "--samples", "1", "--csv", str(out)]}[command]
+    assert main([command, *args, "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: ValueError: --seed must be >= 0, got -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("K, shown", [("0", "0"), ("1,-2", "-2")])
+def test_cli_bench_checks_each_K(pipeline, tmp_path, capsys, K, shown):
+    root, data, ck = pipeline
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--checkpoint", str(ck), "-K", K, "--samples", "1", "--csv", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: ValueError: K must be an integer >= 1, got {shown}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["d_h", "enc_width", "trunk_width"])
+def test_cli_names_the_config_file_of_a_zero_width(tmp_path, capsys, key):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps({key: 0}))
+    assert main(["pretrain", "--config", str(cfg), "--data", str(tmp_path / "d.jsonl"), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: ValueError: config {cfg}: {key} must be >= 1\n")
+    assert not out.exists()
 
 
 def test_cli_runtime_failure_exit_code(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -470,6 +472,38 @@ def test_pretrain_non_finite_gradient_names_op_backward_and_the_parameter(monkey
     with pytest.raises(RuntimeError, match=match):
         pretrain(_tiny_dataset(np.random.default_rng(70)), Stage1Config(epochs=3, batch_size=4, seed=0))
     assert len(calls) == 3
+
+
+def test_pretrain_goes_on_when_finite_gradients_overflow_their_sum_of_squares(monkeypatch):
+    # two entries of 1e154: each square is finite, their sum is not, so the
+    # step's vdot reads inf; the search finds no bad entry and Adam takes
+    # the step, as the per-op finite checks would
+    import dmpo.meanflow as mfmod
+
+    sums = []
+    step = mfmod.stage1_step
+
+    def overflowing(net, grads, batch, config):
+        out = step(net, grads, batch, config)
+        if not sums:
+            g = grads[net.params["out_w"]]
+            g.flat[:2] = 1e154
+            sums.append(np.vdot(g, g))
+        return out
+
+    monkeypatch.setattr(mfmod, "stage1_step", overflowing)
+    net, rows = pretrain(_tiny_dataset(np.random.default_rng(72)), Stage1Config(epochs=3, batch_size=4, seed=0))
+    assert sums == [math.inf]
+    assert [row["step"] for row in rows] == [2, 4, 6]
+    assert all(np.isfinite(p.data).all() for p in net.parameters())
+
+
+@pytest.mark.parametrize("key", ["d_h", "enc_width", "trunk_width"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_stage1_config_rejects_a_width_below_one(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be >= 1$"):
+        Stage1Config(**{key: value})
+    assert getattr(Stage1Config(**{key: 1}), key) == 1
 
 
 @pytest.mark.parametrize(

@@ -138,11 +138,13 @@ class _RowValueNet:
         return np.tanh(obs[:, 0]) + 0.5 * obs[:, 1] * obs[:, 2]
 
 
-def _per_segment_advantages(batch, value_net, gamma, lam):
-    """One gae call per segment, each truncated segment bootstrapped alone."""
+def _per_segment_advantages(batch, value_net, gamma, lam, n_envs):
+    """One gae call per segment, each truncated segment bootstrapped alone;
+    the batch holds ``n_envs`` equal windows, one after another."""
     adv = np.empty(batch.rewards.shape[0])
     ret = np.empty_like(adv)
-    for lo, hi in batch.env_slices:
+    T = adv.size // n_envs
+    for lo, hi in ((e * T, (e + 1) * T) for e in range(n_envs)):
         seg_start = lo
         for i in range(lo, hi):
             if not (batch.dones[i] > 0.5 or i == hi - 1):
@@ -176,10 +178,9 @@ def test_compute_advantages_one_pass_matches_per_segment_reference(monkeypatch):
         dones=dones,
         values=rng.normal(size=N),
         old_logprobs=np.zeros(N),
-        env_slices=[(e * T, (e + 1) * T) for e in range(E)],
     )
-    cfg = Stage2Config(gamma=0.97, lam_gae=0.9)
-    want_adv, want_ret = _per_segment_advantages(batch, _RowValueNet(), cfg.gamma, cfg.lam_gae)
+    cfg = Stage2Config(gamma=0.97, lam_gae=0.9, n_envs=E)
+    want_adv, want_ret = _per_segment_advantages(batch, _RowValueNet(), cfg.gamma, cfg.lam_gae, cfg.n_envs)
     rewards = batch.rewards.copy()
 
     calls = []
@@ -191,6 +192,34 @@ def test_compute_advantages_one_pass_matches_per_segment_reference(monkeypatch):
     # the cuts and bootstraps go into copies; the recorded rows stay as they were
     np.testing.assert_array_equal(batch.dones, np.isin(np.arange(N), [2, T + 3, 3 * T - 1, 3 * T + 1, 3 * T + 4]))
     np.testing.assert_array_equal(batch.rewards, rewards)
+
+
+@pytest.mark.parametrize("T", [1, 5])
+def test_compute_advantages_cuts_each_env_window_at_its_last_row(monkeypatch, T):
+    # no done rows: the only cuts are the window ends the env-major layout
+    # places at rows T-1, 2T-1 and 3T-1, each bootstrapped as a truncation
+    E, N = 3, 3 * T
+    rng = np.random.default_rng(T)
+    batch = RolloutBatch(obs=rng.normal(size=(N, 3)), next_obs=rng.normal(size=(N, 3)),
+                         states=np.zeros((N, 2, 2)), rewards=rng.normal(size=N), terminals=np.zeros(N),
+                         dones=np.zeros(N), values=rng.normal(size=N), old_logprobs=np.zeros(N))
+    cfg = Stage2Config(n_envs=E, rollout_steps=N)
+    seen = []
+    monkeypatch.setattr(ppo_mod, "gae", lambda r, v, cuts, *a: seen.append(cuts) or gae(r, v, cuts, *a))
+    compute_advantages(batch, _RowValueNet(), cfg)
+    np.testing.assert_array_equal(np.flatnonzero(seen[0]), [T - 1, 2 * T - 1, 3 * T - 1])
+    want_adv, _ = _per_segment_advantages(batch, _RowValueNet(), cfg.gamma, cfg.lam_gae, E)
+    np.testing.assert_array_equal(batch.advantages, want_adv)
+
+
+@pytest.mark.parametrize("N", [10, 2])
+def test_compute_advantages_rejects_a_batch_that_does_not_split_into_env_windows(N):
+    batch = RolloutBatch(obs=np.zeros((N, 3)), next_obs=np.zeros((N, 3)), states=np.zeros((N, 2, 2)),
+                         rewards=np.zeros(N), terminals=np.zeros(N), dones=np.zeros(N), values=np.zeros(N),
+                         old_logprobs=np.zeros(N))
+    with pytest.raises(ValueError, match=f"^a batch of {N} rows does not split into n_envs=3 windows$"):
+        compute_advantages(batch, _RowValueNet(), Stage2Config(n_envs=3, rollout_steps=12))
+    assert batch.advantages is None
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +806,7 @@ def test_collect_rollouts_hands_back_current_observations():
         batch, _ = collect_rollouts(nets, envs_list, env_rngs, obs_cur, cfg)
         # each window starts from the observations passed in and hands back
         # each env's observation after its last step
-        np.testing.assert_array_equal(batch.obs[[lo for lo, _ in batch.env_slices]], np.stack(start))
+        np.testing.assert_array_equal(batch.obs.reshape(cfg.n_envs, -1, 4)[:, 0], np.stack(start))
         assert len(obs_cur) == 3
         for e, env in enumerate(envs_list):
             np.testing.assert_array_equal(obs_cur[e], env._obs())
@@ -857,7 +886,7 @@ def test_collect_rollouts_records_true_terminals_and_compute_advantages_bootstra
 
     vnet = _RowValueNet()
     compute_advantages(batch, vnet, cfg)
-    want_adv, want_ret = _per_segment_advantages(batch, vnet, cfg.gamma, cfg.lam_gae)
+    want_adv, want_ret = _per_segment_advantages(batch, vnet, cfg.gamma, cfg.lam_gae, cfg.n_envs)
     np.testing.assert_array_equal(batch.advantages, want_adv)
     np.testing.assert_array_equal(batch.returns, want_ret)
     # at a cut row the return is the reward plus the bootstrap: 0 at the
@@ -1188,6 +1217,42 @@ def test_finetune_non_finite_gradient_names_op_backward_and_the_parameter(monkey
     with pytest.raises(RuntimeError, match=match):
         finetune(_pretrained(), lambda: make_env("point-reach"), cfg)
     assert len(made) == 2
+
+
+def test_finetune_stops_on_finite_gradients_whose_norm_overflows(monkeypatch):
+    # two entries of 1e154: every entry is finite, but the clipping norm's
+    # sum of squares overflows, so the run stops at that minibatch and
+    # names the norm, there being no bad entry to name
+    loss = ppo_mod.stage2_loss
+    made = []
+
+    def overflowing(mb, nets, config, n, grads=None):
+        out = loss(mb, nets, config, n, grads)
+        made.append(n)
+        if len(made) == 2:
+            grads[nets.policy.params["trunk0_w"]].flat[:2] = 1e154
+        return out
+
+    monkeypatch.setattr(ppo_mod, "stage2_loss", overflowing)
+    cfg = Stage2Config(iterations=2, seed=0, rollout_steps=64, n_envs=4, minibatch_size=16)
+    match = r"^fine-tuning diverged at iteration 0 minibatch 1: .*op 'backward' in a gradient norm of inf$"
+    with pytest.raises(RuntimeError, match=match):
+        finetune(_pretrained(), lambda: make_env("point-reach"), cfg)
+    assert len(made) == 2
+
+
+def test_finetune_rejects_a_policy_that_does_not_fit_the_env_before_any_reset(tmp_path):
+    made = []
+
+    def factory():
+        made.append(make_env("point-reach"))
+        return made[-1]
+
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=r"^net dims \(d_obs=2, d_a=2\) do not match env PointReach \(4, 2\)$"):
+        finetune(init_velocity_net(0, 2, 2), factory, Stage2Config(iterations=1, seed=0), metrics_path=path)
+    assert made and all(env._pos is None for env in made)  # no env was reset
+    assert not path.exists()
 
 
 _FAULTS_PER_ITERATION = """
