@@ -161,7 +161,10 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     net = _policy(args.checkpoint, args.env)
-    ks = [int(k) for k in args.K.split(",")]
+    try:
+        ks = [int(k) for k in args.K.split(",")]
+    except ValueError:
+        raise ValueError(f"-K must be comma-separated integers, got {args.K!r}") from None
     for K in ks:
         check_K(K)
     _at_least("samples", args.samples, 1)

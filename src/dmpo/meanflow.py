@@ -273,9 +273,10 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
             # degenerate datasets: tile rows so each step still averages over
             # a full batch of fresh (eps, r, tau) draws
             order = np.resize(order, config.batch_size)
-        mf_sum = disp_sum = total_sum = 0.0
-        batches = 0
-        for lo in range(0, order.size, config.batch_size):
+        # ``stage1_step``'s (mf, disp, total), each summed in step order
+        sums = dict.fromkeys(("mf_loss", "disp_loss", "total_loss"), 0.0)
+        starts = range(0, order.size, config.batch_size)
+        for lo in starts:
             idx = order[lo : lo + config.batch_size]
             B = idx.size
             obs, act = obs_all[idx], act_all[idx]
@@ -284,7 +285,7 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
             batch = Stage1Batch(obs, act, eps, r_arr, tau_arr)
 
             try:
-                mf, disp, total = stage1_step(net, opt.grads, batch, config)
+                losses = stage1_step(net, opt.grads, batch, config)
                 # ``_check_finite``'s rule: a finite sum of squares proves
                 # every entry finite; else the search decides (a square of a
                 # finite entry may overflow)
@@ -296,11 +297,8 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
                     f"pre-training diverged at epoch {epoch} step {step}: {e}"
                 ) from e
             opt.step()
-
-            mf_sum += mf
-            disp_sum += disp
-            total_sum += total
-            batches += 1
+            for k, x in zip(sums, losses):
+                sums[k] += x
             step += 1
 
         d_eff = 0
@@ -316,16 +314,7 @@ def pretrain(dataset, config: Stage1Config, metrics_path=None):
                 ) from e
             d_eff = effective_rank(emb)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        metrics.append(
-            {
-                "epoch": epoch,
-                "step": step,
-                "mf_loss": mf_sum / batches,
-                "disp_loss": disp_sum / batches,
-                "total_loss": total_sum / batches,
-                "d_eff": d_eff,
-                "wall_ms": wall_ms,
-            }
-        )
+        means = {k: x / len(starts) for k, x in sums.items()}
+        metrics.append({"epoch": epoch, "step": step, **means, "d_eff": d_eff, "wall_ms": wall_ms})
         add_row(metrics[-1])
     return net, metrics

@@ -649,6 +649,11 @@ def _mean_or_zero(xs) -> float:
     return float(np.array(xs).sum() / len(xs)) if xs else 0.0
 
 
+# the metric columns averaged over an iteration's rollout rows; the other
+# averaged columns are means over its minibatches
+_ROW_MEANS = ("clip_frac", "approx_kl")
+
+
 def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=None):
     """Full Algorithm: iterate collect -> GAE -> minibatch epochs on the
     joint loss. Returns (policy, value_net, metrics rows); each row is also
@@ -686,16 +691,13 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
         check_fit(policy, env)
     obs_cur = [env.reset(int(env_rngs[e].integers(2**63))) for e, env in enumerate(envs_list)]
 
-    recent_returns: deque = deque(maxlen=20)
-    recent_success: deque = deque(maxlen=20)
+    recent: deque = deque(maxlen=20)  # (return, success) of the last finished episodes
     metrics = []
     add_row = metrics_csv(metrics_path, METRIC_COLUMNS)
 
     for n in range(config.iterations):
         batch, finished = collect_rollouts(nets, envs_list, env_rngs, obs_cur, config)
-        for ep_ret, ep_succ in finished:
-            recent_returns.append(ep_ret)
-            recent_success.append(1.0 if ep_succ else 0.0)
+        recent.extend(finished)
         compute_advantages(batch, value_net, config)
 
         adv = batch.advantages
@@ -704,35 +706,22 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
         N = batch.obs.shape[0]
         # the frozen reference's embedding of every rollout row, once per iteration
         h_frozen = frozen.encode_arrays(batch.obs)
-        parts_acc = {"pg": 0.0, "v": 0.0, "ent": 0.0, "bc": 0.0}
-        clip_hits = 0
-        kl_sum = 0.0
-        norm_sum = 0.0
-        n_rows = 0
-        n_mb = 0
+        # each averaged column's sum, in minibatch order
+        sums = dict.fromkeys(("pg", "v", "ent", "bc", "grad_norm", *_ROW_MEANS), 0.0)
+        n_rows = n_mb = 0
         for _ in range(config.epochs):
             order = update_rng.permutation(N)
+            # the epoch's columns in ``MiniBatch`` field order
+            cols = [x[order] for x in (batch.obs, batch.states, batch.old_logprobs, adv, batch.returns)]
             # The epoch's BC noise in one draw: a generator fills an array in
             # order, so these are the numbers that one draw per minibatch
             # gives, leaving the generator in the same state. Their frozen
             # targets come from one N-row pass, equal to per-minibatch passes
             # when N and the minibatch size are multiples of 4.
             noise = update_rng.standard_normal((N, policy.d_a))
-            targets = bc_target(frozen, noise, h_frozen[order])
-            obs, states, old_lp, adv_e, ret = (
-                x[order] for x in (batch.obs, batch.states, batch.old_logprobs, adv, batch.returns)
-            )
+            cols += [noise, bc_target(frozen, noise, h_frozen[order])]
             for lo in range(0, N, config.minibatch_size):
-                rows = slice(lo, lo + config.minibatch_size)
-                mb = MiniBatch(
-                    obs=obs[rows],
-                    states=states[rows],
-                    old_logprobs=old_lp[rows],
-                    advantages=adv_e[rows],
-                    returns=ret[rows],
-                    bc_noise=noise[rows],
-                    bc_target=targets[rows],
-                )
+                mb = MiniBatch(*(x[lo : lo + config.minibatch_size] for x in cols))
                 try:
                     _, parts = stage2_loss(mb, nets, config, n, opt.grads)
                     # a grad_clip of 0 turns clipping off; the pre-clip norm is logged either way
@@ -743,32 +732,20 @@ def finetune(pretrained_net, env_factory, config: Stage2Config, metrics_path=Non
                     raise RuntimeError(
                         f"fine-tuning diverged at iteration {n} minibatch {n_mb}: {e}"
                     ) from e
-                norm_sum += norm
                 opt.step()
-                rho = parts.pop("rho")
+                rho = parts["rho"]
                 rho_1 = rho - 1.0
-                clip_hits += int((np.abs(rho_1) > config.clip_eps).sum())
-                kl_sum += float((rho_1 - np.log(np.maximum(rho, 1e-300))).sum())
+                parts.update(grad_norm=norm, clip_frac=int((np.abs(rho_1) > config.clip_eps).sum()),
+                             approx_kl=float((rho_1 - np.log(np.maximum(rho, 1e-300))).sum()))
+                for k in sums:
+                    sums[k] += parts[k]
                 n_rows += rho.size
                 n_mb += 1
-                for k in parts_acc:
-                    parts_acc[k] += parts[k]
 
-        lam_bc = bc_schedule(n, config)
-        metrics.append(
-            {
-                "iter": n,
-                "mean_return": _mean_or_zero(recent_returns),
-                "success_rate": _mean_or_zero(recent_success),
-                "pg": parts_acc["pg"] / max(n_mb, 1),
-                "v": parts_acc["v"] / max(n_mb, 1),
-                "ent": parts_acc["ent"] / max(n_mb, 1),
-                "bc": parts_acc["bc"] / max(n_mb, 1),
-                "lambda_bc": lam_bc,
-                "clip_frac": clip_hits / max(n_rows, 1),
-                "approx_kl": kl_sum / max(n_rows, 1),
-                "grad_norm": norm_sum / max(n_mb, 1),
-            }
-        )
+        returns, successes = zip(*recent) if recent else ((), ())
+        row = {k: s / max(n_rows if k in _ROW_MEANS else n_mb, 1) for k, s in sums.items()}
+        row.update(iter=n, mean_return=_mean_or_zero(returns), success_rate=_mean_or_zero(successes),
+                   lambda_bc=bc_schedule(n, config))
+        metrics.append({k: row[k] for k in METRIC_COLUMNS})
         add_row(metrics[-1])
     return policy, value_net, metrics

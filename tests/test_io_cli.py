@@ -642,6 +642,15 @@ def test_cli_bench_checks_each_K(pipeline, tmp_path, capsys, K, shown):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("K", ["abc", "1,,2", "1.5", ""])
+def test_cli_bench_names_the_flag_of_a_K_that_is_not_integers(pipeline, tmp_path, capsys, K):
+    root, data, ck = pipeline
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--checkpoint", str(ck), "-K", K, "--samples", "1", "--csv", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: ValueError: -K must be comma-separated integers, got {K!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["d_h", "enc_width", "trunk_width"])
 def test_cli_names_the_config_file_of_a_zero_width(tmp_path, capsys, key):
     cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"

@@ -712,6 +712,33 @@ def test_pretrain_metrics_columns():
     assert set(metrics[0]) == set(METRIC_COLUMNS)
 
 
+@pytest.mark.parametrize("n, batch_size, steps", [(8, 3, 3), (2, 4, 1)])
+def test_pretrain_loss_columns_are_the_epoch_means_of_each_step(monkeypatch, n, batch_size, steps):
+    # mf_loss, disp_loss and total_loss: what each of the epoch's steps
+    # returned, summed in step order over the step count; 8 rows in batches
+    # of 3 end in a 2-row step, and 2 rows tile into one 4-row step
+    import dmpo.meanflow as mfmod
+
+    returned = []
+    step = mfmod.stage1_step
+
+    def recording(*args):
+        returned.append(step(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(mfmod, "stage1_step", recording)
+    ds = _tiny_dataset(np.random.default_rng(74), n=n)
+    _, rows = pretrain(ds, Stage1Config(epochs=3, batch_size=batch_size, seed=0))
+    assert [row["step"] for row in rows] == [steps, 2 * steps, 3 * steps] and len(returned) == 3 * steps
+    for e, row in enumerate(rows):
+        for i, col in enumerate(("mf_loss", "disp_loss", "total_loss")):
+            acc = 0.0
+            for losses in returned[e * steps : (e + 1) * steps]:
+                acc += losses[i]
+            assert row[col] == acc / steps, col
+        assert row["disp_loss"] != 0.0 and row["total_loss"] != row["mf_loss"]
+
+
 @pytest.mark.parametrize("field", ["lr", "alpha_disp", "hinge_margin", "disp_temperature"])
 def test_stage1_config_rejects_nan(field):
     # each guard tests what must hold; a `<= 0` test let NaN through

@@ -1337,6 +1337,89 @@ def test_finetune_grad_norm_column_is_the_mean_pre_clip_norm(monkeypatch, tmp_pa
         assert max(norms) > grad_clip  # the column is the norm before clipping
 
 
+def test_finetune_loss_columns_are_minibatch_means_and_ratio_columns_row_means(monkeypatch):
+    # pg, v, ent, bc and grad_norm: each minibatch's value summed in
+    # minibatch order over the minibatch count; clip_frac and approx_kl: each
+    # minibatch's clipped-row count and k3 KL sum, summed in minibatch order
+    # over the row count. 60 rows in minibatches of 16 leave a 12-row last
+    # one, so the two counts weigh minibatches differently; a learnable sigma
+    # moves ent from minibatch to minibatch
+    seen = []
+    loss, clip = ppo_mod.stage2_loss, ppo_mod.clip_grad_norm
+
+    def loss_spy(*args):
+        total, parts = loss(*args)
+        seen.append({k: parts[k] for k in ("pg", "v", "ent", "bc")} | {"rho": parts["rho"].copy()})
+        return total, parts
+
+    def clip_spy(g, max_norm):
+        seen[-1]["grad_norm"] = clip(g, max_norm)
+        return seen[-1]["grad_norm"]
+
+    monkeypatch.setattr(ppo_mod, "stage2_loss", loss_spy)
+    monkeypatch.setattr(ppo_mod, "clip_grad_norm", clip_spy)
+    cfg = Stage2Config(iterations=2, seed=6, rollout_steps=60, n_envs=4, minibatch_size=16, sigma_learnable=True,
+                       lam_bc_init=0.5, lam_bc_final=0.1, bc_decay_end=2)
+    _, _, metrics = finetune(_pretrained(), lambda: make_env("point-reach"), cfg)
+    per_iter = cfg.epochs * 4
+    assert len(metrics) == 2 and len(seen) == 2 * per_iter
+    for i, row in enumerate(metrics):
+        mbs = seen[i * per_iter : (i + 1) * per_iter]
+        assert [mb["rho"].size for mb in mbs] == [16, 16, 16, 12] * cfg.epochs
+        for col in ("pg", "v", "ent", "bc", "grad_norm"):
+            acc = 0.0
+            for mb in mbs:
+                acc += mb[col]
+            assert row[col] == acc / per_iter, col
+        hits, kl = 0, 0.0
+        for mb in mbs:
+            hits += int((np.abs(mb["rho"] - 1.0) > cfg.clip_eps).sum())
+            kl += float(((mb["rho"] - 1.0) - np.log(mb["rho"])).sum())
+        assert row["clip_frac"] == hits / (60 * cfg.epochs)
+        assert row["approx_kl"] == kl / (60 * cfg.epochs)
+        assert row["lambda_bc"] == bc_schedule(i, cfg) and row["iter"] == i
+        assert 0.0 < row["clip_frac"] < 1.0 and row["approx_kl"] > 0.0 and row["bc"] > 0.0
+    assert metrics[0]["ent"] != metrics[1]["ent"]
+
+
+def _bandit_policy():
+    return pretrain(gen_demos("modal-bandit", 20, seed=0), Stage1Config(epochs=20, seed=0))[0]
+
+
+@pytest.mark.parametrize("kind", ["modal-bandit", "point-reach"])
+def test_finetune_return_and_success_columns_cover_the_last_20_finished_episodes(monkeypatch, kind):
+    # modal-bandit: 8 one-step episodes per iteration, so from the third
+    # iteration the window reaches back into earlier ones; point-reach with
+    # 16 steps per env and iteration: no episode of up to 40 steps has ended
+    # after the first, and both columns read 0.0 there
+    finished = []
+    collect = ppo_mod.collect_rollouts
+
+    def collect_spy(*args):
+        batch, done = collect(*args)
+        finished.append(list(done))
+        return batch, done
+
+    monkeypatch.setattr(ppo_mod, "collect_rollouts", collect_spy)
+    net = _bandit_policy() if kind == "modal-bandit" else _pretrained()
+    cfg = Stage2Config(iterations=5, seed=2, rollout_steps=8 if kind == "modal-bandit" else 64, n_envs=4, epochs=1)
+    _, _, metrics = finetune(net, lambda: make_env(kind), cfg)
+    so_far = []
+    for row, done in zip(metrics, finished, strict=True):
+        so_far += done
+        window = so_far[-20:]
+        returns = [r for r, _ in window]
+        successes = [1.0 if s else 0.0 for _, s in window]
+        assert row["mean_return"] == (float(np.mean(returns)) if window else 0.0)
+        assert row["success_rate"] == (float(np.mean(successes)) if window else 0.0)
+    if kind == "modal-bandit":
+        assert [len(done) for done in finished] == [8] * 5
+        assert 0.0 < metrics[-1]["success_rate"] < 1.0
+    else:
+        assert finished[0] == [] and metrics[0]["mean_return"] == metrics[0]["success_rate"] == 0.0
+        assert len(so_far) >= 4
+
+
 def test_finetune_metrics_csv_streams_the_one_pass_file(tmp_path):
     cfg = Stage2Config(iterations=3, seed=1, rollout_steps=64, n_envs=4, minibatch_size=16)
     path = tmp_path / "stage2.csv"
